@@ -1,0 +1,12 @@
+"""Make the benchmark's modules and the package sources importable.
+
+    PYTHONPATH=src python3 -m pytest -q bench/tests
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
