@@ -1,11 +1,13 @@
 """Exact Bernoulli numbers and the structure of their numerators and
 denominators.
 
-Values are computed from the defining recurrence
-sum_{j=0}^{n} C(n+1, j) B_j = 0 with B_0 = 1, memoized across calls.
-Convention: B_1 = -1/2. Denominators are cross-checkable against the
-von Staudt-Clausen product, which is exposed separately so the two routes
-stay independent.
+Even-index values come from the tangent numbers T_n (Brent & Harvey,
+"Fast computation of Bernoulli, tangent and secant numbers",
+arXiv:1108.0286): T_1..T_n take O(n^2) products of a small integer by a
+big one, and B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)). Values are
+memoized across calls. Convention: B_1 = -1/2. Denominators are
+cross-checkable against the von Staudt-Clausen product, which is exposed
+separately so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd, isqrt
 
 from ._primes import is_prime, primes_up_to
 
@@ -44,15 +46,44 @@ _B1 = Fraction(-1, 2)
 # parallel sweeps precompute the needed range up front instead of racing.
 _EVEN: list[Fraction] = [Fraction(1)]
 
+# Column n = len(_TANGENT) of the Brent-Harvey tangent triangle: the value
+# at position n after each of the algorithm's n passes, from
+# _TANGENT[0] = (n-1)! to _TANGENT[-1] = T_n. _EVEN agrees with the tangent
+# numbers up to B_2n; entries past it were seeded, not computed.
+_TANGENT: list[int] = []
+
 
 def _extend_even(half: int) -> None:
-    while len(_EVEN) <= half:
-        n = 2 * len(_EVEN)
-        # defining recurrence solved for B_n; only j even and j = 1 survive
-        acc = comb(n + 1, 1) * _B1
-        for i, b in enumerate(_EVEN):
-            acc += comb(n + 1, 2 * i) * b
-        _EVEN.append(-acc / (n + 1))
+    """Grow the memo to B_{2 half}, checking any seeded entries on the way.
+
+    The tangent triangle is advanced one column at a time, so growing the
+    table in steps costs the same O(half^2) products as one build.
+    """
+    global _TANGENT
+    if half < len(_EVEN):
+        return
+    while len(_TANGENT) < half:
+        prev = _TANGENT
+        n = len(prev) + 1
+        t = (n - 1) * prev[0] if prev else 1  # (n-1)!
+        col = [t]
+        for i in range(1, n - 1):
+            t = (n - i - 1) * prev[i] + (n - i + 1) * t
+            col.append(t)
+        if n > 1:
+            t *= 2  # the last pass adds 0 * T_{n-1}
+            col.append(t)
+        four_n = 4**n
+        value = Fraction((-1) ** (n - 1) * 2 * n * t, four_n * (four_n - 1))
+        if n < len(_EVEN):
+            if _EVEN[n] != value:
+                raise ValueError(
+                    f"memo entry for k={2 * n} disagrees with the tangent "
+                    f"numbers (seeded from a bad cache?)"
+                )
+        else:
+            _EVEN.append(value)
+        _TANGENT = col
 
 
 def bernoulli(k: int) -> Fraction:
@@ -93,17 +124,22 @@ def _require_even(k: int, what: str) -> None:
         raise ValueError(f"{what} needs even k >= 2, got {k}")
 
 
+def _vsc_primes(k: int) -> list[int]:
+    """Primes p with (p-1) | k, from the divisor pairs (d, k/d), d <= sqrt k."""
+    divisors = set()
+    for d in range(1, isqrt(k) + 1):
+        if k % d == 0:
+            divisors.update((d, k // d))
+    return [d + 1 for d in divisors if is_prime(d + 1)]
+
+
 def vsc_denominator(k: int) -> int:
     """von Staudt-Clausen denominator: product of primes p with (p-1) | k.
 
-    Independent of the recurrence; used to cross-check denominator(k).
+    Independent of the tangent numbers; used to cross-check denominator(k).
     """
     _require_even(k, "vsc_denominator")
-    d = 1
-    for div in range(1, k + 1):
-        if k % div == 0 and is_prime(div + 1):
-            d *= div + 1
-    return d
+    return math.prod(_vsc_primes(k))
 
 
 def numerator(k: int) -> int:
@@ -253,20 +289,29 @@ def seed_even_values(pairs: list[tuple[int, tuple[int, int]]]) -> int:
     """Warm the memo from (k, (N_k, D_k)) pairs.
 
     Pairs must supply a gap-free even prefix 2, 4, 6, ... to be usable; the
-    recurrence needs every earlier value. Entries beyond the first gap are
-    ignored. Each accepted entry must agree with the von Staudt-Clausen
-    denominator; a mismatch raises ValueError rather than poisoning the memo.
-    Returns the largest k actually seeded (0 if none).
+    memo holds B_0, B_2, ... by position. Entries beyond the first gap are
+    ignored. Each accepted entry must satisfy von Staudt-Clausen: D_k is the
+    product of the primes p with (p-1) | k, and N_k + sum D_k/p = 0 mod D_k.
+    A violation, or disagreement with a value already in the memo, raises
+    ValueError rather than poisoning the memo. An edit to N_k by a multiple
+    of D_k passes both tests; it is caught when the memo is next extended
+    past k. Returns the largest k actually seeded (0 if none).
     """
     table = {k: nd for k, nd in pairs}
     seeded = 0
     k = 2
     while k in table:
         n, d = table[k]
-        if d != vsc_denominator(k):
+        primes = _vsc_primes(k)
+        if d != math.prod(primes):
             raise ValueError(
                 f"cache entry for k={k} has denominator {d}, "
-                f"von Staudt-Clausen says {vsc_denominator(k)}"
+                f"von Staudt-Clausen says {math.prod(primes)}"
+            )
+        if (n + sum(d // p for p in primes)) % d:
+            raise ValueError(
+                f"cache entry for k={k} has numerator {n}, which fails "
+                f"von Staudt-Clausen modulo {d}"
             )
         half = k // 2
         value = Fraction(n, d)

@@ -38,6 +38,8 @@ __all__ = [
     "cache_store",
     "warm_bernoulli",
     "snapshot_bernoulli",
+    "load_and_warm",
+    "store_snapshot",
 ]
 
 CACHE_HEADER = "moser-ladder-cache v1"
@@ -151,9 +153,10 @@ def cache_store(store: CacheStore, path: str | Path) -> None:
 def warm_bernoulli(store: CacheStore) -> int:
     """Seed the Bernoulli memo from a loaded cache.
 
-    Only the gap-free even prefix is usable (the recurrence needs every
-    earlier value). Denominators are re-checked against von Staudt-Clausen;
-    disagreement raises CacheFormatError. Returns the largest k seeded.
+    Only the gap-free even prefix is usable (the memo holds B_0, B_2, ...
+    by position). Every entry is re-checked against von Staudt-Clausen, on
+    the denominator and on the numerator modulo the denominator; failure
+    raises CacheFormatError. Returns the largest k seeded.
     """
     even = [(k, nd) for k, nd in store.sorted_items() if k >= 2 and k % 2 == 0]
     try:
@@ -171,3 +174,24 @@ def snapshot_bernoulli(k_max: int, base: CacheStore | None = None) -> CacheStore
     for k, (n, d) in even_value_pairs(k_max):
         store.put(k, n, d)
     return store
+
+
+def load_and_warm(path: str | Path | None) -> CacheStore | None:
+    """Load the cache at `path`, if one is given and exists, and seed the
+    Bernoulli memo from it. Returns the loaded store, or None if there was
+    nothing to load; pass it to store_snapshot as the merge base."""
+    if path is None or not os.path.exists(path):
+        return None
+    store = cache_load(path)
+    warm_bernoulli(store)
+    return store
+
+
+def store_snapshot(
+    path: str | Path | None, k_max: int, base: CacheStore | None
+) -> None:
+    """Write the even entries 2..k_max, merged over `base`, to `path`.
+    Does nothing without a path or below k = 2."""
+    if path is None or k_max < 2:
+        return
+    cache_store(snapshot_bernoulli(k_max, base), path)

@@ -97,26 +97,13 @@ def _cache_path(args) -> str | None:
     return args.cache or default_cache_path()
 
 
-def _warm(args) -> None:
-    path = _cache_path(args)
-    if path is not None and os.path.exists(path):
-        cachemod.warm_bernoulli(cachemod.cache_load(path))
-
-
-def _store(args, k_max: int) -> None:
-    path = _cache_path(args)
-    if path is None or k_max < 2:
-        return
-    base = cachemod.cache_load(path) if os.path.exists(path) else None
-    cachemod.cache_store(cachemod.snapshot_bernoulli(k_max, base), path)
-
-
 def _even_floor(k: int) -> int:
     return k if k % 2 == 0 else k - 1
 
 
 def cmd_bern(args) -> int:
-    _warm(args)
+    path = _cache_path(args)
+    base = cachemod.load_and_warm(path)
     rec = bernoulli_record(args.k)
     if args.format == "plain":
         print(rec.value)
@@ -127,7 +114,7 @@ def cmd_bern(args) -> int:
     else:
         _emit_csv(["k", "numerator", "denominator"],
                   [[rec.k, rec.numerator, rec.denominator]])
-    _store(args, _even_floor(args.k))
+    cachemod.store_snapshot(path, _even_floor(args.k), base)
     return 0
 
 
@@ -135,9 +122,10 @@ def cmd_powersum(args) -> int:
     if args.naive:
         value = ps.power_sum_naive(args.k, args.m)
     else:
-        _warm(args)
+        path = _cache_path(args)
+        base = cachemod.load_and_warm(path)
         value = ps.power_sum(args.k, args.m)
-        _store(args, _even_floor(args.k))
+        cachemod.store_snapshot(path, _even_floor(args.k), base)
     if args.format == "plain":
         print(value)
     elif args.format == "json":
@@ -149,7 +137,8 @@ def cmd_powersum(args) -> int:
 
 
 def cmd_gk(args) -> int:
-    _warm(args)
+    path = _cache_path(args)
+    base = cachemod.load_and_warm(path)
     g = gcdlab.gcd_ratio(args.k, args.m)
     if args.format == "plain":
         print(g)
@@ -157,12 +146,13 @@ def cmd_gk(args) -> int:
         _emit_json({"k": args.k, "m": args.m, "value": str(g)})
     else:
         _emit_csv(["k", "m", "value"], [[args.k, args.m, g]])
-    _store(args, args.k)
+    cachemod.store_snapshot(path, args.k, base)
     return 0
 
 
 def cmd_ladder(args) -> int:
-    _warm(args)
+    path = _cache_path(args)
+    base = cachemod.load_and_warm(path)
     lad = gcdlab.gcd_ladder(args.k, args.m)
     rungs = [
         ("m", lad.observed_m1, str(lad.predicted_m1)),
@@ -198,12 +188,13 @@ def cmd_ladder(args) -> int:
     else:
         _emit_csv(["rung", "observed", "predicted"],
                   [[r, o, p] for r, o, p in rungs])
-    _store(args, args.k)
+    cachemod.store_snapshot(path, args.k, base)
     return 0
 
 
 def cmd_search(args) -> int:
-    _warm(args)
+    path = _cache_path(args)
+    base = cachemod.load_and_warm(path)
     if args.mode == "ratio":
         hits = [{"k": h.k, "m": h.m, "quotient": str(h.quotient)}
                 for h in ps.search_ratio(args.kmax, args.mmax)]
@@ -219,12 +210,13 @@ def cmd_search(args) -> int:
                     "hits": hits})
     else:
         _emit_csv(header, [[h[name] for name in header] for h in hits])
-    _store(args, _even_floor(args.kmax))
+    cachemod.store_snapshot(path, _even_floor(args.kmax), base)
     return 0
 
 
 def cmd_scan(args) -> int:
-    _warm(args)
+    path = _cache_path(args)
+    base = cachemod.load_and_warm(path)
     bounds = tuple(
         b for b in SQUARE_FREE_ESCALATION if b <= args.trial_bound
     ) or (args.trial_bound,)
@@ -259,7 +251,7 @@ def cmd_scan(args) -> int:
               r["square_factor"] or "", r["flagged_at_bound"] or "",
               r["clear_below"] or ""] for r in rows],
         )
-    _store(args, args.kmax)
+    cachemod.store_snapshot(path, args.kmax, base)
     return 0
 
 
@@ -331,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default="plain",
                         help="output format (default plain)")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for verification sweeps")
+                        help="worker processes for verification sweeps "
+                             "(at most the CPU count)")
     common.add_argument("--cache", metavar="PATH", default=None,
                         help="Bernoulli cache file "
                              "(default: per-user data directory)")

@@ -11,6 +11,7 @@ them an independent route from the closed-form evaluator they check.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -627,6 +628,11 @@ def _max_bernoulli_index(specs: list[GridSpec]) -> int:
     return k if k % 2 == 0 else k - 1
 
 
+def _pool_size(jobs: int, n_tasks: int) -> int:
+    """Worker processes for a sweep: never more than the CPUs or the tasks."""
+    return min(jobs, os.cpu_count() or 1, n_tasks)
+
+
 def _execute(specs: list[GridSpec], profile: str | None, jobs: int) -> SweepReport:
     t0 = time.perf_counter()
     for spec in specs:
@@ -646,9 +652,10 @@ def _execute(specs: list[GridSpec], profile: str | None, jobs: int) -> SweepRepo
             bounds.append((check, spec, len(rows)))
             tasks.extend((check, k, spec) for k in rows)
 
-    if jobs > 1 and len(tasks) > 1:
+    workers = _pool_size(jobs, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(pairs,)
+            max_workers=workers, initializer=_worker_init, initargs=(pairs,)
         ) as pool:
             results = list(pool.map(_run_task, tasks, chunksize=1))
     else:
@@ -682,31 +689,13 @@ def _execute(specs: list[GridSpec], profile: str | None, jobs: int) -> SweepRepo
     )
 
 
-def _load_cache_if_any(path: str | None, seedless: bool) -> None:
-    if path is None or seedless:
-        return
-    import os
-
-    if os.path.exists(path):
-        cachemod.warm_bernoulli(cachemod.cache_load(path))
-
-
-def _store_cache_if_any(path: str | None, seedless: bool, k_max: int) -> None:
-    if path is None or seedless:
-        return
-    import os
-
-    base = cachemod.cache_load(path) if os.path.exists(path) else None
-    cachemod.cache_store(cachemod.snapshot_bernoulli(k_max, base), path)
-
-
 def run_sweep(spec: GridSpec, profile: str | None = None) -> SweepReport:
     """Run one grid. Cache (if configured) is read once up front and the
     extended table written back once at the end."""
     spec.validate()
-    _load_cache_if_any(spec.cache_path, False)
+    base = cachemod.load_and_warm(spec.cache_path)
     report = _execute([spec], profile, spec.jobs)
-    _store_cache_if_any(spec.cache_path, False, _max_bernoulli_index([spec]))
+    cachemod.store_snapshot(spec.cache_path, _max_bernoulli_index([spec]), base)
     return report
 
 
@@ -765,7 +754,8 @@ def verify_all(
             f"unknown profile {profile!r}, want one of {sorted(PROFILES)}"
         )
     specs = [replace(s, jobs=jobs) for s in PROFILES[profile]]
-    _load_cache_if_any(cache_path, seedless)
+    path = None if seedless else cache_path
+    base = cachemod.load_and_warm(path)
     report = _execute(specs, profile, jobs)
-    _store_cache_if_any(cache_path, seedless, _max_bernoulli_index(specs))
+    cachemod.store_snapshot(path, _max_bernoulli_index(specs), base)
     return report

@@ -1,5 +1,6 @@
 """Bernoulli core: values, structure probes, size estimates."""
 
+import importlib
 from fractions import Fraction
 from math import comb
 
@@ -23,6 +24,9 @@ from moser_ladder.bernoulli import (
     square_free_status,
     vsc_denominator,
 )
+
+# the package rebinds the name `bernoulli` to the function
+bmod = importlib.import_module("moser_ladder.bernoulli")
 
 # (N_k, D_k) in lowest terms for even k, frozen from an independent
 # evaluation of the defining recurrence over all indices (no even-only
@@ -57,6 +61,44 @@ def _reference_all_index(k_max: int) -> list[Fraction]:
         acc = sum(comb(n + 1, j) * b[j] for j in range(n))
         b.append(Fraction(-acc, n + 1))
     return b
+
+
+def _even_recurrence(k_max: int) -> list[Fraction]:
+    # B_0, B_2, ..., B_kmax from the defining recurrence solved for B_n;
+    # only j even and j = 1 survive in sum_{j<=n} C(n+1, j) B_j = 0
+    even = [Fraction(1)]
+    for n in range(2, k_max + 1, 2):
+        acc = comb(n + 1, 1) * Fraction(-1, 2)
+        for i, b in enumerate(even):
+            acc += comb(n + 1, 2 * i) * b
+        even.append(-acc / (n + 1))
+    return even
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty memo for one test; the module's own is restored after it."""
+    monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
+    monkeypatch.setattr(bmod, "_TANGENT", [])
+
+
+def test_tangent_engine_matches_even_recurrence(fresh_memo):
+    # ascending queries grow the table one column at a time
+    assert [bernoulli(k) for k in range(0, 501, 2)] == _even_recurrence(500)
+
+
+def test_extension_checks_seeded_entries(fresh_memo):
+    # N_12 + D_12 passes both von Staudt-Clausen tests on load; the tangent
+    # numbers catch it when the table grows past k = 12
+    pairs = [(k, EVEN_TABLE[k]) for k in range(2, 13, 2)]
+    pairs[-1] = (12, (-691 + 2730, 2730))
+    assert seed_even_values(pairs) == 12
+    assert bernoulli(12) == Fraction(2039, 2730)  # served as seeded
+    assert bmod._TANGENT == []
+    with pytest.raises(ValueError, match="k=12"):
+        bernoulli(14)
+    assert len(bmod._EVEN) == 7
+    assert bmod._EVEN[6] == Fraction(2039, 2730)
 
 
 def test_matches_defining_recurrence_every_index():
@@ -101,7 +143,7 @@ def test_vsc_denominator_examples():
 
 
 def test_vsc_matches_actual_denominator():
-    for k in range(2, 81, 2):
+    for k in range(2, 501, 2):
         assert denominator(k) == vsc_denominator(k)
 
 
@@ -201,6 +243,14 @@ def test_seed_rejects_wrong_value():
     bernoulli(2)  # ensure the memo already covers the index
     with pytest.raises(ValueError):
         seed_even_values([(2, (5, 6))])
+
+
+def test_seed_rejects_numerator_failing_vsc(fresh_memo):
+    # B_12 = -691/2730 with the numerator edited to -697
+    pairs = [(k, EVEN_TABLE[k]) for k in range(2, 13, 2)]
+    pairs[-1] = (12, (-697, 2730))
+    with pytest.raises(ValueError, match="k=12 .*von Staudt-Clausen"):
+        seed_even_values(pairs)
 
 
 def test_seed_stops_at_gap():

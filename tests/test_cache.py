@@ -158,11 +158,22 @@ def test_warm_rejects_vsc_mismatch():
         warm_bernoulli(store)
 
 
+def test_warm_rejects_poisoned_numerator(tmp_path):
+    # B_12 edited to -697/2730 and the checksum recomputed: the file loads,
+    # but the numerator fails von Staudt-Clausen modulo D_12
+    store = _sample_store()
+    store.put(12, -697, 2730)
+    path = tmp_path / "bern.cache"
+    cache_store(store, path)
+    with pytest.raises(CacheFormatError, match="k=12 .*von Staudt-Clausen"):
+        warm_bernoulli(cache_load(path))
+
+
 def test_warm_ignores_odd_and_gap_entries():
     store = CacheStore()
     store.put(2, 1, 6)
     store.put(3, 1, 2)  # odd index: not part of the even prefix
-    store.put(6, 1, 42)  # gap at 4: unusable by the recurrence
+    store.put(6, 1, 42)  # gap at 4: past the end of the even prefix
     assert warm_bernoulli(store) == 2
 
 

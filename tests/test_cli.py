@@ -1,8 +1,11 @@
 """CLI surface: formats, exit codes, stream separation."""
 
+import hashlib
 import json
 import subprocess
 import sys
+
+from moser_ladder import cli
 
 
 def run_cli(*args, **kwargs):
@@ -155,6 +158,33 @@ def test_cache_round_trip(tmp_path):
     assert header == "moser-ladder-cache v1"
     again = run_cli("bern", "20", "--cache", str(cache))
     assert again.stdout == first.stdout == "-174611/330\n"
+
+
+def test_poisoned_cache_exits_3(tmp_path):
+    cache = tmp_path / "bern.cache"
+    assert run_cli("bern", "12", "--cache", str(cache)).returncode == 0
+    header, *records, _digest = cache.read_text("ascii").splitlines()
+    payload = "".join(line + "\n" for line in records)
+    payload = payload.replace("12\t-691\t2730\n", "12\t-697\t2730\n")
+    assert "-697" in payload
+    digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
+    cache.write_text(header + "\n" + payload + digest + "\n", "ascii")
+    out = run_cli("bern", "12", "--cache", str(cache))
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert "k=12" in out.stderr
+
+
+def test_query_loads_the_cache_once(tmp_path, monkeypatch, capsys):
+    loads = []
+    real_load = cli.cachemod.cache_load
+    monkeypatch.setattr(cli.cachemod, "cache_load",
+                        lambda path: loads.append(path) or real_load(path))
+    cache = str(tmp_path / "bern.cache")
+    assert cli.main(["bern", "20", "--cache", cache]) == 0  # no file yet
+    assert cli.main(["bern", "20", "--cache", cache]) == 0
+    assert loads == [cache]
+    assert capsys.readouterr().out == "-174611/330\n" * 2
 
 
 def test_help_schema():

@@ -1,6 +1,7 @@
 """Sweep engine: determinism, accounting, profile composition."""
 
 import json
+import os
 
 import pytest
 
@@ -8,6 +9,7 @@ from moser_ladder.sweeps import (
     CHECK_ORDER,
     PROFILES,
     GridSpec,
+    _pool_size,
     run_sweep,
     verify_all,
 )
@@ -61,6 +63,16 @@ def test_job_count_does_not_change_report():
     assert _stripped(verify_all("quick", jobs=1)) == _stripped(
         verify_all("quick", jobs=2)
     )
+
+
+def test_pool_size_is_bounded(monkeypatch):
+    # called directly: a huge --jobs must never reach a real pool
+    cpus = os.cpu_count() or 1
+    assert _pool_size(10**6, 10**6) == cpus
+    assert _pool_size(10**6, 3) == min(3, cpus)
+    assert _pool_size(1, 10**6) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(8, 100) == 1
 
 
 def test_accounting_totals_match_check_sums():
