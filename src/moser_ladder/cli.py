@@ -15,13 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bernoulli import (
-    SQUARE_FREE_ESCALATION,
-    bernoulli_record,
-    find_square_factor,
-    numerator,
-    numerator_is_prime,
-)
+from .bernoulli import bernoulli_record
 from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
@@ -193,8 +187,7 @@ def cmd_ladder(args) -> int:
 
 
 def cmd_search(args) -> int:
-    path = _cache_path(args)
-    base = cachemod.load_and_warm(path)
+    # running sums only: no Bernoulli numbers, so the cache is not touched
     if args.mode == "ratio":
         hits = [{"k": h.k, "m": h.m, "quotient": str(h.quotient)}
                 for h in ps.search_ratio(args.kmax, args.mmax)]
@@ -210,28 +203,14 @@ def cmd_search(args) -> int:
                     "hits": hits})
     else:
         _emit_csv(header, [[h[name] for name in header] for h in hits])
-    cachemod.store_snapshot(path, _even_floor(args.kmax), base)
     return 0
 
 
 def cmd_scan(args) -> int:
     path = _cache_path(args)
     base = cachemod.load_and_warm(path)
-    bounds = tuple(
-        b for b in SQUARE_FREE_ESCALATION if b <= args.trial_bound
-    ) or (args.trial_bound,)
-    rows = []
-    for k in range(2, args.kmax + 1, 2):
-        n_abs = abs(numerator(k))
-        found = find_square_factor(k, bounds)
-        rows.append({
-            "k": k,
-            "digits": len(str(n_abs)),
-            "prime": numerator_is_prime(k),
-            "square_factor": str(found[0]) if found else None,
-            "flagged_at_bound": found[1] if found else None,
-            "clear_below": None if found else bounds[-1],
-        })
+    rows = [sweeps.numerator_survey(k, args.trial_bound)
+            for k in range(2, args.kmax + 1, 2)]
     if args.format == "plain":
         for r in rows:
             if r["square_factor"] is not None:
@@ -272,10 +251,7 @@ def cmd_verify(args) -> int:
         raise ValueError("verify needs a profile or --grid, not both")
     cache_path = _cache_path(args)
     if args.profile is not None:
-        report = sweeps.verify_all(
-            args.profile, jobs=args.jobs,
-            cache_path=cache_path, seedless=args.seedless,
-        )
+        report = sweeps.verify_all(args.profile, args.jobs, cache_path)
     else:
         kspec, sep, mspec = args.grid.partition(":")
         if not sep:
@@ -287,10 +263,10 @@ def cmd_verify(args) -> int:
         checks = tuple(args.checks.split(",")) if args.checks else sweeps.CHECK_ORDER
         spec = sweeps.GridSpec(
             k_min=k_min, k_max=k_max, m_min=m_min, m_max=m_max,
-            checks=checks, jobs=args.jobs, cache_path=cache_path,
-            trial_bound=args.trial_bound, prefix_limit=args.prefix_limit,
+            checks=checks, trial_bound=args.trial_bound,
+            prefix_limit=args.prefix_limit,
         )
-        report = sweeps.run_sweep(spec)
+        report = sweeps.run_sweep(spec, args.jobs, cache_path)
     d = report.as_dict()
     if args.format == "json":
         _emit_json(d)
@@ -314,7 +290,8 @@ def cmd_verify(args) -> int:
         print("result: " + ("OK" if t["fail"] == 0 else "FAIL"))
     for c in d["checks"]:
         for cex in c["counterexamples"]:
-            print(f"counterexample: {cex}", file=sys.stderr)
+            print("counterexample: " + json.dumps(cex, sort_keys=True),
+                  file=sys.stderr)
     return 0 if d["totals"]["fail"] == 0 else 1
 
 
@@ -327,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(at most the CPU count)")
     common.add_argument("--cache", metavar="PATH", default=None,
                         help="Bernoulli cache file "
-                             "(default: per-user data directory)")
+                             "(default: per-user data directory; "
+                             "unused by search and powersum --naive)")
     common.add_argument("--seedless", action="store_true",
                         help="ignore the cache entirely, compute from scratch")
 

@@ -26,14 +26,9 @@ from .powersum import power_sum
 
 __all__ = [
     "gcd_ratio",
-    "gcd_with_power",
-    "gcd_with_m",
-    "gcd_with_m2",
-    "gcd_with_m3",
     "predicted_gcd_with_m",
     "predicted_gcd_with_m2",
     "predicted_gcd_with_m3",
-    "consecutive_gcd_matches_power",
     "GcdLadder",
     "gcd_ladder",
     "residual_factor",
@@ -70,28 +65,6 @@ def gcd_ratio(k: int, m: int) -> Fraction:
     return Fraction(gcd(power_sum(k, m), power_sum(k, m + 1)), m)
 
 
-def gcd_with_power(k: int, m: int, r: int) -> int:
-    """gcd(S_k(m), m^r)."""
-    _require_even(k)
-    if m < 1 or r < 1:
-        raise ValueError(f"gcd_with_power needs m >= 1, r >= 1")
-    return gcd(power_sum(k, m), m**r)
-
-
-def gcd_with_m(k: int, m: int) -> int:
-    return gcd_with_power(k, m, 1)
-
-
-def gcd_with_m2(k: int, m: int) -> Fraction:
-    """gcd(S_k(m), m^2) / m as an exact rational."""
-    return Fraction(gcd_with_power(k, m, 2), m)
-
-
-def gcd_with_m3(k: int, m: int) -> Fraction:
-    """gcd(S_k(m), m^3) / m as an exact rational."""
-    return Fraction(gcd_with_power(k, m, 3), m)
-
-
 def predicted_gcd_with_m(k: int, m: int) -> int:
     """Closed form m / gcd(D, m) for gcd(S, m)."""
     return m // gcd(denominator(k), m)
@@ -99,25 +72,12 @@ def predicted_gcd_with_m(k: int, m: int) -> int:
 
 def predicted_gcd_with_m2(k: int, m: int) -> int:
     """Closed form m * gcd(N, m) / gcd(D, m) for gcd(S, m^2)."""
-    return (m // gcd(denominator(k), m)) * gcd(abs(numerator(k)), m)
+    return predicted_gcd_with_m(k, m) * gcd(abs(numerator(k)), m)
 
 
 def predicted_gcd_with_m3(k: int, m: int) -> int:
     """Closed form m * gcd(N, m^2) / gcd(D, m) for gcd(S, m^3)."""
-    return (m // gcd(denominator(k), m)) * gcd(abs(numerator(k)), m * m)
-
-
-def consecutive_gcd_matches_power(k: int, m: int) -> bool:
-    """gcd(S_k(m), S_k(m+1)) == gcd(S_k(m), m^k), both sides direct.
-
-    The two sides agree because S_k(m+1) - S_k(m) = m^k; computing both
-    keeps the telescoping step checked rather than assumed.
-    """
-    _require_even(k)
-    if m < 2:
-        raise ValueError(f"needs m >= 2, got {m}")
-    s = power_sum(k, m)
-    return gcd(s, power_sum(k, m + 1)) == gcd(s, m**k)
+    return predicted_gcd_with_m(k, m) * gcd(abs(numerator(k)), m * m)
 
 
 def _strip_common_primes(n: int, basis: int) -> int:
@@ -181,7 +141,6 @@ class GcdLadder:
 
 def _ladder_from_sums(k: int, m: int, s: int, s_next: int) -> GcdLadder:
     n_abs = abs(numerator(k))
-    d = denominator(k)
     g1 = gcd(s, m)
     g2 = gcd(s, m * m)
     g3 = gcd(s, m**3)
@@ -200,9 +159,9 @@ def _ladder_from_sums(k: int, m: int, s: int, s_next: int) -> GcdLadder:
         observed_m3=g3,
         observed_m4=g4,
         observed_mk=gk,
-        predicted_m1=m // gcd(d, m),
-        predicted_m2=(m // gcd(d, m)) * gcd(n_abs, m),
-        predicted_m3=(m // gcd(d, m)) * gcd(n_abs, m * m),
+        predicted_m1=predicted_gcd_with_m(k, m),
+        predicted_m2=predicted_gcd_with_m2(k, m),
+        predicted_m3=predicted_gcd_with_m3(k, m),
         residual=e,
         residual_primes_divide_numerator=_strip_common_primes(e, n_abs) == 1,
         consecutive_matches=gcd(s, s_next) == gk,

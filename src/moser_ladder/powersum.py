@@ -6,7 +6,10 @@ The closed form is evaluated Horner-style over a single common denominator
 so every intermediate stays an integer; the final division must be exact
 and is asserted. The naive summation is kept as an independent oracle.
 Searches use incremental running sums only (no Bernoulli numbers at all),
-so they are an independent route from the closed form.
+so they are an independent route from the closed form. Each search is a
+per-k generator over an m range (`ratio_hits`, `em_solutions`);
+`search_ratio` and `em_scan` flatten them over k, and the sweep rows
+consume them directly.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ __all__ = [
     "running_sums",
     "ratio_integral",
     "RatioHit",
+    "ratio_hits",
     "search_ratio",
     "em_residual",
+    "em_solutions",
     "em_scan",
     "crossover",
     "s1_s3_identity_check",
@@ -114,25 +119,28 @@ class RatioHit:
     quotient: int
 
 
-def search_ratio(k_max: int, m_max: int) -> list[RatioHit]:
-    """All integral-ratio pairs with 1 <= k <= k_max, 3 <= m <= m_max.
+def ratio_hits(k: int, m_min: int, m_max: int) -> Iterator[RatioHit]:
+    """Integral-ratio pairs at one k with max(3, m_min) <= m <= m_max.
 
-    Incremental scan in (k, m) order. The quotient is 1 + m^k / S_k(m) > 1,
+    Incremental scan in m order. The quotient is 1 + m^k / S_k(m) > 1,
     so integrality forces m^k >= S_k(m); the division is only attempted
     where that holds, which keeps the scan complete without assuming any
     monotonicity of the ratio.
     """
+    s = 1 + 2**k  # S_k(3)
+    for m in range(3, m_max + 1):
+        mk = m**k
+        if m >= m_min and mk >= s and (s + mk) % s == 0:
+            yield RatioHit(k, m, (s + mk) // s)
+        s += mk
+
+
+def search_ratio(k_max: int, m_max: int) -> list[RatioHit]:
+    """All integral-ratio pairs with 1 <= k <= k_max, 3 <= m <= m_max,
+    in (k, m) order."""
     if k_max < 1 or m_max < 3:
         raise ValueError("search_ratio needs k_max >= 1, m_max >= 3")
-    hits = []
-    for k in range(1, k_max + 1):
-        s = 1 + 2**k  # S_k(3)
-        for m in range(3, m_max + 1):
-            mk = m**k
-            if mk >= s and (s + mk) % s == 0:
-                hits.append(RatioHit(k, m, (s + mk) // s))
-            s += mk
-    return hits
+    return [hit for k in range(1, k_max + 1) for hit in ratio_hits(k, 3, m_max)]
 
 
 def em_residual(k: int, m: int) -> int:
@@ -143,6 +151,16 @@ def em_residual(k: int, m: int) -> int:
     return power_sum(k, m) - m**k
 
 
+def em_solutions(k: int, m_min: int, m_max: int) -> Iterator[int]:
+    """Every m with S_k(m) = m^k in max(2, m_min) <= m <= m_max, ascending."""
+    s = 1  # S_k(2)
+    for m in range(2, m_max + 1):
+        mk = m**k
+        if m >= m_min and s == mk:
+            yield m
+        s += mk
+
+
 def em_scan(k_max: int, m_max: int) -> list[tuple[int, int]]:
     """All (k, m) with S_k(m) = m^k in 1 <= k <= k_max, 2 <= m <= m_max.
 
@@ -151,14 +169,7 @@ def em_scan(k_max: int, m_max: int) -> list[tuple[int, int]]:
     """
     if k_max < 1 or m_max < 2:
         raise ValueError("em_scan needs k_max >= 1, m_max >= 2")
-    found = []
-    for k in range(1, k_max + 1):
-        s = 1  # S_k(2)
-        for m in range(2, m_max + 1):
-            if s == m**k:
-                found.append((k, m))
-            s += m**k
-    return found
+    return [(k, m) for k in range(1, k_max + 1) for m in em_solutions(k, 2, m_max)]
 
 
 def crossover(k: int) -> int:
@@ -180,11 +191,5 @@ def s1_s3_identity_check(m_max: int) -> bool:
     """S_3(m) == S_1(m)^2 for all 1 <= m <= m_max, by running sums."""
     if m_max < 1:
         raise ValueError(f"s1_s3_identity_check needs m_max >= 1, got {m_max}")
-    s1 = 0
-    s3 = 0
-    for m in range(1, m_max + 1):
-        if s3 != s1 * s1:
-            return False
-        s1 += m
-        s3 += m**3
-    return True
+    return all(s3 == s1 * s1 for (_, s1), (_, s3)
+               in zip(running_sums(1, m_max), running_sums(3, m_max)))

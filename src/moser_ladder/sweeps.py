@@ -7,6 +7,11 @@ process pool and are merged back in a fixed order, so reports are
 byte-identical for the same grid regardless of the job count. Scans
 inside rows use incremental integer sums (no Bernoulli numbers), keeping
 them an independent route from the closed-form evaluator they check.
+Rows call the library's scans (`powersum` searches and running sums,
+`gcdlab` ladders and congruences) rather than restating them; the
+numerator survey lives here and the CLI's `scan` only formats it. The
+job count and the cache path are arguments of `run_sweep`/`verify_all`,
+not part of a grid.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -46,6 +51,7 @@ __all__ = [
     "GridSpec",
     "CheckResult",
     "SweepReport",
+    "numerator_survey",
     "run_sweep",
     "verify_all",
 ]
@@ -80,24 +86,17 @@ _EVEN_K_CHECKS = frozenset(CHECK_ORDER) - {
     "em-scan",
 }
 
-# observational checks: they record findings but have no failure mode
-_OBSERVATIONAL = frozenset(
-    {"ratio-search", "em-scan", "numerator-scan", "crossover-bracket"}
-)
-
 
 @dataclass(frozen=True)
 class GridSpec:
-    """One grid of work: k and m ranges plus the checks to run on them."""
+    """One grid of work: k and m ranges plus the checks to run on them.
+    Every check with cells in m keeps to m_min <= m <= m_max."""
 
     k_max: int
     m_max: int
     k_min: int = 1
     m_min: int = 1
-    even_only: bool = False
     checks: tuple[str, ...] = CHECK_ORDER
-    jobs: int = 1
-    cache_path: str | None = None
     trial_bound: int = 10_000
     prefix_limit: int = 2048
 
@@ -106,8 +105,6 @@ class GridSpec:
             raise ValueError(f"bad k range [{self.k_min}, {self.k_max}]")
         if self.m_min < 1 or self.m_max < self.m_min:
             raise ValueError(f"bad m range [{self.m_min}, {self.m_max}]")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         unknown = [c for c in self.checks if c not in CHECK_ORDER]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
@@ -115,28 +112,35 @@ class GridSpec:
 
 @dataclass
 class _Row:
+    """Counts, counterexamples and hits of one check at one k (None for
+    the k-independent s1-s3 row)."""
+
+    check: str
+    k: int | None
     passes: int = 0
     fails: int = 0
     inapplicable: int = 0
     counterexamples: list[dict] = field(default_factory=list)
     hits: list[dict] = field(default_factory=list)
 
-    def cell(self, ok: bool, cex: dict | None = None) -> None:
-        if ok:
-            self.passes += 1
-        else:
-            self.fails += 1
-            if cex is not None:
-                self.counterexamples.append(cex)
-
-    def gated_cell(self, applicable: bool, holds: bool, cex: dict) -> None:
+    def cell(self, ok: bool, observed, predicted, applicable: bool = True,
+             **where) -> None:
+        """Account one cell: inapplicable whatever `ok` says when its gate
+        is closed, else pass or fail. A failure becomes a counterexample
+        at `where` (m, s and/or the cell's name), values as strings."""
         if not applicable:
             self.inapplicable += 1
-        elif holds:
+        elif ok:
             self.passes += 1
         else:
             self.fails += 1
-            self.counterexamples.append(cex)
+            at = {"check": self.check}
+            if self.k is not None:
+                at["k"] = self.k
+            self.counterexamples.append(
+                {**at, **where, "observed": _s(observed),
+                 "predicted": _s(predicted)}
+            )
 
 
 def _s(x) -> str:
@@ -149,106 +153,75 @@ def _s(x) -> str:
 
 
 def _row_bernoulli_structure(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+    row = _Row("bernoulli-structure", k)
     d = denominator(k)
     v = vsc_denominator(k)
-    row.cell(
-        d == v,
-        {"check": "bernoulli-structure", "k": k, "cell": "denominator-vsc",
-         "observed": _s(d), "predicted": _s(v)},
-    )
+    row.cell(d == v, d, v, cell="denominator-vsc")
     n = numerator(k)
-    row.cell(
-        (-1) ** (k // 2 + 1) * n > 0,
-        {"check": "bernoulli-structure", "k": k, "cell": "sign-pattern",
-         "observed": _s(n), "predicted": "sign (-1)^(k/2+1)"},
-    )
-    row.cell(
-        (2 * (2**k - 1)) % d == 0,
-        {"check": "bernoulli-structure", "k": k, "cell": "divides-2(2^k-1)",
-         "observed": _s(d), "predicted": "divisor of 2(2^k-1)"},
-    )
+    row.cell((-1) ** (k // 2 + 1) * n > 0, n, "sign (-1)^(k/2+1)",
+             cell="sign-pattern")
+    row.cell((2 * (2**k - 1)) % d == 0, d, "divisor of 2(2^k-1)",
+             cell="divides-2(2^k-1)")
     # direct square-free probe of D, bounded; D == vsc product of distinct
     # primes already implies square-freeness, this probes it independently
     probe = min(isqrt(d), 10_000)
     sq = next((p for p in primes_up_to(probe) if d % (p * p) == 0), None)
-    row.cell(
-        sq is None,
-        {"check": "bernoulli-structure", "k": k, "cell": "denominator-square-free",
-         "observed": f"square factor {sq}", "predicted": "square-free"},
-    )
+    row.cell(sq is None, f"square factor {sq}", "square-free",
+             cell="denominator-square-free")
     return row
 
 
 def _row_faulhaber(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+    row = _Row("faulhaber-naive", k)
     for m, s in ps.running_sums(k, spec.m_max):
-        if m < spec.m_min:
-            continue
-        closed = ps.power_sum(k, m)
-        row.cell(
-            closed == s,
-            {"check": "faulhaber-naive", "k": k, "m": m,
-             "observed": _s(closed), "predicted": _s(s)},
-        )
+        if m >= spec.m_min:
+            closed = ps.power_sum(k, m)
+            row.cell(closed == s, closed, s, m=m)
     return row
 
 
 def _row_telescoping(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+    row = _Row("telescoping", k)
     prev = ps.power_sum(k, spec.m_min)
     for m in range(spec.m_min, spec.m_max + 1):
         nxt = ps.power_sum(k, m + 1)
-        row.cell(
-            nxt - prev == m**k,
-            {"check": "telescoping", "k": k, "m": m,
-             "observed": _s(nxt - prev), "predicted": _s(m**k)},
-        )
+        mk = m**k
+        row.cell(nxt - prev == mk, nxt - prev, mk, m=m)
         prev = nxt
     return row
 
 
 def _row_s1s3(_k: int, spec: GridSpec) -> _Row:
-    row = _Row()
-    s1 = 0
-    s3 = 0
-    for m in range(1, spec.m_max + 1):
+    row = _Row("s1-s3-identity", None)
+    for (m, s1), (_, s3) in zip(ps.running_sums(1, spec.m_max),
+                                ps.running_sums(3, spec.m_max)):
         if m >= spec.m_min:
-            row.cell(
-                s3 == s1 * s1,
-                {"check": "s1-s3-identity", "m": m,
-                 "observed": _s(s3), "predicted": _s(s1 * s1)},
-            )
-        s1 += m
-        s3 += m**3
+            row.cell(s3 == s1 * s1, s3, s1 * s1, m=m)
     return row
 
 
+# the two searches are observational: every scanned m passes, hits are
+# findings
+
+
 def _row_ratio_search(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
-    s = 1 + 2**k
-    for m in range(3, spec.m_max + 1):
-        mk = m**k
-        if mk >= s and (s + mk) % s == 0:
-            row.hits.append({"k": k, "m": m, "quotient": _s((s + mk) // s)})
-        row.passes += 1
-        s += mk
+    row = _Row("ratio-search", k)
+    row.hits = [{"k": k, "m": h.m, "quotient": _s(h.quotient)}
+                for h in ps.ratio_hits(k, spec.m_min, spec.m_max)]
+    row.passes = len(range(max(3, spec.m_min), spec.m_max + 1))
     return row
 
 
 def _row_em_scan(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
-    s = 1
-    for m in range(2, spec.m_max + 1):
-        if s == m**k:
-            row.hits.append({"k": k, "m": m})
-        row.passes += 1
-        s += m**k
+    row = _Row("em-scan", k)
+    row.hits = [{"k": k, "m": m}
+                for m in ps.em_solutions(k, spec.m_min, spec.m_max)]
+    row.passes = len(range(max(2, spec.m_min), spec.m_max + 1))
     return row
 
 
 def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+    row = _Row("gcd-ladder", k)
     m_lo = max(2, spec.m_min)
     s = ps.power_sum_naive(k, m_lo)
     for m in range(m_lo, spec.m_max + 1):
@@ -258,37 +231,23 @@ def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
         observed = (ladder.observed_m1, ladder.observed_m2, ladder.observed_m3)
         predicted = (ladder.predicted_m1, ladder.predicted_m2, ladder.predicted_m3)
         for name, obs, pred in zip(names, observed, predicted):
-            row.cell(
-                obs == pred,
-                {"check": "gcd-ladder", "k": k, "m": m, "cell": name,
-                 "observed": _s(obs), "predicted": _s(pred)},
-            )
-        row.cell(
-            ladder.consecutive_matches,
-            {"check": "gcd-ladder", "k": k, "m": m, "cell": "consecutive-gcd",
-             "observed": "gcd(S(m), S(m+1)) != gcd(S(m), m^k)",
-             "predicted": "equal"},
-        )
-        row.cell(
-            ladder.monotone,
-            {"check": "gcd-ladder", "k": k, "m": m, "cell": "ladder-monotone",
-             "observed": _s((ladder.observed_m1, ladder.observed_m2,
-                             ladder.observed_m3, ladder.observed_m4,
-                             ladder.observed_mk)),
-             "predicted": "each divides the next"},
-        )
-        row.cell(
-            ladder.residual_primes_divide_numerator,
-            {"check": "gcd-ladder", "k": k, "m": m, "cell": "residual-primes",
-             "observed": _s(ladder.residual),
-             "predicted": "all primes divide the numerator"},
-        )
+            row.cell(obs == pred, obs, pred, m=m, cell=name)
+        row.cell(ladder.consecutive_matches,
+                 "gcd(S(m), S(m+1)) != gcd(S(m), m^k)", "equal",
+                 m=m, cell="consecutive-gcd")
+        row.cell(ladder.monotone,
+                 (ladder.observed_m1, ladder.observed_m2, ladder.observed_m3,
+                  ladder.observed_m4, ladder.observed_mk),
+                 "each divides the next", m=m, cell="ladder-monotone")
+        row.cell(ladder.residual_primes_divide_numerator, ladder.residual,
+                 "all primes divide the numerator",
+                 m=m, cell="residual-primes")
         s = s_next
     return row
 
 
 def _row_congruences(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+    row = _Row("congruences", k)
     b = bernoulli(k)
     for m, s in ps.running_sums(k, spec.m_max):
         if m < spec.m_min:
@@ -296,24 +255,18 @@ def _row_congruences(k: int, spec: GridSpec) -> _Row:
         diff = Fraction(s) - b * m
         for r in (1, 2, 3):
             v = gcdlab.congruence_check(k, m, r, diff=diff)
-            row.gated_cell(
-                v.applicable, v.holds,
-                {"check": "congruences", "k": k, "m": m, "cell": f"mod-m^{r}",
-                 "observed": "congruence fails", "predicted": "holds"},
-            )
+            row.cell(v.holds, "congruence fails", "holds",
+                     applicable=v.applicable, m=m, cell=f"mod-m^{r}")
         if m >= 2:
             for pv in gcdlab.prime_local_congruences(k, m, diff=diff):
-                row.gated_cell(
-                    pv.applicable, pv.holds,
-                    {"check": "congruences", "k": k, "m": m,
-                     "cell": f"mod-p^({pv.level}r) p={pv.p}",
-                     "observed": "congruence fails", "predicted": "holds"},
-                )
+                row.cell(pv.holds, "congruence fails", "holds",
+                         applicable=pv.applicable, m=m,
+                         cell=f"mod-p^({pv.level}r) p={pv.p}")
     return row
 
 
 def _row_div_equiv(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+    row = _Row("divisibility-equivalence", k)
     b = bernoulli(k)
     m_lo = max(2, spec.m_min)
     s = ps.power_sum_naive(k, m_lo)
@@ -321,45 +274,34 @@ def _row_div_equiv(k: int, spec: GridSpec) -> _Row:
         for r in (1, 2):
             lhs = s % m ** (r + 1) == 0
             rhs = divides_rational(m, r, b)
-            row.cell(
-                lhs == rhs,
-                {"check": "divisibility-equivalence", "k": k, "m": m,
-                 "cell": f"r={r}",
-                 "observed": f"m^{r+1}|S is {lhs}, m^{r}|B is {rhs}",
-                 "predicted": "equivalent"},
-            )
+            row.cell(lhs == rhs, f"m^{r+1}|S is {lhs}, m^{r}|B is {rhs}",
+                     "equivalent", m=m, cell=f"r={r}")
         s += m**k
     return row
 
 
 def _row_trivial_gcd(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+    row = _Row("trivial-gcd-iff", k)
     dn = denominator(k) * abs(numerator(k))
     m_lo = max(2, spec.m_min)
     s = ps.power_sum_naive(k, m_lo)
     for m in range(m_lo, spec.m_max + 1):
         s_next = s + m**k
         g = Fraction(gcd(s, s_next), m)
-        row.cell(
-            (g == 1) == (gcd(dn, m) == 1),
-            {"check": "trivial-gcd-iff", "k": k, "m": m,
-             "observed": f"g = {g}, gcd(D N, m) = {gcd(dn, m)}",
-             "predicted": "g = 1 iff gcd(D N, m) = 1"},
-        )
+        c = gcd(dn, m)
+        row.cell((g == 1) == (c == 1), f"g = {g}, gcd(D N, m) = {c}",
+                 "g = 1 iff gcd(D N, m) = 1", m=m)
         s = s_next
     return row
 
 
 def _row_special_values(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+    row = _Row("special-values", k)
     d = denominator(k)
     n_abs = abs(numerator(k))
     got_min = gcdlab.gcd_ratio(k, d)
-    row.cell(
-        got_min == Fraction(1, d),
-        {"check": "special-values", "k": k, "cell": "value-at-D",
-         "observed": _s(got_min), "predicted": _s(Fraction(1, d))},
-    )
+    row.cell(got_min == Fraction(1, d), got_min, Fraction(1, d),
+             cell="value-at-D")
     if n_abs >= 2:
         m_wit = n_abs
         want = Fraction(n_abs)
@@ -369,11 +311,7 @@ def _row_special_values(k: int, spec: GridSpec) -> _Row:
         m_wit = next(m for m in range(2, d + 3) if gcd(d, m) == 1)
         want = Fraction(1)
     got_max = gcdlab.gcd_ratio(k, m_wit)
-    row.cell(
-        got_max == want,
-        {"check": "special-values", "k": k, "cell": "value-at-N",
-         "observed": _s(got_max), "predicted": _s(want)},
-    )
+    row.cell(got_max == want, got_max, want, cell="value-at-N")
     row.hits.append(
         {"k": k, "at_D": _s(got_min), "witness_D": _s(d),
          "at_N": _s(got_max), "witness_N": _s(m_wit)}
@@ -382,7 +320,7 @@ def _row_special_values(k: int, spec: GridSpec) -> _Row:
 
 
 def _row_min_max(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+    row = _Row("min-max", k)
     d = denominator(k)
     n_abs = abs(numerator(k))
     window = max(spec.m_max, d, n_abs)
@@ -392,44 +330,25 @@ def _row_min_max(k: int, spec: GridSpec) -> _Row:
         prefix_limit=max(spec.prefix_limit, spec.m_max),
         trial_bound=spec.trial_bound,
     )
-    row.cell(
-        result.min_value == Fraction(1, d) and result.min_witness == d,
-        {"check": "min-max", "k": k, "cell": "min-attained",
-         "observed": f"{result.min_value} at {result.min_witness}",
-         "predicted": f"1/{d} at {d}"},
-    )
-    row.cell(
-        result.prefix_min >= Fraction(1, d),
-        {"check": "min-max", "k": k, "cell": "prefix-above-min",
-         "observed": f"{result.prefix_min} at {result.prefix_min_at}",
-         "predicted": f">= 1/{d}"},
-    )
+    row.cell(result.min_value == Fraction(1, d) and result.min_witness == d,
+             f"{result.min_value} at {result.min_witness}", f"1/{d} at {d}",
+             cell="min-attained")
+    row.cell(result.prefix_min >= Fraction(1, d),
+             f"{result.prefix_min} at {result.prefix_min_at}", f">= 1/{d}",
+             cell="prefix-above-min")
     if result.certified:
         want_max = Fraction(n_abs)
-        row.cell(
-            result.max_value == want_max,
-            {"check": "min-max", "k": k, "cell": "max-attained",
-             "observed": f"{result.max_value} at {result.max_witness}",
-             "predicted": _s(want_max)},
-        )
-        row.cell(
-            result.prefix_max <= want_max,
-            {"check": "min-max", "k": k, "cell": "prefix-below-max",
-             "observed": f"{result.prefix_max} at {result.prefix_max_at}",
-             "predicted": f"<= {want_max}"},
-        )
-        row.cell(
-            result.product_matches_abs_b,
-            {"check": "min-max", "k": k, "cell": "min-times-max",
-             "observed": _s(result.product),
-             "predicted": _s(abs(bernoulli(k)))},
-        )
-        row.cell(
-            bool(result.prefix_closed_form_agrees),
-            {"check": "min-max", "k": k, "cell": "prefix-closed-form",
-             "observed": "disagreement on the scanned prefix",
-             "predicted": "gcd(N, m)/gcd(D, m) everywhere"},
-        )
+        row.cell(result.max_value == want_max,
+                 f"{result.max_value} at {result.max_witness}", want_max,
+                 cell="max-attained")
+        row.cell(result.prefix_max <= want_max,
+                 f"{result.prefix_max} at {result.prefix_max_at}",
+                 f"<= {want_max}", cell="prefix-below-max")
+        row.cell(result.product_matches_abs_b, result.product,
+                 abs(bernoulli(k)), cell="min-times-max")
+        row.cell(bool(result.prefix_closed_form_agrees),
+                 "disagreement on the scanned prefix",
+                 "gcd(N, m)/gcd(D, m) everywhere", cell="prefix-closed-form")
     else:
         # no square-free certificate: the scan reports, never asserts
         row.inapplicable += 4
@@ -442,27 +361,24 @@ def _row_min_max(k: int, spec: GridSpec) -> _Row:
 
 
 def _row_cross_gcd(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+    row = _Row("cross-gcd", k)
     for s in gcdlab.CROSS_GCD_OFFSETS:
         if k - s < 2:
             continue
         v = gcdlab.cross_gcd_check(k, s)
-        row.cell(
-            v.ok,
-            {"check": "cross-gcd", "k": k, "s": s,
-             "observed": f"C = {v.c}, divides_k = {v.divides_k}, "
-                         f"square_free = {v.c_square_free}, "
-                         f"prime_checks = {v.prime_checks}",
-             "predicted": "C | k; C square-free; primes avoid D_s and "
-                          "the numerator of B_k/k"},
-        )
+        row.cell(v.ok,
+                 f"C = {v.c}, divides_k = {v.divides_k}, "
+                 f"square_free = {v.c_square_free}, "
+                 f"prime_checks = {v.prime_checks}",
+                 "C | k; C square-free; primes avoid D_s and "
+                 "the numerator of B_k/k", s=s)
         if v.c > 1:
             row.hits.append({"k": k, "s": s, "c": _s(v.c)})
     return row
 
 
 def _row_crossover(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+    row = _Row("crossover-bracket", k)
     c = ps.crossover(k)
     inside = k < c < 2 * k
     # bracket misses are reported as findings, not failures
@@ -472,34 +388,30 @@ def _row_crossover(k: int, spec: GridSpec) -> _Row:
 
 
 def _row_size_bounds(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+    row = _Row("size-bounds", k)
     est = size_estimate(k, 64)
     exact = exact_log_abs(k)
     rel = abs(est - exact) / abs(exact)
-    row.cell(
-        rel <= 1e-9,
-        {"check": "size-bounds", "k": k, "cell": "log-estimate",
-         "observed": f"relative error {rel!r}", "predicted": "<= 1e-9"},
-    )
-    row.cell(
-        numerator_bound_check(k),
-        {"check": "size-bounds", "k": k, "cell": "numerator-bound",
-         "observed": "bound or divisibility fails",
-         "predicted": "|N| < (2 pi/3)(k/pi)^(k-1) and D | 2(2^k-1)"},
-    )
+    row.cell(rel <= 1e-9, f"relative error {rel!r}", "<= 1e-9",
+             cell="log-estimate")
+    row.cell(numerator_bound_check(k), "bound or divisibility fails",
+             "|N| < (2 pi/3)(k/pi)^(k-1) and D | 2(2^k-1)",
+             cell="numerator-bound")
     return row
 
 
-def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
-    row = _Row()
+def numerator_survey(k: int, trial_bound: int) -> dict:
+    """Survey record of |N_k|, even k >= 2: digit count, primality, and a
+    square factor p^2 hunted over the escalating trial bounds up to
+    trial_bound, with the bound that flagged it or, if none did, the
+    largest bound searched clear."""
     n_abs = abs(numerator(k))
     prime = numerator_is_prime(k)
     bounds = tuple(
-        b for b in SQUARE_FREE_ESCALATION if b <= spec.trial_bound
-    ) or (spec.trial_bound,)
+        b for b in SQUARE_FREE_ESCALATION if b <= trial_bound
+    ) or (trial_bound,)
     found = find_square_factor(k, bounds)
-    row.passes += 2  # primality decided, square scan completed
-    hit = {
+    return {
         "k": k,
         "digits": len(str(n_abs)),
         "prime": prime,
@@ -507,7 +419,12 @@ def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
         "flagged_at_bound": found[1] if found else None,
         "clear_below": None if found else bounds[-1],
     }
-    row.hits.append(hit)
+
+
+def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
+    row = _Row("numerator-scan", k)
+    row.passes += 2  # primality decided, square scan completed
+    row.hits.append(numerator_survey(k, spec.trial_bound))
     return row
 
 
@@ -535,7 +452,7 @@ def _rows_for(check: str, spec: GridSpec) -> list[int]:
     if check == "s1-s3-identity":
         return [0]
     lo, hi = spec.k_min, spec.k_max
-    if check in _EVEN_K_CHECKS or spec.even_only:
+    if check in _EVEN_K_CHECKS:
         lo = max(lo, 2)
         if check == "size-bounds":
             lo = max(lo, 10)
@@ -597,7 +514,6 @@ class SweepReport:
     profile: str | None
     checks: list[CheckResult]
     wall_time_s: float
-    jobs: int
 
     @property
     def total_fail(self) -> int:
@@ -633,10 +549,18 @@ def _pool_size(jobs: int, n_tasks: int) -> int:
     return min(jobs, os.cpu_count() or 1, n_tasks)
 
 
-def _execute(specs: list[GridSpec], profile: str | None, jobs: int) -> SweepReport:
-    t0 = time.perf_counter()
+def _run(
+    specs: list[GridSpec], profile: str | None, jobs: int, cache_path: str | None
+) -> SweepReport:
+    """Validate, read the cache (if any) once, run every row, write the
+    extended table back once. Rows merge in a fixed order, so the report
+    is the same at any job count."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     for spec in specs:
         spec.validate()
+    base = cachemod.load_and_warm(cache_path)
+    t0 = time.perf_counter()
 
     k_need = _max_bernoulli_index(specs)
     bernoulli(k_need)  # fill the memo before any fork
@@ -681,22 +605,17 @@ def _execute(specs: list[GridSpec], profile: str | None, jobs: int) -> SweepRepo
         idx += n_rows
         checks.append(cr)
 
-    return SweepReport(
-        profile=profile,
-        checks=checks,
-        wall_time_s=round(time.perf_counter() - t0, 6),
-        jobs=jobs,
-    )
+    wall_time_s = round(time.perf_counter() - t0, 6)
+    cachemod.store_snapshot(cache_path, k_need, base)
+    return SweepReport(profile=profile, checks=checks, wall_time_s=wall_time_s)
 
 
-def run_sweep(spec: GridSpec, profile: str | None = None) -> SweepReport:
-    """Run one grid. Cache (if configured) is read once up front and the
-    extended table written back once at the end."""
-    spec.validate()
-    base = cachemod.load_and_warm(spec.cache_path)
-    report = _execute([spec], profile, spec.jobs)
-    cachemod.store_snapshot(spec.cache_path, _max_bernoulli_index([spec]), base)
-    return report
+def run_sweep(
+    spec: GridSpec, jobs: int = 1, cache_path: str | None = None
+) -> SweepReport:
+    """Run one grid on up to `jobs` worker processes, with the Bernoulli
+    cache at cache_path (None: no cache)."""
+    return _run([spec], None, jobs, cache_path)
 
 
 # profile -> list of grids; every check appears in exactly one grid
@@ -743,19 +662,11 @@ PROFILES: dict[str, list[GridSpec]] = {
 
 
 def verify_all(
-    profile: str,
-    jobs: int = 1,
-    cache_path: str | None = None,
-    seedless: bool = False,
+    profile: str, jobs: int = 1, cache_path: str | None = None
 ) -> SweepReport:
     """Run a named profile and return the union report."""
     if profile not in PROFILES:
         raise ValueError(
             f"unknown profile {profile!r}, want one of {sorted(PROFILES)}"
         )
-    specs = [replace(s, jobs=jobs) for s in PROFILES[profile]]
-    path = None if seedless else cache_path
-    base = cachemod.load_and_warm(path)
-    report = _execute(specs, profile, jobs)
-    cachemod.store_snapshot(path, _max_bernoulli_index(specs), base)
-    return report
+    return _run(PROFILES[profile], profile, jobs, cache_path)

@@ -5,6 +5,7 @@ under plain pytest the per-test PASSED/FAILED verdicts carry the same
 information. Budgets are wall-clock and asserted where stated.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -226,8 +227,18 @@ def test_criterion_12_analytic_bounds():
                 f"{exceptions} ({elapsed:.2f}s)")
 
 
+# Digest of the standard report pinned at the release that first recorded
+# it, canonical form: the JSON without wall_time_s, sorted keys, indent 2,
+# trailing newline. A deliberate report change (or a version bump) re-records
+# it and says so in CHANGES.md.
+STANDARD_DIGEST = (
+    "5b9b046463ee774f3556809bd189dcfe45848a1bf45f08ac975d498e4bc682f1"
+)
+
+
 def test_criterion_13_deterministic_reports():
     t0 = time.perf_counter()
+    reports = []
 
     def run(jobs: str) -> str:
         out = subprocess.run(
@@ -238,11 +249,16 @@ def test_criterion_13_deterministic_reports():
         assert out.returncode == 0, out.stderr
         data = json.loads(out.stdout)
         assert data["totals"]["fail"] == 0
+        reports.append(data)
         return "\n".join(line for line in out.stdout.splitlines()
                          if "wall_time_s" not in line)
 
     one, eight = run("1"), run("8")
     assert one == eight
+    for data in reports:
+        data.pop("wall_time_s")
+        canonical = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(canonical.encode()).hexdigest() == STANDARD_DIGEST
     elapsed = time.perf_counter() - t0
     _report(13, f"verify standard --jobs 1 and --jobs 8 byte-identical "
                 f"after dropping wall time ({elapsed:.2f}s)")

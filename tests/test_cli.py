@@ -138,6 +138,8 @@ def test_usage_error_verify_needs_one_mode():
     assert out.returncode == 2
     out = run_cli("verify", "quick", "--grid", "2:5", "--seedless")
     assert out.returncode == 2
+    out = run_cli("verify", "quick", "--jobs", "0", "--seedless")
+    assert out.returncode == 2
 
 
 def test_io_error_corrupt_cache(tmp_path):
@@ -147,6 +149,45 @@ def test_io_error_corrupt_cache(tmp_path):
     assert out.returncode == 3
     assert out.stdout == ""
     assert "error" in out.stderr
+
+
+def test_search_leaves_the_cache_alone(tmp_path):
+    # searches use running sums only, so a corrupt cache is neither read
+    # nor rewritten, and a fresh path is not created
+    bad = tmp_path / "bad.cache"
+    bad.write_bytes(b"not a cache file")
+    out = run_cli("search", "ratio", "--kmax", "3", "--mmax", "10",
+                  "--cache", str(bad))
+    assert out.returncode == 0
+    assert out.stdout == "k=1 m=3 quotient=2\nk=3 m=3 quotient=4\n"
+    assert bad.read_bytes() == b"not a cache file"
+    fresh = tmp_path / "fresh.cache"
+    out = run_cli("search", "em", "--kmax", "3", "--mmax", "10",
+                  "--cache", str(fresh))
+    assert out.returncode == 0
+    assert not fresh.exists()
+
+
+def test_verify_failure_is_reported(monkeypatch, capsys):
+    # the closed form is off by one at a single cell
+    real = cli.ps.power_sum
+    monkeypatch.setattr(cli.ps, "power_sum",
+                        lambda k, m: real(k, m) + (k == 3 and m == 7))
+    code = cli.main(["verify", "--grid", "1-4:2-10", "--checks",
+                     "faulhaber-naive", "--seedless", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert (check["pass"], check["fail"]) == (4 * 9 - 1, 1)
+    want = {"check": "faulhaber-naive", "k": 3, "m": 7,
+            "observed": str(real(3, 7) + 1), "predicted": str(real(3, 7))}
+    assert check["counterexamples"] == [want]
+    lines = err.splitlines()
+    assert len(lines) == 1
+    prefix = "counterexample: "
+    assert lines[0].startswith(prefix)
+    assert json.loads(lines[0][len(prefix):]) == want
+    assert lines[0] == prefix + json.dumps(want, sort_keys=True)
 
 
 def test_cache_round_trip(tmp_path):

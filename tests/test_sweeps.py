@@ -1,5 +1,6 @@
 """Sweep engine: determinism, accounting, profile composition."""
 
+import hashlib
 import json
 import os
 
@@ -13,6 +14,20 @@ from moser_ladder.sweeps import (
     run_sweep,
     verify_all,
 )
+
+
+# Report digests pinned at the release that first recorded them, in the
+# canonical form of `verify --format json` without wall_time_s: sorted
+# keys, indent 2, trailing newline. A deliberate report change (or a
+# version bump, which changes tool_version) re-records them and says so
+# in CHANGES.md.
+QUICK_DIGEST = "5b31de8a1ed3ddb0a748be845836190278d3e60ca192ccc4c0dc481c5bd051d6"
+
+
+def _digest(report: dict) -> str:
+    body = {key: value for key, value in report.items() if key != "wall_time_s"}
+    text = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _stripped(report) -> str:
@@ -53,6 +68,10 @@ def test_quick_profile_known_findings():
         {"k": 3, "m": 3, "quotient": "4"},
     ]
     assert by_name["em-scan"].hits == [{"k": 1, "m": 3}]
+
+
+def test_quick_report_digest_is_pinned():
+    assert _digest(verify_all("quick").as_dict()) == QUICK_DIGEST
 
 
 def test_repeat_runs_identical():
@@ -107,7 +126,7 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(k_max=0, m_max=5).validate()
     with pytest.raises(ValueError):
-        GridSpec(k_max=5, m_max=5, jobs=0).validate()
+        run_sweep(GridSpec(k_max=5, m_max=5), jobs=0)
     with pytest.raises(ValueError):
         GridSpec(k_max=5, m_max=5, checks=("no-such-check",)).validate()
     with pytest.raises(ValueError):
@@ -139,5 +158,26 @@ def test_seedless_and_cache_paths_agree(tmp_path):
     a = verify_all("quick", cache_path=str(cache))
     assert cache.exists()
     b = verify_all("quick", cache_path=str(cache))  # warm start
-    c = verify_all("quick", seedless=True)
+    c = verify_all("quick")  # no cache path: no cache
     assert _stripped(a) == _stripped(b) == _stripped(c)
+
+
+def test_searches_honour_m_min():
+    # the ratio and equation scans count and report only m >= m_min, like
+    # every other check; both scans' only hits (m = 3) fall below it here
+    spec = GridSpec(k_max=3, m_min=50, m_max=100,
+                    checks=("ratio-search", "em-scan"))
+    d = run_sweep(spec).as_dict()
+    for check in d["checks"]:
+        assert check["grid"]["m_min"] == 50
+        assert check["pass"] == 3 * 51, check["name"]
+        assert check["hits"] == [], check["name"]
+    # m_min = 3 keeps the ratio hits at m = 3 and drops m = 2 from em-scan
+    spec = GridSpec(k_max=3, m_min=3, m_max=10,
+                    checks=("ratio-search", "em-scan"))
+    by_name = {c.name: c for c in run_sweep(spec).checks}
+    assert by_name["ratio-search"].passes == 3 * 8
+    assert [(h["k"], h["m"]) for h in by_name["ratio-search"].hits] == [
+        (1, 3), (3, 3)]
+    assert by_name["em-scan"].passes == 3 * 8
+    assert by_name["em-scan"].hits == [{"k": 1, "m": 3}]
