@@ -1,4 +1,5 @@
-"""Prime arithmetic helpers: sieve, primality, small factorization.
+"""Prime arithmetic helpers: sieve, primorials, primality, small
+factorization.
 
 Everything here is deterministic for the input sizes this package meets.
 Miller-Rabin with the 12-prime base set is a proven primality test below
@@ -8,10 +9,12 @@ known counterexample at any size.
 
 from __future__ import annotations
 
+import math
 from math import gcd, isqrt
 
 __all__ = [
     "primes_up_to",
+    "primorial",
     "is_prime",
     "factorize",
 ]
@@ -25,6 +28,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _sieve_cache: list[int] = []
 _sieve_cache_limit = 0
+_primorial_cache: dict[int, int] = {}
+
+# factorize trial-divides by every prime up to this bound
+_TRIAL_LIMIT = 100_000
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -46,6 +53,18 @@ def primes_up_to(n: int) -> list[int]:
     from bisect import bisect_right
 
     return _sieve_cache[: bisect_right(_sieve_cache, n)]
+
+
+def primorial(n: int) -> int:
+    """Product of all primes <= n, multiplied pairwise up a balanced tree.
+    Cached, one entry per distinct n."""
+    got = _primorial_cache.get(n)
+    if got is None:
+        level = primes_up_to(n) or [1]
+        while len(level) > 1:
+            level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+        got = _primorial_cache[n] = level[0]
+    return got
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -164,17 +183,27 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: multiplicity}."""
+    """Prime factorization of n >= 1 as {prime: multiplicity}.
+
+    Trial division by the primes up to min(sqrt n, 10^5), stopping once
+    p^2 exceeds what is left. Every prime factor of the cofactor c then
+    exceeds the last trial prime, so c <= (trial limit)^2 (in particular
+    any c <= 10^10) is prime without a primality test; only a larger c
+    goes to is_prime and Pollard rho.
+    """
     if n < 1:
         raise ValueError(f"factorize wants n >= 1, got {n}")
     out: dict[int, int] = {}
-    for p in primes_up_to(min(isqrt(n) + 1, 100_000)):
+    limit = min(isqrt(n) + 1, _TRIAL_LIMIT)
+    for p in primes_up_to(limit):
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        if n == 1:
-            break
-    if n > 1:
+    if 1 < n <= limit * limit:
+        out[n] = 1
+    elif n > 1:
         stack = [n]
         while stack:
             m = stack.pop()

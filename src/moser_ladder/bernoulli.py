@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from ._primes import is_prime, primes_up_to
+from ._primes import is_prime, primes_up_to, primorial
 
 __all__ = [
     "bernoulli",
@@ -185,17 +185,37 @@ class SquareFreeStatus:
         return SquareFreeStatus("square-factor", prime=prime)
 
 
+def _smallest_square_prime(n: int, bound: int) -> int | None:
+    """Smallest prime p <= bound with p^2 | n, for n >= 1.
+
+    One gcd with the primorial finds g, the product of the primes <= bound
+    that divide n; since g is square-free, gcd(n / g, g) is the product of
+    those with p^2 | n. Only its smallest prime is then looked for.
+    """
+    g = gcd(n, primorial(bound))
+    sq = gcd(n // g, g)
+    if sq == 1:
+        return None
+    return next(p for p in primes_up_to(bound) if sq % p == 0)
+
+
 def square_free_status(k: int, trial_bound: int) -> SquareFreeStatus:
-    """Trial-divide |N_k| by p^2 for all primes p <= trial_bound."""
+    """Search |N_k| for a square factor p^2 over the primes p <= trial_bound.
+
+    Integer-only and without trial division of |N_k|: the primes <= the
+    bound that divide |N_k| come from one gcd with their product (the
+    primorial, cached per bound), and p^2 is tested for those alone.
+    Reports the smallest such p, as a trial division in ascending p would.
+    """
     if trial_bound < 2:
         raise ValueError(f"trial_bound must be >= 2, got {trial_bound}")
     n = abs(numerator(k))
     if n == 1:
         return SquareFreeStatus.trivial()
-    for p in primes_up_to(trial_bound):
-        if n % (p * p) == 0:
-            return SquareFreeStatus.square_factor(p)
-    return SquareFreeStatus.clear_below(trial_bound)
+    p = _smallest_square_prime(n, trial_bound)
+    if p is None:
+        return SquareFreeStatus.clear_below(trial_bound)
+    return SquareFreeStatus.square_factor(p)
 
 
 # Documented escalation ladder for hunting square factors; 10^5 is the
@@ -206,19 +226,24 @@ SQUARE_FREE_ESCALATION = (10, 100, 1000, 10_000, 100_000)
 def find_square_factor(
     k: int, bounds: tuple[int, ...] = SQUARE_FREE_ESCALATION
 ) -> tuple[int, int] | None:
-    """Escalate square_free_status through the given bounds.
+    """Escalate the square-factor search through the given bounds.
 
     Returns (prime, bound that flagged it) or None if every bound comes back
     clean. A None is a bounded "unknown", not a square-freeness certificate.
+    One search at the largest bound finds the smallest flagged prime p; the
+    bound reported is the first one >= p, the same pair that searching
+    bound by bound would give.
     """
-    for bound in bounds:
-        status = square_free_status(k, bound)
-        if status.kind == "trivial":
-            return None
-        if status.kind == "square-factor":
-            assert status.prime is not None
-            return status.prime, bound
-    return None
+    if not bounds:
+        return None
+    if min(bounds) < 2:
+        raise ValueError(f"trial bounds must be >= 2, got {min(bounds)}")
+    status = square_free_status(k, max(bounds))
+    if status.kind != "square-factor":
+        return None
+    p = status.prime
+    assert p is not None
+    return p, next(b for b in bounds if b >= p)
 
 
 def size_estimate(k: int, zeta_terms: int = 64) -> float:

@@ -3,7 +3,10 @@
 One binary, one subcommand per library operation. The data stream
 (stdout) carries only the requested artifact; everything else goes to
 stderr. Exit codes are the machine-readable outcome: 0 success, 1 check
-failures, 2 usage errors, 3 I/O or cache errors.
+failures, 2 usage errors, 3 I/O or cache errors, 4 internal arithmetic
+faults (a broken invariant, never a bad input). Query subcommands print
+their answer before they write the cache, so a failed write there is a
+stderr warning, not an error.
 """
 
 from __future__ import annotations
@@ -95,6 +98,15 @@ def _even_floor(k: int) -> int:
     return k if k % 2 == 0 else k - 1
 
 
+def _store_best_effort(path: str | None, k_max: int, base) -> None:
+    """Write the cache after a query has printed its answer; a failed
+    write is reported on stderr and does not change the exit code."""
+    try:
+        cachemod.store_snapshot(path, k_max, base)
+    except OSError as exc:
+        print(f"warning: cache not written: {exc}", file=sys.stderr)
+
+
 def cmd_bern(args) -> int:
     path = _cache_path(args)
     base = cachemod.load_and_warm(path)
@@ -108,18 +120,18 @@ def cmd_bern(args) -> int:
     else:
         _emit_csv(["k", "numerator", "denominator"],
                   [[rec.k, rec.numerator, rec.denominator]])
-    cachemod.store_snapshot(path, _even_floor(args.k), base)
+    _store_best_effort(path, _even_floor(args.k), base)
     return 0
 
 
 def cmd_powersum(args) -> int:
+    # the naive sum needs no Bernoulli numbers, so it leaves the cache alone
+    path = None if args.naive else _cache_path(args)
+    base = cachemod.load_and_warm(path)
     if args.naive:
         value = ps.power_sum_naive(args.k, args.m)
     else:
-        path = _cache_path(args)
-        base = cachemod.load_and_warm(path)
         value = ps.power_sum(args.k, args.m)
-        cachemod.store_snapshot(path, _even_floor(args.k), base)
     if args.format == "plain":
         print(value)
     elif args.format == "json":
@@ -127,6 +139,7 @@ def cmd_powersum(args) -> int:
                     "method": "naive" if args.naive else "closed-form"})
     else:
         _emit_csv(["k", "m", "value"], [[args.k, args.m, value]])
+    _store_best_effort(path, _even_floor(args.k), base)
     return 0
 
 
@@ -140,7 +153,7 @@ def cmd_gk(args) -> int:
         _emit_json({"k": args.k, "m": args.m, "value": str(g)})
     else:
         _emit_csv(["k", "m", "value"], [[args.k, args.m, g]])
-    cachemod.store_snapshot(path, args.k, base)
+    _store_best_effort(path, args.k, base)
     return 0
 
 
@@ -182,7 +195,7 @@ def cmd_ladder(args) -> int:
     else:
         _emit_csv(["rung", "observed", "predicted"],
                   [[r, o, p] for r, o, p in rungs])
-    cachemod.store_snapshot(path, args.k, base)
+    _store_best_effort(path, args.k, base)
     return 0
 
 
@@ -230,7 +243,7 @@ def cmd_scan(args) -> int:
               r["square_factor"] or "", r["flagged_at_bound"] or "",
               r["clear_below"] or ""] for r in rows],
         )
-    cachemod.store_snapshot(path, args.kmax, base)
+    _store_best_effort(path, args.kmax, base)
     return 0
 
 
@@ -397,7 +410,10 @@ def main(argv: list[str] | None = None) -> int:
     except (cachemod.CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

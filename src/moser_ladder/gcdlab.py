@@ -5,13 +5,23 @@ the window scan for the extremes of the normalized gcd.
 
 Notation used throughout: S = S_k(m), N = numerator(k), D = denominator(k),
 g(m) = gcd(S_k(m), S_k(m+1)) / m.
+
+The hot loops run on integers only. A congruence cell carries S - B_k m
+as the integer X = D S - N m over D, reduced once per (k, m); its p-adic
+divisibility tests and its gates are integer tests on that numerator and
+on N and D. One kernel, `_congruence_cells`, decides every congruence
+cell: `congruence_check`, `prime_local_congruences` and the sweep row
+all read it. The min/max prefix keeps g(m) = a/m unreduced and compares
+by cross-multiplication; `Fraction`s are built only for reported values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
+from typing import Iterable, Iterator
 
 from ._primes import factorize
 from .bernoulli import (
@@ -203,8 +213,41 @@ class CongruenceVerdict:
     holds: bool
 
 
-def _congruence_diff(k: int, m: int) -> Fraction:
-    return Fraction(power_sum(k, m)) - bernoulli(k) * m
+def _diff_numerator(k: int, m: int, s: int) -> int:
+    """Numerator of S - B_k m in lowest terms, for S = S_k(m): the integer
+    X = D S - N m over D, reduced once."""
+    b = bernoulli(k)
+    d = b.denominator
+    x = d * s - b.numerator * m
+    return x // gcd(x, d)
+
+
+def _congruence_cells(
+    k: int, m: int, num: int, factors: Iterable[tuple[int, int]]
+) -> Iterator[tuple[str, bool, bool]]:
+    """(name, applicable, holds) of every congruence cell at (k, m), given
+    the numerator `num` of S_k(m) - B_k m in lowest terms: "mod-m^r" for
+    r = 1, 2, 3, then "mod-p^(2r) p=P" and "mod-p^(3r) p=P" for each
+    (p, mult) of `factors` (prime p, p^mult || m).
+
+    Integers only. q^e divides a reduced fraction p-adically iff q^e
+    divides its numerator, for q = m or q = p: a prime of q that divided
+    the denominator could not divide the numerator. The gates read N and
+    D: a level-2 cell needs k >= 4 and q coprime to D, a level-3 cell
+    needs k >= 6, q coprime to D and q | N (that is, q | B_k p-adically).
+    """
+    b = bernoulli(k)
+    n, d = b.numerator, b.denominator
+    unit = gcd(d, m) == 1
+    yield "mod-m^1", True, num % m == 0
+    yield "mod-m^2", k >= 4 and unit, num % (m * m) == 0
+    yield "mod-m^3", k >= 6 and unit and n % m == 0, num % m**3 == 0
+    for p, mult in factors:
+        unit = d % p != 0
+        pm = p**mult
+        yield f"mod-p^(2r) p={p}", k >= 4 and unit, num % (pm * pm) == 0
+        yield (f"mod-p^(3r) p={p}", k >= 6 and unit and n % p == 0,
+               num % pm**3 == 0)
 
 
 def congruence_check(
@@ -214,22 +257,18 @@ def congruence_check(
 
     Applicability gates: r = 1 needs k >= 2 only; r = 2 needs k >= 4 and
     gcd(D, m) = 1; r = 3 needs k >= 6 and m | B_k (p-adically).
-    `diff` accepts a precomputed S_k(m) - B_k m (sweeps stream their sums).
+    `diff` accepts a precomputed S_k(m) - B_k m; without it the sum comes
+    from the closed form.
     """
     _require_even(k)
     if m < 1:
         raise ValueError(f"congruence_check needs m >= 1, got {m}")
     if r not in (1, 2, 3):
         raise ValueError(f"congruence_check supports r in 1..3, got {r}")
-    if r == 1:
-        applicable = True
-    elif r == 2:
-        applicable = k >= 4 and gcd(denominator(k), m) == 1
-    else:
-        applicable = k >= 6 and divides_rational(m, 1, bernoulli(k))
-    if diff is None:
-        diff = _congruence_diff(k, m)
-    holds = divides_rational(m, r, diff)
+    num = (_diff_numerator(k, m, power_sum(k, m)) if diff is None
+           else Fraction(diff).numerator)
+    cells = _congruence_cells(k, m, num, ())
+    _, applicable, holds = next(islice(cells, r - 1, None))
     return CongruenceVerdict(k, m, r, applicable, holds)
 
 
@@ -257,18 +296,16 @@ def prime_local_congruences(
     _require_even(k)
     if m < 2:
         raise ValueError(f"prime_local_congruences needs m >= 2, got {m}")
-    if diff is None:
-        diff = _congruence_diff(k, m)
-    d = denominator(k)
-    b = bernoulli(k)
+    num = (_diff_numerator(k, m, power_sum(k, m)) if diff is None
+           else Fraction(diff).numerator)
+    factors = factorize(m).items()
+    cells = islice(_congruence_cells(k, m, num, factors), 3, None)
     out = []
-    for p, mult in factorize(m).items():
-        applicable2 = k >= 4 and d % p != 0
-        holds2 = divides_rational(p, 2 * mult, diff)
-        out.append(PrimeLocalVerdict(k, m, p, mult, 2, applicable2, holds2))
-        applicable3 = k >= 6 and divides_rational(p, 1, b)
-        holds3 = divides_rational(p, 3 * mult, diff)
-        out.append(PrimeLocalVerdict(k, m, p, mult, 3, applicable3, holds3))
+    for p, mult in factors:
+        for level in (2, 3):
+            _, applicable, holds = next(cells)
+            out.append(
+                PrimeLocalVerdict(k, m, p, mult, level, applicable, holds))
     return out
 
 
@@ -362,23 +399,26 @@ def min_max_scan(
     certified = status.kind in ("trivial", "no-square-factor-below")
 
     # brute-force prefix by definition, cross-checked against the closed
-    # form where the closed form is certified to apply
+    # form where the closed form is certified to apply. g(m) = a/m is kept
+    # unreduced and compared by cross-multiplication; strict comparisons
+    # keep the first witness of each extreme.
     limit = min(m_max, max(prefix_limit, 2))
-    prefix_min = prefix_max = None
-    prefix_min_at = prefix_max_at = 0
+    lo_a = hi_a = 1  # g(2) = gcd(S_k(2), S_k(3)) / 2 = 1/2
+    prefix_min_at = prefix_max_at = 2
     closed_agrees: bool | None = True if certified else None
     s = 1  # S_k(2)
     for m in range(2, limit + 1):
         s_next = s + m**k
-        g = Fraction(gcd(s, s_next), m)
-        if prefix_min is None or g < prefix_min:
-            prefix_min, prefix_min_at = g, m
-        if prefix_max is None or g > prefix_max:
-            prefix_max, prefix_max_at = g, m
-        if certified and g != Fraction(gcd(n_abs, m), gcd(d, m)):
+        a = gcd(s, s_next)
+        if a * prefix_min_at < lo_a * m:
+            lo_a, prefix_min_at = a, m
+        if a * prefix_max_at > hi_a * m:
+            hi_a, prefix_max_at = a, m
+        if certified and a * gcd(d, m) != gcd(n_abs, m) * m:
             closed_agrees = False
         s = s_next
-    assert prefix_min is not None and prefix_max is not None
+    prefix_min = Fraction(lo_a, prefix_min_at)
+    prefix_max = Fraction(hi_a, prefix_max_at)
 
     # witnesses by definition, any size (cost is polynomial in log m)
     min_witness = d

@@ -26,7 +26,7 @@ from math import gcd, isqrt
 from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
-from ._primes import primes_up_to
+from ._primes import factorize, primes_up_to
 from ._version import __version__
 from .bernoulli import (
     SQUARE_FREE_ESCALATION,
@@ -248,20 +248,14 @@ def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
 
 def _row_congruences(k: int, spec: GridSpec) -> _Row:
     row = _Row("congruences", k)
-    b = bernoulli(k)
     for m, s in ps.running_sums(k, spec.m_max):
         if m < spec.m_min:
             continue
-        diff = Fraction(s) - b * m
-        for r in (1, 2, 3):
-            v = gcdlab.congruence_check(k, m, r, diff=diff)
-            row.cell(v.holds, "congruence fails", "holds",
-                     applicable=v.applicable, m=m, cell=f"mod-m^{r}")
-        if m >= 2:
-            for pv in gcdlab.prime_local_congruences(k, m, diff=diff):
-                row.cell(pv.holds, "congruence fails", "holds",
-                         applicable=pv.applicable, m=m,
-                         cell=f"mod-p^({pv.level}r) p={pv.p}")
+        num = gcdlab._diff_numerator(k, m, s)
+        for name, applicable, holds in gcdlab._congruence_cells(
+                k, m, num, factorize(m).items()):
+            row.cell(holds, "congruence fails", "holds",
+                     applicable=applicable, m=m, cell=name)
     return row
 
 

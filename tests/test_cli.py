@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from moser_ladder import cli
 
 
@@ -149,6 +151,39 @@ def test_io_error_corrupt_cache(tmp_path):
     assert out.returncode == 3
     assert out.stdout == ""
     assert "error" in out.stderr
+
+
+@pytest.mark.parametrize("argv, answer", [
+    (["bern", "12"], "-691/2730\n"),
+    (["powersum", "5", "7"], "12201\n"),
+    (["gk", "10", "5"], "5\n"),
+    (["ladder", "10", "5", "--format", "csv"], "rung,observed,predicted\n"),
+    (["scan", "numerators", "--kmax", "4"], "k=2 digits=1 prime=no "),
+])
+def test_query_survives_an_unwritable_cache(tmp_path, capsys, argv, answer):
+    # the cache's parent is a regular file, so the write after the answer
+    # fails; the query warns on stderr and still exits 0
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main([*argv, "--cache", str(blocker / "bern.cache")]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(answer)
+    assert err.startswith("warning: cache not written: ")
+    assert len(err.splitlines()) == 1
+    assert blocker.read_text() == ""
+
+
+def test_internal_fault_exits_4(monkeypatch, capsys):
+    # a broken invariant (here a Faulhaber cancellation failure) is not a
+    # usage error
+    def broken(k, m):
+        raise ArithmeticError(f"faulhaber cancellation failed at k={k}")
+
+    monkeypatch.setattr(cli.ps, "power_sum", broken)
+    assert cli.main(["powersum", "5", "7", "--seedless"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: faulhaber cancellation failed at k=5\n"
 
 
 def test_search_leaves_the_cache_alone(tmp_path):

@@ -1,0 +1,42 @@
+"""Prime helpers: primorials and factorization."""
+
+from math import prod
+
+from moser_ladder import _primes
+from moser_ladder._primes import factorize, primes_up_to, primorial
+
+
+def test_primorial_small_values():
+    assert [primorial(n) for n in range(8)] == [1, 1, 2, 6, 6, 30, 30, 210]
+    assert primorial(1000) == prod(primes_up_to(1000))
+
+
+def _count_is_prime(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    real = _primes.is_prime
+    monkeypatch.setattr(_primes, "is_prime",
+                        lambda n: calls.append(n) or real(n))
+    return calls
+
+
+def test_prime_below_trial_square_needs_no_primality_test(monkeypatch):
+    # trial division reaches sqrt(n), so the cofactor left is prime
+    calls = _count_is_prime(monkeypatch)
+    assert factorize(9_999_999_967) == {9_999_999_967: 1}
+    assert factorize(2**5 * 99_991 * 9_999_999_967) == {
+        2: 5, 99_991: 1, 9_999_999_967: 1}
+    assert calls == []
+
+
+def test_semiprime_past_trial_bound_goes_through_rho(monkeypatch):
+    # both factors exceed the 10^5 trial bound: the cofactor is composite
+    # and is split by rho, then each half is proven prime
+    calls = _count_is_prime(monkeypatch)
+    rho = []
+    real_rho = _primes._pollard_rho
+    monkeypatch.setattr(_primes, "_pollard_rho",
+                        lambda n: rho.append(n) or real_rho(n))
+    n = 100_003 * 100_019
+    assert factorize(n) == {100_003: 1, 100_019: 1}
+    assert rho == [n]
+    assert sorted(calls) == [100_003, 100_019, n]

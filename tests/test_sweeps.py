@@ -22,6 +22,9 @@ from moser_ladder.sweeps import (
 # version bump, which changes tool_version) re-records them and says so
 # in CHANGES.md.
 QUICK_DIGEST = "5b31de8a1ed3ddb0a748be845836190278d3e60ca192ccc4c0dc481c5bd051d6"
+EXTENDED_DIGEST = (
+    "59e4aa8d35c8f801334c09f390a0e93791b2fcc58e4caaa9f0fadb52bf79873c"
+)
 
 
 def _digest(report: dict) -> str:
@@ -72,6 +75,12 @@ def test_quick_profile_known_findings():
 
 def test_quick_report_digest_is_pinned():
     assert _digest(verify_all("quick").as_dict()) == QUICK_DIGEST
+
+
+def test_extended_report_digest_is_pinned():
+    # the integer congruence, square-factor and min/max kernels run on
+    # the extended grid far past the quick one; about 1 s in-process
+    assert _digest(verify_all("extended").as_dict()) == EXTENDED_DIGEST
 
 
 def test_repeat_runs_identical():
