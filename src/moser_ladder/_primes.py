@@ -1,5 +1,5 @@
-"""Prime arithmetic helpers: sieve, primorials, primality, small
-factorization.
+"""Prime arithmetic helpers: sieve, smallest-prime-factor table,
+primorials, primality, small factorization.
 
 Everything here is deterministic for the input sizes this package meets.
 Miller-Rabin with the 12-prime base set is a proven primality test below
@@ -14,6 +14,8 @@ from math import gcd, isqrt
 
 __all__ = [
     "primes_up_to",
+    "smallest_prime_factors",
+    "factor_with_table",
     "primorial",
     "is_prime",
     "factorize",
@@ -53,6 +55,36 @@ def primes_up_to(n: int) -> list[int]:
     from bisect import bisect_right
 
     return _sieve_cache[: bisect_right(_sieve_cache, n)]
+
+
+def smallest_prime_factors(n: int) -> list[int]:
+    """Table t with t[i] the smallest prime factor of i for 2 <= i <= n
+    (t[0] = 0, t[1] = 1). Not cached: one table serves a whole sweep row.
+
+    The primes p <= sqrt(n) mark their multiples from p^2 on, largest p
+    first, so the last mark a composite gets is its smallest prime factor
+    (which is at most its square root). Primes keep t[i] = i.
+    """
+    table = list(range(n + 1))
+    for p in reversed(primes_up_to(isqrt(n))):
+        table[p * p :: p] = [p] * len(range(p * p, n + 1, p))
+    return table
+
+
+def factor_with_table(
+    n: int, table: list[int]
+) -> list[tuple[int, int]]:
+    """(prime, multiplicity) pairs of 1 <= n < len(table), ascending, read
+    off a smallest_prime_factors table; the items of factorize(n)."""
+    out = []
+    while n > 1:
+        p = table[n]
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
 
 
 def primorial(n: int) -> int:

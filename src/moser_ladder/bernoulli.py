@@ -305,9 +305,14 @@ def divides_rational(m: int, r: int, b: Fraction | int) -> bool:
     if r < 1:
         raise ValueError(f"divides_rational needs r >= 1, got {r}")
     b = Fraction(b)
-    if gcd(m, b.denominator) != 1:
-        return False
-    return b.numerator % m**r == 0
+    return _divides_nd(m, r, b.numerator, b.denominator)
+
+
+def _divides_nd(m: int, r: int, n: int, d: int) -> bool:
+    """Integer core of divides_rational: m^r | n/d p-adically, for n/d in
+    lowest terms with d > 0 and m, r >= 1. Hot loops call it with N_k and
+    D_k read once per k."""
+    return gcd(m, d) == 1 and n % m**r == 0
 
 
 def seed_even_values(pairs: list[tuple[int, tuple[int, int]]]) -> int:

@@ -4,9 +4,9 @@ One binary, one subcommand per library operation. The data stream
 (stdout) carries only the requested artifact; everything else goes to
 stderr. Exit codes are the machine-readable outcome: 0 success, 1 check
 failures, 2 usage errors, 3 I/O or cache errors, 4 internal arithmetic
-faults (a broken invariant, never a bad input). Query subcommands print
-their answer before they write the cache, so a failed write there is a
-stderr warning, not an error.
+faults (a broken invariant, never a bad input). Every subcommand that
+writes the cache prints its answer (for verify, the report) first, so a
+failed write is a stderr warning, not an error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .bernoulli import bernoulli_record
 from . import cache as cachemod
@@ -98,11 +99,12 @@ def _even_floor(k: int) -> int:
     return k if k % 2 == 0 else k - 1
 
 
-def _store_best_effort(path: str | None, k_max: int, base) -> None:
-    """Write the cache after a query has printed its answer; a failed
-    write is reported on stderr and does not change the exit code."""
+def _store_best_effort(write: Callable[..., None], *args) -> None:
+    """Write the cache, as write(*args), after a command has printed its
+    answer; a failed write is reported on stderr and does not change the
+    exit code."""
     try:
-        cachemod.store_snapshot(path, k_max, base)
+        write(*args)
     except OSError as exc:
         print(f"warning: cache not written: {exc}", file=sys.stderr)
 
@@ -120,7 +122,8 @@ def cmd_bern(args) -> int:
     else:
         _emit_csv(["k", "numerator", "denominator"],
                   [[rec.k, rec.numerator, rec.denominator]])
-    _store_best_effort(path, _even_floor(args.k), base)
+    _store_best_effort(cachemod.store_snapshot, path, _even_floor(args.k),
+                       base)
     return 0
 
 
@@ -139,7 +142,8 @@ def cmd_powersum(args) -> int:
                     "method": "naive" if args.naive else "closed-form"})
     else:
         _emit_csv(["k", "m", "value"], [[args.k, args.m, value]])
-    _store_best_effort(path, _even_floor(args.k), base)
+    _store_best_effort(cachemod.store_snapshot, path, _even_floor(args.k),
+                       base)
     return 0
 
 
@@ -153,7 +157,7 @@ def cmd_gk(args) -> int:
         _emit_json({"k": args.k, "m": args.m, "value": str(g)})
     else:
         _emit_csv(["k", "m", "value"], [[args.k, args.m, g]])
-    _store_best_effort(path, args.k, base)
+    _store_best_effort(cachemod.store_snapshot, path, args.k, base)
     return 0
 
 
@@ -195,7 +199,7 @@ def cmd_ladder(args) -> int:
     else:
         _emit_csv(["rung", "observed", "predicted"],
                   [[r, o, p] for r, o, p in rungs])
-    _store_best_effort(path, args.k, base)
+    _store_best_effort(cachemod.store_snapshot, path, args.k, base)
     return 0
 
 
@@ -243,7 +247,7 @@ def cmd_scan(args) -> int:
               r["square_factor"] or "", r["flagged_at_bound"] or "",
               r["clear_below"] or ""] for r in rows],
         )
-    _store_best_effort(path, args.kmax, base)
+    _store_best_effort(cachemod.store_snapshot, path, args.kmax, base)
     return 0
 
 
@@ -262,9 +266,8 @@ def _parse_span(text: str, what: str) -> tuple[int, int]:
 def cmd_verify(args) -> int:
     if (args.profile is None) == (args.grid is None):
         raise ValueError("verify needs a profile or --grid, not both")
-    cache_path = _cache_path(args)
     if args.profile is not None:
-        report = sweeps.verify_all(args.profile, args.jobs, cache_path)
+        specs = sweeps.PROFILES[args.profile]
     else:
         kspec, sep, mspec = args.grid.partition(":")
         if not sep:
@@ -274,12 +277,13 @@ def cmd_verify(args) -> int:
         k_min, k_max = _parse_span(kspec, "k")
         m_min, m_max = _parse_span(mspec, "m")
         checks = tuple(args.checks.split(",")) if args.checks else sweeps.CHECK_ORDER
-        spec = sweeps.GridSpec(
+        specs = [sweeps.GridSpec(
             k_min=k_min, k_max=k_max, m_min=m_min, m_max=m_max,
             checks=checks, trial_bound=args.trial_bound,
             prefix_limit=args.prefix_limit,
-        )
-        report = sweeps.run_sweep(spec, args.jobs, cache_path)
+        )]
+    report, write_cache = sweeps.run_grids(specs, args.profile, args.jobs,
+                                           _cache_path(args))
     d = report.as_dict()
     if args.format == "json":
         _emit_json(d)
@@ -305,6 +309,7 @@ def cmd_verify(args) -> int:
         for cex in c["counterexamples"]:
             print("counterexample: " + json.dumps(cex, sort_keys=True),
                   file=sys.stderr)
+    _store_best_effort(write_cache)
     return 0 if d["totals"]["fail"] == 0 else 1
 
 

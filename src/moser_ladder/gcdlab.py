@@ -6,13 +6,19 @@ the window scan for the extremes of the normalized gcd.
 Notation used throughout: S = S_k(m), N = numerator(k), D = denominator(k),
 g(m) = gcd(S_k(m), S_k(m+1)) / m.
 
-The hot loops run on integers only. A congruence cell carries S - B_k m
-as the integer X = D S - N m over D, reduced once per (k, m); its p-adic
-divisibility tests and its gates are integer tests on that numerator and
-on N and D. One kernel, `_congruence_cells`, decides every congruence
-cell: `congruence_check`, `prime_local_congruences` and the sweep row
-all read it. The min/max prefix keeps g(m) = a/m unreduced and compares
-by cross-multiplication; `Fraction`s are built only for reported values.
+The hot loops run on integers only, with N and D read once per k by the
+callers that loop over m. One kernel, `_ladder_rungs`, computes a gcd
+ladder cell: every observed rung is its own gcd (of S with m, m^2, m^3,
+m^4 and m^k, and of S with S_k(m+1)), never derived from another rung,
+so the ladder's nesting stays a real check; the closed forms are gcds of
+m with N and D. `_ladder_from_sums`, `gcd_ladder` and the sweep row read
+it. A congruence cell carries S - B_k m as the integer X = D S - N m
+over D, reduced once per (k, m); its p-adic divisibility tests and its
+gates are integer tests on that numerator and on N and D. One kernel,
+`_congruence_cells`, decides every congruence cell:
+`congruence_check`, `prime_local_congruences` and the sweep row all read
+it. The min/max prefix keeps g(m) = a/m unreduced and compares by
+cross-multiplication; `Fraction`s are built only for reported values.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from typing import Iterable, Iterator
 from ._primes import factorize
 from .bernoulli import (
     SquareFreeStatus,
+    _divides_nd,
     bernoulli,
     denominator,
-    divides_rational,
     numerator,
     square_free_status,
 )
@@ -130,14 +136,9 @@ class GcdLadder:
 
     @property
     def monotone(self) -> bool:
-        # the m^k rung extends the chain only once k >= 4
-        tail = self.observed_mk % self.observed_m4 == 0 if self.k >= 4 else True
-        return (
-            self.observed_m2 % self.observed_m1 == 0
-            and self.observed_m3 % self.observed_m2 == 0
-            and self.observed_m4 % self.observed_m3 == 0
-            and tail
-        )
+        return _rungs_nest(self.k, self.observed_m1, self.observed_m2,
+                           self.observed_m3, self.observed_m4,
+                           self.observed_mk)
 
     @property
     def ok(self) -> bool:
@@ -149,33 +150,43 @@ class GcdLadder:
         )
 
 
-def _ladder_from_sums(k: int, m: int, s: int, s_next: int) -> GcdLadder:
-    n_abs = abs(numerator(k))
-    g1 = gcd(s, m)
-    g2 = gcd(s, m * m)
-    g3 = gcd(s, m**3)
-    g4 = gcd(s, m**4)
+def _rungs_nest(k: int, g1: int, g2: int, g3: int, g4: int, gk: int) -> bool:
+    """Each observed rung divides the next: gcd(S, m) | gcd(S, m^2) | ... |
+    gcd(S, m^4), and | gcd(S, m^k) once k >= 4 (below that, m^k does not
+    extend the chain)."""
+    return (g2 % g1 == 0 and g3 % g2 == 0 and g4 % g3 == 0
+            and (k < 4 or gk % g4 == 0))
+
+
+def _ladder_rungs(
+    k: int, m: int, s: int, s_next: int, n_abs: int, d: int
+) -> tuple[int, int, int, int, int, int, int, int, int, bool, bool]:
+    """The GcdLadder fields after k and m, in field order, for S = s and
+    S_k(m+1) = s_next, given |N| and D of B_k.
+
+    Each observed rung is its own direct gcd; none is derived from
+    another. The closed forms for the m, m^2 and m^3 rungs are
+    q = m / gcd(D, m), q gcd(N, m) and q gcd(N, m^2).
+    """
+    m2 = m * m
+    m3 = m2 * m
+    g3 = gcd(s, m3)
     gk = gcd(s, m**k)
     if k >= 4:
         e, rem = divmod(gk, g3)
         assert rem == 0  # m^3 | m^k, so the gcds nest
     else:
         e = 1  # k = 2: m^k divides m^3, nothing extends past that rung
-    return GcdLadder(
-        k=k,
-        m=m,
-        observed_m1=g1,
-        observed_m2=g2,
-        observed_m3=g3,
-        observed_m4=g4,
-        observed_mk=gk,
-        predicted_m1=predicted_gcd_with_m(k, m),
-        predicted_m2=predicted_gcd_with_m2(k, m),
-        predicted_m3=predicted_gcd_with_m3(k, m),
-        residual=e,
-        residual_primes_divide_numerator=_strip_common_primes(e, n_abs) == 1,
-        consecutive_matches=gcd(s, s_next) == gk,
-    )
+    p1 = m // gcd(d, m)
+    return (gcd(s, m), gcd(s, m2), g3, gcd(s, m2 * m2), gk,
+            p1, p1 * gcd(n_abs, m), p1 * gcd(n_abs, m2),
+            e, _strip_common_primes(e, n_abs) == 1, gcd(s, s_next) == gk)
+
+
+def _ladder_from_sums(k: int, m: int, s: int, s_next: int) -> GcdLadder:
+    b = bernoulli(k)
+    return GcdLadder(k, m, *_ladder_rungs(k, m, s, s_next, abs(b.numerator),
+                                          b.denominator))
 
 
 def gcd_ladder(k: int, m: int) -> GcdLadder:
@@ -213,17 +224,22 @@ class CongruenceVerdict:
     holds: bool
 
 
-def _diff_numerator(k: int, m: int, s: int) -> int:
+def _diff_numerator(
+    k: int, m: int, s: int, n: int | None = None, d: int | None = None
+) -> int:
     """Numerator of S - B_k m in lowest terms, for S = S_k(m): the integer
-    X = D S - N m over D, reduced once."""
-    b = bernoulli(k)
-    d = b.denominator
-    x = d * s - b.numerator * m
+    X = D S - N m over D, reduced once. N and D of B_k are looked up
+    unless given."""
+    if n is None or d is None:
+        b = bernoulli(k)
+        n, d = b.numerator, b.denominator
+    x = d * s - n * m
     return x // gcd(x, d)
 
 
 def _congruence_cells(
-    k: int, m: int, num: int, factors: Iterable[tuple[int, int]]
+    k: int, m: int, num: int, factors: Iterable[tuple[int, int]],
+    n: int | None = None, d: int | None = None,
 ) -> Iterator[tuple[str, bool, bool]]:
     """(name, applicable, holds) of every congruence cell at (k, m), given
     the numerator `num` of S_k(m) - B_k m in lowest terms: "mod-m^r" for
@@ -235,9 +251,11 @@ def _congruence_cells(
     the denominator could not divide the numerator. The gates read N and
     D: a level-2 cell needs k >= 4 and q coprime to D, a level-3 cell
     needs k >= 6, q coprime to D and q | N (that is, q | B_k p-adically).
+    N and D of B_k are looked up unless given.
     """
-    b = bernoulli(k)
-    n, d = b.numerator, b.denominator
+    if n is None or d is None:
+        b = bernoulli(k)
+        n, d = b.numerator, b.denominator
     unit = gcd(d, m) == 1
     yield "mod-m^1", True, num % m == 0
     yield "mod-m^2", k >= 4 and unit, num % (m * m) == 0
@@ -320,8 +338,9 @@ def divisibility_equivalence(k: int, m: int, r: int) -> bool:
         raise ValueError(f"divisibility_equivalence needs m >= 2, got {m}")
     if r not in (1, 2):
         raise ValueError(f"divisibility_equivalence supports r in 1..2, got {r}")
+    b = bernoulli(k)
     lhs = power_sum(k, m) % m ** (r + 1) == 0
-    rhs = divides_rational(m, r, bernoulli(k))
+    rhs = _divides_nd(m, r, b.numerator, b.denominator)
     return lhs == rhs
 
 

@@ -4,12 +4,23 @@ and the crossover index where S_k(m) first reaches m^k.
 
 The closed form is evaluated Horner-style over a single common denominator
 so every intermediate stays an integer; the final division must be exact
-and is asserted. The naive summation is kept as an independent oracle.
+and is asserted. B_j = 0 for odd j >= 3, so only the even-index
+coefficients and the one at j = 1 are nonzero: Horner runs in m^2 over
+the even ones, which halves the big-integer products. The naive
+summation is kept as an independent oracle.
+
 Searches use incremental running sums only (no Bernoulli numbers at all),
 so they are an independent route from the closed form. Each search is a
 per-k generator over an m range (`ratio_hits`, `em_solutions`);
 `search_ratio` and `em_scan` flatten them over k, and the sweep rows
-consume them directly.
+consume them directly. Both stop at the crossover. For m >= 2,
+
+    S_k(m) / m^k = sum_{i=1}^{m-1} (1 - i/m)^k
+
+strictly increases with m: every term grows with m, and the step to m + 1
+adds the positive term i = m. The ratio S_k(m+1)/S_k(m) = 1 + m^k/S_k(m)
+is an integer > 1 only if m^k >= S_k(m), and S_k(m) = m^k needs equality;
+so once S_k(m) > m^k, neither can hold at m or at any larger m.
 """
 
 from __future__ import annotations
@@ -35,23 +46,32 @@ __all__ = [
     "s1_s3_identity_check",
 ]
 
-# k -> (scale, coefficients): S_k(m) = (sum_j c_j m^(k+1-j)) / scale with
-# c_j = C(k+1, j) * L * B_j and scale = L * (k+1), L the lcm of the B_j
-# denominators. All integers, so Horner needs no rational arithmetic.
-_COEFFS: dict[int, tuple[int, tuple[int, ...]]] = {}
+# k -> (scale, (c_0, c_1, c_2), tail): S_k(m) = (sum_j c_j m^(k+1-j)) / scale
+# with c_j = C(k+1, j) * L * B_j and scale = L * (k+1), L the lcm of the
+# B_j denominators. All integers, so Horner needs no rational arithmetic.
+# c_j = 0 for odd j >= 3, so the sum is a polynomial in x = m^2 over the
+# even j, times m when k is even, once c_1 m^k rides with c_2 m^(k-1) as
+# (c_1 m + c_2) m^(k-1). tail is c_4, c_6, ... up to c_k, with a 0 for
+# j = k + 1 when k is odd (c_2 = 0 at k = 1 for the same reason).
+_COEFFS: dict[int, tuple[int, tuple[int, int, int], tuple[int, ...]]] = {}
 
 
-def _faulhaber_coeffs(k: int) -> tuple[int, tuple[int, ...]]:
+def _faulhaber_coeffs(
+    k: int,
+) -> tuple[int, tuple[int, int, int], tuple[int, ...]]:
     got = _COEFFS.get(k)
     if got is not None:
         return got
     bs = [bernoulli(j) for j in range(k + 1)]
     scale_l = lcm(*(b.denominator for b in bs))
-    coeffs = tuple(
+    coeffs = [
         comb(k + 1, j) * (bs[j].numerator * (scale_l // bs[j].denominator))
         for j in range(k + 1)
-    )
-    got = (scale_l * (k + 1), coeffs)
+    ]
+    assert not any(coeffs[3::2])  # B_j = 0 for odd j >= 3
+    even = coeffs[0::2] + [0] * (k % 2)
+    got = (scale_l * (k + 1), (coeffs[0], coeffs[1], even[1]),
+           tuple(even[2:]))
     _COEFFS[k] = got
     return got
 
@@ -66,11 +86,12 @@ def _check_km(k: int, m: int) -> None:
 def power_sum(k: int, m: int) -> int:
     """S_k(m) via the Bernoulli closed form. Exact, integer result."""
     _check_km(k, m)
-    scale, coeffs = _faulhaber_coeffs(k)
-    acc = 0
-    for c in coeffs:
-        acc = acc * m + c
-    total = acc * m
+    scale, (c0, c1, c2), tail = _faulhaber_coeffs(k)
+    x = m * m
+    acc = c0 * x + c1 * m + c2
+    for c in tail:
+        acc = acc * x + c
+    total = acc if k % 2 else acc * m
     quot, rem = divmod(total, scale)
     if rem:
         raise ArithmeticError(
@@ -123,14 +144,16 @@ def ratio_hits(k: int, m_min: int, m_max: int) -> Iterator[RatioHit]:
     """Integral-ratio pairs at one k with max(3, m_min) <= m <= m_max.
 
     Incremental scan in m order. The quotient is 1 + m^k / S_k(m) > 1,
-    so integrality forces m^k >= S_k(m); the division is only attempted
-    where that holds, which keeps the scan complete without assuming any
-    monotonicity of the ratio.
+    so integrality forces m^k >= S_k(m); the scan ends at the first m
+    where that fails, past which it fails for good (see the module
+    docstring).
     """
     s = 1 + 2**k  # S_k(3)
     for m in range(3, m_max + 1):
         mk = m**k
-        if m >= m_min and mk >= s and (s + mk) % s == 0:
+        if s > mk:
+            return
+        if m >= m_min and (s + mk) % s == 0:
             yield RatioHit(k, m, (s + mk) // s)
         s += mk
 
@@ -152,10 +175,16 @@ def em_residual(k: int, m: int) -> int:
 
 
 def em_solutions(k: int, m_min: int, m_max: int) -> Iterator[int]:
-    """Every m with S_k(m) = m^k in max(2, m_min) <= m <= m_max, ascending."""
+    """Every m with S_k(m) = m^k in max(2, m_min) <= m <= m_max, ascending.
+
+    The scan ends at the first m with S_k(m) > m^k: no m from there on
+    solves the equation (see the module docstring).
+    """
     s = 1  # S_k(2)
     for m in range(2, m_max + 1):
         mk = m**k
+        if s > mk:
+            return
         if m >= m_min and s == mk:
             yield m
         s += mk

@@ -10,8 +10,17 @@ them an independent route from the closed-form evaluator they check.
 Rows call the library's scans (`powersum` searches and running sums,
 `gcdlab` ladders and congruences) rather than restating them; the
 numerator survey lives here and the CLI's `scan` only formats it. The
-job count and the cache path are arguments of `run_sweep`/`verify_all`,
-not part of a grid.
+job count and the cache path are arguments of `run_grids` and of
+`run_sweep`/`verify_all`, not part of a grid. `run_grids` hands the
+cache write back to its caller, so the CLI prints a report before the
+write; the other two write before they return.
+
+The m-cell rows run integer kernels with N_k and D_k read once per row:
+the gcd ladder (`gcdlab._ladder_rungs`), the congruence cells, whose m
+are factored from one smallest-prime-factor table per row, and the
+integer core of `divides_rational`. A passing cell is only counted; the
+text of a counterexample (and any `Fraction` in it) is built only when
+a cell fails.
 """
 
 from __future__ import annotations
@@ -21,18 +30,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
+from typing import Callable
 
 from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
-from ._primes import factorize, primes_up_to
+from ._primes import factor_with_table, primes_up_to, smallest_prime_factors
 from ._version import __version__
 from .bernoulli import (
     SQUARE_FREE_ESCALATION,
+    _divides_nd,
     bernoulli,
     denominator,
-    divides_rational,
     even_value_pairs,
     exact_log_abs,
     find_square_factor,
@@ -52,6 +63,7 @@ __all__ = [
     "CheckResult",
     "SweepReport",
     "numerator_survey",
+    "run_grids",
     "run_sweep",
     "verify_all",
 ]
@@ -220,56 +232,72 @@ def _row_em_scan(k: int, spec: GridSpec) -> _Row:
     return row
 
 
+_LADDER_CLOSED_FORMS = ("closed-form-m", "closed-form-m2", "closed-form-m3")
+
+
 def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
     row = _Row("gcd-ladder", k)
+    b = bernoulli(k)
+    n_abs, d = abs(b.numerator), b.denominator
     m_lo = max(2, spec.m_min)
     s = ps.power_sum_naive(k, m_lo)
     for m in range(m_lo, spec.m_max + 1):
         s_next = s + m**k
-        ladder = gcdlab._ladder_from_sums(k, m, s, s_next)
-        names = ("closed-form-m", "closed-form-m2", "closed-form-m3")
-        observed = (ladder.observed_m1, ladder.observed_m2, ladder.observed_m3)
-        predicted = (ladder.predicted_m1, ladder.predicted_m2, ladder.predicted_m3)
-        for name, obs, pred in zip(names, observed, predicted):
-            row.cell(obs == pred, obs, pred, m=m, cell=name)
-        row.cell(ladder.consecutive_matches,
-                 "gcd(S(m), S(m+1)) != gcd(S(m), m^k)", "equal",
-                 m=m, cell="consecutive-gcd")
-        row.cell(ladder.monotone,
-                 (ladder.observed_m1, ladder.observed_m2, ladder.observed_m3,
-                  ladder.observed_m4, ladder.observed_mk),
-                 "each divides the next", m=m, cell="ladder-monotone")
-        row.cell(ladder.residual_primes_divide_numerator, ladder.residual,
-                 "all primes divide the numerator",
-                 m=m, cell="residual-primes")
+        (g1, g2, g3, g4, gk, p1, p2, p3, e, residual_ok,
+         consecutive) = gcdlab._ladder_rungs(k, m, s, s_next, n_abs, d)
+        monotone = gcdlab._rungs_nest(k, g1, g2, g3, g4, gk)
+        if (g1 == p1 and g2 == p2 and g3 == p3 and consecutive and monotone
+                and residual_ok):
+            row.passes += 6
+        else:
+            for name, obs, pred in zip(_LADDER_CLOSED_FORMS, (g1, g2, g3),
+                                       (p1, p2, p3)):
+                row.cell(obs == pred, obs, pred, m=m, cell=name)
+            row.cell(consecutive, "gcd(S(m), S(m+1)) != gcd(S(m), m^k)",
+                     "equal", m=m, cell="consecutive-gcd")
+            row.cell(monotone, (g1, g2, g3, g4, gk), "each divides the next",
+                     m=m, cell="ladder-monotone")
+            row.cell(residual_ok, e, "all primes divide the numerator",
+                     m=m, cell="residual-primes")
         s = s_next
     return row
 
 
 def _row_congruences(k: int, spec: GridSpec) -> _Row:
     row = _Row("congruences", k)
+    b = bernoulli(k)
+    n, d = b.numerator, b.denominator
+    table = smallest_prime_factors(spec.m_max)
     for m, s in ps.running_sums(k, spec.m_max):
         if m < spec.m_min:
             continue
-        num = gcdlab._diff_numerator(k, m, s)
+        num = gcdlab._diff_numerator(k, m, s, n, d)
         for name, applicable, holds in gcdlab._congruence_cells(
-                k, m, num, factorize(m).items()):
-            row.cell(holds, "congruence fails", "holds",
-                     applicable=applicable, m=m, cell=name)
+                k, m, num, factor_with_table(m, table), n, d):
+            if not applicable:
+                row.inapplicable += 1
+            elif holds:
+                row.passes += 1
+            else:
+                row.cell(False, "congruence fails", "holds", m=m, cell=name)
     return row
 
 
 def _row_div_equiv(k: int, spec: GridSpec) -> _Row:
     row = _Row("divisibility-equivalence", k)
     b = bernoulli(k)
+    n, d = b.numerator, b.denominator
     m_lo = max(2, spec.m_min)
     s = ps.power_sum_naive(k, m_lo)
     for m in range(m_lo, spec.m_max + 1):
         for r in (1, 2):
             lhs = s % m ** (r + 1) == 0
-            rhs = divides_rational(m, r, b)
-            row.cell(lhs == rhs, f"m^{r+1}|S is {lhs}, m^{r}|B is {rhs}",
-                     "equivalent", m=m, cell=f"r={r}")
+            rhs = _divides_nd(m, r, n, d)
+            if lhs == rhs:
+                row.passes += 1
+            else:
+                row.cell(False, f"m^{r+1}|S is {lhs}, m^{r}|B is {rhs}",
+                         "equivalent", m=m, cell=f"r={r}")
         s += m**k
     return row
 
@@ -281,10 +309,13 @@ def _row_trivial_gcd(k: int, spec: GridSpec) -> _Row:
     s = ps.power_sum_naive(k, m_lo)
     for m in range(m_lo, spec.m_max + 1):
         s_next = s + m**k
-        g = Fraction(gcd(s, s_next), m)
+        a = gcd(s, s_next)  # g = a / m, so g = 1 iff a = m
         c = gcd(dn, m)
-        row.cell((g == 1) == (c == 1), f"g = {g}, gcd(D N, m) = {c}",
-                 "g = 1 iff gcd(D N, m) = 1", m=m)
+        if (a == m) == (c == 1):
+            row.passes += 1
+        else:
+            row.cell(False, f"g = {Fraction(a, m)}, gcd(D N, m) = {c}",
+                     "g = 1 iff gcd(D N, m) = 1", m=m)
         s = s_next
     return row
 
@@ -543,12 +574,14 @@ def _pool_size(jobs: int, n_tasks: int) -> int:
     return min(jobs, os.cpu_count() or 1, n_tasks)
 
 
-def _run(
+def run_grids(
     specs: list[GridSpec], profile: str | None, jobs: int, cache_path: str | None
-) -> SweepReport:
-    """Validate, read the cache (if any) once, run every row, write the
-    extended table back once. Rows merge in a fixed order, so the report
-    is the same at any job count."""
+) -> tuple[SweepReport, Callable[[], None]]:
+    """Validate, read the cache (if any) once and run every row. Returns
+    the report and the write of the extended table back to the cache,
+    which is left to the caller: a report can then be published before
+    the write, and is not lost if the write fails. Rows merge in a fixed
+    order, so the report is the same at any job count."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for spec in specs:
@@ -600,15 +633,24 @@ def _run(
         checks.append(cr)
 
     wall_time_s = round(time.perf_counter() - t0, 6)
-    cachemod.store_snapshot(cache_path, k_need, base)
-    return SweepReport(profile=profile, checks=checks, wall_time_s=wall_time_s)
+    report = SweepReport(profile=profile, checks=checks,
+                         wall_time_s=wall_time_s)
+    return report, partial(cachemod.store_snapshot, cache_path, k_need, base)
+
+
+def _run(
+    specs: list[GridSpec], profile: str | None, jobs: int, cache_path: str | None
+) -> SweepReport:
+    report, write_cache = run_grids(specs, profile, jobs, cache_path)
+    write_cache()
+    return report
 
 
 def run_sweep(
     spec: GridSpec, jobs: int = 1, cache_path: str | None = None
 ) -> SweepReport:
     """Run one grid on up to `jobs` worker processes, with the Bernoulli
-    cache at cache_path (None: no cache)."""
+    cache at cache_path (None: no cache), written before this returns."""
     return _run([spec], None, jobs, cache_path)
 
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from moser_ladder import cache as cachemod
 from moser_ladder import cli
 
 
@@ -171,6 +172,31 @@ def test_query_survives_an_unwritable_cache(tmp_path, capsys, argv, answer):
     assert err.startswith("warning: cache not written: ")
     assert len(err.splitlines()) == 1
     assert blocker.read_text() == ""
+
+
+def test_verify_survives_an_unwritable_cache(tmp_path, capsys):
+    # the report is printed before the cache write, so a failed write
+    # costs a warning, not the finished audit
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["verify", "quick", "--format", "json",
+                     "--cache", str(blocker / "x.cache")]) == 0
+    out, err = capsys.readouterr()
+    assert cli.main(["verify", "quick", "--format", "json",
+                     "--seedless"]) == 0
+    seedless, _ = capsys.readouterr()
+    got, want = json.loads(out), json.loads(seedless)
+    del got["wall_time_s"], want["wall_time_s"]
+    assert got == want
+    assert err.startswith("warning: cache not written: ")
+    assert len(err.splitlines()) == 1
+    assert blocker.read_text() == ""
+    # a writable path still gets the table the sweep used
+    cache = tmp_path / "bern.cache"
+    assert cli.main(["verify", "quick", "--cache", str(cache)]) == 0
+    assert capsys.readouterr().err == ""
+    entries = cachemod.cache_load(cache).entries
+    assert sorted(entries) == list(range(2, 13, 2))
 
 
 def test_internal_fault_exits_4(monkeypatch, capsys):

@@ -3,15 +3,22 @@ on random inputs well past the profile grids. Derandomized, so a run is
 reproducible; the example counts keep the whole file to a few seconds."""
 
 from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, lcm, prod
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from moser_ladder import gcdlab
-from moser_ladder._primes import factorize, is_prime, primes_up_to
+from moser_ladder import gcdlab, powersum, sweeps
+from moser_ladder._primes import (
+    factor_with_table,
+    factorize,
+    is_prime,
+    primes_up_to,
+    smallest_prime_factors,
+)
 from moser_ladder.bernoulli import (
     SquareFreeStatus,
+    _divides_nd,
     _smallest_square_prime,
     bernoulli,
     denominator,
@@ -20,7 +27,12 @@ from moser_ladder.bernoulli import (
     numerator,
     square_free_status,
 )
-from moser_ladder.powersum import power_sum
+from moser_ladder.powersum import (
+    em_solutions,
+    power_sum,
+    power_sum_naive,
+    ratio_hits,
+)
 
 FAST = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -190,3 +202,213 @@ def test_min_max_prefix_matches_fraction_scan(k, prefix, skew):
     got = (res.prefix_min, res.prefix_min_at, res.prefix_max,
            res.prefix_max_at, res.prefix_closed_form_agrees)
     assert got == _fraction_prefix(k, res.prefix_limit, res.certified, g)
+
+
+# ---- gcd ladder: one integer kernel vs the record-per-cell route
+
+
+def _nests_as_it_was(k, g1, g2, g3, g4, gk) -> bool:
+    tail = gk % g4 == 0 if k >= 4 else True
+    return g2 % g1 == 0 and g3 % g2 == 0 and g4 % g3 == 0 and tail
+
+
+def _ladder_as_it_was(k: int, m: int, s: int, s_next: int) -> tuple:
+    """The ladder fields and monotone flag as they were computed before
+    the kernel: closed forms through numerator()/denominator() per call,
+    the chain tested rung by rung."""
+    n_abs, d = abs(numerator(k)), denominator(k)
+    g1, g2, g3 = gcd(s, m), gcd(s, m * m), gcd(s, m**3)
+    g4, gk = gcd(s, m**4), gcd(s, m**k)
+    e = gk // g3 if k >= 4 else 1
+    residual = e
+    g = gcd(residual, n_abs)
+    while g > 1:
+        residual //= g
+        g = gcd(residual, n_abs)
+    q = m // gcd(d, m)
+    return (g1, g2, g3, g4, gk, q, q * gcd(n_abs, m), q * gcd(n_abs, m * m),
+            e, residual == 1, gcd(s, s_next) == gk,
+            _nests_as_it_was(k, g1, g2, g3, g4, gk))
+
+
+@FAST
+@given(k=_even(60), m=st.integers(2, 10**6), c=st.integers(-3, 3),
+       j=st.integers(0, 5), c_next=st.integers(-1, 1))
+def test_ladder_kernel_matches_direct_gcds(k, m, c, j, c_next):
+    # c m^j moves S off the closed forms for some (c, j); c_next breaks
+    # S(m+1) = S(m) + m^k, so the consecutive rung is exercised too
+    s = power_sum(k, m) + c * m**j
+    s_next = s + m**k + c_next * m
+    ladder = gcdlab._ladder_from_sums(k, m, s, s_next)
+    b = bernoulli(k)
+    rungs = gcdlab._ladder_rungs(k, m, s, s_next, abs(b.numerator),
+                                 b.denominator)
+    want = _ladder_as_it_was(k, m, s, s_next)
+    assert rungs + (gcdlab._rungs_nest(k, *rungs[:5]),) == want
+    assert (ladder.k, ladder.m) == (k, m)
+    assert (ladder.observed_m1, ladder.observed_m2, ladder.observed_m3,
+            ladder.observed_m4, ladder.observed_mk, ladder.predicted_m1,
+            ladder.predicted_m2, ladder.predicted_m3, ladder.residual,
+            ladder.residual_primes_divide_numerator,
+            ladder.consecutive_matches, ladder.monotone) == want
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(k=_even(60), g=st.tuples(*[st.integers(1, 50)] * 5))
+def test_ladder_nesting_is_tested_rung_by_rung(k, g):
+    # arbitrary rungs, most of which do not nest (true gcds always do)
+    assert gcdlab._rungs_nest(k, *g) == _nests_as_it_was(k, *g)
+
+
+# ---- divisibility: the integer core vs divides_rational on a Fraction
+
+
+@FAST
+@given(m=st.integers(1, 10**6), r=st.integers(1, 4),
+       n=st.integers(-10**30, 10**30), d=st.integers(1, 10**12),
+       scale=st.integers(1, 10**6))
+def test_divides_core_matches_divides_rational(m, r, n, d, scale):
+    # scale = m^r-ish multiples make the true verdict common as well
+    n = n * scale ** r
+    b = Fraction(n, d)
+    assert _divides_nd(m, r, b.numerator, b.denominator) == (
+        divides_rational(m, r, b))
+
+
+@FAST
+@given(k=_even(250), m=st.integers(1, 10**6), r=st.integers(1, 3))
+def test_divides_core_on_bernoulli_numbers(k, m, r):
+    b = bernoulli(k)
+    # m | N_k for about one m in a hundred here, so try a divisor of N_k
+    for q in (m, gcd(m, b.numerator)):
+        assert _divides_nd(q, r, b.numerator, b.denominator) == (
+            divides_rational(q, r, b))
+
+
+# ---- trivial gcd: g = 1 as gcd(S, S_next) == m, vs the Fraction g
+
+
+@FAST
+@given(k=_even(60), m=st.integers(2, 10**6), c=st.integers(-2, 2),
+       j=st.integers(0, 3))
+def test_trivial_gcd_integer_test_matches_fraction(k, m, c, j):
+    s = power_sum(k, m) + c * m**j
+    for s_next in (s + m**k, s + m**k + c * m):
+        a = gcd(s, s_next)
+        assert (a == m) == (Fraction(a, m) == 1)
+
+
+def _trivial_gcd_row_as_it_was(k: int, spec: sweeps.GridSpec):
+    dn = denominator(k) * abs(numerator(k))
+    m_lo = max(2, spec.m_min)
+    s = powersum.power_sum_naive(k, m_lo)
+    out = []
+    for m in range(m_lo, spec.m_max + 1):
+        s_next = s + m**k
+        g = Fraction(gcd(s, s_next), m)
+        c = gcd(dn, m)
+        out.append(((g == 1) == (c == 1), f"g = {g}, gcd(D N, m) = {c}"))
+        s = s_next
+    return out
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(k=_even(40), m_min=st.integers(1, 200), span=st.integers(0, 200),
+       offset=st.integers(-50, 50))
+def test_trivial_gcd_row_matches_fraction_row(k, m_min, span, offset):
+    # the offset shifts every S of the row, so many cells fail
+    spec = sweeps.GridSpec(k_min=k, k_max=k, m_min=m_min, m_max=m_min + span)
+    real = powersum.power_sum_naive
+    with mock.patch.object(powersum, "power_sum_naive",
+                           lambda k, m: real(k, m) + offset):
+        row = sweeps._row_trivial_gcd(k, spec)
+        want = _trivial_gcd_row_as_it_was(k, spec)
+    assert row.passes == sum(ok for ok, _ in want)
+    assert [c["observed"] for c in row.counterexamples] == [
+        text for ok, text in want if not ok]
+
+
+# ---- power sums: even-coefficient Horner vs the naive sum and the
+# ---- full Horner over every coefficient
+
+
+def _power_sum_full_horner(k: int, m: int) -> int:
+    """The closed form as it was: Horner in m over all k + 1 coefficients,
+    zeros at odd j >= 3 included."""
+    bs = [bernoulli(j) for j in range(k + 1)]
+    scale_l = lcm(*(b.denominator for b in bs))
+    acc = 0
+    for j in range(k + 1):
+        acc = acc * m + comb(k + 1, j) * (
+            bs[j].numerator * (scale_l // bs[j].denominator))
+    quot, rem = divmod(acc * m, scale_l * (k + 1))
+    assert rem == 0
+    return quot
+
+
+@FAST
+@given(k=st.integers(1, 80), m=st.integers(1, 3000))
+def test_power_sum_matches_naive_sum(k, m):
+    assert power_sum(k, m) == power_sum_naive(k, m)
+
+
+@FAST
+@given(k=st.integers(1, 80), m=st.integers(1, 10**12))
+def test_power_sum_matches_full_horner(k, m):
+    assert power_sum(k, m) == _power_sum_full_horner(k, m)
+
+
+# ---- factor table: smallest prime factors vs factorize
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(1, 200_000), picks=st.lists(st.integers(0, 10**9),
+                                                  min_size=1, max_size=40))
+def test_factor_table_matches_factorize(n, picks):
+    table = smallest_prime_factors(n)
+    assert len(table) == n + 1 and table[:2] == [0, 1]
+    for m in {1 + pick % n for pick in picks} | {n}:
+        want = factorize(m)
+        assert factor_with_table(m, table) == list(want.items())
+        if m >= 2:
+            assert table[m] == min(want)
+
+
+# ---- searches: stopping at the crossover vs scanning every m
+
+
+def _ratio_hits_unbounded(k: int, m_min: int, m_max: int):
+    s = 1 + 2**k  # S_k(3)
+    for m in range(3, m_max + 1):
+        mk = m**k
+        if m >= m_min and mk >= s and (s + mk) % s == 0:
+            yield m, (s + mk) // s
+        s += mk
+
+
+def _em_solutions_unbounded(k: int, m_min: int, m_max: int):
+    s = 1  # S_k(2)
+    for m in range(2, m_max + 1):
+        mk = m**k
+        if m >= m_min and s == mk:
+            yield m
+        s += mk
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(k=st.integers(1, 60), m_min=st.integers(1, 5000),
+       m_max=st.integers(3, 5000))
+@example(k=1, m_min=1, m_max=10)  # the only hits: (1, 3) in both scans
+@example(k=3, m_min=3, m_max=5000)  # and (3, 3) in the ratio scan
+def test_searches_stopping_at_the_crossover_lose_nothing(k, m_min, m_max):
+    assert [(h.m, h.quotient) for h in ratio_hits(k, m_min, m_max)] == list(
+        _ratio_hits_unbounded(k, m_min, m_max))
+    assert list(em_solutions(k, m_min, m_max)) == list(
+        _em_solutions_unbounded(k, m_min, m_max))
+
+
+@FAST
+@given(k=st.integers(1, 200), m=st.integers(2, 10**5))
+def test_sum_over_m_to_the_k_strictly_increases(k, m):
+    # S_k(m) / m^k < S_k(m+1) / (m+1)^k, cross-multiplied
+    assert power_sum(k, m) * (m + 1)**k < power_sum(k, m + 1) * m**k

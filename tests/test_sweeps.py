@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from moser_ladder import powersum
 from moser_ladder.sweeps import (
     CHECK_ORDER,
     PROFILES,
@@ -24,6 +25,12 @@ from moser_ladder.sweeps import (
 QUICK_DIGEST = "5b31de8a1ed3ddb0a748be845836190278d3e60ca192ccc4c0dc481c5bd051d6"
 EXTENDED_DIGEST = (
     "59e4aa8d35c8f801334c09f390a0e93791b2fcc58e4caaa9f0fadb52bf79873c"
+)
+# `quick` with S_k(m) knocked off its true value at a few cells (see
+# test_counterexample_text_is_pinned): every m-cell check fails somewhere,
+# so this pins the counterexample strings, not only the counts.
+FAILING_QUICK_DIGEST = (
+    "8036418066ab262b05c638539b4fc87789708423f782733437478ab947c66559"
 )
 
 
@@ -81,6 +88,38 @@ def test_extended_report_digest_is_pinned():
     # the integer congruence, square-factor and min/max kernels run on
     # the extended grid far past the quick one; about 1 s in-process
     assert _digest(verify_all("extended").as_dict()) == EXTENDED_DIGEST
+
+
+# offsets added to S_k(m) at (k, m), one table per route the rows read:
+# the closed form, the running sums, and the naive sum (which the
+# incremental rows call once per k, at m = 2, so its offset shifts the
+# whole row)
+_CLOSED_OFFSETS = {(3, 20): 1, (4, 12): -2, (10, 60): 7}
+_RUNNING_OFFSETS = {(4, 12): 3, (6, 30): 1, (10, 5): 25, (12, 11): 11,
+                    (12, 100): 10**6}
+_NAIVE_OFFSETS = {(6, 2): 4, (12, 2): 836}
+
+
+def test_counterexample_text_is_pinned(monkeypatch):
+    real_running = powersum.running_sums
+    real_closed = powersum.power_sum
+    real_naive = powersum.power_sum_naive
+
+    def running(k, m_max):
+        for m, s in real_running(k, m_max):
+            yield m, s + _RUNNING_OFFSETS.get((k, m), 0)
+
+    monkeypatch.setattr(powersum, "running_sums", running)
+    monkeypatch.setattr(powersum, "power_sum", lambda k, m: real_closed(
+        k, m) + _CLOSED_OFFSETS.get((k, m), 0))
+    monkeypatch.setattr(powersum, "power_sum_naive", lambda k, m: real_naive(
+        k, m) + _NAIVE_OFFSETS.get((k, m), 0))
+    d = verify_all("quick").as_dict()
+    failing = {c["name"] for c in d["checks"] if c["fail"]}
+    assert failing == {"faulhaber-naive", "telescoping", "gcd-ladder",
+                       "congruences", "divisibility-equivalence",
+                       "trivial-gcd-iff"}
+    assert _digest(d) == FAILING_QUICK_DIGEST
 
 
 def test_repeat_runs_identical():
