@@ -13,9 +13,9 @@ separately so the two routes stay independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from ._primes import is_prime, primes_up_to, primorial
 
@@ -101,8 +101,7 @@ def bernoulli(k: int) -> Fraction:
     return _EVEN[k // 2]
 
 
-@dataclass(frozen=True)
-class BernoulliRecord:
+class BernoulliRecord(NamedTuple):
     """B_k = numerator/denominator in lowest terms, denominator > 0."""
 
     k: int
@@ -159,8 +158,7 @@ def numerator_is_prime(k: int) -> bool:
     return is_prime(abs(numerator(k)))
 
 
-@dataclass(frozen=True)
-class SquareFreeStatus:
+class SquareFreeStatus(NamedTuple):
     """Outcome of a bounded square-factor search on |N_k|.
 
     kind is one of "trivial" (|N_k| = 1), "square-factor" (prime field set),

@@ -19,9 +19,7 @@ temp file plus atomic rename, so readers never observe a torn file.
 
 from __future__ import annotations
 
-import hashlib
 import os
-from dataclasses import dataclass, field
 from math import gcd
 from pathlib import Path
 
@@ -61,11 +59,11 @@ class CacheFormatError(CacheError):
     """Structurally malformed file or record."""
 
 
-@dataclass
 class CacheStore:
     """In-memory view of the cache: k -> (N_k, D_k), lowest terms."""
 
-    entries: dict[int, tuple[int, int]] = field(default_factory=dict)
+    def __init__(self, entries: dict[int, tuple[int, int]] | None = None):
+        self.entries = {} if entries is None else entries
 
     def put(self, k: int, n: int, d: int) -> None:
         if k < 0:
@@ -89,6 +87,8 @@ def _payload_lines(store: CacheStore) -> list[str]:
 
 
 def _digest(payload: list[str]) -> str:
+    import hashlib  # here, not at the top: --seedless runs never hash
+
     return hashlib.sha256("".join(payload).encode("ascii")).hexdigest()
 
 

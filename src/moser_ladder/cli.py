@@ -12,7 +12,6 @@ failed write is a stderr warning, not an error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -84,6 +83,8 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
+    import csv  # here, not at the top: only --format csv needs it
+
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(header)
     w.writerows(rows)

@@ -23,11 +23,10 @@ cross-multiplication; `Fraction`s are built only for reported values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ._primes import factorize
 from .bernoulli import (
@@ -105,8 +104,7 @@ def _strip_common_primes(n: int, basis: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class GcdLadder:
+class GcdLadder(NamedTuple):
     """Observed gcd(S, m^r) for r in 1, 2, 3, 4, k next to the closed-form
     predictions that exist (r <= 3). The m^4 and m^k columns have no closed
     form; the m^k column instead carries the residual-factor constraint
@@ -208,8 +206,7 @@ def m4_explore(k: int, m_range) -> list[GcdLadder]:
     return [gcd_ladder(k, m) for m in m_range]
 
 
-@dataclass(frozen=True)
-class CongruenceVerdict:
+class CongruenceVerdict(NamedTuple):
     """Outcome of S_k(m) = B_k m (mod m^r) in the p-adic sense.
 
     `applicable` records whether the precondition for this r was checked
@@ -290,8 +287,7 @@ def congruence_check(
     return CongruenceVerdict(k, m, r, applicable, holds)
 
 
-@dataclass(frozen=True)
-class PrimeLocalVerdict:
+class PrimeLocalVerdict(NamedTuple):
     """Prime-local congruence at p with p^mult || m.
 
     level 2: S_k(m) = B_k m (mod p^(2 mult)) when k >= 4 and p does not
@@ -358,8 +354,7 @@ class WindowTooSmallError(ValueError):
     """min_max_scan window must contain both witnesses D and |N|."""
 
 
-@dataclass(frozen=True)
-class MinMaxResult:
+class MinMaxResult(NamedTuple):
     """Extremes of g over 2 <= m <= m_max.
 
     The window must contain both witnesses D and |N|. Every m up to
@@ -481,8 +476,7 @@ def min_max_scan(
 CROSS_GCD_OFFSETS = (2, 4, 6, 8, 10, 14)
 
 
-@dataclass(frozen=True)
-class CrossGcdVerdict:
+class CrossGcdVerdict(NamedTuple):
     """C = gcd(|N_k|, D_(k-s)) and the structure claimed for it:
     C | k; if C > 1 then C is square-free and each of its primes divides
     neither D_s nor the numerator of B_k / k in lowest terms."""

@@ -25,9 +25,8 @@ so once S_k(m) > m^k, neither can hold at m or at any larger m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, lcm
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bernoulli import bernoulli
 
@@ -131,8 +130,7 @@ def ratio_integral(k: int, m: int) -> int | None:
     return quot if rem == 0 else None
 
 
-@dataclass(frozen=True)
-class RatioHit:
+class RatioHit(NamedTuple):
     """A pair with integral consecutive-sum ratio S_k(m+1)/S_k(m)."""
 
     k: int

@@ -21,18 +21,23 @@ are factored from one smallest-prime-factor table per row, and the
 integer core of `divides_rational`. A passing cell is only counted; the
 text of a counterexample (and any `Fraction` in it) is built only when
 a cell fails.
+
+`concurrent.futures` is imported on first use, by the module
+`__getattr__`, so a sweep at jobs = 1 and every other subcommand start
+without it. `run_grids` builds its pool from the module attribute
+`sweeps.ProcessPoolExecutor`; the benchmark's trace driver assigns a
+recording subclass there, and an assignment wins over the lazy import.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import cache as cachemod
 from . import gcdlab
@@ -89,6 +94,9 @@ CHECK_ORDER = (
     "numerator-scan",
 )
 
+# checks that read GridSpec.trial_bound, which must then be >= 2
+_TRIAL_BOUND_CHECKS = frozenset({"min-max", "numerator-scan"})
+
 # checks whose rows are even k only; the rest use every k in range
 _EVEN_K_CHECKS = frozenset(CHECK_ORDER) - {
     "faulhaber-naive",
@@ -99,8 +107,7 @@ _EVEN_K_CHECKS = frozenset(CHECK_ORDER) - {
 }
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """One grid of work: k and m ranges plus the checks to run on them.
     Every check with cells in m keeps to m_min <= m <= m_max."""
 
@@ -120,20 +127,23 @@ class GridSpec:
         unknown = [c for c in self.checks if c not in CHECK_ORDER]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
+        if self.trial_bound < 2 and _TRIAL_BOUND_CHECKS & set(self.checks):
+            raise ValueError(
+                f"trial_bound must be >= 2, got {self.trial_bound}")
 
 
-@dataclass
 class _Row:
     """Counts, counterexamples and hits of one check at one k (None for
     the k-independent s1-s3 row)."""
 
-    check: str
-    k: int | None
-    passes: int = 0
-    fails: int = 0
-    inapplicable: int = 0
-    counterexamples: list[dict] = field(default_factory=list)
-    hits: list[dict] = field(default_factory=list)
+    def __init__(self, check: str, k: int | None):
+        self.check = check
+        self.k = k
+        self.passes = 0
+        self.fails = 0
+        self.inapplicable = 0
+        self.counterexamples: list[dict] = []
+        self.hits: list[dict] = []
 
     def cell(self, ok: bool, observed, predicted, applicable: bool = True,
              **where) -> None:
@@ -498,21 +508,33 @@ def _worker_init(pairs) -> None:
     seed_even_values(pairs)
 
 
-@dataclass
+def __getattr__(name: str):
+    # PEP 562: `ProcessPoolExecutor` is imported, and bound here, on its
+    # first read; an assignment to it beforehand takes precedence
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class CheckResult:
     """Aggregated outcome of one check over its grid."""
 
-    name: str
-    k_min: int
-    k_max: int
-    m_min: int
-    m_max: int
-    rows: int
-    passes: int = 0
-    fails: int = 0
-    inapplicable: int = 0
-    counterexamples: list[dict] = field(default_factory=list)
-    hits: list[dict] = field(default_factory=list)
+    def __init__(self, name: str, k_min: int, k_max: int, m_min: int,
+                 m_max: int, rows: int):
+        self.name = name
+        self.k_min = k_min
+        self.k_max = k_max
+        self.m_min = m_min
+        self.m_max = m_max
+        self.rows = rows
+        self.passes = 0
+        self.fails = 0
+        self.inapplicable = 0
+        self.counterexamples: list[dict] = []
+        self.hits: list[dict] = []
 
     def as_dict(self) -> dict:
         return {
@@ -532,13 +554,14 @@ class CheckResult:
         }
 
 
-@dataclass
 class SweepReport:
     """Full report: per-check results plus totals, stable field order."""
 
-    profile: str | None
-    checks: list[CheckResult]
-    wall_time_s: float
+    def __init__(self, profile: str | None, checks: list[CheckResult],
+                 wall_time_s: float):
+        self.profile = profile
+        self.checks = checks
+        self.wall_time_s = wall_time_s
 
     @property
     def total_fail(self) -> int:
@@ -605,7 +628,9 @@ def run_grids(
 
     workers = _pool_size(jobs, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(
+        # read as a module attribute, so a swapped-in pool class is used
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(
             max_workers=workers, initializer=_worker_init, initargs=(pairs,)
         ) as pool:
             results = list(pool.map(_run_task, tasks, chunksize=1))

@@ -4,11 +4,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import moser_ladder
 from moser_ladder import cache as cachemod
-from moser_ladder import cli
+from moser_ladder import cli, sweeps
 
 
 def run_cli(*args, **kwargs):
@@ -143,6 +145,30 @@ def test_usage_error_verify_needs_one_mode():
     assert out.returncode == 2
     out = run_cli("verify", "quick", "--jobs", "0", "--seedless")
     assert out.returncode == 2
+
+
+def test_trial_bound_below_2_runs_no_row(monkeypatch, capsys):
+    calls = []
+
+    def counted(runner):
+        def row(k, spec):
+            calls.append(k)
+            return runner(k, spec)
+        return row
+
+    for check, runner in list(sweeps._ROW_RUNNERS.items()):
+        monkeypatch.setitem(sweeps._ROW_RUNNERS, check, counted(runner))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
+    for jobs in ("1", "2"):
+        assert cli.main(["verify", "--grid", "2-12:100", "--trial-bound",
+                         "1", "--seedless", "--jobs", jobs]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: trial_bound must be >= 2, got 1\n")
+    assert calls == []
 
 
 def test_io_error_corrupt_cache(tmp_path):
@@ -300,3 +326,37 @@ def test_version_flag():
     out = run_cli("--version")
     assert out.returncode == 0
     assert out.stdout.startswith("moser-ladder ")
+
+
+# Modules a cold start must not load: the process pool (only --jobs > 1
+# builds one), dataclasses, and hashlib and csv (only a cache write and
+# --format csv use them).
+_HEAVY_MODULES = ("dataclasses", "concurrent.futures", "multiprocessing",
+                  "hashlib", "csv")
+
+
+def _modules_added_by(statement: str) -> list[str]:
+    """Modules that `statement` adds to sys.modules in a fresh
+    interpreter, over those the bare interpreter already holds."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            f"{statement}\n"
+            "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n")
+    src = str(Path(moser_ladder.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={"PYTHONPATH": src}, check=True)
+    return out.stderr.split()
+
+
+def test_cold_import_skips_heavy_modules():
+    added = _modules_added_by("import moser_ladder.cli")
+    assert "moser_ladder.cli" in added
+    assert not [m for m in added if m in _HEAVY_MODULES]
+
+
+def test_serial_verify_never_loads_the_pool():
+    added = _modules_added_by(
+        "from moser_ladder.cli import main\n"
+        "assert main(['verify', 'quick', '--seedless', '--jobs', '1']) == 0")
+    assert "moser_ladder.sweeps" in added
+    assert not [m for m in added if m in _HEAVY_MODULES]

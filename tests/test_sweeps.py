@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from moser_ladder import powersum
+from moser_ladder import powersum, sweeps
 from moser_ladder.sweeps import (
     CHECK_ORDER,
     PROFILES,
@@ -130,6 +130,23 @@ def test_job_count_does_not_change_report():
     assert _stripped(verify_all("quick", jobs=1)) == _stripped(
         verify_all("quick", jobs=2)
     )
+
+
+def test_pool_is_built_from_the_module_attribute(monkeypatch):
+    # the benchmark's trace driver times the pool by assigning a subclass
+    # to sweeps.ProcessPoolExecutor; the sweep must build that class
+    built = []
+
+    class RecordingPool(sweeps.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    parallel = verify_all("quick", jobs=2)
+    assert built == [2]
+    assert _stripped(parallel) == _stripped(verify_all("quick", jobs=1))
 
 
 def test_pool_size_is_bounded(monkeypatch):
