@@ -4,9 +4,11 @@ One binary, one subcommand per library operation. The data stream
 (stdout) carries only the requested artifact; everything else goes to
 stderr. Exit codes are the machine-readable outcome: 0 success, 1 check
 failures, 2 usage errors, 3 I/O or cache errors, 4 internal arithmetic
-faults (a broken invariant, never a bad input). Every subcommand that
-writes the cache prints its answer (for verify, the report) first, so a
-failed write is a stderr warning, not an error.
+faults (a broken invariant, never a bad input). `main` alone touches
+the Bernoulli cache: it loads the cache before the command runs, and
+after the command has printed its answer (for verify, the report) it
+writes the cache once, with the even entries up to the k the command
+returns, so a failed write is a stderr warning, not an error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable
 
 from .bernoulli import bernoulli_record
 from . import cache as cachemod
@@ -91,28 +92,20 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
 
 
 def _cache_path(args) -> str | None:
-    if args.seedless:
+    """The cache file of this run, or None: --seedless, and the commands
+    that need no Bernoulli numbers (search, powersum --naive), leave the
+    cache alone."""
+    no_table = args.command == "search" or getattr(args, "naive", False)
+    if args.seedless or no_table:
         return None
     return args.cache or default_cache_path()
 
 
-def _even_floor(k: int) -> int:
-    return k if k % 2 == 0 else k - 1
+# Each cmd_* prints its answer and returns (exit code, k): the even
+# entries of the Bernoulli table up to k are written back to the cache.
 
 
-def _store_best_effort(write: Callable[..., None], *args) -> None:
-    """Write the cache, as write(*args), after a command has printed its
-    answer; a failed write is reported on stderr and does not change the
-    exit code."""
-    try:
-        write(*args)
-    except OSError as exc:
-        print(f"warning: cache not written: {exc}", file=sys.stderr)
-
-
-def cmd_bern(args) -> int:
-    path = _cache_path(args)
-    base = cachemod.load_and_warm(path)
+def cmd_bern(args) -> tuple[int, int]:
     rec = bernoulli_record(args.k)
     if args.format == "plain":
         print(rec.value)
@@ -123,15 +116,10 @@ def cmd_bern(args) -> int:
     else:
         _emit_csv(["k", "numerator", "denominator"],
                   [[rec.k, rec.numerator, rec.denominator]])
-    _store_best_effort(cachemod.store_snapshot, path, _even_floor(args.k),
-                       base)
-    return 0
+    return 0, args.k
 
 
-def cmd_powersum(args) -> int:
-    # the naive sum needs no Bernoulli numbers, so it leaves the cache alone
-    path = None if args.naive else _cache_path(args)
-    base = cachemod.load_and_warm(path)
+def cmd_powersum(args) -> tuple[int, int]:
     if args.naive:
         value = ps.power_sum_naive(args.k, args.m)
     else:
@@ -143,14 +131,10 @@ def cmd_powersum(args) -> int:
                     "method": "naive" if args.naive else "closed-form"})
     else:
         _emit_csv(["k", "m", "value"], [[args.k, args.m, value]])
-    _store_best_effort(cachemod.store_snapshot, path, _even_floor(args.k),
-                       base)
-    return 0
+    return 0, args.k
 
 
-def cmd_gk(args) -> int:
-    path = _cache_path(args)
-    base = cachemod.load_and_warm(path)
+def cmd_gk(args) -> tuple[int, int]:
     g = gcdlab.gcd_ratio(args.k, args.m)
     if args.format == "plain":
         print(g)
@@ -158,13 +142,10 @@ def cmd_gk(args) -> int:
         _emit_json({"k": args.k, "m": args.m, "value": str(g)})
     else:
         _emit_csv(["k", "m", "value"], [[args.k, args.m, g]])
-    _store_best_effort(cachemod.store_snapshot, path, args.k, base)
-    return 0
+    return 0, args.k
 
 
-def cmd_ladder(args) -> int:
-    path = _cache_path(args)
-    base = cachemod.load_and_warm(path)
+def cmd_ladder(args) -> tuple[int, int]:
     lad = gcdlab.gcd_ladder(args.k, args.m)
     rungs = [
         ("m", lad.observed_m1, str(lad.predicted_m1)),
@@ -200,12 +181,10 @@ def cmd_ladder(args) -> int:
     else:
         _emit_csv(["rung", "observed", "predicted"],
                   [[r, o, p] for r, o, p in rungs])
-    _store_best_effort(cachemod.store_snapshot, path, args.k, base)
-    return 0
+    return 0, args.k
 
 
-def cmd_search(args) -> int:
-    # running sums only: no Bernoulli numbers, so the cache is not touched
+def cmd_search(args) -> tuple[int, int]:
     if args.mode == "ratio":
         hits = [{"k": h.k, "m": h.m, "quotient": str(h.quotient)}
                 for h in ps.search_ratio(args.kmax, args.mmax)]
@@ -221,12 +200,10 @@ def cmd_search(args) -> int:
                     "hits": hits})
     else:
         _emit_csv(header, [[h[name] for name in header] for h in hits])
-    return 0
+    return 0, 0
 
 
-def cmd_scan(args) -> int:
-    path = _cache_path(args)
-    base = cachemod.load_and_warm(path)
+def cmd_scan(args) -> tuple[int, int]:
     rows = [sweeps.numerator_survey(k, args.trial_bound)
             for k in range(2, args.kmax + 1, 2)]
     if args.format == "plain":
@@ -248,8 +225,7 @@ def cmd_scan(args) -> int:
               r["square_factor"] or "", r["flagged_at_bound"] or "",
               r["clear_below"] or ""] for r in rows],
         )
-    _store_best_effort(cachemod.store_snapshot, path, args.kmax, base)
-    return 0
+    return 0, args.kmax
 
 
 def _parse_span(text: str, what: str) -> tuple[int, int]:
@@ -264,7 +240,7 @@ def _parse_span(text: str, what: str) -> tuple[int, int]:
         ) from None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, int]:
     if (args.profile is None) == (args.grid is None):
         raise ValueError("verify needs a profile or --grid, not both")
     if args.profile is not None:
@@ -281,11 +257,8 @@ def cmd_verify(args) -> int:
         specs = [sweeps.GridSpec(
             k_min=k_min, k_max=k_max, m_min=m_min, m_max=m_max,
             checks=checks, trial_bound=args.trial_bound,
-            prefix_limit=args.prefix_limit,
         )]
-    report, write_cache = sweeps.run_grids(specs, args.profile, args.jobs,
-                                           _cache_path(args))
-    d = report.as_dict()
+    d = sweeps.run_grids(specs, args.profile, args.jobs).as_dict()
     if args.format == "json":
         _emit_json(d)
     elif args.format == "csv":
@@ -310,17 +283,14 @@ def cmd_verify(args) -> int:
         for cex in c["counterexamples"]:
             print("counterexample: " + json.dumps(cex, sort_keys=True),
                   file=sys.stderr)
-    _store_best_effort(write_cache)
-    return 0 if d["totals"]["fail"] == 0 else 1
+    return (0 if d["totals"]["fail"] == 0 else 1,
+            sweeps.max_bernoulli_index(specs))
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="plain",
                         help="output format (default plain)")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for verification sweeps "
-                             "(at most the CPU count)")
     common.add_argument("--cache", metavar="PATH", default=None,
                         help="Bernoulli cache file "
                              "(default: per-user data directory; "
@@ -395,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated check names for --grid "
                         f"(default: all; known: {', '.join(sweeps.CHECK_ORDER)})")
     p.add_argument("--trial-bound", type=int, default=10_000)
-    p.add_argument("--prefix-limit", type=int, default=2048)
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker processes (at most the CPU count)")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -411,8 +382,15 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "command", None) is None:
         parser.print_usage(sys.stderr)
         return 2
+    path = _cache_path(args)
     try:
-        return args.func(args)
+        base = cachemod.load_and_warm(path)
+        code, k_store = args.func(args)
+        try:
+            cachemod.store_snapshot(path, k_store, base)
+        except OSError as exc:
+            print(f"warning: cache not written: {exc}", file=sys.stderr)
+        return code
     except (cachemod.CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -46,8 +46,6 @@ __all__ = [
     "predicted_gcd_with_m3",
     "GcdLadder",
     "gcd_ladder",
-    "residual_factor",
-    "m4_explore",
     "CongruenceVerdict",
     "congruence_check",
     "PrimeLocalVerdict",
@@ -195,17 +193,6 @@ def gcd_ladder(k: int, m: int) -> GcdLadder:
     return _ladder_from_sums(k, m, power_sum(k, m), power_sum(k, m + 1))
 
 
-def residual_factor(k: int, m: int) -> tuple[int, bool]:
-    """e = gcd(S, m^k) / gcd(S, m^3) and whether all its primes divide N."""
-    ladder = gcd_ladder(k, m)
-    return ladder.residual, ladder.residual_primes_divide_numerator
-
-
-def m4_explore(k: int, m_range) -> list[GcdLadder]:
-    """Ladder rows over an m range; the m^4 column is exploratory output."""
-    return [gcd_ladder(k, m) for m in m_range]
-
-
 class CongruenceVerdict(NamedTuple):
     """Outcome of S_k(m) = B_k m (mod m^r) in the p-adic sense.
 
@@ -221,47 +208,38 @@ class CongruenceVerdict(NamedTuple):
     holds: bool
 
 
-def _diff_numerator(
-    k: int, m: int, s: int, n: int | None = None, d: int | None = None
-) -> int:
-    """Numerator of S - B_k m in lowest terms, for S = S_k(m): the integer
-    X = D S - N m over D, reduced once. N and D of B_k are looked up
-    unless given."""
-    if n is None or d is None:
-        b = bernoulli(k)
-        n, d = b.numerator, b.denominator
+def _diff_numerator(k: int, m: int, s: int, n: int, d: int) -> int:
+    """Numerator of S - B_k m in lowest terms, for S = S_k(m) and
+    B_k = n/d: the integer X = D S - N m over D, reduced once."""
     x = d * s - n * m
     return x // gcd(x, d)
 
 
 def _congruence_cells(
     k: int, m: int, num: int, factors: Iterable[tuple[int, int]],
-    n: int | None = None, d: int | None = None,
-) -> Iterator[tuple[str, bool, bool]]:
-    """(name, applicable, holds) of every congruence cell at (k, m), given
-    the numerator `num` of S_k(m) - B_k m in lowest terms: "mod-m^r" for
-    r = 1, 2, 3, then "mod-p^(2r) p=P" and "mod-p^(3r) p=P" for each
-    (p, mult) of `factors` (prime p, p^mult || m).
+    n: int, d: int,
+) -> Iterator[tuple[str, int | None, bool, bool]]:
+    """(label, p, applicable, holds) of every congruence cell at (k, m),
+    given B_k = n/d and the numerator `num` of S_k(m) - B_k m in lowest
+    terms: "mod-m^r" for r = 1, 2, 3 with p None, then "mod-p^(2r)" and
+    "mod-p^(3r)" for each (p, mult) of `factors` (prime p, p^mult || m).
+    The sweep row names a failing prime-local cell "<label> p=<p>".
 
     Integers only. q^e divides a reduced fraction p-adically iff q^e
     divides its numerator, for q = m or q = p: a prime of q that divided
     the denominator could not divide the numerator. The gates read N and
     D: a level-2 cell needs k >= 4 and q coprime to D, a level-3 cell
     needs k >= 6, q coprime to D and q | N (that is, q | B_k p-adically).
-    N and D of B_k are looked up unless given.
     """
-    if n is None or d is None:
-        b = bernoulli(k)
-        n, d = b.numerator, b.denominator
     unit = gcd(d, m) == 1
-    yield "mod-m^1", True, num % m == 0
-    yield "mod-m^2", k >= 4 and unit, num % (m * m) == 0
-    yield "mod-m^3", k >= 6 and unit and n % m == 0, num % m**3 == 0
+    yield "mod-m^1", None, True, num % m == 0
+    yield "mod-m^2", None, k >= 4 and unit, num % (m * m) == 0
+    yield "mod-m^3", None, k >= 6 and unit and n % m == 0, num % m**3 == 0
     for p, mult in factors:
         unit = d % p != 0
         pm = p**mult
-        yield f"mod-p^(2r) p={p}", k >= 4 and unit, num % (pm * pm) == 0
-        yield (f"mod-p^(3r) p={p}", k >= 6 and unit and n % p == 0,
+        yield "mod-p^(2r)", p, k >= 4 and unit, num % (pm * pm) == 0
+        yield ("mod-p^(3r)", p, k >= 6 and unit and n % p == 0,
                num % pm**3 == 0)
 
 
@@ -280,10 +258,12 @@ def congruence_check(
         raise ValueError(f"congruence_check needs m >= 1, got {m}")
     if r not in (1, 2, 3):
         raise ValueError(f"congruence_check supports r in 1..3, got {r}")
-    num = (_diff_numerator(k, m, power_sum(k, m)) if diff is None
+    b = bernoulli(k)
+    n, d = b.numerator, b.denominator
+    num = (_diff_numerator(k, m, power_sum(k, m), n, d) if diff is None
            else Fraction(diff).numerator)
-    cells = _congruence_cells(k, m, num, ())
-    _, applicable, holds = next(islice(cells, r - 1, None))
+    cells = _congruence_cells(k, m, num, (), n, d)
+    _, _, applicable, holds = next(islice(cells, r - 1, None))
     return CongruenceVerdict(k, m, r, applicable, holds)
 
 
@@ -310,14 +290,16 @@ def prime_local_congruences(
     _require_even(k)
     if m < 2:
         raise ValueError(f"prime_local_congruences needs m >= 2, got {m}")
-    num = (_diff_numerator(k, m, power_sum(k, m)) if diff is None
+    b = bernoulli(k)
+    n, d = b.numerator, b.denominator
+    num = (_diff_numerator(k, m, power_sum(k, m), n, d) if diff is None
            else Fraction(diff).numerator)
     factors = factorize(m).items()
-    cells = islice(_congruence_cells(k, m, num, factors), 3, None)
+    cells = islice(_congruence_cells(k, m, num, factors, n, d), 3, None)
     out = []
     for p, mult in factors:
         for level in (2, 3):
-            _, applicable, holds = next(cells)
+            _, _, applicable, holds = next(cells)
             out.append(
                 PrimeLocalVerdict(k, m, p, mult, level, applicable, holds))
     return out

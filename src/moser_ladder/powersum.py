@@ -38,11 +38,9 @@ __all__ = [
     "RatioHit",
     "ratio_hits",
     "search_ratio",
-    "em_residual",
     "em_solutions",
     "em_scan",
     "crossover",
-    "s1_s3_identity_check",
 ]
 
 # k -> (scale, (c_0, c_1, c_2), tail): S_k(m) = (sum_j c_j m^(k+1-j)) / scale
@@ -164,14 +162,6 @@ def search_ratio(k_max: int, m_max: int) -> list[RatioHit]:
     return [hit for k in range(1, k_max + 1) for hit in ratio_hits(k, 3, m_max)]
 
 
-def em_residual(k: int, m: int) -> int:
-    """S_k(m) - m^k; zero exactly on solutions of the sum equation."""
-    _check_km(k, m)
-    if m < 2:
-        raise ValueError(f"em_residual needs m >= 2, got {m}")
-    return power_sum(k, m) - m**k
-
-
 def em_solutions(k: int, m_min: int, m_max: int) -> Iterator[int]:
     """Every m with S_k(m) = m^k in max(2, m_min) <= m <= m_max, ascending.
 
@@ -212,11 +202,3 @@ def crossover(k: int) -> int:
         s += m**k
         m += 1
     return m
-
-
-def s1_s3_identity_check(m_max: int) -> bool:
-    """S_3(m) == S_1(m)^2 for all 1 <= m <= m_max, by running sums."""
-    if m_max < 1:
-        raise ValueError(f"s1_s3_identity_check needs m_max >= 1, got {m_max}")
-    return all(s3 == s1 * s1 for (_, s1), (_, s3)
-               in zip(running_sums(1, m_max), running_sums(3, m_max)))

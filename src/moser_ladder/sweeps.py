@@ -10,10 +10,10 @@ them an independent route from the closed-form evaluator they check.
 Rows call the library's scans (`powersum` searches and running sums,
 `gcdlab` ladders and congruences) rather than restating them; the
 numerator survey lives here and the CLI's `scan` only formats it. The
-job count and the cache path are arguments of `run_grids` and of
-`run_sweep`/`verify_all`, not part of a grid. `run_grids` hands the
-cache write back to its caller, so the CLI prints a report before the
-write; the other two write before they return.
+job count is an argument of `run_grids` and of `run_sweep`/`verify_all`,
+not part of a grid. Sweeps do no file I/O: the CLI reads the Bernoulli
+cache before a sweep and writes it afterwards, up to
+`max_bernoulli_index` of the grids.
 
 The m-cell rows run integer kernels with N_k and D_k read once per row:
 the gcd ladder (`gcdlab._ladder_rungs`), the congruence cells, whose m
@@ -35,11 +35,9 @@ import os
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 from math import gcd, isqrt
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
 from ._primes import factor_with_table, primes_up_to, smallest_prime_factors
@@ -68,6 +66,7 @@ __all__ = [
     "CheckResult",
     "SweepReport",
     "numerator_survey",
+    "max_bernoulli_index",
     "run_grids",
     "run_sweep",
     "verify_all",
@@ -117,7 +116,6 @@ class GridSpec(NamedTuple):
     m_min: int = 1
     checks: tuple[str, ...] = CHECK_ORDER
     trial_bound: int = 10_000
-    prefix_limit: int = 2048
 
     def validate(self) -> None:
         if self.k_min < 1 or self.k_max < self.k_min:
@@ -282,14 +280,15 @@ def _row_congruences(k: int, spec: GridSpec) -> _Row:
         if m < spec.m_min:
             continue
         num = gcdlab._diff_numerator(k, m, s, n, d)
-        for name, applicable, holds in gcdlab._congruence_cells(
+        for label, p, applicable, holds in gcdlab._congruence_cells(
                 k, m, num, factor_with_table(m, table), n, d):
             if not applicable:
                 row.inapplicable += 1
             elif holds:
                 row.passes += 1
             else:
-                row.cell(False, "congruence fails", "holds", m=m, cell=name)
+                row.cell(False, "congruence fails", "holds", m=m,
+                         cell=label if p is None else f"{label} p={p}")
     return row
 
 
@@ -362,7 +361,7 @@ def _row_min_max(k: int, spec: GridSpec) -> _Row:
     result = gcdlab.min_max_scan(
         k,
         window,
-        prefix_limit=max(spec.prefix_limit, spec.m_max),
+        prefix_limit=max(2048, spec.m_max),
         trial_bound=spec.trial_bound,
     )
     row.cell(result.min_value == Fraction(1, d) and result.min_witness == d,
@@ -584,7 +583,9 @@ class SweepReport:
         }
 
 
-def _max_bernoulli_index(specs: list[GridSpec]) -> int:
+def max_bernoulli_index(specs: list[GridSpec]) -> int:
+    """Largest even k whose B_k the grids read (at least 2): the extent of
+    the Bernoulli table a sweep over `specs` builds."""
     k = 2
     for spec in specs:
         if set(spec.checks) - {"s1-s3-identity", "ratio-search", "em-scan"}:
@@ -597,22 +598,17 @@ def _pool_size(jobs: int, n_tasks: int) -> int:
     return min(jobs, os.cpu_count() or 1, n_tasks)
 
 
-def run_grids(
-    specs: list[GridSpec], profile: str | None, jobs: int, cache_path: str | None
-) -> tuple[SweepReport, Callable[[], None]]:
-    """Validate, read the cache (if any) once and run every row. Returns
-    the report and the write of the extended table back to the cache,
-    which is left to the caller: a report can then be published before
-    the write, and is not lost if the write fails. Rows merge in a fixed
-    order, so the report is the same at any job count."""
+def run_grids(specs: list[GridSpec], profile: str | None,
+              jobs: int) -> SweepReport:
+    """Validate and run every row. Rows merge in a fixed order, so the
+    report is the same at any job count."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for spec in specs:
         spec.validate()
-    base = cachemod.load_and_warm(cache_path)
     t0 = time.perf_counter()
 
-    k_need = _max_bernoulli_index(specs)
+    k_need = max_bernoulli_index(specs)
     bernoulli(k_need)  # fill the memo before any fork
     pairs = even_value_pairs(k_need)
 
@@ -658,25 +654,12 @@ def run_grids(
         checks.append(cr)
 
     wall_time_s = round(time.perf_counter() - t0, 6)
-    report = SweepReport(profile=profile, checks=checks,
-                         wall_time_s=wall_time_s)
-    return report, partial(cachemod.store_snapshot, cache_path, k_need, base)
+    return SweepReport(profile=profile, checks=checks, wall_time_s=wall_time_s)
 
 
-def _run(
-    specs: list[GridSpec], profile: str | None, jobs: int, cache_path: str | None
-) -> SweepReport:
-    report, write_cache = run_grids(specs, profile, jobs, cache_path)
-    write_cache()
-    return report
-
-
-def run_sweep(
-    spec: GridSpec, jobs: int = 1, cache_path: str | None = None
-) -> SweepReport:
-    """Run one grid on up to `jobs` worker processes, with the Bernoulli
-    cache at cache_path (None: no cache), written before this returns."""
-    return _run([spec], None, jobs, cache_path)
+def run_sweep(spec: GridSpec, jobs: int = 1) -> SweepReport:
+    """Run one grid on up to `jobs` worker processes."""
+    return run_grids([spec], None, jobs)
 
 
 # profile -> list of grids; every check appears in exactly one grid
@@ -722,12 +705,10 @@ PROFILES: dict[str, list[GridSpec]] = {
 }
 
 
-def verify_all(
-    profile: str, jobs: int = 1, cache_path: str | None = None
-) -> SweepReport:
+def verify_all(profile: str, jobs: int = 1) -> SweepReport:
     """Run a named profile and return the union report."""
     if profile not in PROFILES:
         raise ValueError(
             f"unknown profile {profile!r}, want one of {sorted(PROFILES)}"
         )
-    return _run(PROFILES[profile], profile, jobs, cache_path)
+    return run_grids(PROFILES[profile], profile, jobs)

@@ -225,6 +225,59 @@ def test_verify_survives_an_unwritable_cache(tmp_path, capsys):
     assert sorted(entries) == list(range(2, 13, 2))
 
 
+@pytest.mark.parametrize("argv, k_max", [
+    (["bern", "7"], 6),
+    (["powersum", "9", "5"], 8),
+    (["gk", "10", "5"], 10),
+    (["ladder", "12", "5"], 12),
+    (["scan", "numerators", "--kmax", "9"], 8),
+    (["verify", "--grid", "1-30:50", "--checks", "ratio-search"], 2),
+    (["verify", "quick"], 12),
+    (["search", "em", "--kmax", "3", "--mmax", "10"], None),
+    (["powersum", "9", "5", "--naive"], None),
+])
+def test_cache_entries_per_command(tmp_path, capsys, argv, k_max):
+    # each command leaves exactly the even prefix 2..k_max of the table,
+    # in the v1 format; the commands that read no B_k leave no file
+    cache = tmp_path / "bern.cache"
+    assert cli.main([*argv, "--cache", str(cache)]) == 0
+    assert capsys.readouterr().err == ""
+    if k_max is None:
+        assert not cache.exists()
+        return
+    assert sorted(cachemod.cache_load(cache).entries) == list(
+        range(2, k_max + 1, 2))
+    want = tmp_path / "want.cache"
+    cachemod.cache_store(cachemod.snapshot_bernoulli(k_max), want)
+    assert cache.read_bytes() == want.read_bytes()
+
+
+def test_seedless_and_cache_paths_agree(tmp_path, capsys):
+    # a cold cache, a warm cache and no cache give the same report
+    cache = str(tmp_path / "warm.cache")
+    reports = []
+    for flags in (["--cache", cache], ["--cache", cache], ["--seedless"]):
+        assert cli.main(["verify", "quick", "--format", "json", *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["wall_time_s"]
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bern", "12", "--jobs", "0"],
+    ["powersum", "5", "7", "--jobs", "2"],
+    ["search", "em", "--kmax", "3", "--mmax", "10", "--jobs", "1"],
+    ["verify", "quick", "--prefix-limit", "100"],
+])
+def test_misplaced_or_removed_flags_are_usage_errors(argv):
+    # --jobs belongs to verify alone; --prefix-limit is gone
+    out = run_cli(*argv, "--seedless")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "unrecognized arguments" in out.stderr
+
+
 def test_internal_fault_exits_4(monkeypatch, capsys):
     # a broken invariant (here a Faulhaber cancellation failure) is not a
     # usage error

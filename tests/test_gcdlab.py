@@ -14,13 +14,11 @@ from moser_ladder.gcdlab import (
     divisibility_equivalence,
     gcd_ladder,
     gcd_ratio,
-    m4_explore,
     min_max_scan,
     predicted_gcd_with_m,
     predicted_gcd_with_m2,
     predicted_gcd_with_m3,
     prime_local_congruences,
-    residual_factor,
     trivial_gcd_iff,
 )
 from moser_ladder.powersum import power_sum
@@ -84,17 +82,16 @@ def test_ladder_small_k_has_no_residual_rung():
 
 
 def test_residual_factor():
-    e, primes_ok = residual_factor(10, 5)
-    assert e == 1 and primes_ok
+    lad = gcd_ladder(10, 5)
+    assert lad.residual == 1 and lad.residual_primes_divide_numerator
     for m in range(2, 30):
-        e, primes_ok = residual_factor(12, m)
-        assert primes_ok, m
+        assert gcd_ladder(12, m).residual_primes_divide_numerator, m
 
 
 def test_m4_explore_low_k_equals_m3():
     # for k = 2 and k = 4 the k-th rung collapses onto the cube rung
     for k in (2, 4):
-        for lad in m4_explore(k, range(2, 21)):
+        for lad in (gcd_ladder(k, m) for m in range(2, 21)):
             assert lad.observed_m4 == lad.observed_m3
             assert lad.observed_mk == lad.observed_m4
 

@@ -5,15 +5,14 @@ import pytest
 from moser_ladder.powersum import (
     RatioHit,
     crossover,
-    em_residual,
     em_scan,
     power_sum,
     power_sum_naive,
     ratio_integral,
     running_sums,
-    s1_s3_identity_check,
     search_ratio,
 )
+from moser_ladder.sweeps import GridSpec, run_sweep
 
 # hand-checkable values; the sum runs over 1..m-1
 KNOWN_SUMS = [
@@ -91,11 +90,6 @@ def test_search_ratio_wide_window():
     assert search_ratio(12, 400) == [RatioHit(1, 3, 2), RatioHit(3, 3, 4)]
 
 
-def test_em_residual():
-    assert em_residual(1, 3) == 0
-    assert em_residual(2, 3) != 0
-
-
 def test_em_scan_trivial_solution_only():
     assert em_scan(12, 400) == [(1, 3)]
 
@@ -127,4 +121,7 @@ def test_crossover_bracket_exceptions():
 
 
 def test_s1_s3_identity():
-    assert s1_s3_identity_check(500)
+    # S_3(m) = S_1(m)^2 for 1 <= m <= 500, by the sweep's running-sum row
+    spec = GridSpec(k_max=1, m_max=500, checks=("s1-s3-identity",))
+    check = run_sweep(spec).as_dict()["checks"][0]
+    assert (check["pass"], check["fail"]) == (500, 0)

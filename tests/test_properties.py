@@ -53,30 +53,31 @@ def test_congruence_kernel_matches_fraction_route(k, m, c, j):
     s = power_sum(k, m) + c * m**j
     b = bernoulli(k)
     diff = Fraction(s) - b * m
-    num = gcdlab._diff_numerator(k, m, s)
+    n, d = b.numerator, b.denominator
+    num = gcdlab._diff_numerator(k, m, s, n, d)
     assert num == diff.numerator
     factors = factorize(m).items()
     want = [
-        ("mod-m^1", True, divides_rational(m, 1, diff)),
-        ("mod-m^2", k >= 4 and gcd(b.denominator, m) == 1,
+        ("mod-m^1", None, True, divides_rational(m, 1, diff)),
+        ("mod-m^2", None, k >= 4 and gcd(b.denominator, m) == 1,
          divides_rational(m, 2, diff)),
-        ("mod-m^3", k >= 6 and divides_rational(m, 1, b),
+        ("mod-m^3", None, k >= 6 and divides_rational(m, 1, b),
          divides_rational(m, 3, diff)),
     ]
     for p, mult in factors:
-        want.append((f"mod-p^(2r) p={p}", k >= 4 and b.denominator % p != 0,
+        want.append(("mod-p^(2r)", p, k >= 4 and b.denominator % p != 0,
                      divides_rational(p, 2 * mult, diff)))
-        want.append((f"mod-p^(3r) p={p}", k >= 6 and divides_rational(p, 1, b),
+        want.append(("mod-p^(3r)", p, k >= 6 and divides_rational(p, 1, b),
                      divides_rational(p, 3 * mult, diff)))
-    assert list(gcdlab._congruence_cells(k, m, num, factors)) == want
+    assert list(gcdlab._congruence_cells(k, m, num, factors, n, d)) == want
     # the public verdicts read the same cells
-    for r, (_, applicable, holds) in enumerate(want[:3], start=1):
+    for r, (_, _, applicable, holds) in enumerate(want[:3], start=1):
         v = gcdlab.congruence_check(k, m, r, diff=diff)
         assert (v.applicable, v.holds) == (applicable, holds)
     if m >= 2:
         local = gcdlab.prime_local_congruences(k, m, diff=diff)
         assert [(v.applicable, v.holds) for v in local] == [
-            cell[1:] for cell in want[3:]]
+            cell[2:] for cell in want[3:]]
 
 
 # ---- square factors: one primorial gcd vs plain p^2 trial division

@@ -218,15 +218,6 @@ def test_observational_checks_never_fail():
     assert report.as_dict()["totals"]["fail"] == 0
 
 
-def test_seedless_and_cache_paths_agree(tmp_path):
-    cache = tmp_path / "warm.cache"
-    a = verify_all("quick", cache_path=str(cache))
-    assert cache.exists()
-    b = verify_all("quick", cache_path=str(cache))  # warm start
-    c = verify_all("quick")  # no cache path: no cache
-    assert _stripped(a) == _stripped(b) == _stripped(c)
-
-
 def test_searches_honour_m_min():
     # the ratio and equation scans count and report only m >= m_min, like
     # every other check; both scans' only hits (m = 3) fall below it here
