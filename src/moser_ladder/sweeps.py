@@ -2,9 +2,11 @@
 
 A sweep runs a fixed set of named checks over a grid, accounting every
 cell as pass, fail, or inapplicable, and collecting counterexamples and
-findings (hits). Work is split by k; with jobs > 1 the rows run in a
-process pool and are merged back in a fixed order, so reports are
-byte-identical for the same grid regardless of the job count. Scans
+findings (hits). The work is a list of rows, one per check and k; with
+w > 1 workers, worker i runs the strided slice rows[i::w] in one pool
+call (one worker runs the whole list in-process). Workers are seeded
+with the parent's Bernoulli table and rows go back to their list
+positions, so reports are byte-identical at any job count. Scans
 inside rows use incremental integer sums (no Bernoulli numbers), keeping
 them an independent route from the closed-form evaluator they check.
 Rows call the library's scans (`powersum` searches and running sums,
@@ -498,9 +500,8 @@ def _rows_for(check: str, spec: GridSpec) -> list[int]:
     return ks
 
 
-def _run_task(task: tuple[str, int, GridSpec]) -> _Row:
-    check, k, spec = task
-    return _ROW_RUNNERS[check](k, spec)
+def _run_slice(tasks: list[tuple[str, int, GridSpec]]) -> list[_Row]:
+    return [_ROW_RUNNERS[check](k, spec) for check, k, spec in tasks]
 
 
 def _worker_init(pairs) -> None:
@@ -593,15 +594,22 @@ def max_bernoulli_index(specs: list[GridSpec]) -> int:
     return k if k % 2 == 0 else k - 1
 
 
+def _available_cpus() -> int:
+    """CPUs in this process's affinity set, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(jobs: int, n_tasks: int) -> int:
     """Worker processes for a sweep: never more than the CPUs or the tasks."""
-    return min(jobs, os.cpu_count() or 1, n_tasks)
+    return min(jobs, _available_cpus(), n_tasks)
 
 
 def run_grids(specs: list[GridSpec], profile: str | None,
               jobs: int) -> SweepReport:
-    """Validate and run every row. Rows merge in a fixed order, so the
-    report is the same at any job count."""
+    """Validate and run every row, one strided slice per worker. Rows
+    merge in list order, so the report is the same at any job count."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for spec in specs:
@@ -629,9 +637,12 @@ def run_grids(specs: list[GridSpec], profile: str | None,
         with pool_class(
             max_workers=workers, initializer=_worker_init, initargs=(pairs,)
         ) as pool:
-            results = list(pool.map(_run_task, tasks, chunksize=1))
+            slices = [tasks[i::workers] for i in range(workers)]
+            results = [None] * len(tasks)
+            for i, rows in enumerate(pool.map(_run_slice, slices)):
+                results[i::workers] = rows
     else:
-        results = [_run_task(t) for t in tasks]
+        results = _run_slice(tasks)
 
     checks: list[CheckResult] = []
     idx = 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -397,7 +398,8 @@ def _modules_added_by(statement: str) -> list[str]:
             "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n")
     src = str(Path(moser_ladder.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env={"PYTHONPATH": src}, check=True)
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         check=True)
     return out.stderr.split()
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -90,6 +91,11 @@ def test_extended_report_digest_is_pinned():
     assert _digest(verify_all("extended").as_dict()) == EXTENDED_DIGEST
 
 
+def test_extended_report_digest_is_pinned_in_parallel(monkeypatch):
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
+    assert _digest(verify_all("extended", jobs=2).as_dict()) == EXTENDED_DIGEST
+
+
 # offsets added to S_k(m) at (k, m), one table per route the rows read:
 # the closed form, the running sums, and the naive sum (which the
 # incremental rows call once per k, at m = 2, so its offset shifts the
@@ -100,7 +106,7 @@ _RUNNING_OFFSETS = {(4, 12): 3, (6, 30): 1, (10, 5): 25, (12, 11): 11,
 _NAIVE_OFFSETS = {(6, 2): 4, (12, 2): 836}
 
 
-def test_counterexample_text_is_pinned(monkeypatch):
+def _perturb_sums(monkeypatch):
     real_running = powersum.running_sums
     real_closed = powersum.power_sum
     real_naive = powersum.power_sum_naive
@@ -114,12 +120,28 @@ def test_counterexample_text_is_pinned(monkeypatch):
         k, m) + _CLOSED_OFFSETS.get((k, m), 0))
     monkeypatch.setattr(powersum, "power_sum_naive", lambda k, m: real_naive(
         k, m) + _NAIVE_OFFSETS.get((k, m), 0))
-    d = verify_all("quick").as_dict()
+
+
+def _assert_pinned_failures(d: dict) -> None:
     failing = {c["name"] for c in d["checks"] if c["fail"]}
     assert failing == {"faulhaber-naive", "telescoping", "gcd-ladder",
                        "congruences", "divisibility-equivalence",
                        "trivial-gcd-iff"}
     assert _digest(d) == FAILING_QUICK_DIGEST
+
+
+def test_counterexample_text_is_pinned(monkeypatch):
+    _perturb_sums(monkeypatch)
+    _assert_pinned_failures(verify_all("quick").as_dict())
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the perturbed sums only when forked")
+def test_counterexample_text_is_pinned_in_parallel(monkeypatch):
+    # counterexamples from both workers' slices merge in the serial order
+    _perturb_sums(monkeypatch)
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
+    _assert_pinned_failures(verify_all("quick", jobs=2).as_dict())
 
 
 def test_repeat_runs_identical():
@@ -132,31 +154,59 @@ def test_job_count_does_not_change_report():
     )
 
 
-def test_pool_is_built_from_the_module_attribute(monkeypatch):
-    # the benchmark's trace driver times the pool by assigning a subclass
-    # to sweeps.ProcessPoolExecutor; the sweep must build that class
-    built = []
+def _recording_pool(monkeypatch, cpus: int) -> list:
+    """Swap in a pool class that logs ("workers", n) when built and
+    ("map", slice count) per map call, with `cpus` CPUs available."""
+    log = []
 
     class RecordingPool(sweeps.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            built.append(kwargs["max_workers"])
+            log.append(("workers", kwargs["max_workers"]))
             super().__init__(*args, **kwargs)
 
+        def map(self, fn, *iterables, **kwargs):
+            iterables = [list(it) for it in iterables]
+            log.append(("map", len(iterables[0])))
+            return super().map(fn, *iterables, **kwargs)
+
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: cpus)
+    return log
+
+
+def test_pool_is_built_from_the_module_attribute(monkeypatch):
+    # the benchmark's trace driver times the pool by assigning a subclass
+    # to sweeps.ProcessPoolExecutor; the sweep must build that class and
+    # hand it one slice of rows per worker, in a single map call
+    log = _recording_pool(monkeypatch, 2)
     parallel = verify_all("quick", jobs=2)
-    assert built == [2]
+    assert log == [("workers", 2), ("map", 2)]
     assert _stripped(parallel) == _stripped(verify_all("quick", jobs=1))
 
 
+def test_uneven_slices_merge_in_order(monkeypatch):
+    # 25 rows: the strided slices differ in length at 2 and at 3 workers
+    spec = GridSpec(k_max=13, m_max=40,
+                    checks=("ratio-search", "gcd-ladder", "special-values"))
+    log = _recording_pool(monkeypatch, 3)
+    reports = {jobs: run_sweep(spec, jobs=jobs) for jobs in (1, 2, 3)}
+    assert sum(c.rows for c in reports[1].checks) == 25
+    assert log == [("workers", 2), ("map", 2), ("workers", 3), ("map", 3)]
+    assert _stripped(reports[2]) == _stripped(reports[1])
+    assert _stripped(reports[3]) == _stripped(reports[1])
+
+
 def test_pool_size_is_bounded(monkeypatch):
-    # called directly: a huge --jobs must never reach a real pool
-    cpus = os.cpu_count() or 1
+    # called directly: a huge --jobs must never reach a real pool;
+    # with neither an affinity set nor a CPU count, the sweep is serial
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(8, 100) == 1
+    cpus = 4
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: cpus)
     assert _pool_size(10**6, 10**6) == cpus
     assert _pool_size(10**6, 3) == min(3, cpus)
     assert _pool_size(1, 10**6) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _pool_size(8, 100) == 1
 
 
 def test_accounting_totals_match_check_sums():
