@@ -244,6 +244,9 @@ def cmd_verify(args) -> tuple[int, int]:
     if (args.profile is None) == (args.grid is None):
         raise ValueError("verify needs a profile or --grid, not both")
     if args.profile is not None:
+        if args.checks is not None or args.trial_bound is not None:
+            raise ValueError("--checks and --trial-bound need --grid, "
+                             "not a profile")
         specs = sweeps.PROFILES[args.profile]
     else:
         kspec, sep, mspec = args.grid.partition(":")
@@ -253,12 +256,14 @@ def cmd_verify(args) -> tuple[int, int]:
             )
         k_min, k_max = _parse_span(kspec, "k")
         m_min, m_max = _parse_span(mspec, "m")
-        checks = tuple(args.checks.split(",")) if args.checks else sweeps.CHECK_ORDER
+        checks = (sweeps.CHECK_ORDER if args.checks is None
+                  else tuple(args.checks.split(",")))
+        trial_bound = 10_000 if args.trial_bound is None else args.trial_bound
         specs = [sweeps.GridSpec(
             k_min=k_min, k_max=k_max, m_min=m_min, m_max=m_max,
-            checks=checks, trial_bound=args.trial_bound,
+            checks=checks, trial_bound=trial_bound,
         )]
-    d = sweeps.run_grids(specs, args.profile, args.jobs).as_dict()
+    d = sweeps.run_grids(specs, args.profile, args.jobs)
     if args.format == "json":
         _emit_json(d)
     elif args.format == "csv":
@@ -364,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", metavar="LIST",
                    help="comma-separated check names for --grid "
                         f"(default: all; known: {', '.join(sweeps.CHECK_ORDER)})")
-    p.add_argument("--trial-bound", type=int, default=10_000)
+    p.add_argument("--trial-bound", type=int, default=None,
+                   help="square-factor trial bound of min-max and "
+                        "numerator-scan, for --grid (default 10000)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes (at most the CPU count)")
     p.set_defaults(func=cmd_verify)

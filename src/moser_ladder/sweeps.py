@@ -2,27 +2,34 @@
 
 A sweep runs a fixed set of named checks over a grid, accounting every
 cell as pass, fail, or inapplicable, and collecting counterexamples and
-findings (hits). The work is a list of rows, one per check and k; with
-w > 1 workers, worker i runs the strided slice rows[i::w] in one pool
-call (one worker runs the whole list in-process). Workers are seeded
-with the parent's Bernoulli table and rows go back to their list
-positions, so reports are byte-identical at any job count. Scans
-inside rows use incremental integer sums (no Bernoulli numbers), keeping
-them an independent route from the closed-form evaluator they check.
+findings (hits). Every fact about a check is one entry of the ordered
+table `_CHECKS`; the check order, the rows of a grid, grid validation
+and `max_bernoulli_index` are read from it. The work is a list of rows,
+one per check and k; with w > 1 workers, worker i runs the strided
+slice rows[i::w] in one pool call (one worker runs the whole list
+in-process). Workers are seeded with the parent's Bernoulli table and
+rows go back to their list positions, so the report (the dict that
+`verify --format json` prints, built once from the rows) is
+byte-identical at any job count. The job count is an argument of
+`run_grids` and of `run_sweep`/`verify_all`, not part of a grid. Sweeps
+do no file I/O: the CLI reads the Bernoulli cache before a sweep and
+writes it afterwards, up to `max_bernoulli_index` of the grids.
+
 Rows call the library's scans (`powersum` searches and running sums,
 `gcdlab` ladders and congruences) rather than restating them; the
 numerator survey lives here and the CLI's `scan` only formats it. The
-job count is an argument of `run_grids` and of `run_sweep`/`verify_all`,
-not part of a grid. Sweeps do no file I/O: the CLI reads the Bernoulli
-cache before a sweep and writes it afterwards, up to
-`max_bernoulli_index` of the grids.
-
-The m-cell rows run integer kernels with N_k and D_k read once per row:
-the gcd ladder (`gcdlab._ladder_rungs`), the congruence cells, whose m
-are factored from one smallest-prime-factor table per row, and the
-integer core of `divides_rational`. A passing cell is only counted; the
-text of a counterexample (and any `Fraction` in it) is built only when
-a cell fails.
+m-cell rows reach S_k(m) by three routes, and their counterexample text
+depends on which: `telescoping` reads only the closed form `power_sum`
+(from Bernoulli numbers); `faulhaber-naive` compares it with
+`running_sums`, which `s1-s3-identity` and `congruences` also read; and
+`gcd-ladder`, `divisibility-equivalence` and `trivial-gcd-iff` call
+`power_sum_naive` once, at their first m, then add m^k step by step.
+These rows run integer kernels with N_k and D_k read once per row: the
+gcd ladder (`gcdlab._ladder_rungs`), the congruence cells, whose m are
+factored from one smallest-prime-factor table per row, and the integer
+core of `divides_rational`. A passing cell is only counted; the text of
+a counterexample (and any `Fraction` in it) is built only when a cell
+fails.
 
 `concurrent.futures` is imported on first use, by the module
 `__getattr__`, so a sweep at jobs = 1 and every other subcommand start
@@ -37,8 +44,9 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import gcdlab
 from . import powersum as ps
@@ -65,8 +73,6 @@ __all__ = [
     "CHECK_ORDER",
     "PROFILES",
     "GridSpec",
-    "CheckResult",
-    "SweepReport",
     "numerator_survey",
     "max_bernoulli_index",
     "run_grids",
@@ -75,62 +81,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
-
-CHECK_ORDER = (
-    "bernoulli-structure",
-    "faulhaber-naive",
-    "telescoping",
-    "s1-s3-identity",
-    "ratio-search",
-    "em-scan",
-    "gcd-ladder",
-    "congruences",
-    "divisibility-equivalence",
-    "trivial-gcd-iff",
-    "special-values",
-    "min-max",
-    "cross-gcd",
-    "crossover-bracket",
-    "size-bounds",
-    "numerator-scan",
-)
-
-# checks that read GridSpec.trial_bound, which must then be >= 2
-_TRIAL_BOUND_CHECKS = frozenset({"min-max", "numerator-scan"})
-
-# checks whose rows are even k only; the rest use every k in range
-_EVEN_K_CHECKS = frozenset(CHECK_ORDER) - {
-    "faulhaber-naive",
-    "telescoping",
-    "s1-s3-identity",
-    "ratio-search",
-    "em-scan",
-}
-
-
-class GridSpec(NamedTuple):
-    """One grid of work: k and m ranges plus the checks to run on them.
-    Every check with cells in m keeps to m_min <= m <= m_max."""
-
-    k_max: int
-    m_max: int
-    k_min: int = 1
-    m_min: int = 1
-    checks: tuple[str, ...] = CHECK_ORDER
-    trial_bound: int = 10_000
-
-    def validate(self) -> None:
-        if self.k_min < 1 or self.k_max < self.k_min:
-            raise ValueError(f"bad k range [{self.k_min}, {self.k_max}]")
-        if self.m_min < 1 or self.m_max < self.m_min:
-            raise ValueError(f"bad m range [{self.m_min}, {self.m_max}]")
-        unknown = [c for c in self.checks if c not in CHECK_ORDER]
-        if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)}")
-        if self.trial_bound < 2 and _TRIAL_BOUND_CHECKS & set(self.checks):
-            raise ValueError(
-                f"trial_bound must be >= 2, got {self.trial_bound}")
-
 
 class _Row:
     """Counts, counterexamples and hits of one check at one k (None for
@@ -149,7 +99,8 @@ class _Row:
              **where) -> None:
         """Account one cell: inapplicable whatever `ok` says when its gate
         is closed, else pass or fail. A failure becomes a counterexample
-        at `where` (m, s and/or the cell's name), values as strings."""
+        at `where` (m, s and/or the cell's name), values as strings:
+        exact, and safe for any JSON consumer."""
         if not applicable:
             self.inapplicable += 1
         elif ok:
@@ -160,14 +111,9 @@ class _Row:
             if self.k is not None:
                 at["k"] = self.k
             self.counterexamples.append(
-                {**at, **where, "observed": _s(observed),
-                 "predicted": _s(predicted)}
+                {**at, **where, "observed": str(observed),
+                 "predicted": str(predicted)}
             )
-
-
-def _s(x) -> str:
-    """Report values as strings: exact, and safe for any JSON consumer."""
-    return str(x)
 
 
 # ---- row runners, one per check; each covers a single k (or, for
@@ -228,7 +174,7 @@ def _row_s1s3(_k: int, spec: GridSpec) -> _Row:
 
 def _row_ratio_search(k: int, spec: GridSpec) -> _Row:
     row = _Row("ratio-search", k)
-    row.hits = [{"k": k, "m": h.m, "quotient": _s(h.quotient)}
+    row.hits = [{"k": k, "m": h.m, "quotient": str(h.quotient)}
                 for h in ps.ratio_hits(k, spec.m_min, spec.m_max)]
     row.passes = len(range(max(3, spec.m_min), spec.m_max + 1))
     return row
@@ -349,8 +295,8 @@ def _row_special_values(k: int, spec: GridSpec) -> _Row:
     got_max = gcdlab.gcd_ratio(k, m_wit)
     row.cell(got_max == want, got_max, want, cell="value-at-N")
     row.hits.append(
-        {"k": k, "at_D": _s(got_min), "witness_D": _s(d),
-         "at_N": _s(got_max), "witness_N": _s(m_wit)}
+        {"k": k, "at_D": str(got_min), "witness_D": str(d),
+         "at_N": str(got_max), "witness_N": str(m_wit)}
     )
     return row
 
@@ -389,8 +335,8 @@ def _row_min_max(k: int, spec: GridSpec) -> _Row:
         # no square-free certificate: the scan reports, never asserts
         row.inapplicable += 4
     row.hits.append(
-        {"k": k, "min": _s(result.min_value), "min_witness": _s(result.min_witness),
-         "max": _s(result.max_value), "max_witness": _s(result.max_witness),
+        {"k": k, "min": str(result.min_value), "min_witness": str(result.min_witness),
+         "max": str(result.max_value), "max_witness": str(result.max_witness),
          "certified": result.certified}
     )
     return row
@@ -409,7 +355,7 @@ def _row_cross_gcd(k: int, spec: GridSpec) -> _Row:
                  "C | k; C square-free; primes avoid D_s and "
                  "the numerator of B_k/k", s=s)
         if v.c > 1:
-            row.hits.append({"k": k, "s": s, "c": _s(v.c)})
+            row.hits.append({"k": k, "s": s, "c": str(v.c)})
     return row
 
 
@@ -419,7 +365,7 @@ def _row_crossover(k: int, spec: GridSpec) -> _Row:
     inside = k < c < 2 * k
     # bracket misses are reported as findings, not failures
     row.passes += 1
-    row.hits.append({"k": k, "crossover": _s(c), "inside_bracket": inside})
+    row.hits.append({"k": k, "crossover": str(c), "inside_bracket": inside})
     return row
 
 
@@ -451,7 +397,7 @@ def numerator_survey(k: int, trial_bound: int) -> dict:
         "k": k,
         "digits": len(str(n_abs)),
         "prime": prime,
-        "square_factor": _s(found[0]) if found else None,
+        "square_factor": str(found[0]) if found else None,
         "flagged_at_bound": found[1] if found else None,
         "clear_below": None if found else bounds[-1],
     }
@@ -464,48 +410,86 @@ def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
     return row
 
 
-_ROW_RUNNERS = {
-    "bernoulli-structure": _row_bernoulli_structure,
-    "faulhaber-naive": _row_faulhaber,
-    "telescoping": _row_telescoping,
-    "s1-s3-identity": _row_s1s3,
-    "ratio-search": _row_ratio_search,
-    "em-scan": _row_em_scan,
-    "gcd-ladder": _row_gcd_ladder,
-    "congruences": _row_congruences,
-    "divisibility-equivalence": _row_div_equiv,
-    "trivial-gcd-iff": _row_trivial_gcd,
-    "special-values": _row_special_values,
-    "min-max": _row_min_max,
-    "cross-gcd": _row_cross_gcd,
-    "crossover-bracket": _row_crossover,
-    "size-bounds": _row_size_bounds,
-    "numerator-scan": _row_numerator_scan,
+class _Check(NamedTuple):
+    """What a sweep knows of one check. k_min is the smallest k with a
+    row (None: one k-independent row, key 0); reads_b means the rows read
+    B_k up to the grid's k_max, so the table is built that far first."""
+
+    runner: Callable[[int, GridSpec], _Row]
+    k_min: int | None = 2
+    even_k: bool = True
+    reads_b: bool = True
+    reads_trial_bound: bool = False
+
+
+# every check, in report order
+_CHECKS: dict[str, _Check] = {
+    "bernoulli-structure": _Check(_row_bernoulli_structure),
+    "faulhaber-naive": _Check(_row_faulhaber, 1, even_k=False),
+    "telescoping": _Check(_row_telescoping, 1, even_k=False),
+    "s1-s3-identity": _Check(_row_s1s3, None, reads_b=False),
+    "ratio-search": _Check(_row_ratio_search, 1, even_k=False,
+                           reads_b=False),
+    "em-scan": _Check(_row_em_scan, 1, even_k=False, reads_b=False),
+    "gcd-ladder": _Check(_row_gcd_ladder),
+    "congruences": _Check(_row_congruences),
+    "divisibility-equivalence": _Check(_row_div_equiv),
+    "trivial-gcd-iff": _Check(_row_trivial_gcd),
+    "special-values": _Check(_row_special_values),
+    "min-max": _Check(_row_min_max, reads_trial_bound=True),
+    "cross-gcd": _Check(_row_cross_gcd, 4),
+    # reads no B_k, but its grid's k_max has always sized the table, and
+    # with it the cache `verify` writes
+    "crossover-bracket": _Check(_row_crossover),
+    "size-bounds": _Check(_row_size_bounds, 10),
+    "numerator-scan": _Check(_row_numerator_scan, reads_trial_bound=True),
 }
 
+CHECK_ORDER = tuple(_CHECKS)
 
-def _rows_for(check: str, spec: GridSpec) -> list[int]:
-    if check == "s1-s3-identity":
-        return [0]
-    lo, hi = spec.k_min, spec.k_max
-    if check in _EVEN_K_CHECKS:
-        lo = max(lo, 2)
-        if check == "size-bounds":
-            lo = max(lo, 10)
-        if check == "cross-gcd":
-            lo = max(lo, 4)
-        ks = [k for k in range(lo, hi + 1) if k % 2 == 0]
-    else:
-        ks = list(range(lo, hi + 1))
-    return ks
+# the row runner of each check, looked up per row when a row runs (the
+# benchmark's trace driver wraps these entries)
+_ROW_RUNNERS = {name: check.runner for name, check in _CHECKS.items()}
+
+
+class GridSpec(NamedTuple):
+    """One grid of work: k and m ranges plus the checks to run on them.
+    Every check with cells in m keeps to m_min <= m <= m_max."""
+
+    k_max: int
+    m_max: int
+    k_min: int = 1
+    m_min: int = 1
+    checks: tuple[str, ...] = CHECK_ORDER
+    trial_bound: int = 10_000
+
+    def validate(self) -> None:
+        if self.k_min < 1 or self.k_max < self.k_min:
+            raise ValueError(f"bad k range [{self.k_min}, {self.k_max}]")
+        if self.m_min < 1 or self.m_max < self.m_min:
+            raise ValueError(f"bad m range [{self.m_min}, {self.m_max}]")
+        unknown = [c for c in self.checks if c not in _CHECKS]
+        if unknown:
+            raise ValueError(f"unknown checks: {', '.join(unknown)}")
+        if self.trial_bound < 2 and any(
+                _CHECKS[c].reads_trial_bound for c in self.checks):
+            raise ValueError(
+                f"trial_bound must be >= 2, got {self.trial_bound}")
+
+
+def _rows_for(check: str, spec: GridSpec) -> range:
+    """The k of each row of `check` on `spec`."""
+    entry = _CHECKS[check]
+    if entry.k_min is None:
+        return range(1)
+    lo = max(spec.k_min, entry.k_min)
+    if entry.even_k:
+        return range(lo + lo % 2, spec.k_max + 1, 2)
+    return range(lo, spec.k_max + 1)
 
 
 def _run_slice(tasks: list[tuple[str, int, GridSpec]]) -> list[_Row]:
     return [_ROW_RUNNERS[check](k, spec) for check, k, spec in tasks]
-
-
-def _worker_init(pairs) -> None:
-    seed_even_values(pairs)
 
 
 def __getattr__(name: str):
@@ -519,79 +503,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class CheckResult:
-    """Aggregated outcome of one check over its grid."""
-
-    def __init__(self, name: str, k_min: int, k_max: int, m_min: int,
-                 m_max: int, rows: int):
-        self.name = name
-        self.k_min = k_min
-        self.k_max = k_max
-        self.m_min = m_min
-        self.m_max = m_max
-        self.rows = rows
-        self.passes = 0
-        self.fails = 0
-        self.inapplicable = 0
-        self.counterexamples: list[dict] = []
-        self.hits: list[dict] = []
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "grid": {
-                "k_min": self.k_min,
-                "k_max": self.k_max,
-                "m_min": self.m_min,
-                "m_max": self.m_max,
-            },
-            "rows": self.rows,
-            "pass": self.passes,
-            "fail": self.fails,
-            "inapplicable": self.inapplicable,
-            "counterexamples": self.counterexamples,
-            "hits": self.hits,
-        }
-
-
-class SweepReport:
-    """Full report: per-check results plus totals, stable field order."""
-
-    def __init__(self, profile: str | None, checks: list[CheckResult],
-                 wall_time_s: float):
-        self.profile = profile
-        self.checks = checks
-        self.wall_time_s = wall_time_s
-
-    @property
-    def total_fail(self) -> int:
-        return sum(c.fails for c in self.checks)
-
-    def as_dict(self) -> dict:
-        # the job count is deliberately not serialized: reports must be
-        # byte-identical across job counts
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "profile": self.profile,
-            "checks": [c.as_dict() for c in self.checks],
-            "totals": {
-                "pass": sum(c.passes for c in self.checks),
-                "fail": self.total_fail,
-                "inapplicable": sum(c.inapplicable for c in self.checks),
-            },
-            "wall_time_s": self.wall_time_s,
-        }
-
-
 def max_bernoulli_index(specs: list[GridSpec]) -> int:
     """Largest even k whose B_k the grids read (at least 2): the extent of
     the Bernoulli table a sweep over `specs` builds."""
-    k = 2
-    for spec in specs:
-        if set(spec.checks) - {"s1-s3-identity", "ratio-search", "em-scan"}:
-            k = max(k, spec.k_max)
-    return k if k % 2 == 0 else k - 1
+    k = max([2] + [spec.k_max for spec in specs
+                   if any(_CHECKS[c].reads_b for c in spec.checks)])
+    return k - k % 2
 
 
 def _available_cpus() -> int:
@@ -607,9 +524,10 @@ def _pool_size(jobs: int, n_tasks: int) -> int:
 
 
 def run_grids(specs: list[GridSpec], profile: str | None,
-              jobs: int) -> SweepReport:
-    """Validate and run every row, one strided slice per worker. Rows
-    merge in list order, so the report is the same at any job count."""
+              jobs: int) -> dict:
+    """Validate and run every row, one strided slice per worker, and
+    return the report `verify --format json` prints. Rows merge in list
+    order, so the report is the same at any job count."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for spec in specs:
@@ -620,22 +538,28 @@ def run_grids(specs: list[GridSpec], profile: str | None,
     bernoulli(k_need)  # fill the memo before any fork
     pairs = even_value_pairs(k_need)
 
+    checks: list[dict] = []
     tasks: list[tuple[str, int, GridSpec]] = []
-    bounds: list[tuple[str, GridSpec, int]] = []  # (check, spec, n_rows)
     for check in CHECK_ORDER:
         for spec in specs:
             if check not in spec.checks:
                 continue
-            rows = _rows_for(check, spec)
-            bounds.append((check, spec, len(rows)))
-            tasks.extend((check, k, spec) for k in rows)
+            ks = _rows_for(check, spec)
+            checks.append({
+                "name": check,
+                "grid": {"k_min": spec.k_min, "k_max": spec.k_max,
+                         "m_min": spec.m_min, "m_max": spec.m_max},
+                "rows": len(ks), "pass": 0, "fail": 0, "inapplicable": 0,
+                "counterexamples": [], "hits": [],
+            })
+            tasks.extend((check, k, spec) for k in ks)
 
     workers = _pool_size(jobs, len(tasks))
     if workers > 1:
         # read as a module attribute, so a swapped-in pool class is used
         pool_class = sys.modules[__name__].ProcessPoolExecutor
         with pool_class(
-            max_workers=workers, initializer=_worker_init, initargs=(pairs,)
+            max_workers=workers, initializer=seed_even_values, initargs=(pairs,)
         ) as pool:
             slices = [tasks[i::workers] for i in range(workers)]
             results = [None] * len(tasks)
@@ -644,31 +568,30 @@ def run_grids(specs: list[GridSpec], profile: str | None,
     else:
         results = _run_slice(tasks)
 
-    checks: list[CheckResult] = []
-    idx = 0
-    for check, spec, n_rows in bounds:
-        cr = CheckResult(
-            name=check,
-            k_min=spec.k_min,
-            k_max=spec.k_max,
-            m_min=spec.m_min,
-            m_max=spec.m_max,
-            rows=n_rows,
-        )
-        for row in results[idx : idx + n_rows]:
-            cr.passes += row.passes
-            cr.fails += row.fails
-            cr.inapplicable += row.inapplicable
-            cr.counterexamples.extend(row.counterexamples)
-            cr.hits.extend(row.hits)
-        idx += n_rows
-        checks.append(cr)
+    # each check takes the next `rows` results, in task order
+    results = iter(results)
+    for check in checks:
+        for row in islice(results, check["rows"]):
+            check["pass"] += row.passes
+            check["fail"] += row.fails
+            check["inapplicable"] += row.inapplicable
+            check["counterexamples"] += row.counterexamples
+            check["hits"] += row.hits
 
-    wall_time_s = round(time.perf_counter() - t0, 6)
-    return SweepReport(profile=profile, checks=checks, wall_time_s=wall_time_s)
+    # the job count is deliberately not in the report: reports must be
+    # byte-identical across job counts
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "profile": profile,
+        "checks": checks,
+        "totals": {key: sum(c[key] for c in checks)
+                   for key in ("pass", "fail", "inapplicable")},
+        "wall_time_s": round(time.perf_counter() - t0, 6),
+    }
 
 
-def run_sweep(spec: GridSpec, jobs: int = 1) -> SweepReport:
+def run_sweep(spec: GridSpec, jobs: int = 1) -> dict:
     """Run one grid on up to `jobs` worker processes."""
     return run_grids([spec], None, jobs)
 
@@ -716,7 +639,7 @@ PROFILES: dict[str, list[GridSpec]] = {
 }
 
 
-def verify_all(profile: str, jobs: int = 1) -> SweepReport:
+def verify_all(profile: str, jobs: int = 1) -> dict:
     """Run a named profile and return the union report."""
     if profile not in PROFILES:
         raise ValueError(

@@ -61,3 +61,30 @@ def test_module_attributes_the_driver_reads_exist():
 def test_row_runners_cover_exactly_the_checks():
     assert len(sweeps._ROW_RUNNERS) == len(sweeps.CHECK_ORDER)
     assert set(sweeps._ROW_RUNNERS) == set(sweeps.CHECK_ORDER)
+
+
+def test_row_runners_are_looked_up_per_row(monkeypatch):
+    # the driver swaps entries after import; a sweep must call the swapped
+    # entry for every row, not a runner bound when the module loaded
+    calls = []
+    real = sweeps._ROW_RUNNERS["gcd-ladder"]
+
+    def counted(k, spec):
+        calls.append(k)
+        return real(k, spec)
+
+    monkeypatch.setitem(sweeps._ROW_RUNNERS, "gcd-ladder", counted)
+    spec = sweeps.GridSpec(k_min=2, k_max=8, m_max=20, checks=("gcd-ladder",))
+    assert sweeps.run_sweep(spec, jobs=1)["checks"][0]["rows"] == 4
+    assert calls == [2, 4, 6, 8]
+
+
+def test_every_row_carries_integer_counts():
+    # the driver's cell count of a row is passes + fails + inapplicable
+    spec = sweeps.GridSpec(k_min=10, k_max=10, m_max=20, trial_bound=100)
+    for check in sweeps.CHECK_ORDER:
+        k = sweeps._rows_for(check, spec)[0]
+        row = sweeps._ROW_RUNNERS[check](k, spec)
+        counts = (row.passes, row.fails, row.inapplicable)
+        assert [type(n) for n in counts] == [int] * 3, check
+        assert sum(counts) > 0, check

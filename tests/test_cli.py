@@ -146,6 +146,16 @@ def test_usage_error_verify_needs_one_mode():
     assert out.returncode == 2
     out = run_cli("verify", "quick", "--jobs", "0", "--seedless")
     assert out.returncode == 2
+    # --checks and --trial-bound shape a --grid; a profile rejects them,
+    # and an empty check list names an unknown check
+    for argv in (["quick", "--checks", "gcd-ladder"],
+                 ["quick", "--trial-bound", "1"],
+                 ["quick", "--trial-bound", "10000"],
+                 ["--grid", "2-6:20", "--checks", ""],
+                 ["--grid", "2-6:20", "--trial-bound", "0"]):
+        out = run_cli("verify", *argv, "--seedless")
+        assert (out.returncode, out.stdout) == (2, ""), argv
+        assert out.stderr.startswith("error: "), argv
 
 
 def test_trial_bound_below_2_runs_no_row(monkeypatch, capsys):
@@ -374,6 +384,23 @@ def test_help_schema():
     assert out.returncode == 0
     schema = json.loads(out.stdout)
     assert schema["properties"]["schema_version"]["const"] == "1"
+
+
+def test_schema_required_keys_match_a_real_report(capsys):
+    assert cli.main(["--help-schema"]) == 0
+    schema = json.loads(capsys.readouterr().out)
+    assert cli.main(["verify", "--grid", "2-6:20", "--format", "json",
+                     "--seedless"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(schema["required"]) == sorted(report)
+    props = schema["properties"]
+    assert sorted(props["totals"]["required"]) == sorted(report["totals"])
+    item = props["checks"]["items"]
+    assert len(report["checks"]) == len(sweeps.CHECK_ORDER)
+    for check in report["checks"]:
+        assert sorted(item["required"]) == sorted(check), check["name"]
+        assert sorted(item["properties"]["grid"]["required"]) == sorted(
+            check["grid"]), check["name"]
 
 
 def test_version_flag():

@@ -123,5 +123,5 @@ def test_crossover_bracket_exceptions():
 def test_s1_s3_identity():
     # S_3(m) = S_1(m)^2 for 1 <= m <= 500, by the sweep's running-sum row
     spec = GridSpec(k_max=1, m_max=500, checks=("s1-s3-identity",))
-    check = run_sweep(spec).as_dict()["checks"][0]
+    check = run_sweep(spec)["checks"][0]
     assert (check["pass"], check["fail"]) == (500, 0)

@@ -1,9 +1,11 @@
 """Sweep engine: determinism, accounting, profile composition."""
 
 import hashlib
+import importlib
 import json
 import multiprocessing
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +15,9 @@ from moser_ladder.sweeps import (
     PROFILES,
     GridSpec,
     _pool_size,
+    _rows_for,
+    max_bernoulli_index,
+    run_grids,
     run_sweep,
     verify_all,
 )
@@ -42,7 +47,7 @@ def _digest(report: dict) -> str:
 
 
 def _stripped(report) -> str:
-    text = json.dumps(report.as_dict(), sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2)
     return "\n".join(
         line for line in text.splitlines() if "wall_time_s" not in line
     )
@@ -53,6 +58,80 @@ def test_check_order_is_stable():
     assert len(CHECK_ORDER) == len(set(CHECK_ORDER)) == 16
 
 
+_EVEN_TO_12 = [2, 4, 6, 8, 10, 12]
+_ALL_TO_13 = list(range(1, 14))
+_EVEN_4_TO_10 = [4, 6, 8, 10]
+_ALL_3_TO_11 = list(range(3, 12))
+
+
+@pytest.mark.parametrize("spec, want", [
+    (GridSpec(k_min=1, k_max=13, m_max=5), {
+        "bernoulli-structure": _EVEN_TO_12,
+        "faulhaber-naive": _ALL_TO_13,
+        "telescoping": _ALL_TO_13,
+        "s1-s3-identity": [0],
+        "ratio-search": _ALL_TO_13,
+        "em-scan": _ALL_TO_13,
+        "gcd-ladder": _EVEN_TO_12,
+        "congruences": _EVEN_TO_12,
+        "divisibility-equivalence": _EVEN_TO_12,
+        "trivial-gcd-iff": _EVEN_TO_12,
+        "special-values": _EVEN_TO_12,
+        "min-max": _EVEN_TO_12,
+        "cross-gcd": [4, 6, 8, 10, 12],
+        "crossover-bracket": _EVEN_TO_12,
+        "size-bounds": [10, 12],
+        "numerator-scan": _EVEN_TO_12,
+    }),
+    (GridSpec(k_min=3, k_max=11, m_max=5), {
+        "bernoulli-structure": _EVEN_4_TO_10,
+        "faulhaber-naive": _ALL_3_TO_11,
+        "telescoping": _ALL_3_TO_11,
+        "s1-s3-identity": [0],
+        "ratio-search": _ALL_3_TO_11,
+        "em-scan": _ALL_3_TO_11,
+        "gcd-ladder": _EVEN_4_TO_10,
+        "congruences": _EVEN_4_TO_10,
+        "divisibility-equivalence": _EVEN_4_TO_10,
+        "trivial-gcd-iff": _EVEN_4_TO_10,
+        "special-values": _EVEN_4_TO_10,
+        "min-max": _EVEN_4_TO_10,
+        "cross-gcd": _EVEN_4_TO_10,
+        "crossover-bracket": _EVEN_4_TO_10,
+        "size-bounds": [10],
+        "numerator-scan": _EVEN_4_TO_10,
+    }),
+])
+def test_rows_per_check_are_pinned(spec, want):
+    # the k of every row, per check: odd k_min and k_max, and each
+    # check's own smallest k (2, 4 for cross-gcd, 10 for size-bounds)
+    assert list(want) == list(CHECK_ORDER)
+    assert {check: list(_rows_for(check, spec)) for check in CHECK_ORDER} == want
+
+
+def test_max_bernoulli_index_covers_every_read(monkeypatch):
+    # pool workers are seeded, and verify writes the cache, up to
+    # max_bernoulli_index: a row that read B_k past it would grow the memo
+    bmod = importlib.import_module("moser_ladder.bernoulli")
+    grids = [
+        PROFILES["quick"],
+        PROFILES["standard"],
+        [GridSpec(k_max=15, m_max=20, checks=("crossover-bracket",))],
+        [GridSpec(k_max=15, m_max=200, checks=("ratio-search",))],
+        [GridSpec(k_max=15, m_max=20, checks=("telescoping",))],
+    ]
+    assert [max_bernoulli_index(specs) for specs in grids] == [
+        12, 40, 14, 2, 14]
+    for specs in grids:
+        monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
+        monkeypatch.setattr(bmod, "_TANGENT", [])
+        monkeypatch.setattr(powersum, "_COEFFS", {})
+        bmod.bernoulli(max_bernoulli_index(specs))
+        filled = len(bmod._EVEN)
+        assert run_grids(specs, None, 1)["totals"]["fail"] == 0
+        assert len(bmod._EVEN) == filled, specs
+
+
 def test_profiles_cover_every_check_once():
     for name, specs in PROFILES.items():
         seen = [c for spec in specs for c in spec.checks]
@@ -61,8 +140,7 @@ def test_profiles_cover_every_check_once():
 
 
 def test_quick_profile_all_pass():
-    report = verify_all("quick")
-    d = report.as_dict()
+    d = verify_all("quick")
     assert d["totals"]["fail"] == 0
     assert d["totals"]["pass"] > 0
     assert d["profile"] == "quick"
@@ -73,27 +151,27 @@ def test_quick_profile_all_pass():
 
 def test_quick_profile_known_findings():
     report = verify_all("quick")
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["ratio-search"].hits == [
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["ratio-search"]["hits"] == [
         {"k": 1, "m": 3, "quotient": "2"},
         {"k": 3, "m": 3, "quotient": "4"},
     ]
-    assert by_name["em-scan"].hits == [{"k": 1, "m": 3}]
+    assert by_name["em-scan"]["hits"] == [{"k": 1, "m": 3}]
 
 
 def test_quick_report_digest_is_pinned():
-    assert _digest(verify_all("quick").as_dict()) == QUICK_DIGEST
+    assert _digest(verify_all("quick")) == QUICK_DIGEST
 
 
 def test_extended_report_digest_is_pinned():
     # the integer congruence, square-factor and min/max kernels run on
     # the extended grid far past the quick one; about 1 s in-process
-    assert _digest(verify_all("extended").as_dict()) == EXTENDED_DIGEST
+    assert _digest(verify_all("extended")) == EXTENDED_DIGEST
 
 
 def test_extended_report_digest_is_pinned_in_parallel(monkeypatch):
     monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
-    assert _digest(verify_all("extended", jobs=2).as_dict()) == EXTENDED_DIGEST
+    assert _digest(verify_all("extended", jobs=2)) == EXTENDED_DIGEST
 
 
 # offsets added to S_k(m) at (k, m), one table per route the rows read:
@@ -132,7 +210,7 @@ def _assert_pinned_failures(d: dict) -> None:
 
 def test_counterexample_text_is_pinned(monkeypatch):
     _perturb_sums(monkeypatch)
-    _assert_pinned_failures(verify_all("quick").as_dict())
+    _assert_pinned_failures(verify_all("quick"))
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -141,7 +219,7 @@ def test_counterexample_text_is_pinned_in_parallel(monkeypatch):
     # counterexamples from both workers' slices merge in the serial order
     _perturb_sums(monkeypatch)
     monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
-    _assert_pinned_failures(verify_all("quick", jobs=2).as_dict())
+    _assert_pinned_failures(verify_all("quick", jobs=2))
 
 
 def test_repeat_runs_identical():
@@ -190,7 +268,7 @@ def test_uneven_slices_merge_in_order(monkeypatch):
                     checks=("ratio-search", "gcd-ladder", "special-values"))
     log = _recording_pool(monkeypatch, 3)
     reports = {jobs: run_sweep(spec, jobs=jobs) for jobs in (1, 2, 3)}
-    assert sum(c.rows for c in reports[1].checks) == 25
+    assert sum(c["rows"] for c in reports[1]["checks"]) == 25
     assert log == [("workers", 2), ("map", 2), ("workers", 3), ("map", 3)]
     assert _stripped(reports[2]) == _stripped(reports[1])
     assert _stripped(reports[3]) == _stripped(reports[1])
@@ -210,8 +288,7 @@ def test_pool_size_is_bounded(monkeypatch):
 
 
 def test_accounting_totals_match_check_sums():
-    report = verify_all("quick")
-    d = report.as_dict()
+    d = verify_all("quick")
     for key in ("pass", "fail", "inapplicable"):
         assert d["totals"][key] == sum(c[key] for c in d["checks"])
 
@@ -224,8 +301,7 @@ def test_unknown_profile_rejected():
 def test_custom_grid_sweep():
     spec = GridSpec(k_min=2, k_max=8, m_min=2, m_max=40,
                     checks=("gcd-ladder", "trivial-gcd-iff"))
-    report = run_sweep(spec)
-    d = report.as_dict()
+    d = run_sweep(spec)
     assert d["profile"] is None
     assert [c["name"] for c in d["checks"]] == [
         "gcd-ladder", "trivial-gcd-iff"]
@@ -252,8 +328,7 @@ def test_min_max_rows_widen_window():
     # the per-k window grows to cover both witnesses even when the grid
     # m_max is far below them
     spec = GridSpec(k_min=12, k_max=12, m_max=10, checks=("min-max",))
-    report = run_sweep(spec)
-    d = report.as_dict()
+    d = run_sweep(spec)
     assert d["totals"]["fail"] == 0
     hit = d["checks"][0]["hits"][0]
     assert hit["min_witness"] == "2730"
@@ -265,7 +340,7 @@ def test_observational_checks_never_fail():
                     checks=("ratio-search", "em-scan", "crossover-bracket",
                             "numerator-scan"))
     report = run_sweep(spec)
-    assert report.as_dict()["totals"]["fail"] == 0
+    assert report["totals"]["fail"] == 0
 
 
 def test_searches_honour_m_min():
@@ -273,7 +348,7 @@ def test_searches_honour_m_min():
     # every other check; both scans' only hits (m = 3) fall below it here
     spec = GridSpec(k_max=3, m_min=50, m_max=100,
                     checks=("ratio-search", "em-scan"))
-    d = run_sweep(spec).as_dict()
+    d = run_sweep(spec)
     for check in d["checks"]:
         assert check["grid"]["m_min"] == 50
         assert check["pass"] == 3 * 51, check["name"]
@@ -281,9 +356,9 @@ def test_searches_honour_m_min():
     # m_min = 3 keeps the ratio hits at m = 3 and drops m = 2 from em-scan
     spec = GridSpec(k_max=3, m_min=3, m_max=10,
                     checks=("ratio-search", "em-scan"))
-    by_name = {c.name: c for c in run_sweep(spec).checks}
-    assert by_name["ratio-search"].passes == 3 * 8
-    assert [(h["k"], h["m"]) for h in by_name["ratio-search"].hits] == [
+    by_name = {c["name"]: c for c in run_sweep(spec)["checks"]}
+    assert by_name["ratio-search"]["pass"] == 3 * 8
+    assert [(h["k"], h["m"]) for h in by_name["ratio-search"]["hits"]] == [
         (1, 3), (3, 3)]
-    assert by_name["em-scan"].passes == 3 * 8
-    assert by_name["em-scan"].hits == [{"k": 1, "m": 3}]
+    assert by_name["em-scan"]["pass"] == 3 * 8
+    assert by_name["em-scan"]["hits"] == [{"k": 1, "m": 3}]
