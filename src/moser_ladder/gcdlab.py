@@ -31,7 +31,6 @@ from typing import Iterable, Iterator, NamedTuple
 from ._primes import factorize
 from .bernoulli import (
     SquareFreeStatus,
-    _divides_nd,
     bernoulli,
     denominator,
     numerator,
@@ -41,17 +40,12 @@ from .powersum import power_sum
 
 __all__ = [
     "gcd_ratio",
-    "predicted_gcd_with_m",
-    "predicted_gcd_with_m2",
-    "predicted_gcd_with_m3",
     "GcdLadder",
     "gcd_ladder",
     "CongruenceVerdict",
     "congruence_check",
     "PrimeLocalVerdict",
     "prime_local_congruences",
-    "divisibility_equivalence",
-    "trivial_gcd_iff",
     "WindowTooSmallError",
     "MinMaxResult",
     "min_max_scan",
@@ -76,21 +70,6 @@ def gcd_ratio(k: int, m: int) -> Fraction:
     if m < 2:
         raise ValueError(f"gcd_ratio needs m >= 2, got {m}")
     return Fraction(gcd(power_sum(k, m), power_sum(k, m + 1)), m)
-
-
-def predicted_gcd_with_m(k: int, m: int) -> int:
-    """Closed form m / gcd(D, m) for gcd(S, m)."""
-    return m // gcd(denominator(k), m)
-
-
-def predicted_gcd_with_m2(k: int, m: int) -> int:
-    """Closed form m * gcd(N, m) / gcd(D, m) for gcd(S, m^2)."""
-    return predicted_gcd_with_m(k, m) * gcd(abs(numerator(k)), m)
-
-
-def predicted_gcd_with_m3(k: int, m: int) -> int:
-    """Closed form m * gcd(N, m^2) / gcd(D, m) for gcd(S, m^3)."""
-    return predicted_gcd_with_m(k, m) * gcd(abs(numerator(k)), m * m)
 
 
 def _strip_common_primes(n: int, basis: int) -> int:
@@ -305,33 +284,6 @@ def prime_local_congruences(
     return out
 
 
-def divisibility_equivalence(k: int, m: int, r: int) -> bool:
-    """m^(r+1) | S_k(m) if and only if m^r | B_k, for r in 1, 2.
-
-    Both sides evaluated independently: integer divisibility of the sum
-    versus p-adic divisibility of the Bernoulli number.
-    """
-    _require_even(k)
-    if m < 2:
-        raise ValueError(f"divisibility_equivalence needs m >= 2, got {m}")
-    if r not in (1, 2):
-        raise ValueError(f"divisibility_equivalence supports r in 1..2, got {r}")
-    b = bernoulli(k)
-    lhs = power_sum(k, m) % m ** (r + 1) == 0
-    rhs = _divides_nd(m, r, b.numerator, b.denominator)
-    return lhs == rhs
-
-
-def trivial_gcd_iff(k: int, m: int) -> bool:
-    """g(m) = 1 if and only if gcd(D N, m) = 1, g computed by definition."""
-    _require_even(k)
-    if m < 2:
-        raise ValueError(f"trivial_gcd_iff needs m >= 2, got {m}")
-    g = gcd_ratio(k, m)
-    coprime = gcd(denominator(k) * abs(numerator(k)), m) == 1
-    return (g == 1) == coprime
-
-
 class WindowTooSmallError(ValueError):
     """min_max_scan window must contain both witnesses D and |N|."""
 
@@ -348,8 +300,8 @@ class MinMaxResult(NamedTuple):
     square-freeness above the bound is the closed form's hypothesis, taken
     as verified). The minimum needs no square-free input: g(m) >= 1/gcd(D, m)
     unconditionally, so min_value is exact whenever the witness attains it.
-    `max_is_exact` is the certified flag; when false, max_value is only a
-    lower bound for the true supremum and the scan reports, never asserts.
+    When `certified` is false, max_value is only a lower bound for the
+    true supremum and the scan reports, never asserts.
     """
 
     k: int
@@ -362,7 +314,6 @@ class MinMaxResult(NamedTuple):
     min_witness: int
     max_value: Fraction
     max_witness: int
-    max_is_exact: bool
     product: Fraction
     product_matches_abs_b: bool
     prefix_min: Fraction
@@ -441,7 +392,6 @@ def min_max_scan(
         min_witness=min_witness,
         max_value=max_value,
         max_witness=max_witness,
-        max_is_exact=certified,
         product=product,
         product_matches_abs_b=product == abs(b),
         prefix_min=prefix_min,
@@ -469,7 +419,6 @@ class CrossGcdVerdict(NamedTuple):
     divides_k: bool
     c_square_free: bool
     prime_checks: tuple[tuple[int, bool, bool], ...]
-    reading: str = "numerator of B_k/k in lowest terms"
 
     @property
     def ok(self) -> bool:

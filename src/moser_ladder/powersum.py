@@ -34,7 +34,6 @@ __all__ = [
     "power_sum",
     "power_sum_naive",
     "running_sums",
-    "ratio_integral",
     "RatioHit",
     "ratio_hits",
     "search_ratio",
@@ -111,21 +110,6 @@ def running_sums(k: int, m_max: int) -> Iterator[tuple[int, int]]:
     for m in range(1, m_max + 1):
         yield m, s
         s += m**k
-
-
-def ratio_integral(k: int, m: int) -> int | None:
-    """S_k(m+1) / S_k(m) when that quotient is an integer, else None.
-
-    Both sums are evaluated independently through the closed form.
-    m >= 3: at m = 2 the quotient is trivially integral (S_k(2) = 1).
-    """
-    _check_km(k, m)
-    if m < 3:
-        raise ValueError(f"ratio_integral needs m >= 3, got {m}")
-    s = power_sum(k, m)
-    s_next = power_sum(k, m + 1)
-    quot, rem = divmod(s_next, s)
-    return quot if rem == 0 else None
 
 
 class RatioHit(NamedTuple):

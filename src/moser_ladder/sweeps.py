@@ -470,7 +470,8 @@ class GridSpec(NamedTuple):
             raise ValueError(f"bad m range [{self.m_min}, {self.m_max}]")
         unknown = [c for c in self.checks if c not in _CHECKS]
         if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)}")
+            raise ValueError(
+                f"unknown checks: {', '.join(map(repr, unknown))}")
         if self.trial_bound < 2 and any(
                 _CHECKS[c].reads_trial_bound for c in self.checks):
             raise ValueError(

@@ -6,20 +6,21 @@ from math import gcd
 
 import pytest
 
+from moser_ladder.bernoulli import (
+    bernoulli,
+    denominator,
+    divides_rational,
+    numerator,
+)
 from moser_ladder.gcdlab import (
     CROSS_GCD_OFFSETS,
     WindowTooSmallError,
     congruence_check,
     cross_gcd_check,
-    divisibility_equivalence,
     gcd_ladder,
     gcd_ratio,
     min_max_scan,
-    predicted_gcd_with_m,
-    predicted_gcd_with_m2,
-    predicted_gcd_with_m3,
     prime_local_congruences,
-    trivial_gcd_iff,
 )
 from moser_ladder.powersum import power_sum
 
@@ -59,9 +60,10 @@ def test_predicted_gcds_match_observed():
     for k in (2, 4, 10, 14):
         for m in range(2, 50):
             s = power_sum(k, m)
-            assert gcd(s, m) == predicted_gcd_with_m(k, m)
-            assert gcd(s, m * m) == predicted_gcd_with_m2(k, m)
-            assert gcd(s, m**3) == predicted_gcd_with_m3(k, m)
+            lad = gcd_ladder(k, m)
+            assert gcd(s, m) == lad.predicted_m1
+            assert gcd(s, m * m) == lad.predicted_m2
+            assert gcd(s, m**3) == lad.predicted_m3
 
 
 def test_ladder_at_10_5():
@@ -125,23 +127,27 @@ def test_prime_local_congruences():
 
 
 def test_divisibility_equivalence_grid():
+    # m^(r+1) | S_k(m) iff m^r | B_k (p-adically)
     for k in (2, 6, 10):
         for m in range(2, 60):
             for r in (1, 2):
-                assert divisibility_equivalence(k, m, r), (k, m, r)
+                lhs = power_sum(k, m) % m ** (r + 1) == 0
+                assert lhs == divides_rational(m, r, bernoulli(k)), (k, m, r)
 
 
 def test_trivial_gcd_iff_grid():
+    # g(m) = 1 iff gcd(D N, m) = 1
     for k in (2, 8, 12):
+        dn = denominator(k) * abs(numerator(k))
         for m in range(2, 60):
-            assert trivial_gcd_iff(k, m), (k, m)
+            assert (gcd_ratio(k, m) == 1) == (gcd(dn, m) == 1), (k, m)
 
 
 def test_min_max_small_window():
     res = min_max_scan(2, 50)
     assert (res.min_value, res.min_witness) == (Fraction(1, 6), 6)
     assert (res.max_value, res.max_witness) == (1, 5)
-    assert res.certified and res.max_is_exact
+    assert res.certified
     assert res.product == Fraction(1, 6)
     assert res.product_matches_abs_b
 

@@ -8,7 +8,7 @@ from moser_ladder.powersum import (
     em_scan,
     power_sum,
     power_sum_naive,
-    ratio_integral,
+    ratio_hits,
     running_sums,
     search_ratio,
 )
@@ -74,11 +74,9 @@ def test_rejects_bad_arguments():
 
 
 def test_ratio_integral_examples():
-    assert ratio_integral(1, 3) == 2
-    assert ratio_integral(3, 3) == 4
-    assert ratio_integral(2, 3) is None
-    with pytest.raises(ValueError):
-        ratio_integral(1, 2)
+    assert list(ratio_hits(1, 3, 3)) == [RatioHit(1, 3, 2)]
+    assert list(ratio_hits(3, 3, 3)) == [RatioHit(3, 3, 4)]
+    assert list(ratio_hits(2, 3, 3)) == []
 
 
 def test_search_ratio_known_hits():

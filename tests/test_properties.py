@@ -413,3 +413,26 @@ def test_searches_stopping_at_the_crossover_lose_nothing(k, m_min, m_max):
 def test_sum_over_m_to_the_k_strictly_increases(k, m):
     # S_k(m) / m^k < S_k(m+1) / (m+1)^k, cross-multiplied
     assert power_sum(k, m) * (m + 1)**k < power_sum(k, m + 1) * m**k
+
+
+# ---- the per-cell statements the sweep rows check, far past every grid
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(k=_even(60), m=st.integers(2, 10**12), base=st.sampled_from("mDN"),
+       c=st.integers(1, 30))
+@example(k=12, m=2, base="N", c=1)  # m = 691 divides B_12
+@example(k=50, m=5, base="m", c=1)  # 5^2 | N_50, the one square for k <= 60
+def test_ladder_and_equivalences_far_past_the_grids(k, m, base, c):
+    # m is free, or a small multiple of D_k or |N_k| so the gates open
+    b = bernoulli(k)
+    d, n_abs = b.denominator, abs(b.numerator)
+    if base != "m":
+        m = max(2, c * (d if base == "D" else n_abs))
+    assert gcdlab.gcd_ladder(k, m).ok, (k, m)
+    s = power_sum(k, m)
+    for r in (1, 2):
+        # m^(r+1) | S_k(m) iff m^r | B_k (p-adically)
+        assert (s % m ** (r + 1) == 0) == divides_rational(m, r, b), (k, m, r)
+    # g(m) = 1 iff gcd(D N, m) = 1
+    assert (gcdlab.gcd_ratio(k, m) == 1) == (gcd(d * n_abs, m) == 1), (k, m)

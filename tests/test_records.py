@@ -42,8 +42,6 @@ def test_records_keep_defaults_and_properties():
     spec = sweeps.GridSpec(k_max=12, m_max=100)
     assert (spec.k_min, spec.m_min, spec.checks) == (1, 1, sweeps.CHECK_ORDER)
     assert gcdlab.gcd_ladder(10, 5).matches == (True, True, True)
-    assert gcdlab.cross_gcd_check(20, 2).reading == (
-        "numerator of B_k/k in lowest terms")
     status = square_free_status(12, 100)
     assert (status.kind, status.bound, status.prime) == (
         "no-square-factor-below", 100, None)
