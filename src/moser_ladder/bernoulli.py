@@ -21,6 +21,7 @@ from ._primes import is_prime, primes_up_to, primorial
 
 __all__ = [
     "bernoulli",
+    "MemoPoisonedError",
     "bernoulli_record",
     "BernoulliRecord",
     "vsc_denominator",
@@ -29,8 +30,6 @@ __all__ = [
     "numerator_is_prime",
     "SquareFreeStatus",
     "square_free_status",
-    "find_square_factor",
-    "SQUARE_FREE_ESCALATION",
     "size_estimate",
     "exact_log_abs",
     "numerator_bound_check",
@@ -53,11 +52,16 @@ _EVEN: list[Fraction] = [Fraction(1)]
 _TANGENT: list[int] = []
 
 
+class MemoPoisonedError(ValueError):
+    """A seeded memo entry disagrees with the tangent numbers (a bad cache)."""
+
+
 def _extend_even(half: int) -> None:
     """Grow the memo to B_{2 half}, checking any seeded entries on the way.
 
     The tangent triangle is advanced one column at a time, so growing the
-    table in steps costs the same O(half^2) products as one build.
+    table in steps costs the same O(half^2) products as one build. A seeded
+    entry that disagrees raises MemoPoisonedError.
     """
     global _TANGENT
     if half < len(_EVEN):
@@ -77,7 +81,7 @@ def _extend_even(half: int) -> None:
         value = Fraction((-1) ** (n - 1) * 2 * n * t, four_n * (four_n - 1))
         if n < len(_EVEN):
             if _EVEN[n] != value:
-                raise ValueError(
+                raise MemoPoisonedError(
                     f"memo entry for k={2 * n} disagrees with the tangent "
                     f"numbers (seeded from a bad cache?)"
                 )
@@ -170,17 +174,11 @@ class SquareFreeStatus(NamedTuple):
     bound: int | None = None
     prime: int | None = None
 
-    @staticmethod
-    def trivial() -> "SquareFreeStatus":
-        return SquareFreeStatus("trivial")
-
-    @staticmethod
-    def clear_below(bound: int) -> "SquareFreeStatus":
-        return SquareFreeStatus("no-square-factor-below", bound=bound)
-
-    @staticmethod
-    def square_factor(prime: int) -> "SquareFreeStatus":
-        return SquareFreeStatus("square-factor", prime=prime)
+    @property
+    def certified(self) -> bool:
+        """No square factor found, so the closed form g(m) = gcd(N, m) /
+        gcd(D, m) is taken to hold: the one rule for certification."""
+        return self.kind != "square-factor"
 
 
 def _smallest_square_prime(n: int, bound: int) -> int | None:
@@ -209,39 +207,11 @@ def square_free_status(k: int, trial_bound: int) -> SquareFreeStatus:
         raise ValueError(f"trial_bound must be >= 2, got {trial_bound}")
     n = abs(numerator(k))
     if n == 1:
-        return SquareFreeStatus.trivial()
+        return SquareFreeStatus("trivial")
     p = _smallest_square_prime(n, trial_bound)
     if p is None:
-        return SquareFreeStatus.clear_below(trial_bound)
-    return SquareFreeStatus.square_factor(p)
-
-
-# Documented escalation ladder for hunting square factors; 10^5 is the
-# largest bound any acceptance-scale index needs (k = 228 flags at 1000).
-SQUARE_FREE_ESCALATION = (10, 100, 1000, 10_000, 100_000)
-
-
-def find_square_factor(
-    k: int, bounds: tuple[int, ...] = SQUARE_FREE_ESCALATION
-) -> tuple[int, int] | None:
-    """Escalate the square-factor search through the given bounds.
-
-    Returns (prime, bound that flagged it) or None if every bound comes back
-    clean. A None is a bounded "unknown", not a square-freeness certificate.
-    One search at the largest bound finds the smallest flagged prime p; the
-    bound reported is the first one >= p, the same pair that searching
-    bound by bound would give.
-    """
-    if not bounds:
-        return None
-    if min(bounds) < 2:
-        raise ValueError(f"trial bounds must be >= 2, got {min(bounds)}")
-    status = square_free_status(k, max(bounds))
-    if status.kind != "square-factor":
-        return None
-    p = status.prime
-    assert p is not None
-    return p, next(b for b in bounds if b >= p)
+        return SquareFreeStatus("no-square-factor-below", bound=trial_bound)
+    return SquareFreeStatus("square-factor", prime=p)
 
 
 def size_estimate(k: int, zeta_terms: int = 64) -> float:

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bernoulli import bernoulli_record
+from .bernoulli import MemoPoisonedError, bernoulli_record
 from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
@@ -398,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"warning: cache not written: {exc}", file=sys.stderr)
         return code
-    except (cachemod.CacheError, OSError) as exc:
+    except (cachemod.CacheError, MemoPoisonedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:

@@ -149,7 +149,9 @@ def _ladder_rungs(
     gk = gcd(s, m**k)
     if k >= 4:
         e, rem = divmod(gk, g3)
-        assert rem == 0  # m^3 | m^k, so the gcds nest
+        if rem:  # m^3 | m^k, so the gcds nest
+            raise ArithmeticError(f"gcd(S, m^3) does not divide gcd(S, m^k) "
+                                  f"at k={k}, m={m}")
     else:
         e = 1  # k = 2: m^k divides m^3, nothing extends past that rung
     p1 = m // gcd(d, m)
@@ -296,9 +298,11 @@ class MinMaxResult(NamedTuple):
     by definition regardless of size. On the rest of the window the
     square-free closed form g(m) = gcd(N, m)/gcd(D, m) bounds g between
     1/D and |N| pointwise, so the witness values are the exact extremes
-    whenever `certified` is set (no square factor found below trial_bound;
-    square-freeness above the bound is the closed form's hypothesis, taken
-    as verified). The minimum needs no square-free input: g(m) >= 1/gcd(D, m)
+    whenever `certified` is set. `certified` is not stored: it reads
+    `square_free.certified`, the one rule, which holds when the search
+    found no square factor below trial_bound (square-freeness above the
+    bound is the closed form's hypothesis, taken as verified). The
+    minimum needs no square-free input: g(m) >= 1/gcd(D, m)
     unconditionally, so min_value is exact whenever the witness attains it.
     When `certified` is false, max_value is only a lower bound for the
     true supremum and the scan reports, never asserts.
@@ -309,7 +313,6 @@ class MinMaxResult(NamedTuple):
     prefix_limit: int
     trial_bound: int
     square_free: SquareFreeStatus
-    certified: bool
     min_value: Fraction
     min_witness: int
     max_value: Fraction
@@ -321,6 +324,10 @@ class MinMaxResult(NamedTuple):
     prefix_max: Fraction
     prefix_max_at: int
     prefix_closed_form_agrees: bool | None
+
+    @property
+    def certified(self) -> bool:
+        return self.square_free.certified
 
 
 def min_max_scan(
@@ -343,7 +350,7 @@ def min_max_scan(
             f"D={d} and |N|={n_abs}"
         )
     status = square_free_status(k, trial_bound)
-    certified = status.kind in ("trivial", "no-square-factor-below")
+    certified = status.certified
 
     # brute-force prefix by definition, cross-checked against the closed
     # form where the closed form is certified to apply. g(m) = a/m is kept
@@ -387,7 +394,6 @@ def min_max_scan(
         prefix_limit=limit,
         trial_bound=trial_bound,
         square_free=status,
-        certified=certified,
         min_value=min_value,
         min_witness=min_witness,
         max_value=max_value,

@@ -3,11 +3,11 @@ built on them: integer consecutive-sum ratios, the S_k(m) = m^k equation,
 and the crossover index where S_k(m) first reaches m^k.
 
 The closed form is evaluated Horner-style over a single common denominator
-so every intermediate stays an integer; the final division must be exact
-and is asserted. B_j = 0 for odd j >= 3, so only the even-index
-coefficients and the one at j = 1 are nonzero: Horner runs in m^2 over
-the even ones, which halves the big-integer products. The naive
-summation is kept as an independent oracle.
+so every intermediate stays an integer; the final division must be exact,
+and an inexact one raises ArithmeticError. B_j = 0 for odd j >= 3, so
+only the even-index coefficients and the one at j = 1 are nonzero:
+Horner runs in m^2 over the even ones, which halves the big-integer
+products. The naive summation is kept as an independent oracle.
 
 Searches use incremental running sums only (no Bernoulli numbers at all),
 so they are an independent route from the closed form. Each search is a
@@ -64,7 +64,8 @@ def _faulhaber_coeffs(
         comb(k + 1, j) * (bs[j].numerator * (scale_l // bs[j].denominator))
         for j in range(k + 1)
     ]
-    assert not any(coeffs[3::2])  # B_j = 0 for odd j >= 3
+    if any(coeffs[3::2]):
+        raise ArithmeticError(f"odd-index Bernoulli number nonzero below k={k}")
     even = coeffs[0::2] + [0] * (k % 2)
     got = (scale_l * (k + 1), (coeffs[0], coeffs[1], even[1]),
            tuple(even[2:]))

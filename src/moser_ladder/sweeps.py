@@ -45,26 +45,26 @@ import sys
 import time
 from fractions import Fraction
 from itertools import islice
-from math import gcd, isqrt
+from math import gcd
 from typing import Callable, NamedTuple
 
 from . import gcdlab
 from . import powersum as ps
-from ._primes import factor_with_table, primes_up_to, smallest_prime_factors
+from ._primes import factor_with_table, smallest_prime_factors
 from ._version import __version__
 from .bernoulli import (
-    SQUARE_FREE_ESCALATION,
     _divides_nd,
+    _smallest_square_prime,
     bernoulli,
     denominator,
     even_value_pairs,
     exact_log_abs,
-    find_square_factor,
     numerator,
     numerator_bound_check,
     numerator_is_prime,
     seed_even_values,
     size_estimate,
+    square_free_status,
     vsc_denominator,
 )
 
@@ -73,6 +73,7 @@ __all__ = [
     "CHECK_ORDER",
     "PROFILES",
     "GridSpec",
+    "SQUARE_FREE_ESCALATION",
     "numerator_survey",
     "max_bernoulli_index",
     "run_grids",
@@ -132,8 +133,7 @@ def _row_bernoulli_structure(k: int, spec: GridSpec) -> _Row:
              cell="divides-2(2^k-1)")
     # direct square-free probe of D, bounded; D == vsc product of distinct
     # primes already implies square-freeness, this probes it independently
-    probe = min(isqrt(d), 10_000)
-    sq = next((p for p in primes_up_to(probe) if d % (p * p) == 0), None)
+    sq = _smallest_square_prime(d, 10_000)
     row.cell(sq is None, f"square factor {sq}", "square-free",
              cell="denominator-square-free")
     return row
@@ -382,24 +382,32 @@ def _row_size_bounds(k: int, spec: GridSpec) -> _Row:
     return row
 
 
+# Documented escalation ladder for hunting square factors; 10^5 is the
+# largest bound any acceptance-scale index needs (k = 228 flags at 1000).
+SQUARE_FREE_ESCALATION = (10, 100, 1000, 10_000, 100_000)
+
+
 def numerator_survey(k: int, trial_bound: int) -> dict:
     """Survey record of |N_k|, even k >= 2: digit count, primality, and a
     square factor p^2 hunted over the escalating trial bounds up to
     trial_bound, with the bound that flagged it or, if none did, the
-    largest bound searched clear."""
+    largest bound searched clear. One search at the largest bound finds
+    the smallest such p; the bound reported is the first one >= p, the
+    pair that searching bound by bound would give."""
     n_abs = abs(numerator(k))
     prime = numerator_is_prime(k)
     bounds = tuple(
         b for b in SQUARE_FREE_ESCALATION if b <= trial_bound
     ) or (trial_bound,)
-    found = find_square_factor(k, bounds)
+    p = square_free_status(k, bounds[-1]).prime
+    flagged = None if p is None else next(b for b in bounds if b >= p)
     return {
         "k": k,
         "digits": len(str(n_abs)),
         "prime": prime,
-        "square_factor": str(found[0]) if found else None,
-        "flagged_at_bound": found[1] if found else None,
-        "clear_below": None if found else bounds[-1],
+        "square_factor": None if p is None else str(p),
+        "flagged_at_bound": flagged,
+        "clear_below": bounds[-1] if p is None else None,
     }
 
 
@@ -438,9 +446,7 @@ _CHECKS: dict[str, _Check] = {
     "special-values": _Check(_row_special_values),
     "min-max": _Check(_row_min_max, reads_trial_bound=True),
     "cross-gcd": _Check(_row_cross_gcd, 4),
-    # reads no B_k, but its grid's k_max has always sized the table, and
-    # with it the cache `verify` writes
-    "crossover-bracket": _Check(_row_crossover),
+    "crossover-bracket": _Check(_row_crossover, reads_b=False),
     "size-bounds": _Check(_row_size_bounds, 10),
     "numerator-scan": _Check(_row_numerator_scan, reads_trial_bound=True),
 }
@@ -537,7 +543,6 @@ def run_grids(specs: list[GridSpec], profile: str | None,
 
     k_need = max_bernoulli_index(specs)
     bernoulli(k_need)  # fill the memo before any fork
-    pairs = even_value_pairs(k_need)
 
     checks: list[dict] = []
     tasks: list[tuple[str, int, GridSpec]] = []
@@ -560,7 +565,8 @@ def run_grids(specs: list[GridSpec], profile: str | None,
         # read as a module attribute, so a swapped-in pool class is used
         pool_class = sys.modules[__name__].ProcessPoolExecutor
         with pool_class(
-            max_workers=workers, initializer=seed_even_values, initargs=(pairs,)
+            max_workers=workers, initializer=seed_even_values,
+            initargs=(even_value_pairs(k_need),)
         ) as pool:
             slices = [tasks[i::workers] for i in range(workers)]
             results = [None] * len(tasks)

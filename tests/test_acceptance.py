@@ -18,7 +18,6 @@ from moser_ladder.bernoulli import (
     denominator,
     divides_rational,
     exact_log_abs,
-    find_square_factor,
     numerator,
     numerator_bound_check,
     numerator_is_prime,
@@ -159,9 +158,9 @@ def test_criterion_09_square_factor_prefix():
     t0 = time.perf_counter()
     found = {}
     for k in (50, 98, 150, 196, 228):
-        hit = find_square_factor(k)  # escalates through bounds <= 10^5
-        assert hit is not None, f"k={k} resisted every trial bound"
-        found[k] = hit[0]
+        p = square_free_status(k, 100_000).prime
+        assert p is not None, f"k={k} has no square factor below 10^5"
+        found[k] = p
     assert found == {50: 5, 98: 7, 150: 5, 196: 7, 228: 103}
     assert numerator(50) % 25 == 0  # the flagged factor, by division
     elapsed = time.perf_counter() - t0

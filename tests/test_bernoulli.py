@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 from moser_ladder.bernoulli import (
-    SQUARE_FREE_ESCALATION,
     SquareFreeStatus,
     bernoulli,
     bernoulli_record,
@@ -15,7 +14,6 @@ from moser_ladder.bernoulli import (
     divides_rational,
     even_value_pairs,
     exact_log_abs,
-    find_square_factor,
     numerator,
     numerator_bound_check,
     numerator_is_prime,
@@ -24,6 +22,7 @@ from moser_ladder.bernoulli import (
     square_free_status,
     vsc_denominator,
 )
+from moser_ladder.sweeps import SQUARE_FREE_ESCALATION, numerator_survey
 
 # the package rebinds the name `bernoulli` to the function
 bmod = importlib.import_module("moser_ladder.bernoulli")
@@ -173,20 +172,29 @@ def test_prime_numerator_examples():
 
 
 def test_square_free_status_kinds():
-    assert square_free_status(2, 100) == SquareFreeStatus.trivial()
-    assert square_free_status(12, 100) == SquareFreeStatus.clear_below(100)
-    assert square_free_status(50, 100) == SquareFreeStatus.square_factor(5)
+    assert square_free_status(2, 100) == SquareFreeStatus("trivial")
+    assert square_free_status(12, 100) == SquareFreeStatus(
+        "no-square-factor-below", bound=100)
+    assert square_free_status(50, 100) == SquareFreeStatus(
+        "square-factor", prime=5)
+    assert [square_free_status(k, 100).certified for k in (2, 12, 50)] == [
+        True, True, False]
+
+
+def _hunt(k: int) -> tuple:
+    r = numerator_survey(k, 10**5)
+    return r["square_factor"], r["flagged_at_bound"], r["clear_below"]
 
 
 def test_square_factor_hunt():
-    assert find_square_factor(50) == (5, 10)
-    assert find_square_factor(98) == (7, 10)
-    assert find_square_factor(12) is None
-    assert find_square_factor(2) is None
+    assert _hunt(50) == ("5", 10, None)
+    assert _hunt(98) == ("7", 10, None)
+    assert _hunt(12) == (None, None, 100_000)
+    assert _hunt(2) == (None, None, 100_000)
 
 
 def test_square_factor_is_real():
-    p, _ = find_square_factor(50)
+    p = square_free_status(50, 10**5).prime
     assert numerator(50) % (p * p) == 0
 
 

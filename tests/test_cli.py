@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +184,11 @@ def test_trial_bound_below_2_runs_no_row(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: trial_bound must be >= 2, got 1\n")
     assert calls == []
+    # the numerator survey's own search rejects it with the same text
+    assert cli.main(["scan", "numerators", "--kmax", "4", "--trial-bound",
+                     "1", "--seedless"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: trial_bound must be >= 2, got 1\n")
 
 
 def test_io_error_corrupt_cache(tmp_path):
@@ -249,6 +255,7 @@ def test_verify_survives_an_unwritable_cache(tmp_path, capsys):
     (["verify", "quick"], 12),
     (["search", "em", "--kmax", "3", "--mmax", "10"], None),
     (["powersum", "9", "5", "--naive"], None),
+    (["verify", "--grid", "2-30:1", "--checks", "crossover-bracket"], 2),
 ])
 def test_cache_entries_per_command(tmp_path, capsys, argv, k_max):
     # each command leaves exactly the even prefix 2..k_max of the table,
@@ -305,6 +312,30 @@ def test_internal_fault_exits_4(monkeypatch, capsys):
     assert err == "internal error: faulhaber cancellation failed at k=5\n"
 
 
+_REAL_BERNOULLI = cli.ps.bernoulli
+
+
+@pytest.mark.parametrize("module, name, fake, argv, text", [
+    # gcd(S, m^k) one too large at k = 10, m = 5, so gcd(S, m^3) no
+    # longer divides it and the ladder's nesting check trips
+    ("gcdlab", "gcd", lambda a, b: math.gcd(a, b) + (b == 5**10),
+     ["ladder", "10", "5"], "does not divide"),
+    # B_3 = 1 breaks the Faulhaber coefficients' odd-index check
+    ("ps", "bernoulli", lambda j: _REAL_BERNOULLI(j) + (j == 3),
+     ["powersum", "5", "7"], "odd-index Bernoulli"),
+], ids=["ladder-nesting", "faulhaber-odd-index"])
+def test_tripped_invariant_exits_4(monkeypatch, capsys, module, name, fake,
+                                   argv, text):
+    # an invariant check that trips is an internal fault, not a usage
+    # error or an escaped traceback (exit 1, "checks failed")
+    monkeypatch.setattr(getattr(cli, module), name, fake)
+    monkeypatch.setattr(cli.ps, "_COEFFS", {})
+    assert cli.main([*argv, "--seedless"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ") and text in err
+
+
 def test_search_leaves_the_cache_alone(tmp_path):
     # searches use running sums only, so a corrupt cache is neither read
     # nor rewritten, and a fresh path is not created
@@ -355,19 +386,33 @@ def test_cache_round_trip(tmp_path):
     assert again.stdout == first.stdout == "-174611/330\n"
 
 
+def _rewrite_entry(cache: Path, old: str, new: str) -> None:
+    """Replace one record line of a cache file and re-sign it."""
+    header, *records, _digest = cache.read_text("ascii").splitlines()
+    payload = "".join(line + "\n" for line in records)
+    assert old in payload
+    payload = payload.replace(old, new)
+    digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
+    cache.write_text(header + "\n" + payload + digest + "\n", "ascii")
+
+
 def test_poisoned_cache_exits_3(tmp_path):
     cache = tmp_path / "bern.cache"
     assert run_cli("bern", "12", "--cache", str(cache)).returncode == 0
-    header, *records, _digest = cache.read_text("ascii").splitlines()
-    payload = "".join(line + "\n" for line in records)
-    payload = payload.replace("12\t-691\t2730\n", "12\t-697\t2730\n")
-    assert "-697" in payload
-    digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
-    cache.write_text(header + "\n" + payload + digest + "\n", "ascii")
+    _rewrite_entry(cache, "12\t-691\t2730\n", "12\t-697\t2730\n")
     out = run_cli("bern", "12", "--cache", str(cache))
     assert out.returncode == 3
     assert out.stdout == ""
     assert "k=12" in out.stderr
+    # N_10 + D_10 passes von Staudt-Clausen on load; growing the memo past
+    # k = 10 recomputes it from the tangent numbers and finds the edit
+    cache = tmp_path / "grow.cache"
+    assert run_cli("bern", "20", "--cache", str(cache)).returncode == 0
+    _rewrite_entry(cache, "10\t5\t66\n", "10\t71\t66\n")
+    out = run_cli("bern", "30", "--cache", str(cache))
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert "k=10" in out.stderr
 
 
 def test_query_loads_the_cache_once(tmp_path, monkeypatch, capsys):

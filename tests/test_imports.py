@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or re-exported.
+"""Every name a package module imports is used there or re-exported,
+and no module checks an invariant with `assert`.
 
 A stand-in for a linter's unused-import rule: each module of
 `src/moser_ladder/` is parsed with `ast`, and every name bound by an
@@ -44,3 +45,14 @@ def test_every_import_is_used_or_exported(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in kept}
     assert unused == {}, f"{path.name}: imported but never used"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # an invariant is checked with a raise: an assert vanishes under
+    # `python -O`, and an AssertionError would escape the CLI's exit codes
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert at lines {lines}"

@@ -23,7 +23,6 @@ from moser_ladder.bernoulli import (
     bernoulli,
     denominator,
     divides_rational,
-    find_square_factor,
     numerator,
     square_free_status,
 )
@@ -119,21 +118,26 @@ _BOUND = st.one_of(st.integers(2, 3000),
 
 
 @FAST
-@given(k=st.one_of(_even(300), _SQUARE_K), bound=_BOUND,
-       bounds=st.lists(_BOUND, min_size=1, max_size=5))
-def test_square_factor_search_matches_trial_division(k, bound, bounds):
+@given(k=st.one_of(_even(300), _SQUARE_K), bound=_BOUND)
+def test_square_factor_search_matches_trial_division(k, bound):
     n = abs(numerator(k))
     p = _trial_square_factor(n, bound)
     if n == 1:
-        want = SquareFreeStatus.trivial()
+        want = SquareFreeStatus("trivial")
     elif p is None:
-        want = SquareFreeStatus.clear_below(bound)
+        want = SquareFreeStatus("no-square-factor-below", bound=bound)
     else:
-        want = SquareFreeStatus.square_factor(p)
+        want = SquareFreeStatus("square-factor", prime=p)
     assert square_free_status(k, bound) == want
-    # any order of bounds, as the bound-by-bound loop takes them
-    want = _escalate_by_trial(k, bounds)
-    assert find_square_factor(k, tuple(bounds)) == want
+    # the survey's one search against the bound-by-bound loop over the
+    # escalation ladder filtered to the bound
+    bounds = tuple(b for b in sweeps.SQUARE_FREE_ESCALATION
+                   if b <= bound) or (bound,)
+    survey = sweeps.numerator_survey(k, bound)
+    got = survey["square_factor"], survey["flagged_at_bound"]
+    hit = _escalate_by_trial(k, bounds)
+    assert got == ((None, None) if hit is None else (str(hit[0]), hit[1]))
+    assert survey["clear_below"] == (bounds[-1] if hit is None else None)
 
 
 # ---- factorize: the product is n and every key is prime

@@ -121,7 +121,7 @@ def test_max_bernoulli_index_covers_every_read(monkeypatch):
         [GridSpec(k_max=15, m_max=20, checks=("telescoping",))],
     ]
     assert [max_bernoulli_index(specs) for specs in grids] == [
-        12, 40, 14, 2, 14]
+        12, 40, 2, 2, 14]
     for specs in grids:
         monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
         monkeypatch.setattr(bmod, "_TANGENT", [])
