@@ -11,7 +11,10 @@ Layout:
 Records are `k<TAB>N_k<TAB>D_k` in decimal, strictly ascending k, LF line
 endings. The final line is the SHA-256 of the payload (all record lines,
 each including its LF). A zero-byte file is a valid empty cache. Anything
-else malformed is rejected loudly; a partial or tampered file never loads.
+else malformed is rejected loudly, and the checksum catches accidental
+damage such as a torn or truncated file. It does not stop a deliberate
+edit that re-signs the file: a change of N_k by a multiple of D_k also
+passes von Staudt-Clausen and loads (README, "Cache format").
 
 Concurrency contract: one writer or many readers. Writes go through a
 temp file plus atomic rename, so readers never observe a torn file.

@@ -91,6 +91,19 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
     w.writerows(rows)
 
 
+def _emit(args, plain_lines: list, json_obj, csv_header: list[str],
+          csv_rows: list[list]) -> None:
+    """Print the answer in the `--format` format: the plain lines one a line
+    (none for an empty answer), the JSON object, or a CSV header and rows."""
+    if args.format == "json":
+        _emit_json(json_obj)
+    elif args.format == "csv":
+        _emit_csv(csv_header, csv_rows)
+    else:
+        for line in plain_lines:
+            print(line)
+
+
 def _cache_path(args) -> str | None:
     """The cache file of this run, or None: --seedless, and the commands
     that need no Bernoulli numbers (search, powersum --naive), leave the
@@ -107,41 +120,28 @@ def _cache_path(args) -> str | None:
 
 def cmd_bern(args) -> tuple[int, int]:
     rec = bernoulli_record(args.k)
-    if args.format == "plain":
-        print(rec.value)
-    elif args.format == "json":
-        _emit_json({"k": rec.k, "numerator": str(rec.numerator),
-                    "denominator": str(rec.denominator),
-                    "value": str(rec.value)})
-    else:
-        _emit_csv(["k", "numerator", "denominator"],
-                  [[rec.k, rec.numerator, rec.denominator]])
+    _emit(args, [rec.value],
+          {"k": rec.k, "numerator": str(rec.numerator),
+           "denominator": str(rec.denominator), "value": str(rec.value)},
+          ["k", "numerator", "denominator"],
+          [[rec.k, rec.numerator, rec.denominator]])
     return 0, args.k
 
 
 def cmd_powersum(args) -> tuple[int, int]:
-    if args.naive:
-        value = ps.power_sum_naive(args.k, args.m)
-    else:
-        value = ps.power_sum(args.k, args.m)
-    if args.format == "plain":
-        print(value)
-    elif args.format == "json":
-        _emit_json({"k": args.k, "m": args.m, "value": str(value),
-                    "method": "naive" if args.naive else "closed-form"})
-    else:
-        _emit_csv(["k", "m", "value"], [[args.k, args.m, value]])
+    method = ps.power_sum_naive if args.naive else ps.power_sum
+    value = method(args.k, args.m)
+    _emit(args, [value],
+          {"k": args.k, "m": args.m, "value": str(value),
+           "method": "naive" if args.naive else "closed-form"},
+          ["k", "m", "value"], [[args.k, args.m, value]])
     return 0, args.k
 
 
 def cmd_gk(args) -> tuple[int, int]:
     g = gcdlab.gcd_ratio(args.k, args.m)
-    if args.format == "plain":
-        print(g)
-    elif args.format == "json":
-        _emit_json({"k": args.k, "m": args.m, "value": str(g)})
-    else:
-        _emit_csv(["k", "m", "value"], [[args.k, args.m, g]])
+    _emit(args, [g], {"k": args.k, "m": args.m, "value": str(g)},
+          ["k", "m", "value"], [[args.k, args.m, g]])
     return 0, args.k
 
 
@@ -154,33 +154,23 @@ def cmd_ladder(args) -> tuple[int, int]:
         ("m^4", lad.observed_m4, "no formula"),
         ("m^k", lad.observed_mk, "see residual"),
     ]
-    flags = [
-        ("residual", lad.residual),
-        ("residual_primes_divide_numerator",
-         lad.residual_primes_divide_numerator),
-        ("consecutive_matches", lad.consecutive_matches),
-        ("monotone", lad.monotone),
-        ("ok", lad.ok),
-    ]
-    if args.format == "plain":
-        print(f"k={lad.k} m={lad.m}")
-        wid = max(len(str(obs)) for _, obs, _ in rungs)
-        for rung, obs, pred in rungs:
-            print(f"{rung:<4} observed {obs!s:<{wid}} predicted {pred}")
-        for name, value in flags:
-            value = str(value).lower() if isinstance(value, bool) else value
-            print(f"{name} {value}")
-    elif args.format == "json":
-        _emit_json({
-            "k": lad.k, "m": lad.m,
-            "observed": {r: str(o) for r, o, _ in rungs},
-            "predicted": {r: p for r, _, p in rungs},
-            **{name: str(v) if isinstance(v, int) and not isinstance(v, bool)
-               else v for name, v in flags},
-        })
-    else:
-        _emit_csv(["rung", "observed", "predicted"],
-                  [[r, o, p] for r, o, p in rungs])
+    flags = {name: getattr(lad, name) for name in (
+        "residual_primes_divide_numerator", "consecutive_matches",
+        "monotone", "ok")}
+    wid = max(len(str(obs)) for _, obs, _ in rungs)
+    _emit(
+        args,
+        [f"k={lad.k} m={lad.m}",
+         *(f"{rung:<4} observed {obs!s:<{wid}} predicted {pred}"
+           for rung, obs, pred in rungs),
+         f"residual {lad.residual}",
+         *(f"{name} {str(v).lower()}" for name, v in flags.items())],
+        {"k": lad.k, "m": lad.m,
+         "observed": {r: str(o) for r, o, _ in rungs},
+         "predicted": {r: p for r, _, p in rungs},
+         "residual": str(lad.residual), **flags},
+        ["rung", "observed", "predicted"], [list(r) for r in rungs],
+    )
     return 0, args.k
 
 
@@ -192,39 +182,31 @@ def cmd_search(args) -> tuple[int, int]:
     else:
         hits = [{"k": k, "m": m} for k, m in ps.em_scan(args.kmax, args.mmax)]
         header = ["k", "m"]
-    if args.format == "plain":
-        for h in hits:
-            print(" ".join(f"{name}={h[name]}" for name in header))
-    elif args.format == "json":
-        _emit_json({"mode": args.mode, "kmax": args.kmax, "mmax": args.mmax,
-                    "hits": hits})
-    else:
-        _emit_csv(header, [[h[name] for name in header] for h in hits])
+    _emit(args,
+          [" ".join(f"{name}={h[name]}" for name in header) for h in hits],
+          {"mode": args.mode, "kmax": args.kmax, "mmax": args.mmax,
+           "hits": hits},
+          header, [[h[name] for name in header] for h in hits])
     return 0, 0
 
 
 def cmd_scan(args) -> tuple[int, int]:
     rows = [sweeps.numerator_survey(k, args.trial_bound)
             for k in range(2, args.kmax + 1, 2)]
-    if args.format == "plain":
-        for r in rows:
-            if r["square_factor"] is not None:
-                sq = f"{r['square_factor']}^2 (bound {r['flagged_at_bound']})"
-            else:
-                sq = f"none below {r['clear_below']}"
-            print(f"k={r['k']} digits={r['digits']} "
-                  f"prime={'yes' if r['prime'] else 'no'} square-factor={sq}")
-    elif args.format == "json":
-        _emit_json({"kmax": args.kmax, "trial_bound": args.trial_bound,
-                    "numerators": rows})
-    else:
-        _emit_csv(
-            ["k", "digits", "prime", "square_factor", "flagged_at_bound",
-             "clear_below"],
-            [[r["k"], r["digits"], r["prime"],
-              r["square_factor"] or "", r["flagged_at_bound"] or "",
-              r["clear_below"] or ""] for r in rows],
-        )
+    plain = []
+    for r in rows:
+        if r["square_factor"] is not None:
+            sq = f"{r['square_factor']}^2 (bound {r['flagged_at_bound']})"
+        else:
+            sq = f"none below {r['clear_below']}"
+        plain.append(f"k={r['k']} digits={r['digits']} prime="
+                     f"{'yes' if r['prime'] else 'no'} square-factor={sq}")
+    header = ["k", "digits", "prime", "square_factor", "flagged_at_bound",
+              "clear_below"]
+    _emit(args, plain,
+          {"kmax": args.kmax, "trial_bound": args.trial_bound,
+           "numerators": rows},
+          header, [[r[key] for key in header] for r in rows])
     return 0, args.kmax
 
 
@@ -264,32 +246,27 @@ def cmd_verify(args) -> tuple[int, int]:
             checks=checks, trial_bound=trial_bound,
         )]
     d = sweeps.run_grids(specs, args.profile, args.jobs)
-    if args.format == "json":
-        _emit_json(d)
-    elif args.format == "csv":
-        _emit_csv(
-            ["check", "k_min", "k_max", "m_min", "m_max", "rows", "pass",
-             "fail", "inapplicable", "counterexamples", "hits"],
-            [[c["name"], c["grid"]["k_min"], c["grid"]["k_max"],
-              c["grid"]["m_min"], c["grid"]["m_max"], c["rows"], c["pass"],
-              c["fail"], c["inapplicable"], len(c["counterexamples"]),
-              len(c["hits"])] for c in d["checks"]],
-        )
-    else:
-        for c in d["checks"]:
-            line = (f"{c['name']:<26} pass {c['pass']:<8} fail {c['fail']:<4} "
-                    f"inapplicable {c['inapplicable']:<6} hits {len(c['hits'])}")
-            print(line.rstrip())
-        t = d["totals"]
-        print(f"{'total':<26} pass {t['pass']:<8} fail {t['fail']:<4} "
-              f"inapplicable {t['inapplicable']}")
-        print("result: " + ("OK" if t["fail"] == 0 else "FAIL"))
+    t = d["totals"]
+    _emit(
+        args,
+        [*(f"{c['name']:<26} pass {c['pass']:<8} fail {c['fail']:<4} "
+           f"inapplicable {c['inapplicable']:<6} hits {len(c['hits'])}"
+           for c in d["checks"]),
+         f"{'total':<26} pass {t['pass']:<8} fail {t['fail']:<4} "
+         f"inapplicable {t['inapplicable']}",
+         "result: " + ("OK" if t["fail"] == 0 else "FAIL")],
+        d,
+        ["check", "k_min", "k_max", "m_min", "m_max", "rows", "pass",
+         "fail", "inapplicable", "counterexamples", "hits"],
+        [[c["name"], *c["grid"].values(), c["rows"], c["pass"], c["fail"],
+          c["inapplicable"], len(c["counterexamples"]), len(c["hits"])]
+         for c in d["checks"]],
+    )
     for c in d["checks"]:
         for cex in c["counterexamples"]:
             print("counterexample: " + json.dumps(cex, sort_keys=True),
                   file=sys.stderr)
-    return (0 if d["totals"]["fail"] == 0 else 1,
-            sweeps.max_bernoulli_index(specs))
+    return (0 if t["fail"] == 0 else 1), sweeps.max_bernoulli_index(specs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -53,6 +53,7 @@ from . import powersum as ps
 from ._primes import factor_with_table, smallest_prime_factors
 from ._version import __version__
 from .bernoulli import (
+    _check_trial_bound,
     _divides_nd,
     _smallest_square_prime,
     bernoulli,
@@ -96,15 +97,12 @@ class _Row:
         self.counterexamples: list[dict] = []
         self.hits: list[dict] = []
 
-    def cell(self, ok: bool, observed, predicted, applicable: bool = True,
-             **where) -> None:
-        """Account one cell: inapplicable whatever `ok` says when its gate
-        is closed, else pass or fail. A failure becomes a counterexample
-        at `where` (m, s and/or the cell's name), values as strings:
-        exact, and safe for any JSON consumer."""
-        if not applicable:
-            self.inapplicable += 1
-        elif ok:
+    def cell(self, ok: bool, observed, predicted, **where) -> None:
+        """Account one cell as a pass or a fail. A failure becomes a
+        counterexample at `where` (m, s and/or the cell's name), values as
+        strings: exact, and safe for any JSON consumer. A row whose cells
+        have a gate counts the closed ones in `inapplicable` itself."""
+        if ok:
             self.passes += 1
         else:
             self.fails += 1
@@ -394,6 +392,7 @@ def numerator_survey(k: int, trial_bound: int) -> dict:
     largest bound searched clear. One search at the largest bound finds
     the smallest such p; the bound reported is the first one >= p, the
     pair that searching bound by bound would give."""
+    _check_trial_bound(trial_bound)
     n_abs = abs(numerator(k))
     prime = numerator_is_prime(k)
     bounds = tuple(
@@ -478,10 +477,8 @@ class GridSpec(NamedTuple):
         if unknown:
             raise ValueError(
                 f"unknown checks: {', '.join(map(repr, unknown))}")
-        if self.trial_bound < 2 and any(
-                _CHECKS[c].reads_trial_bound for c in self.checks):
-            raise ValueError(
-                f"trial_bound must be >= 2, got {self.trial_bound}")
+        if any(_CHECKS[c].reads_trial_bound for c in self.checks):
+            _check_trial_bound(self.trial_bound)
 
 
 def _rows_for(check: str, spec: GridSpec) -> range:

@@ -181,6 +181,14 @@ def test_square_free_status_kinds():
         True, True, False]
 
 
+@pytest.mark.parametrize("bound", [1, bmod.MAX_TRIAL_BOUND + 1])
+def test_trial_bound_out_of_range_is_rejected(bound):
+    # checked before |N_k| is looked at, so the trivial N_2 = 1 too
+    for search in (square_free_status, numerator_survey):
+        with pytest.raises(ValueError, match=f"got {bound}$"):
+            search(2, bound)
+
+
 def _hunt(k: int) -> tuple:
     r = numerator_survey(k, 10**5)
     return r["square_factor"], r["flagged_at_bound"], r["clear_below"]

@@ -1,6 +1,7 @@
 """CLI surface: formats, exit codes, stream separation."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -177,18 +178,25 @@ def test_trial_bound_below_2_runs_no_row(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
+    def no_sieve(n):
+        raise AssertionError("a prime sieve was built")
+
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
-    for jobs in ("1", "2"):
-        assert cli.main(["verify", "--grid", "2-12:100", "--trial-bound",
-                         "1", "--seedless", "--jobs", jobs]) == 2
-        out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: trial_bound must be >= 2, got 1\n")
-    assert calls == []
-    # the numerator survey's own search rejects it with the same text
-    assert cli.main(["scan", "numerators", "--kmax", "4", "--trial-bound",
-                     "1", "--seedless"]) == 2
-    assert capsys.readouterr() == (
-        "", "error: trial_bound must be >= 2, got 1\n")
+    bmod = importlib.import_module("moser_ladder.bernoulli")
+    monkeypatch.setattr(bmod, "primorial", no_sieve)
+    monkeypatch.setattr(bmod, "primes_up_to", no_sieve)
+    for bound, text in (("1", ">= 2, got 1"),
+                        ("1000001", "<= 1000000, got 1000001")):
+        error = f"error: trial_bound must be {text}\n"
+        for jobs in ("1", "2"):
+            assert cli.main(["verify", "--grid", "2-12:100", "--trial-bound",
+                             bound, "--seedless", "--jobs", jobs]) == 2
+            assert capsys.readouterr() == ("", error)
+        assert calls == []
+        # the numerator survey rejects it with the same text
+        assert cli.main(["scan", "numerators", "--kmax", "4",
+                         "--trial-bound", bound, "--seedless"]) == 2
+        assert capsys.readouterr() == ("", error)
 
 
 def test_io_error_corrupt_cache(tmp_path):
@@ -373,6 +381,12 @@ def test_verify_failure_is_reported(monkeypatch, capsys):
     assert lines[0].startswith(prefix)
     assert json.loads(lines[0][len(prefix):]) == want
     assert lines[0] == prefix + json.dumps(want, sort_keys=True)
+    # the same lines go to stderr whatever the format of stdout
+    for fmt in ("plain", "csv"):
+        assert cli.main(["verify", "--grid", "1-4:2-10", "--checks",
+                         "faulhaber-naive", "--seedless", "--format",
+                         fmt]) == 1
+        assert capsys.readouterr().err == err
 
 
 def test_cache_round_trip(tmp_path):

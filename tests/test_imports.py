@@ -1,5 +1,6 @@
 """Every name a package module imports is used there or re-exported,
-and no module checks an invariant with `assert`.
+no module checks an invariant with `assert`, and the CLI picks the
+output format in one place.
 
 A stand-in for a linter's unused-import rule: each module of
 `src/moser_ladder/` is parsed with `ast`, and every name bound by an
@@ -56,3 +57,31 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def _uses_by_function(tree: ast.Module, is_use) -> dict[str, int]:
+    """Top-level function (or "<module>") -> how many nodes in it pass
+    `is_use`."""
+    out: dict[str, int] = {}
+    for top in tree.body:
+        name = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        count = sum(1 for node in ast.walk(top) if is_use(node))
+        if count:
+            out[name] = out.get(name, 0) + count
+    return out
+
+
+def test_cli_picks_the_format_only_in_emit():
+    # every command hands its three renderings to `_emit`; a command
+    # that reads args.format or writes CSV itself brings back its own
+    # per-format branches
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = _uses_by_function(tree, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "format"
+        and isinstance(node.value, ast.Name) and node.value.id == "args"))
+    csv_calls = _uses_by_function(tree, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_emit_csv"))
+    assert list(reads) == ["_emit"]
+    assert list(csv_calls) == ["_emit"]
