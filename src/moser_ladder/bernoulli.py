@@ -27,7 +27,6 @@ __all__ = [
     "vsc_denominator",
     "numerator",
     "denominator",
-    "numerator_is_prime",
     "SquareFreeStatus",
     "square_free_status",
     "size_estimate",
@@ -157,11 +156,6 @@ def denominator(k: int) -> int:
     return bernoulli(k).denominator
 
 
-def numerator_is_prime(k: int) -> bool:
-    """Whether |N_k| is prime. Deterministic at desk scale (see _primes)."""
-    return is_prime(abs(numerator(k)))
-
-
 class SquareFreeStatus(NamedTuple):
     """Outcome of a bounded square-factor search on |N_k|.
 
@@ -192,18 +186,38 @@ def _check_trial_bound(trial_bound: int) -> None:
         raise ValueError(f"trial_bound must be {side}, got {trial_bound}")
 
 
-def _smallest_square_prime(n: int, bound: int) -> int | None:
+def _smallest_square_prime(n: int, bound: int,
+                           g: int | None = None) -> int | None:
     """Smallest prime p <= bound with p^2 | n, for n >= 1.
 
     One gcd with the primorial finds g, the product of the primes <= bound
-    that divide n; since g is square-free, gcd(n / g, g) is the product of
-    those with p^2 | n. Only its smallest prime is then looked for.
+    that divide n (a caller that already holds g passes it); since g is
+    square-free, gcd(n / g, g) is the product of those with p^2 | n. Only
+    its smallest prime is then looked for.
     """
-    g = gcd(n, primorial(bound))
+    if g is None:
+        g = gcd(n, primorial(bound))
     sq = gcd(n // g, g)
     if sq == 1:
         return None
     return next(p for p in primes_up_to(bound) if sq % p == 0)
+
+
+def _square_free_search(k: int,
+                        trial_bound: int) -> tuple[SquareFreeStatus, int, int]:
+    """The one square-factor search on N_k: its status, |N_k| and
+    g = gcd(|N_k|, primorial(trial_bound)), the product of the primes <= the
+    bound that divide |N_k| (1 when |N_k| = 1, which needs no gcd)."""
+    _check_trial_bound(trial_bound)
+    n = abs(numerator(k))
+    if n == 1:
+        return SquareFreeStatus("trivial"), n, 1
+    g = gcd(n, primorial(trial_bound))
+    p = _smallest_square_prime(n, trial_bound, g)
+    if p is None:
+        return (SquareFreeStatus("no-square-factor-below", bound=trial_bound),
+                n, g)
+    return SquareFreeStatus("square-factor", prime=p), n, g
 
 
 def square_free_status(k: int, trial_bound: int) -> SquareFreeStatus:
@@ -214,14 +228,7 @@ def square_free_status(k: int, trial_bound: int) -> SquareFreeStatus:
     primorial, cached per bound), and p^2 is tested for those alone.
     Reports the smallest such p, as a trial division in ascending p would.
     """
-    _check_trial_bound(trial_bound)
-    n = abs(numerator(k))
-    if n == 1:
-        return SquareFreeStatus("trivial")
-    p = _smallest_square_prime(n, trial_bound)
-    if p is None:
-        return SquareFreeStatus("no-square-factor-below", bound=trial_bound)
-    return SquareFreeStatus("square-factor", prime=p)
+    return _square_free_search(k, trial_bound)[0]
 
 
 def size_estimate(k: int, zeta_terms: int = 64) -> float:

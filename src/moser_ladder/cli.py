@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bernoulli import MemoPoisonedError, bernoulli_record
+from .bernoulli import MemoPoisonedError, _check_trial_bound, bernoulli_record
 from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
@@ -191,6 +191,7 @@ def cmd_search(args) -> tuple[int, int]:
 
 
 def cmd_scan(args) -> tuple[int, int]:
+    _check_trial_bound(args.trial_bound)  # also when --kmax leaves no row
     rows = [sweeps.numerator_survey(k, args.trial_bound)
             for k in range(2, args.kmax + 1, 2)]
     plain = []

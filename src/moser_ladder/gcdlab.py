@@ -19,6 +19,9 @@ gates are integer tests on that numerator and on N and D. One kernel,
 `congruence_check`, `prime_local_congruences` and the sweep row all read
 it. The min/max prefix keeps g(m) = a/m unreduced and compares by
 cross-multiplication; `Fraction`s are built only for reported values.
+Its a = gcd(S, S_k(m+1)) = gcd(S, m^k) comes from `_gcd_with_power`,
+which stops at the first stable rung gcd(S, m^j) and works on moduli of
+a few words; the ladder does not read it, so its rungs stay independent.
 """
 
 from __future__ import annotations
@@ -286,6 +289,34 @@ def prime_local_congruences(
     return out
 
 
+def _gcd_with_power(s: int, m: int, k: int) -> int:
+    """gcd(s, m^k) for s >= 0, m >= 2 and k >= 1, from the rungs
+    a_j = gcd(s, m^j), each a gcd of s mod m^j with m^j: moduli of a few
+    words, where gcd(s, s + m^k) would run on two sums of full size.
+
+    The rungs divide each other, and once a_j = a_(j+1) they are constant
+    for every larger j. For each prime p | m, with e = v_p(m) >= 1,
+    v_p(a_j) = min(v_p(s), j e); equality at j and j + 1 forces
+    v_p(s) <= j e, so v_p(a_i) = v_p(s) for every i >= j. The answer is a_j
+    at the first stable j, or a_k if no rung below k is stable. One
+    reduction of s mod m^2 serves the first two rungs, which settle
+    nearly every m of a sweep. The gcd ladder does not call this: its
+    nesting and consecutive-gcd cells need every rung computed on its own.
+    """
+    mj = m * m
+    r = s % mj
+    a = gcd(r, m)
+    if k == 1:
+        return a
+    j, nxt = 2, gcd(r, mj)
+    while nxt != a and j < k:
+        a = nxt
+        mj *= m
+        j += 1
+        nxt = gcd(s % mj, mj)
+    return nxt
+
+
 class WindowTooSmallError(ValueError):
     """min_max_scan window must contain both witnesses D and |N|."""
 
@@ -294,8 +325,10 @@ class MinMaxResult(NamedTuple):
     """Extremes of g over 2 <= m <= m_max.
 
     The window must contain both witnesses D and |N|. Every m up to
-    prefix_limit is evaluated by definition; both witnesses are evaluated
-    by definition regardless of size. On the rest of the window the
+    prefix_limit is evaluated by definition, g(m) = a/m with
+    a = gcd(S_k(m), S_k(m+1)) = gcd(S_k(m), m^k), taken from the first
+    stable rung gcd(S_k(m), m^j) (`_gcd_with_power`); both witnesses are
+    evaluated by definition regardless of size. On the rest of the window the
     square-free closed form g(m) = gcd(N, m)/gcd(D, m) bounds g between
     1/D and |N| pointwise, so the witness values are the exact extremes
     whenever `certified` is set. `certified` is not stored: it reads
@@ -362,15 +395,14 @@ def min_max_scan(
     closed_agrees: bool | None = True if certified else None
     s = 1  # S_k(2)
     for m in range(2, limit + 1):
-        s_next = s + m**k
-        a = gcd(s, s_next)
+        a = _gcd_with_power(s, m, k)  # gcd(S, S + m^k) = gcd(S, m^k)
         if a * prefix_min_at < lo_a * m:
             lo_a, prefix_min_at = a, m
         if a * prefix_max_at > hi_a * m:
             hi_a, prefix_max_at = a, m
         if certified and a * gcd(d, m) != gcd(n_abs, m) * m:
             closed_agrees = False
-        s = s_next
+        s += m**k
     prefix_min = Fraction(lo_a, prefix_min_at)
     prefix_max = Fraction(hi_a, prefix_max_at)
 

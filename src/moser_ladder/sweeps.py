@@ -29,7 +29,10 @@ gcd ladder (`gcdlab._ladder_rungs`), the congruence cells, whose m are
 factored from one smallest-prime-factor table per row, and the integer
 core of `divides_rational`. A passing cell is only counted; the text of
 a counterexample (and any `Fraction` in it) is built only when a cell
-fails.
+fails. The min-max prefix takes gcd(S, S_k(m+1)) = gcd(S, m^k) from its
+first stable rung (`gcdlab._gcd_with_power`), which the gcd ladder does
+not read; the numerator survey takes primality from the primorial gcd of
+its square-factor search.
 
 `concurrent.futures` is imported on first use, by the module
 `__getattr__`, so a sweep at jobs = 1 and every other subcommand start
@@ -50,22 +53,21 @@ from typing import Callable, NamedTuple
 
 from . import gcdlab
 from . import powersum as ps
-from ._primes import factor_with_table, smallest_prime_factors
+from ._primes import factor_with_table, is_prime, smallest_prime_factors
 from ._version import __version__
 from .bernoulli import (
     _check_trial_bound,
     _divides_nd,
     _smallest_square_prime,
+    _square_free_search,
     bernoulli,
     denominator,
     even_value_pairs,
     exact_log_abs,
     numerator,
     numerator_bound_check,
-    numerator_is_prime,
     seed_even_values,
     size_estimate,
-    square_free_status,
     vsc_denominator,
 )
 
@@ -380,8 +382,8 @@ def _row_size_bounds(k: int, spec: GridSpec) -> _Row:
     return row
 
 
-# Documented escalation ladder for hunting square factors; 10^5 is the
-# largest bound any acceptance-scale index needs (k = 228 flags at 1000).
+# Documented escalation ladder for hunting square factors; k = 228 flags
+# at 1000. A trial bound above the top rung is searched as one more rung.
 SQUARE_FREE_ESCALATION = (10, 100, 1000, 10_000, 100_000)
 
 
@@ -389,21 +391,26 @@ def numerator_survey(k: int, trial_bound: int) -> dict:
     """Survey record of |N_k|, even k >= 2: digit count, primality, and a
     square factor p^2 hunted over the escalating trial bounds up to
     trial_bound, with the bound that flagged it or, if none did, the
-    largest bound searched clear. One search at the largest bound finds
-    the smallest such p; the bound reported is the first one >= p, the
-    pair that searching bound by bound would give."""
-    _check_trial_bound(trial_bound)
-    n_abs = abs(numerator(k))
-    prime = numerator_is_prime(k)
-    bounds = tuple(
-        b for b in SQUARE_FREE_ESCALATION if b <= trial_bound
-    ) or (trial_bound,)
-    p = square_free_status(k, bounds[-1]).prime
+    largest bound searched clear. The bounds are the ladder's rungs up to
+    trial_bound, then trial_bound itself when it is above the top rung (or
+    below the first). One search at the largest bound finds the smallest
+    such p; the bound reported is the first one >= p, the pair that
+    searching bound by bound would give.
+
+    Primality reads that search's g = gcd(|N_k|, primorial(bound)): if
+    1 < g < |N_k|, g is a proper factor and |N_k| is composite, so the
+    primality test (deterministic at desk scale, see _primes) runs only
+    when g is 1 or |N_k|."""
+    bounds = tuple(b for b in SQUARE_FREE_ESCALATION if b <= trial_bound)
+    if trial_bound > SQUARE_FREE_ESCALATION[-1] or not bounds:
+        bounds += (trial_bound,)
+    status, n_abs, g = _square_free_search(k, bounds[-1])
+    p = status.prime
     flagged = None if p is None else next(b for b in bounds if b >= p)
     return {
         "k": k,
         "digits": len(str(n_abs)),
-        "prime": prime,
+        "prime": g in (1, n_abs) and is_prime(n_abs),
         "square_factor": None if p is None else str(p),
         "flagged_at_bound": flagged,
         "clear_below": bounds[-1] if p is None else None,

@@ -20,7 +20,6 @@ from moser_ladder.bernoulli import (
     exact_log_abs,
     numerator,
     numerator_bound_check,
-    numerator_is_prime,
     size_estimate,
     square_free_status,
     vsc_denominator,
@@ -41,6 +40,7 @@ from moser_ladder.powersum import (
     power_sum_naive,
     search_ratio,
 )
+from moser_ladder.sweeps import numerator_survey
 
 
 def _report(n: int, text: str) -> None:
@@ -146,7 +146,8 @@ def test_criterion_07_min_times_max():
 
 def test_criterion_08_prime_numerator_prefix():
     t0 = time.perf_counter()
-    flagged = {k for k in range(2, 49, 2) if numerator_is_prime(k)}
+    flagged = {k for k in range(2, 49, 2)
+               if numerator_survey(k, 100_000)["prime"]}
     elapsed = time.perf_counter() - t0
     assert flagged == {10, 12, 14, 16, 18, 36, 42}
     assert elapsed < 10

@@ -16,7 +16,6 @@ from moser_ladder.bernoulli import (
     exact_log_abs,
     numerator,
     numerator_bound_check,
-    numerator_is_prime,
     seed_even_values,
     size_estimate,
     square_free_status,
@@ -159,16 +158,22 @@ def test_numerator_denominator_need_even_k():
             denominator(bad)
 
 
+def _prime(k: int) -> bool:
+    # at bound 1000 the survey's primorial gcd is |N_k| for k = 10, 12 and
+    # the proper factor 283 for k = 20
+    return numerator_survey(k, 1000)["prime"]
+
+
 def test_unit_numerator_prefix():
     for k in (2, 4, 6, 8):
         assert abs(numerator(k)) == 1
-        assert not numerator_is_prime(k)
+        assert not _prime(k)
 
 
 def test_prime_numerator_examples():
-    assert numerator_is_prime(10)
-    assert numerator_is_prime(12)
-    assert not numerator_is_prime(20)  # 174611 = 283 * 617
+    assert _prime(10)
+    assert _prime(12)
+    assert not _prime(20)  # 174611 = 283 * 617
 
 
 def test_square_free_status_kinds():
@@ -189,8 +194,8 @@ def test_trial_bound_out_of_range_is_rejected(bound):
             search(2, bound)
 
 
-def _hunt(k: int) -> tuple:
-    r = numerator_survey(k, 10**5)
+def _hunt(k: int, bound: int = 10**5) -> tuple:
+    r = numerator_survey(k, bound)
     return r["square_factor"], r["flagged_at_bound"], r["clear_below"]
 
 
@@ -199,6 +204,9 @@ def test_square_factor_hunt():
     assert _hunt(98) == ("7", 10, None)
     assert _hunt(12) == (None, None, 100_000)
     assert _hunt(2) == (None, None, 100_000)
+    # a bound above the ladder's top rung is searched as one more rung
+    assert _hunt(12, 200_000) == (None, None, 200_000)
+    assert _hunt(50, 200_000) == ("5", 10, None)
 
 
 def test_square_factor_is_real():

@@ -193,10 +193,12 @@ def test_trial_bound_below_2_runs_no_row(monkeypatch, capsys):
                              bound, "--seedless", "--jobs", jobs]) == 2
             assert capsys.readouterr() == ("", error)
         assert calls == []
-        # the numerator survey rejects it with the same text
-        assert cli.main(["scan", "numerators", "--kmax", "4",
-                         "--trial-bound", bound, "--seedless"]) == 2
-        assert capsys.readouterr() == ("", error)
+        # the numerator survey rejects it with the same text, also when
+        # --kmax 1 leaves it no row
+        for kmax in ("4", "1"):
+            assert cli.main(["scan", "numerators", "--kmax", kmax,
+                             "--trial-bound", bound, "--seedless"]) == 2
+            assert capsys.readouterr() == ("", error)
 
 
 def test_io_error_corrupt_cache(tmp_path):

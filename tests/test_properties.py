@@ -170,8 +170,9 @@ def test_factorize_product_and_primality(small, big):
 # ---- min/max prefix: cross-multiplied integers vs the Fraction scan
 
 
-def _fraction_prefix(k: int, limit: int, certified: bool, g):
-    """The prefix loop as it was, on Fractions, with gcd function g."""
+def _fraction_prefix(k: int, limit: int, certified: bool, g, skewed):
+    """The prefix loop as it was, on Fractions, with gcd function g for the
+    closed form and skewed(a, m) applied to a = gcd(S, S_next)."""
     n_abs, d = abs(numerator(k)), denominator(k)
     lo = hi = None
     lo_at = hi_at = 0
@@ -179,7 +180,7 @@ def _fraction_prefix(k: int, limit: int, certified: bool, g):
     s = 1
     for m in range(2, limit + 1):
         s_next = s + m**k
-        v = Fraction(g(s, s_next), m)
+        v = Fraction(skewed(gcd(s, s_next), m), m)
         if lo is None or v < lo:
             lo, lo_at = v, m
         if hi is None or v > hi:
@@ -193,20 +194,56 @@ def _fraction_prefix(k: int, limit: int, certified: bool, g):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(k=_even(60), prefix=st.integers(2, 300), skew=st.integers(0, 40))
 def test_min_max_prefix_matches_fraction_scan(k, prefix, skew):
-    # skew > 1 doubles the gcds whose arguments fall in one residue class,
-    # in both scans alike, so new extremes and closed-form disagreements
-    # appear on purpose
+    # skew > 1 doubles the values that fall in one residue class, in both
+    # scans alike, so new extremes and closed-form disagreements appear on
+    # purpose: the closed-form gcds keyed on their arguments, the prefix
+    # gcd a = gcd(S, S_next) = gcd(S, m^k) keyed on (a, m). The scan seeds
+    # its extremes with g(2) = 1/2 (S_k(2) = 1), so a is skewed from m = 3.
+    def skewed(a, m):
+        return (2 * a if skew > 1 and m > 2 and (a + 3 * m) % skew == 1
+                else a)
+
     def g(a, b):
         value = gcd(a, b)
         return 2 * value if skew > 1 and (a + 3 * b) % skew == 1 else value
 
+    def rung(s, m, k):
+        return skewed(gcd(s, m**k), m)
+
     window = max(denominator(k), abs(numerator(k)))
-    with mock.patch.object(gcdlab, "gcd", g):
+    with mock.patch.object(gcdlab, "gcd", g), \
+            mock.patch.object(gcdlab, "_gcd_with_power", rung):
         res = gcdlab.min_max_scan(k, window, prefix_limit=prefix,
                                   trial_bound=100)
     got = (res.prefix_min, res.prefix_min_at, res.prefix_max,
            res.prefix_max_at, res.prefix_closed_form_agrees)
-    assert got == _fraction_prefix(k, res.prefix_limit, res.certified, g)
+    assert got == _fraction_prefix(k, res.prefix_limit, res.certified, g,
+                                   skewed)
+
+
+# m with many repeated primes, so s = c m^j shares deep rungs with m^k
+_SMOOTH_M = st.sampled_from((4, 12, 72, 360, 1024, 2310, 3**7, 2**5 * 5**3))
+
+
+@FAST
+@given(c=st.integers(0, 10**40), j=st.integers(0, 70),
+       m=st.one_of(st.integers(2, 10**4), _SMOOTH_M), k=st.integers(1, 60))
+def test_gcd_with_power_matches_direct_gcd(c, j, m, k):
+    # the min-max prefix's stable-rung gcd against the one gcd it replaces
+    s = c * m**j
+    assert gcdlab._gcd_with_power(s, m, k) == gcd(s, m**k)
+    assert gcdlab._gcd_with_power(s + 1, m, k) == gcd(s + 1, m**k)
+
+
+# ---- survey primality: the primorial gcd's verdict vs is_prime
+
+
+@FAST
+@given(k=_even(250), bound=st.one_of(
+    st.integers(2, 10**5), st.sampled_from((2, 10, 1000, 10**5))))
+def test_survey_primality_matches_is_prime(k, bound):
+    assert sweeps.numerator_survey(k, bound)["prime"] == is_prime(
+        abs(numerator(k)))
 
 
 # ---- gcd ladder: one integer kernel vs the record-per-cell route

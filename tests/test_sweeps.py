@@ -362,3 +362,22 @@ def test_searches_honour_m_min():
         (1, 3), (3, 3)]
     assert by_name["em-scan"]["pass"] == 3 * 8
     assert by_name["em-scan"]["hits"] == [{"k": 1, "m": 3}]
+
+
+def test_extended_survey_tests_primality_only_without_a_proper_factor(
+        monkeypatch):
+    # the survey's primorial gcd g settles every |N_k| with 1 < g < |N_k|
+    # as composite; is_prime runs for the other 22 of the 125 numerators
+    calls = []
+    is_prime = sweeps.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(sweeps, "is_prime", counted)
+    grid = PROFILES["extended"][-1]
+    assert grid.checks == ("numerator-scan",)
+    report = run_sweep(grid)
+    assert report["checks"][0]["rows"] == 125
+    assert len(calls) == 22
