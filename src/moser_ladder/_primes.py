@@ -10,6 +10,7 @@ known counterexample at any size.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from math import gcd, isqrt
 
 __all__ = [
@@ -32,6 +33,9 @@ _sieve_cache: list[int] = []
 _sieve_cache_limit = 0
 _primorial_cache: dict[int, int] = {}
 
+# primes per leaf of the primorial's product tree
+_PRIMORIAL_CHUNK = 8
+
 # factorize trial-divides by every prime up to this bound
 _TRIAL_LIMIT = 100_000
 
@@ -47,7 +51,7 @@ def primes_up_to(n: int) -> list[int]:
         for i in range(2, isqrt(n) + 1):
             if flags[i]:
                 flags[i * i :: i] = b"\x00" * len(range(i * i, n + 1, i))
-        _sieve_cache = [i for i in range(2, n + 1) if flags[i]]
+        _sieve_cache = list(compress(range(n + 1), flags))
         _sieve_cache_limit = n
     if n == _sieve_cache_limit:
         return _sieve_cache
@@ -88,11 +92,14 @@ def factor_with_table(
 
 
 def primorial(n: int) -> int:
-    """Product of all primes <= n, multiplied pairwise up a balanced tree.
-    Cached, one entry per distinct n."""
+    """Product of all primes <= n: chunks of a few primes, each a product
+    of a few words, then multiplied pairwise up a balanced tree. Cached,
+    one entry per distinct n."""
     got = _primorial_cache.get(n)
     if got is None:
-        level = primes_up_to(n) or [1]
+        primes = primes_up_to(n)
+        level = [math.prod(primes[i : i + _PRIMORIAL_CHUNK])
+                 for i in range(0, len(primes), _PRIMORIAL_CHUNK)] or [1]
         while len(level) > 1:
             level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
         got = _primorial_cache[n] = level[0]

@@ -9,12 +9,14 @@ g(m) = gcd(S_k(m), S_k(m+1)) / m.
 The hot loops run on integers only, with N and D read once per k by the
 callers that loop over m. One kernel, `_ladder_rungs`, computes a gcd
 ladder cell: every observed rung is its own gcd (of S with m, m^2, m^3,
-m^4 and m^k, and of S with S_k(m+1)), never derived from another rung,
-so the ladder's nesting stays a real check; the closed forms are gcds of
-m with N and D. `_ladder_from_sums`, `gcd_ladder` and the sweep row read
-it. A congruence cell carries S - B_k m as the integer X = D S - N m
-over D, reduced once per (k, m); its p-adic divisibility tests and its
-gates are integer tests on that numerator and on N and D. One kernel,
+m^4 and m^k), never derived from another rung, so the ladder's nesting
+stays a real check; the consecutive rung gcd(S, S_k(m+1)) comes in as an
+argument, taken directly from the two sums by the caller (the sweep
+shares it with the trivial-gcd row); the closed forms are gcds of m with
+N and D. `_ladder_from_sums`, `gcd_ladder` and the sweep row read it. A
+congruence cell carries S - B_k m as the integer X = D S - N m over D,
+reduced once per (k, m); its p-adic divisibility tests and its gates
+are integer tests on that numerator and on N and D. One kernel,
 `_congruence_cells`, decides every congruence cell:
 `congruence_check`, `prime_local_congruences` and the sweep row all read
 it. The min/max prefix keeps g(m) = a/m unreduced and compares by
@@ -22,6 +24,7 @@ cross-multiplication; `Fraction`s are built only for reported values.
 Its a = gcd(S, S_k(m+1)) = gcd(S, m^k) comes from `_gcd_with_power`,
 which stops at the first stable rung gcd(S, m^j) and works on moduli of
 a few words; the ladder does not read it, so its rungs stay independent.
+Its sums add m^k from `powersum._powers`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .bernoulli import (
     numerator,
     square_free_status,
 )
-from .powersum import power_sum
+from .powersum import _powers, power_sum
 
 __all__ = [
     "gcd_ratio",
@@ -137,13 +140,14 @@ def _rungs_nest(k: int, g1: int, g2: int, g3: int, g4: int, gk: int) -> bool:
 
 
 def _ladder_rungs(
-    k: int, m: int, s: int, s_next: int, n_abs: int, d: int
+    k: int, m: int, s: int, consecutive: int, n_abs: int, d: int
 ) -> tuple[int, int, int, int, int, int, int, int, int, bool, bool]:
     """The GcdLadder fields after k and m, in field order, for S = s and
-    S_k(m+1) = s_next, given |N| and D of B_k.
+    gcd(S, S_k(m+1)) = consecutive, given |N| and D of B_k.
 
     Each observed rung is its own direct gcd; none is derived from
-    another. The closed forms for the m, m^2 and m^3 rungs are
+    another, and `consecutive` must be the gcd of the two sums, taken
+    directly. The closed forms for the m, m^2 and m^3 rungs are
     q = m / gcd(D, m), q gcd(N, m) and q gcd(N, m^2).
     """
     m2 = m * m
@@ -160,13 +164,13 @@ def _ladder_rungs(
     p1 = m // gcd(d, m)
     return (gcd(s, m), gcd(s, m2), g3, gcd(s, m2 * m2), gk,
             p1, p1 * gcd(n_abs, m), p1 * gcd(n_abs, m2),
-            e, _strip_common_primes(e, n_abs) == 1, gcd(s, s_next) == gk)
+            e, _strip_common_primes(e, n_abs) == 1, consecutive == gk)
 
 
 def _ladder_from_sums(k: int, m: int, s: int, s_next: int) -> GcdLadder:
     b = bernoulli(k)
-    return GcdLadder(k, m, *_ladder_rungs(k, m, s, s_next, abs(b.numerator),
-                                          b.denominator))
+    return GcdLadder(k, m, *_ladder_rungs(k, m, s, gcd(s, s_next),
+                                          abs(b.numerator), b.denominator))
 
 
 def gcd_ladder(k: int, m: int) -> GcdLadder:
@@ -394,6 +398,7 @@ def min_max_scan(
     prefix_min_at = prefix_max_at = 2
     closed_agrees: bool | None = True if certified else None
     s = 1  # S_k(2)
+    powers = _powers(k, limit)
     for m in range(2, limit + 1):
         a = _gcd_with_power(s, m, k)  # gcd(S, S + m^k) = gcd(S, m^k)
         if a * prefix_min_at < lo_a * m:
@@ -402,7 +407,7 @@ def min_max_scan(
             hi_a, prefix_max_at = a, m
         if certified and a * gcd(d, m) != gcd(n_abs, m) * m:
             closed_agrees = False
-        s += m**k
+        s += powers[m]
     prefix_min = Fraction(lo_a, prefix_min_at)
     prefix_max = Fraction(hi_a, prefix_max_at)
 

@@ -8,6 +8,9 @@ and an inexact one raises ArithmeticError. B_j = 0 for odd j >= 3, so
 only the even-index coefficients and the one at j = 1 are nonzero:
 Horner runs in m^2 over the even ones, which halves the big-integer
 products. The naive summation is kept as an independent oracle.
+`_powers` lists m^k for every m up to a bound, a composite m's as the
+product of two earlier entries; the sweep column and the min/max prefix
+read it.
 
 Searches use incremental running sums only (no Bernoulli numbers at all),
 so they are an independent route from the closed form. Each search is a
@@ -28,6 +31,7 @@ from __future__ import annotations
 from math import comb, lcm
 from typing import Iterator, NamedTuple
 
+from ._primes import smallest_prime_factors
 from .bernoulli import bernoulli
 
 __all__ = [
@@ -102,6 +106,19 @@ def power_sum_naive(k: int, m: int) -> int:
     """S_k(m) by direct summation. Oracle route, no Bernoulli numbers."""
     _check_km(k, m)
     return sum(j**k for j in range(1, m))
+
+
+def _powers(k: int, m_max: int) -> list[int]:
+    """[m**k for m in range(m_max + 1)]. A prime m is raised directly; a
+    composite m is p^k (m/p)^k, p its smallest prime factor read from
+    one table, both factors already in the list: one product of two
+    smaller integers in place of a power."""
+    table = smallest_prime_factors(m_max)
+    out = [j**k for j in range(min(m_max, 1) + 1)]
+    for m in range(2, m_max + 1):
+        p = table[m]
+        out.append(m**k if p == m else out[p] * out[m // p])
+    return out
 
 
 def running_sums(k: int, m_max: int) -> Iterator[tuple[int, int]]:

@@ -7,13 +7,14 @@ table `_CHECKS`; the check order, the rows of a grid, grid validation
 and `max_bernoulli_index` are read from it. The work is a list of rows,
 one per check and k; with w > 1 workers, worker i runs the strided
 slice rows[i::w] in one pool call (one worker runs the whole list
-in-process). Workers are seeded with the parent's Bernoulli table and
-rows go back to their list positions, so the report (the dict that
-`verify --format json` prints, built once from the rows) is
-byte-identical at any job count. The job count is an argument of
-`run_grids` and of `run_sweep`/`verify_all`, not part of a grid. Sweeps
-do no file I/O: the CLI reads the Bernoulli cache before a sweep and
-writes it afterwards, up to `max_bernoulli_index` of the grids.
+in-process). A slice runs its rows k by k. Workers are seeded with the
+parent's Bernoulli table and rows go back to their list positions, so
+the report (the dict that `verify --format json` prints, built once
+from the rows) is byte-identical at any job count. The job count is an
+argument of `run_grids` and of `run_sweep`/`verify_all`, not part of a
+grid. Sweeps do no file I/O: the CLI reads the Bernoulli cache before a
+sweep and writes it afterwards, up to `max_bernoulli_index` of the
+grids.
 
 Rows call the library's scans (`powersum` searches and running sums,
 `gcdlab` ladders and congruences) rather than restating them; the
@@ -24,6 +25,13 @@ depends on which: `telescoping` reads only the closed form `power_sum`
 `running_sums`, which `s1-s3-identity` and `congruences` also read; and
 `gcd-ladder`, `divisibility-equivalence` and `trivial-gcd-iff` call
 `power_sum_naive` once, at their first m, then add m^k step by step.
+Within a slice the rows of one k share a column: m^k (from
+`powersum._powers`), the running sums, the closed forms, the naive-route
+sums and the gcd of each consecutive pair of those, each built once per
+k, on first use, through the `powersum` module attributes. The ladder's
+consecutive-gcd cell and `trivial-gcd-iff` read the same gcds, taken
+directly from the two sums. The column exists only while a slice runs;
+a row called on its own builds what it reads.
 These rows run integer kernels with N_k and D_k read once per row: the
 gcd ladder (`gcdlab._ladder_rungs`), the congruence cells, whose m are
 factored from one smallest-prime-factor table per row, and the integer
@@ -47,7 +55,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -139,23 +147,82 @@ def _row_bernoulli_structure(k: int, spec: GridSpec) -> _Row:
     return row
 
 
+# ---- the column: per-k values the m-cell rows of one slice share
+
+# (builder, args) -> value for the k whose rows `_run_slice` is running;
+# None outside a slice. Rows read these lists and never change them.
+_column: dict | None = None
+
+
+def _in_column(build: Callable[..., list[int]]) -> Callable[..., list[int]]:
+    """build(k, *args), built once per slice column, on first use; outside
+    a slice, afresh at every call."""
+    def shared(k: int, *args) -> list[int]:
+        if _column is None:
+            return build(k, *args)
+        key = (build, *args)
+        if key not in _column:
+            _column[key] = build(k, *args)
+        return _column[key]
+    return shared
+
+
+@_in_column
+def _powers(k: int, m_max: int) -> list[int]:
+    """m^k at index m, 0 <= m <= m_max."""
+    return ps._powers(k, m_max)
+
+
+@_in_column
+def _running_sums(k: int, m_max: int) -> list[int]:
+    """S_k(m) from `running_sums` at index m - 1, 1 <= m <= m_max."""
+    return [s for _, s in ps.running_sums(k, m_max)]
+
+
+@_in_column
+def _closed_forms(k: int, ms: range) -> list[int]:
+    """S_k(m) from `power_sum` for m in ms and one m past it."""
+    return [ps.power_sum(k, m) for m in range(ms.start, ms.stop + 1)]
+
+
+@_in_column
+def _naive_sums(k: int, ms: range) -> list[int]:
+    """S_k(m) for m in ms and one m past it: `power_sum_naive` at the
+    first m, then m^k added step by step."""
+    return list(accumulate(_powers(k, ms.stop - 1)[ms.start:],
+                           initial=ps.power_sum_naive(k, ms.start)))
+
+
+@_in_column
+def _consecutive_gcds(k: int, ms: range) -> list[int]:
+    """gcd(S_k(m), S_k(m+1)) for m in ms, each the direct gcd of two
+    naive-route sums."""
+    sums = _naive_sums(k, ms)
+    return list(map(gcd, sums, islice(sums, 1, None)))
+
+
 def _row_faulhaber(k: int, spec: GridSpec) -> _Row:
     row = _Row("faulhaber-naive", k)
-    for m, s in ps.running_sums(k, spec.m_max):
-        if m >= spec.m_min:
-            closed = ps.power_sum(k, m)
-            row.cell(closed == s, closed, s, m=m)
+    ms = range(spec.m_min, spec.m_max + 1)
+    running = _running_sums(k, spec.m_max)[spec.m_min - 1:]
+    for m, closed, s in zip(ms, _closed_forms(k, ms), running):
+        if closed == s:
+            row.passes += 1
+        else:
+            row.cell(False, closed, s, m=m)
     return row
 
 
 def _row_telescoping(k: int, spec: GridSpec) -> _Row:
     row = _Row("telescoping", k)
-    prev = ps.power_sum(k, spec.m_min)
-    for m in range(spec.m_min, spec.m_max + 1):
-        nxt = ps.power_sum(k, m + 1)
-        mk = m**k
-        row.cell(nxt - prev == mk, nxt - prev, mk, m=m)
-        prev = nxt
+    ms = range(spec.m_min, spec.m_max + 1)
+    closed = _closed_forms(k, ms)
+    powers = _powers(k, spec.m_max)
+    for m, prev, nxt in zip(ms, closed, islice(closed, 1, None)):
+        if nxt - prev == powers[m]:
+            row.passes += 1
+        else:
+            row.cell(False, nxt - prev, powers[m], m=m)
     return row
 
 
@@ -195,12 +262,10 @@ def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
     row = _Row("gcd-ladder", k)
     b = bernoulli(k)
     n_abs, d = abs(b.numerator), b.denominator
-    m_lo = max(2, spec.m_min)
-    s = ps.power_sum_naive(k, m_lo)
-    for m in range(m_lo, spec.m_max + 1):
-        s_next = s + m**k
+    ms = range(max(2, spec.m_min), spec.m_max + 1)
+    for m, s, a in zip(ms, _naive_sums(k, ms), _consecutive_gcds(k, ms)):
         (g1, g2, g3, g4, gk, p1, p2, p3, e, residual_ok,
-         consecutive) = gcdlab._ladder_rungs(k, m, s, s_next, n_abs, d)
+         consecutive) = gcdlab._ladder_rungs(k, m, s, a, n_abs, d)
         monotone = gcdlab._rungs_nest(k, g1, g2, g3, g4, gk)
         if (g1 == p1 and g2 == p2 and g3 == p3 and consecutive and monotone
                 and residual_ok):
@@ -215,7 +280,6 @@ def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
                      m=m, cell="ladder-monotone")
             row.cell(residual_ok, e, "all primes divide the numerator",
                      m=m, cell="residual-primes")
-        s = s_next
     return row
 
 
@@ -224,9 +288,8 @@ def _row_congruences(k: int, spec: GridSpec) -> _Row:
     b = bernoulli(k)
     n, d = b.numerator, b.denominator
     table = smallest_prime_factors(spec.m_max)
-    for m, s in ps.running_sums(k, spec.m_max):
-        if m < spec.m_min:
-            continue
+    running = _running_sums(k, spec.m_max)[spec.m_min - 1:]
+    for m, s in zip(range(spec.m_min, spec.m_max + 1), running):
         num = gcdlab._diff_numerator(k, m, s, n, d)
         for label, p, applicable, holds in gcdlab._congruence_cells(
                 k, m, num, factor_with_table(m, table), n, d):
@@ -244,9 +307,8 @@ def _row_div_equiv(k: int, spec: GridSpec) -> _Row:
     row = _Row("divisibility-equivalence", k)
     b = bernoulli(k)
     n, d = b.numerator, b.denominator
-    m_lo = max(2, spec.m_min)
-    s = ps.power_sum_naive(k, m_lo)
-    for m in range(m_lo, spec.m_max + 1):
+    ms = range(max(2, spec.m_min), spec.m_max + 1)
+    for m, s in zip(ms, _naive_sums(k, ms)):
         for r in (1, 2):
             lhs = s % m ** (r + 1) == 0
             rhs = _divides_nd(m, r, n, d)
@@ -255,25 +317,21 @@ def _row_div_equiv(k: int, spec: GridSpec) -> _Row:
             else:
                 row.cell(False, f"m^{r+1}|S is {lhs}, m^{r}|B is {rhs}",
                          "equivalent", m=m, cell=f"r={r}")
-        s += m**k
     return row
 
 
 def _row_trivial_gcd(k: int, spec: GridSpec) -> _Row:
     row = _Row("trivial-gcd-iff", k)
     dn = denominator(k) * abs(numerator(k))
-    m_lo = max(2, spec.m_min)
-    s = ps.power_sum_naive(k, m_lo)
-    for m in range(m_lo, spec.m_max + 1):
-        s_next = s + m**k
-        a = gcd(s, s_next)  # g = a / m, so g = 1 iff a = m
+    ms = range(max(2, spec.m_min), spec.m_max + 1)
+    # a = gcd(S(m), S(m+1)) and g = a / m, so g = 1 iff a = m
+    for m, a in zip(ms, _consecutive_gcds(k, ms)):
         c = gcd(dn, m)
         if (a == m) == (c == 1):
             row.passes += 1
         else:
             row.cell(False, f"g = {Fraction(a, m)}, gcd(D N, m) = {c}",
                      "g = 1 iff gcd(D N, m) = 1", m=m)
-        s = s_next
     return row
 
 
@@ -383,7 +441,7 @@ def _row_size_bounds(k: int, spec: GridSpec) -> _Row:
 
 
 # Documented escalation ladder for hunting square factors; k = 228 flags
-# at 1000. A trial bound above the top rung is searched as one more rung.
+# at 1000. A trial bound that is not a rung is searched as one more rung.
 SQUARE_FREE_ESCALATION = (10, 100, 1000, 10_000, 100_000)
 
 
@@ -391,20 +449,18 @@ def numerator_survey(k: int, trial_bound: int) -> dict:
     """Survey record of |N_k|, even k >= 2: digit count, primality, and a
     square factor p^2 hunted over the escalating trial bounds up to
     trial_bound, with the bound that flagged it or, if none did, the
-    largest bound searched clear. The bounds are the ladder's rungs up to
-    trial_bound, then trial_bound itself when it is above the top rung (or
-    below the first). One search at the largest bound finds the smallest
-    such p; the bound reported is the first one >= p, the pair that
-    searching bound by bound would give.
+    largest bound searched clear. The bounds are the ladder's rungs below
+    trial_bound, then trial_bound itself. One search at trial_bound finds
+    the smallest such p; the bound reported is the first one >= p, the
+    pair that searching bound by bound would give.
 
     Primality reads that search's g = gcd(|N_k|, primorial(bound)): if
     1 < g < |N_k|, g is a proper factor and |N_k| is composite, so the
     primality test (deterministic at desk scale, see _primes) runs only
     when g is 1 or |N_k|."""
-    bounds = tuple(b for b in SQUARE_FREE_ESCALATION if b <= trial_bound)
-    if trial_bound > SQUARE_FREE_ESCALATION[-1] or not bounds:
-        bounds += (trial_bound,)
-    status, n_abs, g = _square_free_search(k, bounds[-1])
+    bounds = tuple(b for b in SQUARE_FREE_ESCALATION
+                   if b < trial_bound) + (trial_bound,)
+    status, n_abs, g = _square_free_search(k, trial_bound)
     p = status.prime
     flagged = None if p is None else next(b for b in bounds if b >= p)
     return {
@@ -413,7 +469,7 @@ def numerator_survey(k: int, trial_bound: int) -> dict:
         "prime": g in (1, n_abs) and is_prime(n_abs),
         "square_factor": None if p is None else str(p),
         "flagged_at_bound": flagged,
-        "clear_below": bounds[-1] if p is None else None,
+        "clear_below": trial_bound if p is None else None,
     }
 
 
@@ -500,7 +556,20 @@ def _rows_for(check: str, spec: GridSpec) -> range:
 
 
 def _run_slice(tasks: list[tuple[str, int, GridSpec]]) -> list[_Row]:
-    return [_ROW_RUNNERS[check](k, spec) for check, k, spec in tasks]
+    """Run the rows k by k, the rows of one k sharing one column, and
+    return each row at its task's position."""
+    global _column
+    rows: list = [None] * len(tasks)
+    k_now = None
+    try:
+        for i in sorted(range(len(tasks)), key=lambda i: tasks[i][1]):
+            check, k, spec = tasks[i]
+            if k != k_now:
+                _column, k_now = {}, k
+            rows[i] = _ROW_RUNNERS[check](k, spec)
+    finally:
+        _column = None
+    return rows
 
 
 def __getattr__(name: str):

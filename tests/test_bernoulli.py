@@ -207,6 +207,10 @@ def test_square_factor_hunt():
     # a bound above the ladder's top rung is searched as one more rung
     assert _hunt(12, 200_000) == (None, None, 200_000)
     assert _hunt(50, 200_000) == ("5", 10, None)
+    # so is a bound between two rungs: the search reaches it, not the
+    # rung below it
+    assert _hunt(12, 50) == (None, None, 50)
+    assert _hunt(46, 50) == (None, None, 50)
 
 
 def test_square_factor_is_real():

@@ -11,6 +11,16 @@ def test_primorial_small_values():
     assert primorial(1000) == prod(primes_up_to(1000))
 
 
+def test_sieve_keeps_its_limit(monkeypatch):
+    # each limit sieved afresh, prime limits included
+    for n in [*range(60), 997, 1000]:
+        monkeypatch.setattr(_primes, "_sieve_cache", [])
+        monkeypatch.setattr(_primes, "_sieve_cache_limit", 0)
+        want = [p for p in range(2, n + 1)
+                if all(p % q for q in range(2, p))]
+        assert primes_up_to(n) == want, n
+
+
 def _count_is_prime(monkeypatch) -> list[int]:
     calls: list[int] = []
     real = _primes.is_prime

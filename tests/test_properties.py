@@ -31,6 +31,7 @@ from moser_ladder.powersum import (
     power_sum,
     power_sum_naive,
     ratio_hits,
+    running_sums,
 )
 
 FAST = settings(derandomize=True, max_examples=150, deadline=None)
@@ -130,9 +131,9 @@ def test_square_factor_search_matches_trial_division(k, bound):
         want = SquareFreeStatus("square-factor", prime=p)
     assert square_free_status(k, bound) == want
     # the survey's one search against the bound-by-bound loop over the
-    # escalation ladder filtered to the bound
+    # escalation ladder's rungs below the bound, then the bound itself
     bounds = tuple(b for b in sweeps.SQUARE_FREE_ESCALATION
-                   if b <= bound) or (bound,)
+                   if b < bound) + (bound,)
     survey = sweeps.numerator_survey(k, bound)
     got = survey["square_factor"], survey["flagged_at_bound"]
     hit = _escalate_by_trial(k, bounds)
@@ -283,7 +284,7 @@ def test_ladder_kernel_matches_direct_gcds(k, m, c, j, c_next):
     s_next = s + m**k + c_next * m
     ladder = gcdlab._ladder_from_sums(k, m, s, s_next)
     b = bernoulli(k)
-    rungs = gcdlab._ladder_rungs(k, m, s, s_next, abs(b.numerator),
+    rungs = gcdlab._ladder_rungs(k, m, s, gcd(s, s_next), abs(b.numerator),
                                  b.denominator)
     want = _ladder_as_it_was(k, m, s, s_next)
     assert rungs + (gcdlab._rungs_nest(k, *rungs[:5]),) == want
@@ -368,6 +369,34 @@ def test_trivial_gcd_row_matches_fraction_row(k, m_min, span, offset):
     assert row.passes == sum(ok for ok, _ in want)
     assert [c["observed"] for c in row.counterexamples] == [
         text for ok, text in want if not ok]
+
+
+# ---- the sweep column: each shared list vs the route it stands for
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(1, 60), m_min=st.integers(1, 400),
+       span=st.integers(0, 399), shared=st.booleans())
+def test_column_lists_match_their_direct_routes(k, m_min, span, shared):
+    m_max = min(400, m_min + span)
+    assert powersum._powers(k, m_max) == [j**k for j in range(m_max + 1)]
+    ms = range(m_min, m_max + 1)
+    ladder_ms = range(max(2, m_min), m_max + 1)
+    # in a slice's column the second read returns what the first built;
+    # outside a slice each read builds afresh
+    with mock.patch.object(sweeps, "_column", {} if shared else None):
+        for _ in range(2):
+            assert sweeps._powers(k, m_max) == [
+                j**k for j in range(m_max + 1)]
+            assert sweeps._running_sums(k, m_max) == [
+                s for _, s in running_sums(k, m_max)]
+            assert sweeps._closed_forms(k, ms) == [
+                power_sum(k, m) for m in range(m_min, m_max + 2)]
+            assert sweeps._naive_sums(k, ladder_ms) == [
+                power_sum_naive(k, m)
+                for m in range(ladder_ms.start, m_max + 2)]
+            assert sweeps._consecutive_gcds(k, ladder_ms) == [
+                gcd(power_sum(k, m), power_sum(k, m + 1)) for m in ladder_ms]
 
 
 # ---- power sums: even-coefficient Horner vs the naive sum and the

@@ -3,13 +3,14 @@
 import hashlib
 import importlib
 import json
+import math
 import multiprocessing
 import os
 from fractions import Fraction
 
 import pytest
 
-from moser_ladder import powersum, sweeps
+from moser_ladder import gcdlab, powersum, sweeps
 from moser_ladder.sweeps import (
     CHECK_ORDER,
     PROFILES,
@@ -220,6 +221,80 @@ def test_counterexample_text_is_pinned_in_parallel(monkeypatch):
     _perturb_sums(monkeypatch)
     monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
     _assert_pinned_failures(verify_all("quick", jobs=2))
+
+
+def test_extended_builds_each_closed_form_once(monkeypatch):
+    # faulhaber-naive and telescoping share one column of closed forms
+    # per k: 48 k times m = 1..301 (14,448), plus 152 for the witnesses
+    # of special-values and min-max (two sums per gcd_ratio)
+    real = powersum.power_sum
+    calls = []
+
+    def counted(k, m):
+        calls.append((k, m))
+        return real(k, m)
+
+    monkeypatch.setattr(powersum, "power_sum", counted)
+    monkeypatch.setattr(gcdlab, "power_sum", counted)
+    assert _digest(verify_all("extended")) == EXTENDED_DIGEST
+    assert len(calls) == 14_600
+
+
+_M_CELL_CHECKS = ("faulhaber-naive", "telescoping", "gcd-ladder",
+                  "congruences", "divisibility-equivalence",
+                  "trivial-gcd-iff")
+
+
+def test_column_is_gone_after_a_slice(monkeypatch):
+    spec = GridSpec(k_min=2, k_max=6, m_max=30, checks=_M_CELL_CHECKS)
+    tasks = [(c, k, spec) for c in spec.checks for k in _rows_for(c, spec)]
+    assert sweeps._column is None
+    rows = sweeps._run_slice(tasks)
+    assert sweeps._column is None
+    assert [(r.check, r.k) for r in rows] == [(c, k) for c, k, _ in tasks]
+    # also when a row raises
+    seen = []
+
+    def broken(k, spec):
+        seen.append(sweeps._column)
+        raise RuntimeError("row failed")
+
+    monkeypatch.setitem(sweeps._ROW_RUNNERS, "trivial-gcd-iff", broken)
+    with pytest.raises(RuntimeError, match="row failed"):
+        sweeps._run_slice(tasks)
+    assert isinstance(seen[0], dict)
+    assert sweeps._column is None
+
+
+def test_consecutive_gcds_are_taken_from_the_two_sums(monkeypatch):
+    # the ladder's consecutive cell and trivial-gcd-iff read
+    # gcd(S(m), S(m+1)) of the two sums themselves, never a rung
+    pairs = []
+
+    def recorded(a, b):
+        pairs.append((a, b))
+        return math.gcd(a, b)
+
+    def no_rung(*args):
+        raise AssertionError("a rung was read")
+
+    monkeypatch.setattr(sweeps, "gcd", recorded)
+    monkeypatch.setattr(gcdlab, "_gcd_with_power", no_rung)
+    ms = range(2, 41)
+    sweeps._consecutive_gcds(10, ms)
+    assert pairs == [(powersum.power_sum(10, m), powersum.power_sum(10, m + 1))
+                     for m in ms]
+
+
+def test_direct_row_after_a_perturbed_sweep_reads_true_sums(monkeypatch):
+    spec = GridSpec(k_min=2, k_max=12, m_max=100, checks=_M_CELL_CHECKS)
+    with monkeypatch.context() as patch:
+        _perturb_sums(patch)
+        assert run_sweep(spec)["totals"]["fail"] > 0
+    for check in _M_CELL_CHECKS:
+        for k in _rows_for(check, spec):
+            row = sweeps._ROW_RUNNERS[check](k, spec)
+            assert (row.fails, row.counterexamples) == (0, []), (check, k)
 
 
 def test_repeat_runs_identical():
