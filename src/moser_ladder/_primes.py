@@ -1,5 +1,5 @@
 """Prime arithmetic helpers: sieve, smallest-prime-factor table,
-primorials, primality, small factorization.
+primorials, a remainder tree, primality, small factorization.
 
 Everything here is deterministic for the input sizes this package meets.
 Miller-Rabin with the 12-prime base set is a proven primality test below
@@ -18,6 +18,7 @@ __all__ = [
     "smallest_prime_factors",
     "factor_with_table",
     "primorial",
+    "remainders",
     "is_prime",
     "factorize",
 ]
@@ -104,6 +105,25 @@ def primorial(n: int) -> int:
             level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
         got = _primorial_cache[n] = level[0]
     return got
+
+
+def remainders(n: int, moduli: list[int]) -> list[int]:
+    """[n % q for q in moduli], moduli positive, from one remainder tree
+    (Bernstein, "How to find smooth parts of integers", 2004): the moduli
+    are multiplied pairwise up a product tree, n is reduced modulo the
+    root, and each remainder again modulo the two products below it. A
+    large n meets one long division by the root instead of one per
+    modulus, and the divisions further down are on numbers no larger
+    than the root."""
+    tree = [moduli]
+    while len(tree[-1]) > 1:
+        level = tree[-1]
+        tree.append([math.prod(level[i : i + 2])
+                     for i in range(0, len(level), 2)])
+    rems = [n]
+    for level in reversed(tree):
+        rems = [rems[i // 2] % q for i, q in enumerate(level)]
+    return rems
 
 
 def _miller_rabin(n: int, base: int) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from ._primes import is_prime, primes_up_to, primorial
+from ._primes import is_prime, primes_up_to, primorial, remainders
 
 __all__ = [
     "bernoulli",
@@ -203,16 +203,56 @@ def _smallest_square_prime(n: int, bound: int,
     return next(p for p in primes_up_to(bound) if sq % p == 0)
 
 
-def _square_free_search(k: int,
-                        trial_bound: int) -> tuple[SquareFreeStatus, int, int]:
+# (bound, gcds): gcds[k/2 - 1] = gcd(|N_k|, primorial(bound)) for the even
+# k the numerator survey has reached at that bound; one bound at a time.
+_SURVEY_GCDS: tuple[int, list[int]] = (0, [])
+
+
+def _primorial_gcd(k: int, bound: int) -> int:
+    """gcd(|N_k|, primorial(bound)) for even k >= 2, from batched gcds.
+
+    A miss grows the table to k and takes the gcds of the next numerators
+    of the table in blocks, each block from one remainder tree of the
+    primorial (`_primes.remainders`): a block runs from the first k not
+    yet covered while the product of its |N| stays within the
+    primorial's bits, where one tree costs less than a long division of
+    the primorial per numerator. On `extended` (bound 10^5, a
+    143,816-bit primorial) the 125 numerators to k = 250 are one block.
+    """
+    global _SURVEY_GCDS
+    if _SURVEY_GCDS[0] != bound:
+        _SURVEY_GCDS = (bound, [])
+    gcds = _SURVEY_GCDS[1]
+    if len(gcds) < k // 2:
+        _extend_even(k // 2)
+        p = primorial(bound)
+        budget = p.bit_length()
+        while len(gcds) < k // 2:
+            block, bits = [], 0
+            for b in _EVEN[len(gcds) + 1:]:
+                n = abs(b.numerator)
+                bits += n.bit_length()
+                if block and bits > budget:
+                    break
+                block.append(n)
+            gcds += map(gcd, block, remainders(p, block))
+    return gcds[k // 2 - 1]
+
+
+def _square_free_search(
+    k: int, trial_bound: int, batched: bool = False
+) -> tuple[SquareFreeStatus, int, int]:
     """The one square-factor search on N_k: its status, |N_k| and
     g = gcd(|N_k|, primorial(trial_bound)), the product of the primes <= the
-    bound that divide |N_k| (1 when |N_k| = 1, which needs no gcd)."""
+    bound that divide |N_k| (1 when |N_k| = 1, which needs no gcd). g is
+    one gcd here, or with `batched` (the numerator survey, which asks for
+    every even k in turn) read from `_primorial_gcd`."""
     _check_trial_bound(trial_bound)
     n = abs(numerator(k))
     if n == 1:
         return SquareFreeStatus("trivial"), n, 1
-    g = gcd(n, primorial(trial_bound))
+    g = (_primorial_gcd(k, trial_bound) if batched
+         else gcd(n, primorial(trial_bound)))
     p = _smallest_square_prime(n, trial_bound, g)
     if p is None:
         return (SquareFreeStatus("no-square-factor-below", bound=trial_bound),

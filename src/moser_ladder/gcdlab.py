@@ -9,30 +9,32 @@ g(m) = gcd(S_k(m), S_k(m+1)) / m.
 The hot loops run on integers only, with N and D read once per k by the
 callers that loop over m. One kernel, `_ladder_rungs`, computes a gcd
 ladder cell: every observed rung is its own gcd (of S with m, m^2, m^3,
-m^4 and m^k), never derived from another rung, so the ladder's nesting
-stays a real check; the consecutive rung gcd(S, S_k(m+1)) comes in as an
-argument, taken directly from the two sums by the caller (the sweep
-shares it with the trivial-gcd row); the closed forms are gcds of m with
-N and D. `_ladder_from_sums`, `gcd_ladder` and the sweep row read it. A
-congruence cell carries S - B_k m as the integer X = D S - N m over D,
-reduced once per (k, m); its p-adic divisibility tests and its gates
-are integer tests on that numerator and on N and D. One kernel,
-`_congruence_cells`, decides every congruence cell:
-`congruence_check`, `prime_local_congruences` and the sweep row all read
-it. The min/max prefix keeps g(m) = a/m unreduced and compares by
-cross-multiplication; `Fraction`s are built only for reported values.
-Its a = gcd(S, S_k(m+1)) = gcd(S, m^k) comes from `_gcd_with_power`,
-which stops at the first stable rung gcd(S, m^j) and works on moduli of
-a few words; the ladder does not read it, so its rungs stay independent.
-Its sums add m^k from `powersum._powers`.
+m^4 and m^k, with m^k passed in from the caller's table), never derived
+from another rung, so the ladder's nesting stays a real check; the
+consecutive rung gcd(S, S_k(m+1)) comes in as an argument, taken by the
+caller directly from the two sums (the sweep takes S_k(m+1) from the
+closed form and S from the naive route, so the cell ties two routes, and
+shares the gcd with the trivial-gcd row); the closed forms are gcds of m
+with N and D. `_ladder_from_sums`, `gcd_ladder` and the sweep row read
+it. A congruence cell carries S - B_k m as the integer X = D S - N m
+over D, reduced once per (k, m); its p-adic divisibility tests and its
+gates are integer tests on that numerator and on N and D. One kernel,
+`_congruence_cells`, decides every congruence cell of one m and returns
+them as a list: `congruence_check`, `prime_local_congruences` and the
+sweep row all read it. The min/max prefix keeps g(m) = a/m unreduced and
+compares by cross-multiplication; `Fraction`s are built only for
+reported values. Its a = gcd(S, S_k(m+1)) = gcd(S, m^k) is taken in the
+loop from rungs 1 and 2 of one S mod m^2, and from `_gcd_with_power`
+only where those two differ (the first stable rung gcd(S, m^j), on
+moduli of a few words); the ladder reads neither, so its rungs stay
+independent. The prefix sums add m^k from `powersum._powers`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from ._primes import factorize
 from .bernoulli import (
@@ -140,10 +142,10 @@ def _rungs_nest(k: int, g1: int, g2: int, g3: int, g4: int, gk: int) -> bool:
 
 
 def _ladder_rungs(
-    k: int, m: int, s: int, consecutive: int, n_abs: int, d: int
+    k: int, m: int, s: int, consecutive: int, mk: int, n_abs: int, d: int
 ) -> tuple[int, int, int, int, int, int, int, int, int, bool, bool]:
-    """The GcdLadder fields after k and m, in field order, for S = s and
-    gcd(S, S_k(m+1)) = consecutive, given |N| and D of B_k.
+    """The GcdLadder fields after k and m, in field order, for S = s,
+    gcd(S, S_k(m+1)) = consecutive and m^k = mk, given |N| and D of B_k.
 
     Each observed rung is its own direct gcd; none is derived from
     another, and `consecutive` must be the gcd of the two sums, taken
@@ -153,7 +155,7 @@ def _ladder_rungs(
     m2 = m * m
     m3 = m2 * m
     g3 = gcd(s, m3)
-    gk = gcd(s, m**k)
+    gk = gcd(s, mk)
     if k >= 4:
         e, rem = divmod(gk, g3)
         if rem:  # m^3 | m^k, so the gcds nest
@@ -169,7 +171,7 @@ def _ladder_rungs(
 
 def _ladder_from_sums(k: int, m: int, s: int, s_next: int) -> GcdLadder:
     b = bernoulli(k)
-    return GcdLadder(k, m, *_ladder_rungs(k, m, s, gcd(s, s_next),
+    return GcdLadder(k, m, *_ladder_rungs(k, m, s, gcd(s, s_next), m**k,
                                           abs(b.numerator), b.denominator))
 
 
@@ -206,8 +208,8 @@ def _diff_numerator(k: int, m: int, s: int, n: int, d: int) -> int:
 def _congruence_cells(
     k: int, m: int, num: int, factors: Iterable[tuple[int, int]],
     n: int, d: int,
-) -> Iterator[tuple[str, int | None, bool, bool]]:
-    """(label, p, applicable, holds) of every congruence cell at (k, m),
+) -> list[tuple[str, int | None, bool, bool]]:
+    """[(label, p, applicable, holds)] of every congruence cell at (k, m),
     given B_k = n/d and the numerator `num` of S_k(m) - B_k m in lowest
     terms: "mod-m^r" for r = 1, 2, 3 with p None, then "mod-p^(2r)" and
     "mod-p^(3r)" for each (p, mult) of `factors` (prime p, p^mult || m).
@@ -220,15 +222,19 @@ def _congruence_cells(
     needs k >= 6, q coprime to D and q | N (that is, q | B_k p-adically).
     """
     unit = gcd(d, m) == 1
-    yield "mod-m^1", None, True, num % m == 0
-    yield "mod-m^2", None, k >= 4 and unit, num % (m * m) == 0
-    yield "mod-m^3", None, k >= 6 and unit and n % m == 0, num % m**3 == 0
+    m2 = m * m
+    cells = [("mod-m^1", None, True, num % m == 0),
+             ("mod-m^2", None, k >= 4 and unit, num % m2 == 0),
+             ("mod-m^3", None, k >= 6 and unit and n % m == 0,
+              num % (m2 * m) == 0)]
     for p, mult in factors:
         unit = d % p != 0
         pm = p**mult
-        yield "mod-p^(2r)", p, k >= 4 and unit, num % (pm * pm) == 0
-        yield ("mod-p^(3r)", p, k >= 6 and unit and n % p == 0,
-               num % pm**3 == 0)
+        pm2 = pm * pm
+        cells.append(("mod-p^(2r)", p, k >= 4 and unit, num % pm2 == 0))
+        cells.append(("mod-p^(3r)", p, k >= 6 and unit and n % p == 0,
+                      num % (pm2 * pm) == 0))
+    return cells
 
 
 def congruence_check(
@@ -250,8 +256,7 @@ def congruence_check(
     n, d = b.numerator, b.denominator
     num = (_diff_numerator(k, m, power_sum(k, m), n, d) if diff is None
            else Fraction(diff).numerator)
-    cells = _congruence_cells(k, m, num, (), n, d)
-    _, _, applicable, holds = next(islice(cells, r - 1, None))
+    _, _, applicable, holds = _congruence_cells(k, m, num, (), n, d)[r - 1]
     return CongruenceVerdict(k, m, r, applicable, holds)
 
 
@@ -283,7 +288,7 @@ def prime_local_congruences(
     num = (_diff_numerator(k, m, power_sum(k, m), n, d) if diff is None
            else Fraction(diff).numerator)
     factors = factorize(m).items()
-    cells = islice(_congruence_cells(k, m, num, factors, n, d), 3, None)
+    cells = iter(_congruence_cells(k, m, num, factors, n, d)[3:])
     out = []
     for p, mult in factors:
         for level in (2, 3):
@@ -304,8 +309,10 @@ def _gcd_with_power(s: int, m: int, k: int) -> int:
     v_p(s) <= j e, so v_p(a_i) = v_p(s) for every i >= j. The answer is a_j
     at the first stable j, or a_k if no rung below k is stable. One
     reduction of s mod m^2 serves the first two rungs, which settle
-    nearly every m of a sweep. The gcd ladder does not call this: its
-    nesting and consecutive-gcd cells need every rung computed on its own.
+    nearly every m of a sweep (the min/max prefix takes those two itself
+    and calls this only where they differ). The gcd ladder does not call
+    this: its nesting and consecutive-gcd cells need every rung computed
+    on its own.
     """
     mj = m * m
     r = s % mj
@@ -331,7 +338,8 @@ class MinMaxResult(NamedTuple):
     The window must contain both witnesses D and |N|. Every m up to
     prefix_limit is evaluated by definition, g(m) = a/m with
     a = gcd(S_k(m), S_k(m+1)) = gcd(S_k(m), m^k), taken from the first
-    stable rung gcd(S_k(m), m^j) (`_gcd_with_power`); both witnesses are
+    stable rung gcd(S_k(m), m^j): rungs 1 and 2 from one S_k(m) mod m^2,
+    and `_gcd_with_power` only where they differ; both witnesses are
     evaluated by definition regardless of size. On the rest of the window the
     square-free closed form g(m) = gcd(N, m)/gcd(D, m) bounds g between
     1/D and |N| pointwise, so the witness values are the exact extremes
@@ -400,7 +408,13 @@ def min_max_scan(
     s = 1  # S_k(2)
     powers = _powers(k, limit)
     for m in range(2, limit + 1):
-        a = _gcd_with_power(s, m, k)  # gcd(S, S + m^k) = gcd(S, m^k)
+        # a = gcd(S, S + m^k) = gcd(S, m^k): rungs 1 and 2 agree at nearly
+        # every m, and then a is their value (`_gcd_with_power`'s rule)
+        m2 = m * m
+        r = s % m2
+        a = gcd(r, m)
+        if a != gcd(r, m2):
+            a = _gcd_with_power(s, m, k)
         if a * prefix_min_at < lo_a * m:
             lo_a, prefix_min_at = a, m
         if a * prefix_max_at > hi_a * m:

@@ -7,10 +7,16 @@ so every intermediate stays an integer; the final division must be exact,
 and an inexact one raises ArithmeticError. B_j = 0 for odd j >= 3, so
 only the even-index coefficients and the one at j = 1 are nonzero:
 Horner runs in m^2 over the even ones, which halves the big-integer
-products. The naive summation is kept as an independent oracle.
-`_powers` lists m^k for every m up to a bound, a composite m's as the
-product of two earlier entries; the sweep column and the min/max prefix
-read it.
+products. `power_sums` evaluates a whole column of m at one k in one
+loop, with the coefficients read once; `power_sum` is its one-point case.
+The naive summation is kept as an independent oracle.
+
+`_powers` lists m^k for every m up to a bound. While a sweep slice holds
+the table scope (`_TABLES`), the table of k is grown from the latest
+table of a smaller k at the same bound, one multiplication per entry,
+and kept until the slice ends; outside it every call builds afresh and
+keeps nothing. `running_sums`, the sweep column, the gcd ladder's m^k
+rung and the min/max prefix read it.
 
 Searches use incremental running sums only (no Bernoulli numbers at all),
 so they are an independent route from the closed form. Each search is a
@@ -28,14 +34,16 @@ so once S_k(m) > m^k, neither can hold at m or at any larger m.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb, lcm
-from typing import Iterator, NamedTuple
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple
 
-from ._primes import smallest_prime_factors
 from .bernoulli import bernoulli
 
 __all__ = [
     "power_sum",
+    "power_sums",
     "power_sum_naive",
     "running_sums",
     "RatioHit",
@@ -84,22 +92,32 @@ def _check_km(k: int, m: int) -> None:
         raise ValueError(f"power sum needs m >= 1, got {m}")
 
 
+def power_sums(k: int, ms: Iterable[int]) -> list[int]:
+    """[S_k(m) for m in ms] via the Bernoulli closed form, one Horner
+    evaluation per m in one loop. Exact, integer results."""
+    _check_km(k, 1)
+    scale, (c0, c1, c2), tail = _faulhaber_coeffs(k)
+    out = []
+    for m in ms:
+        if m < 1:
+            _check_km(k, m)
+        x = m * m
+        acc = c0 * x + c1 * m + c2
+        for c in tail:
+            acc = acc * x + c
+        quot, rem = divmod(acc if k % 2 else acc * m, scale)
+        if rem:
+            raise ArithmeticError(
+                f"faulhaber cancellation failed at k={k}, m={m}: "
+                f"remainder {rem} of scale {scale}"
+            )
+        out.append(quot)
+    return out
+
+
 def power_sum(k: int, m: int) -> int:
     """S_k(m) via the Bernoulli closed form. Exact, integer result."""
-    _check_km(k, m)
-    scale, (c0, c1, c2), tail = _faulhaber_coeffs(k)
-    x = m * m
-    acc = c0 * x + c1 * m + c2
-    for c in tail:
-        acc = acc * x + c
-    total = acc if k % 2 else acc * m
-    quot, rem = divmod(total, scale)
-    if rem:
-        raise ArithmeticError(
-            f"faulhaber cancellation failed at k={k}, m={m}: "
-            f"remainder {rem} of scale {scale}"
-        )
-    return quot
+    return power_sums(k, (m,))[0]
 
 
 def power_sum_naive(k: int, m: int) -> int:
@@ -108,26 +126,42 @@ def power_sum_naive(k: int, m: int) -> int:
     return sum(j**k for j in range(1, m))
 
 
+# bound -> (k, [m**k for m in range(bound + 1)]), the latest table built
+# at that bound, while a sweep slice holds the scope (`sweeps._run_slice`
+# sets a dict and clears it when the slice ends); None otherwise.
+_TABLES: dict[int, tuple[int, list[int]]] | None = None
+
+
 def _powers(k: int, m_max: int) -> list[int]:
-    """[m**k for m in range(m_max + 1)]. A prime m is raised directly; a
-    composite m is p^k (m/p)^k, p its smallest prime factor read from
-    one table, both factors already in the list: one product of two
-    smaller integers in place of a power."""
-    table = smallest_prime_factors(m_max)
-    out = [j**k for j in range(min(m_max, 1) + 1)]
-    for m in range(2, m_max + 1):
-        p = table[m]
-        out.append(m**k if p == m else out[p] * out[m // p])
+    """[m**k for m in range(m_max + 1)], k >= 1. Inside a table scope the
+    latest table of a smaller k' at the same bound is multiplied entry by
+    entry by m^(k - k') (by m itself when k' = k - 1), the result kept in
+    its place and returned again for the same k; a table with k' < k - 2
+    at another bound is dropped. Outside a scope each call builds afresh
+    and keeps nothing."""
+    got = None if _TABLES is None else _TABLES.get(m_max)
+    if got is not None and got[0] == k:
+        return got[1]
+    ms = range(m_max + 1)
+    if got is not None and got[0] < k:
+        step = k - got[0]
+        out = list(map(mul, got[1], ms if step == 1 else
+                       [m**step for m in ms]))
+    else:
+        out = [m**k for m in ms]
+    if _TABLES is not None:
+        for bound in [b for b, (kb, _) in _TABLES.items() if kb < k - 2]:
+            del _TABLES[bound]
+        _TABLES[m_max] = (k, out)
     return out
 
 
 def running_sums(k: int, m_max: int) -> Iterator[tuple[int, int]]:
-    """Yield (m, S_k(m)) for m = 1..m_max by incremental summation."""
+    """Yield (m, S_k(m)) for m = 1..m_max by incremental summation over
+    the `_powers` table of k at bound m_max."""
     _check_km(k, max(m_max, 1))
-    s = 0
-    for m in range(1, m_max + 1):
-        yield m, s
-        s += m**k
+    return zip(range(1, m_max + 1),
+               accumulate(_powers(k, m_max)[1:m_max], initial=0))
 
 
 class RatioHit(NamedTuple):

@@ -20,27 +20,33 @@ Rows call the library's scans (`powersum` searches and running sums,
 `gcdlab` ladders and congruences) rather than restating them; the
 numerator survey lives here and the CLI's `scan` only formats it. The
 m-cell rows reach S_k(m) by three routes, and their counterexample text
-depends on which: `telescoping` reads only the closed form `power_sum`
-(from Bernoulli numbers); `faulhaber-naive` compares it with
+depends on which: `telescoping` reads only the closed form (`power_sums`,
+from Bernoulli numbers); `faulhaber-naive` compares it with
 `running_sums`, which `s1-s3-identity` and `congruences` also read; and
 `gcd-ladder`, `divisibility-equivalence` and `trivial-gcd-iff` call
 `power_sum_naive` once, at their first m, then add m^k step by step.
-Within a slice the rows of one k share a column: m^k (from
-`powersum._powers`), the running sums, the closed forms, the naive-route
-sums and the gcd of each consecutive pair of those, each built once per
-k, on first use, through the `powersum` module attributes. The ladder's
-consecutive-gcd cell and `trivial-gcd-iff` read the same gcds, taken
-directly from the two sums. The column exists only while a slice runs;
-a row called on its own builds what it reads.
+Within a slice the rows of one k share a column: the running sums, the
+closed forms of the grid's m range (one `power_sums` column), the
+naive-route sums and the consecutive gcds gcd(S_k(m), S_k(m+1)), each
+built once per k, on first use, through the `powersum` module
+attributes. A consecutive gcd takes S_k(m) from the naive route and
+S_k(m+1) from the closed-form column, so the ladder's consecutive-gcd
+cell, and `trivial-gcd-iff`, which reads the same gcds, compare two
+routes. The slice also holds the factor lists of every m (one
+smallest-prime-factor table, read by `congruences` at every k) and the
+scope of the `powersum._powers` m^k tables, each grown from the table of
+an earlier k at the same bound. All of it exists only while a slice
+runs; a row called on its own builds what it reads and keeps nothing.
 These rows run integer kernels with N_k and D_k read once per row: the
-gcd ladder (`gcdlab._ladder_rungs`), the congruence cells, whose m are
-factored from one smallest-prime-factor table per row, and the integer
-core of `divides_rational`. A passing cell is only counted; the text of
-a counterexample (and any `Fraction` in it) is built only when a cell
-fails. The min-max prefix takes gcd(S, S_k(m+1)) = gcd(S, m^k) from its
-first stable rung (`gcdlab._gcd_with_power`), which the gcd ladder does
-not read; the numerator survey takes primality from the primorial gcd of
-its square-factor search.
+gcd ladder (`gcdlab._ladder_rungs`, given m^k from the table), the
+congruence cells and the integer core of `divides_rational`. A passing
+cell is only counted; the text of a counterexample (and any `Fraction`
+in it) is built only when a cell fails. The min-max prefix takes
+gcd(S, S_k(m+1)) = gcd(S, m^k) from rungs 1 and 2 of one S mod m^2 and
+its first stable rung beyond (`gcdlab._gcd_with_power`) where those
+differ, which the gcd ladder does not read; the numerator survey takes
+gcd(|N_k|, primorial(B)) for every even k from one remainder tree
+(`bernoulli._primorial_gcd`), and primality from that gcd.
 
 `concurrent.futures` is imported on first use, by the module
 `__getattr__`, so a sweep at jobs = 1 and every other subcommand start
@@ -147,30 +153,34 @@ def _row_bernoulli_structure(k: int, spec: GridSpec) -> _Row:
     return row
 
 
-# ---- the column: per-k values the m-cell rows of one slice share
+# ---- what the rows of one slice share
 
-# (builder, args) -> value for the k whose rows `_run_slice` is running;
-# None outside a slice. Rows read these lists and never change them.
+# (builder, *args) -> list, while `_run_slice` runs (None outside it).
+# `_column` holds the lists of the k whose rows are running and is
+# replaced at each new k; `_sweep` holds k-free tables for the whole
+# slice. Rows read these lists and never change them. The m^k tables are
+# shared through the `powersum._powers` scope, which the slice also holds.
 _column: dict | None = None
+_sweep: dict | None = None
 
 
-def _in_column(build: Callable[..., list[int]]) -> Callable[..., list[int]]:
-    """build(k, *args), built once per slice column, on first use; outside
-    a slice, afresh at every call."""
-    def shared(k: int, *args) -> list[int]:
-        if _column is None:
-            return build(k, *args)
-        key = (build, *args)
-        if key not in _column:
-            _column[key] = build(k, *args)
-        return _column[key]
-    return shared
+def _shared(store: Callable[[], dict | None]):
+    """Decorator: build(*args) once per store() dict, on first use; with
+    no store (outside a slice), afresh at every call."""
+    def decorate(build: Callable[..., list]) -> Callable[..., list]:
+        def shared(*args) -> list:
+            got = store()
+            if got is None:
+                return build(*args)
+            key = (build, *args)
+            if key not in got:
+                got[key] = build(*args)
+            return got[key]
+        return shared
+    return decorate
 
 
-@_in_column
-def _powers(k: int, m_max: int) -> list[int]:
-    """m^k at index m, 0 <= m <= m_max."""
-    return ps._powers(k, m_max)
+_in_column = _shared(lambda: _column)
 
 
 @_in_column
@@ -181,24 +191,34 @@ def _running_sums(k: int, m_max: int) -> list[int]:
 
 @_in_column
 def _closed_forms(k: int, ms: range) -> list[int]:
-    """S_k(m) from `power_sum` for m in ms and one m past it."""
-    return [ps.power_sum(k, m) for m in range(ms.start, ms.stop + 1)]
+    """S_k(m) from `power_sums` for m in ms and one m past it."""
+    return ps.power_sums(k, range(ms.start, ms.stop + 1))
 
 
 @_in_column
 def _naive_sums(k: int, ms: range) -> list[int]:
     """S_k(m) for m in ms and one m past it: `power_sum_naive` at the
     first m, then m^k added step by step."""
-    return list(accumulate(_powers(k, ms.stop - 1)[ms.start:],
+    return list(accumulate(ps._powers(k, ms.stop - 1)[ms.start:],
                            initial=ps.power_sum_naive(k, ms.start)))
 
 
 @_in_column
 def _consecutive_gcds(k: int, ms: range) -> list[int]:
-    """gcd(S_k(m), S_k(m+1)) for m in ms, each the direct gcd of two
-    naive-route sums."""
-    sums = _naive_sums(k, ms)
-    return list(map(gcd, sums, islice(sums, 1, None)))
+    """gcd(S_k(m), S_k(m+1)) for m in ms from m = 2: S_k(m) from the
+    naive route, S_k(m+1) read from the closed forms of the same m range
+    (the column `faulhaber-naive` builds), so the gcd ties two routes."""
+    lo = max(2, ms.start)
+    closed = _closed_forms(k, ms)[lo + 1 - ms.start:]
+    return list(map(gcd, _naive_sums(k, range(lo, ms.stop)), closed))
+
+
+@_shared(lambda: _sweep)
+def _factor_lists(m_max: int) -> list[list[tuple[int, int]]]:
+    """(prime, multiplicity) pairs of each m at index m, 0 <= m <= m_max,
+    read off one smallest-prime-factor table."""
+    table = smallest_prime_factors(m_max)
+    return [factor_with_table(m, table) for m in range(m_max + 1)]
 
 
 def _row_faulhaber(k: int, spec: GridSpec) -> _Row:
@@ -217,7 +237,7 @@ def _row_telescoping(k: int, spec: GridSpec) -> _Row:
     row = _Row("telescoping", k)
     ms = range(spec.m_min, spec.m_max + 1)
     closed = _closed_forms(k, ms)
-    powers = _powers(k, spec.m_max)
+    powers = ps._powers(k, spec.m_max)
     for m, prev, nxt in zip(ms, closed, islice(closed, 1, None)):
         if nxt - prev == powers[m]:
             row.passes += 1
@@ -263,9 +283,12 @@ def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
     b = bernoulli(k)
     n_abs, d = abs(b.numerator), b.denominator
     ms = range(max(2, spec.m_min), spec.m_max + 1)
-    for m, s, a in zip(ms, _naive_sums(k, ms), _consecutive_gcds(k, ms)):
+    powers = ps._powers(k, spec.m_max)
+    gcds = _consecutive_gcds(k, range(spec.m_min, spec.m_max + 1))
+    for m, s, a in zip(ms, _naive_sums(k, ms), gcds):
         (g1, g2, g3, g4, gk, p1, p2, p3, e, residual_ok,
-         consecutive) = gcdlab._ladder_rungs(k, m, s, a, n_abs, d)
+         consecutive) = gcdlab._ladder_rungs(k, m, s, a, powers[m], n_abs,
+                                             d)
         monotone = gcdlab._rungs_nest(k, g1, g2, g3, g4, gk)
         if (g1 == p1 and g2 == p2 and g3 == p3 and consecutive and monotone
                 and residual_ok):
@@ -287,12 +310,12 @@ def _row_congruences(k: int, spec: GridSpec) -> _Row:
     row = _Row("congruences", k)
     b = bernoulli(k)
     n, d = b.numerator, b.denominator
-    table = smallest_prime_factors(spec.m_max)
+    factors = _factor_lists(spec.m_max)
     running = _running_sums(k, spec.m_max)[spec.m_min - 1:]
     for m, s in zip(range(spec.m_min, spec.m_max + 1), running):
         num = gcdlab._diff_numerator(k, m, s, n, d)
         for label, p, applicable, holds in gcdlab._congruence_cells(
-                k, m, num, factor_with_table(m, table), n, d):
+                k, m, num, factors[m], n, d):
             if not applicable:
                 row.inapplicable += 1
             elif holds:
@@ -324,8 +347,9 @@ def _row_trivial_gcd(k: int, spec: GridSpec) -> _Row:
     row = _Row("trivial-gcd-iff", k)
     dn = denominator(k) * abs(numerator(k))
     ms = range(max(2, spec.m_min), spec.m_max + 1)
+    gcds = _consecutive_gcds(k, range(spec.m_min, spec.m_max + 1))
     # a = gcd(S(m), S(m+1)) and g = a / m, so g = 1 iff a = m
-    for m, a in zip(ms, _consecutive_gcds(k, ms)):
+    for m, a in zip(ms, gcds):
         c = gcd(dn, m)
         if (a == m) == (c == 1):
             row.passes += 1
@@ -454,13 +478,15 @@ def numerator_survey(k: int, trial_bound: int) -> dict:
     the smallest such p; the bound reported is the first one >= p, the
     pair that searching bound by bound would give.
 
-    Primality reads that search's g = gcd(|N_k|, primorial(bound)): if
-    1 < g < |N_k|, g is a proper factor and |N_k| is composite, so the
+    The search takes g = gcd(|N_k|, primorial(bound)) from
+    `bernoulli._primorial_gcd`, which takes it for every numerator of the
+    Bernoulli table from one remainder tree. Primality reads the same g:
+    if 1 < g < |N_k|, g is a proper factor and |N_k| is composite, so the
     primality test (deterministic at desk scale, see _primes) runs only
     when g is 1 or |N_k|."""
     bounds = tuple(b for b in SQUARE_FREE_ESCALATION
                    if b < trial_bound) + (trial_bound,)
-    status, n_abs, g = _square_free_search(k, trial_bound)
+    status, n_abs, g = _square_free_search(k, trial_bound, batched=True)
     p = status.prime
     flagged = None if p is None else next(b for b in bounds if b >= p)
     return {
@@ -556,11 +582,13 @@ def _rows_for(check: str, spec: GridSpec) -> range:
 
 
 def _run_slice(tasks: list[tuple[str, int, GridSpec]]) -> list[_Row]:
-    """Run the rows k by k, the rows of one k sharing one column, and
-    return each row at its task's position."""
-    global _column
+    """Run the rows k by k, the rows of one k sharing one column and the
+    whole slice sharing its tables and m^k tables, and return each row at
+    its task's position. Nothing the slice built outlives it."""
+    global _column, _sweep
     rows: list = [None] * len(tasks)
     k_now = None
+    _sweep, ps._TABLES = {}, {}
     try:
         for i in sorted(range(len(tasks)), key=lambda i: tasks[i][1]):
             check, k, spec = tasks[i]
@@ -568,7 +596,7 @@ def _run_slice(tasks: list[tuple[str, int, GridSpec]]) -> list[_Row]:
                 _column, k_now = {}, k
             rows[i] = _ROW_RUNNERS[check](k, spec)
     finally:
-        _column = None
+        _column = _sweep = ps._TABLES = None
     return rows
 
 

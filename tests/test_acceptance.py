@@ -98,8 +98,8 @@ def test_criterion_05_gcd_ladder_closed_forms():
         s = 1  # S_k(2), built incrementally: independent of the closed form
         for m in range(2, 301):
             s_next = s + m**k
-            p1, p2, p3 = _ladder_rungs(k, m, s, gcd(s, s_next), n_abs,
-                                       d)[5:8]
+            p1, p2, p3 = _ladder_rungs(k, m, s, gcd(s, s_next), m**k,
+                                       n_abs, d)[5:8]
             if gcd(s, m) != p1:
                 failures += 1
             if gcd(s, m * m) != p2:

@@ -365,9 +365,13 @@ def test_search_leaves_the_cache_alone(tmp_path):
 
 def test_verify_failure_is_reported(monkeypatch, capsys):
     # the closed form is off by one at a single cell
-    real = cli.ps.power_sum
-    monkeypatch.setattr(cli.ps, "power_sum",
-                        lambda k, m: real(k, m) + (k == 3 and m == 7))
+    real_sums = cli.ps.power_sums
+    monkeypatch.setattr(cli.ps, "power_sums", lambda k, ms: [
+        s + (k == 3 and m == 7) for m, s in zip(ms, real_sums(k, ms))])
+
+    def real(k, m):
+        return real_sums(k, (m,))[0]
+
     code = cli.main(["verify", "--grid", "1-4:2-10", "--checks",
                      "faulhaber-naive", "--seedless", "--format", "json"])
     out, err = capsys.readouterr()

@@ -2,6 +2,7 @@
 on random inputs well past the profile grids. Derandomized, so a run is
 reproducible; the example counts keep the whole file to a few seconds."""
 
+import importlib
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from unittest import mock
@@ -14,6 +15,8 @@ from moser_ladder._primes import (
     factorize,
     is_prime,
     primes_up_to,
+    primorial,
+    remainders,
     smallest_prime_factors,
 )
 from moser_ladder.bernoulli import (
@@ -35,6 +38,8 @@ from moser_ladder.powersum import (
 )
 
 FAST = settings(derandomize=True, max_examples=150, deadline=None)
+
+bmod = importlib.import_module("moser_ladder.bernoulli")
 
 
 def _even(max_k: int):
@@ -171,9 +176,11 @@ def test_factorize_product_and_primality(small, big):
 # ---- min/max prefix: cross-multiplied integers vs the Fraction scan
 
 
-def _fraction_prefix(k: int, limit: int, certified: bool, g, skewed):
+def _fraction_prefix(k: int, limit: int, certified: bool, g, rung):
     """The prefix loop as it was, on Fractions, with gcd function g for the
-    closed form and skewed(a, m) applied to a = gcd(S, S_next)."""
+    closed form and for rungs 1 and 2 of a = gcd(S, S_next) = gcd(S, m^k),
+    which are taken from S mod m^2 as the scan takes them, and rung(S, m, k)
+    for a where those two differ."""
     n_abs, d = abs(numerator(k)), denominator(k)
     lo = hi = None
     lo_at = hi_at = 0
@@ -181,7 +188,11 @@ def _fraction_prefix(k: int, limit: int, certified: bool, g, skewed):
     s = 1
     for m in range(2, limit + 1):
         s_next = s + m**k
-        v = Fraction(skewed(gcd(s, s_next), m), m)
+        r = s % (m * m)
+        a = g(r, m)
+        if a != g(r, m * m):
+            a = rung(s, m, k)
+        v = Fraction(a, m)
         if lo is None or v < lo:
             lo, lo_at = v, m
         if hi is None or v > hi:
@@ -197,16 +208,19 @@ def _fraction_prefix(k: int, limit: int, certified: bool, g, skewed):
 def test_min_max_prefix_matches_fraction_scan(k, prefix, skew):
     # skew > 1 doubles the values that fall in one residue class, in both
     # scans alike, so new extremes and closed-form disagreements appear on
-    # purpose: the closed-form gcds keyed on their arguments, the prefix
-    # gcd a = gcd(S, S_next) = gcd(S, m^k) keyed on (a, m). The scan seeds
-    # its extremes with g(2) = 1/2 (S_k(2) = 1), so a is skewed from m = 3.
+    # purpose: every gcd keyed on its arguments (the closed forms, and
+    # rungs 1 and 2 of the prefix gcd a = gcd(S, S_next) = gcd(S, m^k)),
+    # and a keyed on (a, m) where those rungs differ. The scan seeds its
+    # extremes with g(2) = 1/2 (S_k(2) = 1), so a is skewed from m = 3:
+    # neither a nor a gcd with 2 or 4 (the rungs at m = 2) is skewed.
     def skewed(a, m):
         return (2 * a if skew > 1 and m > 2 and (a + 3 * m) % skew == 1
                 else a)
 
     def g(a, b):
         value = gcd(a, b)
-        return 2 * value if skew > 1 and (a + 3 * b) % skew == 1 else value
+        return (2 * value if skew > 1 and b not in (2, 4)
+                and (a + 3 * b) % skew == 1 else value)
 
     def rung(s, m, k):
         return skewed(gcd(s, m**k), m)
@@ -219,7 +233,7 @@ def test_min_max_prefix_matches_fraction_scan(k, prefix, skew):
     got = (res.prefix_min, res.prefix_min_at, res.prefix_max,
            res.prefix_max_at, res.prefix_closed_form_agrees)
     assert got == _fraction_prefix(k, res.prefix_limit, res.certified, g,
-                                   skewed)
+                                   rung)
 
 
 # m with many repeated primes, so s = c m^j shares deep rungs with m^k
@@ -284,8 +298,8 @@ def test_ladder_kernel_matches_direct_gcds(k, m, c, j, c_next):
     s_next = s + m**k + c_next * m
     ladder = gcdlab._ladder_from_sums(k, m, s, s_next)
     b = bernoulli(k)
-    rungs = gcdlab._ladder_rungs(k, m, s, gcd(s, s_next), abs(b.numerator),
-                                 b.denominator)
+    rungs = gcdlab._ladder_rungs(k, m, s, gcd(s, s_next), m**k,
+                                 abs(b.numerator), b.denominator)
     want = _ladder_as_it_was(k, m, s, s_next)
     assert rungs + (gcdlab._rungs_nest(k, *rungs[:5]),) == want
     assert (ladder.k, ladder.m) == (k, m)
@@ -342,16 +356,17 @@ def test_trivial_gcd_integer_test_matches_fraction(k, m, c, j):
 
 
 def _trivial_gcd_row_as_it_was(k: int, spec: sweeps.GridSpec):
+    """The row on Fractions: S(m) from the naive route, S(m+1) from the
+    closed form."""
     dn = denominator(k) * abs(numerator(k))
     m_lo = max(2, spec.m_min)
     s = powersum.power_sum_naive(k, m_lo)
     out = []
     for m in range(m_lo, spec.m_max + 1):
-        s_next = s + m**k
-        g = Fraction(gcd(s, s_next), m)
+        g = Fraction(gcd(s, power_sum(k, m + 1)), m)
         c = gcd(dn, m)
         out.append(((g == 1) == (c == 1), f"g = {g}, gcd(D N, m) = {c}"))
-        s = s_next
+        s += m**k
     return out
 
 
@@ -359,7 +374,8 @@ def _trivial_gcd_row_as_it_was(k: int, spec: sweeps.GridSpec):
 @given(k=_even(40), m_min=st.integers(1, 200), span=st.integers(0, 200),
        offset=st.integers(-50, 50))
 def test_trivial_gcd_row_matches_fraction_row(k, m_min, span, offset):
-    # the offset shifts every S of the row, so many cells fail
+    # the offset shifts every naive-route S of the row, and not the
+    # closed-form S(m+1), so many cells fail
     spec = sweeps.GridSpec(k_min=k, k_max=k, m_min=m_min, m_max=m_min + span)
     real = powersum.power_sum_naive
     with mock.patch.object(powersum, "power_sum_naive",
@@ -382,12 +398,17 @@ def test_column_lists_match_their_direct_routes(k, m_min, span, shared):
     assert powersum._powers(k, m_max) == [j**k for j in range(m_max + 1)]
     ms = range(m_min, m_max + 1)
     ladder_ms = range(max(2, m_min), m_max + 1)
-    # in a slice's column the second read returns what the first built;
-    # outside a slice each read builds afresh
-    with mock.patch.object(sweeps, "_column", {} if shared else None):
+    # in a slice's column and tables the second read returns what the
+    # first built; outside a slice each read builds afresh
+    with mock.patch.object(sweeps, "_column", {} if shared else None), \
+            mock.patch.object(sweeps, "_sweep", {} if shared else None), \
+            mock.patch.object(powersum, "_TABLES", {} if shared else None):
         for _ in range(2):
-            assert sweeps._powers(k, m_max) == [
+            assert powersum._powers(k, m_max) == [
                 j**k for j in range(m_max + 1)]
+            assert sweeps._factor_lists(m_max) == [
+                list(factorize(j).items()) if j else []
+                for j in range(m_max + 1)]
             assert sweeps._running_sums(k, m_max) == [
                 s for _, s in running_sums(k, m_max)]
             assert sweeps._closed_forms(k, ms) == [
@@ -506,3 +527,116 @@ def test_ladder_and_equivalences_far_past_the_grids(k, m, base, c):
         assert (s % m ** (r + 1) == 0) == divides_rational(m, r, b), (k, m, r)
     # g(m) = 1 iff gcd(D N, m) = 1
     assert (gcdlab.gcd_ratio(k, m) == 1) == (gcd(d * n_abs, m) == 1), (k, m)
+
+
+# ---- the tables a sweep builds once: m^k tables grown from an earlier k,
+# ---- closed-form columns, batched survey gcds
+
+
+_BOUNDS = st.sampled_from((0, 1, 2, 7, 60, 300))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(calls=st.lists(st.tuples(st.integers(1, 40), _BOUNDS), min_size=1,
+                      max_size=12))
+@example(calls=[(k, 300) for k in range(1, 13)])
+@example(calls=[(k, 60) for k in (2, 4, 8, 9, 3, 5, 40, 41)])
+def test_powers_after_any_sequence_of_calls(calls):
+    # inside a scope a table grows from the latest one at its bound when
+    # that k' < k, is built afresh when k' > k, and is handed back for the
+    # same k; outside a scope nothing is kept
+    with mock.patch.object(powersum, "_TABLES", {}):
+        for k, bound in calls:
+            got = powersum._powers(k, bound)
+            assert got == [j**k for j in range(bound + 1)], (k, bound)
+            assert powersum._powers(k, bound) is got
+            assert powersum._TABLES[bound] == (k, got)
+    for k, bound in calls:
+        assert powersum._powers(k, bound) == [j**k for j in range(bound + 1)]
+    assert powersum._TABLES is None
+
+
+@FAST
+@given(k=st.integers(1, 60), ms=st.lists(st.integers(1, 600), max_size=20))
+def test_power_sums_match_naive_sums(k, ms):
+    want = [power_sum_naive(k, m) for m in ms]
+    assert powersum.power_sums(k, ms) == want
+    assert powersum.power_sums(k, iter(ms)) == want
+    assert [power_sum(k, m) for m in ms] == want
+
+
+@FAST
+@given(n=st.integers(0, 10**400), moduli=st.lists(
+    st.integers(1, 10**60), max_size=40))
+def test_remainder_tree_matches_each_remainder(n, moduli):
+    assert remainders(n, moduli) == [n % q for q in moduli]
+
+
+_TRIAL_BOUNDS = st.one_of(st.integers(2, 10**5),
+                          st.sampled_from((2, 10, 1000, 10**5)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(bound=_TRIAL_BOUNDS, ks=st.lists(_even(250), min_size=1, max_size=4),
+       grown=_even(250), other=_TRIAL_BOUNDS)
+@example(bound=10**5, ks=[2, 250], grown=250, other=10)
+@example(bound=10, ks=[250, 2, 48], grown=100, other=10**5)
+def test_batched_survey_gcds_match_direct_gcds(bound, ks, grown, other):
+    # a fresh table and memo; the table grows to `grown` after the first
+    # k is asked, so later blocks start from a longer table; then the
+    # same k at another bound
+    p = primorial(bound)
+    with mock.patch.object(bmod, "_EVEN", [Fraction(1)]), \
+            mock.patch.object(bmod, "_TANGENT", []), \
+            mock.patch.object(bmod, "_SURVEY_GCDS", (0, [])):
+        for i, k in enumerate(ks):
+            assert bmod._primorial_gcd(k, bound) == gcd(
+                abs(numerator(k)), p), (k, bound)
+            if i == 0:
+                bernoulli(grown)
+        gcds = bmod._SURVEY_GCDS[1]
+        assert len(gcds) >= max(ks) // 2
+        assert gcds == [gcd(abs(numerator(2 * i + 2)), p)
+                        for i in range(len(gcds))]
+        for k in ks:
+            assert bmod._primorial_gcd(k, other) == gcd(
+                abs(numerator(k)), primorial(other)), (k, other)
+
+
+def test_min_max_inline_rung_matches_gcd_with_power():
+    # the prefix takes a = gcd(S, m^k) from rungs 1 and 2 of one S mod m^2
+    # and calls _gcd_with_power only where they differ; against a scan
+    # that takes a from _gcd_with_power at every m <= 4096, even k <= 60
+    real = gcdlab._gcd_with_power
+    climbed = []
+
+    def recorded(s, m, k):
+        climbed.append(m)
+        return real(s, m, k)
+
+    for k in range(2, 61, 2):
+        n_abs, d = abs(numerator(k)), denominator(k)
+        climbed.clear()
+        with mock.patch.object(gcdlab, "_gcd_with_power", recorded):
+            res = gcdlab.min_max_scan(k, max(4096, d, n_abs),
+                                      prefix_limit=4096)
+        lo = hi = Fraction(1, 2)
+        lo_at = hi_at = 2
+        agrees = True if res.certified else None
+        rungs_differ = []
+        s = 1
+        for m in range(2, 4097):
+            if gcd(s, m) != gcd(s, m * m):
+                rungs_differ.append(m)
+            v = Fraction(real(s, m, k), m)
+            if v < lo:
+                lo, lo_at = v, m
+            if v > hi:
+                hi, hi_at = v, m
+            if res.certified and v != Fraction(gcd(n_abs, m), gcd(d, m)):
+                agrees = False
+            s += m**k
+        assert climbed == rungs_differ, k
+        assert (res.prefix_min, res.prefix_min_at, res.prefix_max,
+                res.prefix_max_at, res.prefix_closed_form_agrees) == (
+            lo, lo_at, hi, hi_at, agrees), k

@@ -1,11 +1,13 @@
 """Sweep engine: determinism, accounting, profile composition."""
 
+import gc
 import hashlib
 import importlib
 import json
 import math
 import multiprocessing
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -37,7 +39,7 @@ EXTENDED_DIGEST = (
 # test_counterexample_text_is_pinned): every m-cell check fails somewhere,
 # so this pins the counterexample strings, not only the counts.
 FAILING_QUICK_DIGEST = (
-    "8036418066ab262b05c638539b4fc87789708423f782733437478ab947c66559"
+    "2215b671baac22f5b2e95b20f14bbc975c9953cc943ce0f8fb0775bc05c0fb50"
 )
 
 
@@ -187,16 +189,20 @@ _NAIVE_OFFSETS = {(6, 2): 4, (12, 2): 836}
 
 def _perturb_sums(monkeypatch):
     real_running = powersum.running_sums
-    real_closed = powersum.power_sum
+    real_closed = powersum.power_sums
     real_naive = powersum.power_sum_naive
 
     def running(k, m_max):
         for m, s in real_running(k, m_max):
             yield m, s + _RUNNING_OFFSETS.get((k, m), 0)
 
+    def closed(k, ms):
+        ms = list(ms)
+        return [s + _CLOSED_OFFSETS.get((k, m), 0)
+                for m, s in zip(ms, real_closed(k, ms))]
+
     monkeypatch.setattr(powersum, "running_sums", running)
-    monkeypatch.setattr(powersum, "power_sum", lambda k, m: real_closed(
-        k, m) + _CLOSED_OFFSETS.get((k, m), 0))
+    monkeypatch.setattr(powersum, "power_sums", closed)
     monkeypatch.setattr(powersum, "power_sum_naive", lambda k, m: real_naive(
         k, m) + _NAIVE_OFFSETS.get((k, m), 0))
 
@@ -206,6 +212,11 @@ def _assert_pinned_failures(d: dict) -> None:
     assert failing == {"faulhaber-naive", "telescoping", "gcd-ladder",
                        "congruences", "divisibility-equivalence",
                        "trivial-gcd-iff"}
+    # the ladder's consecutive-gcd cell reads S(m+1) from the closed form,
+    # so a naive-route S off its value makes it fail
+    ladder = next(c for c in d["checks"] if c["name"] == "gcd-ladder")
+    assert sum(ce["cell"] == "consecutive-gcd"
+               for ce in ladder["counterexamples"]) == 96
     assert _digest(d) == FAILING_QUICK_DIGEST
 
 
@@ -224,18 +235,20 @@ def test_counterexample_text_is_pinned_in_parallel(monkeypatch):
 
 
 def test_extended_builds_each_closed_form_once(monkeypatch):
-    # faulhaber-naive and telescoping share one column of closed forms
-    # per k: 48 k times m = 1..301 (14,448), plus 152 for the witnesses
-    # of special-values and min-max (two sums per gcd_ratio)
-    real = powersum.power_sum
+    # faulhaber-naive, telescoping, gcd-ladder and trivial-gcd-iff share
+    # one column of closed forms per k: 48 k times m = 1..301 (14,448),
+    # plus 152 for the witnesses of special-values and min-max (two sums
+    # per gcd_ratio). Every closed form is a point of `power_sums`;
+    # `power_sum` is its one-point case.
+    real = powersum.power_sums
     calls = []
 
-    def counted(k, m):
-        calls.append((k, m))
-        return real(k, m)
+    def counted(k, ms):
+        ms = list(ms)
+        calls.extend((k, m) for m in ms)
+        return real(k, ms)
 
-    monkeypatch.setattr(powersum, "power_sum", counted)
-    monkeypatch.setattr(gcdlab, "power_sum", counted)
+    monkeypatch.setattr(powersum, "power_sums", counted)
     assert _digest(verify_all("extended")) == EXTENDED_DIGEST
     assert len(calls) == 14_600
 
@@ -264,6 +277,29 @@ def test_column_is_gone_after_a_slice(monkeypatch):
         sweeps._run_slice(tasks)
     assert isinstance(seen[0], dict)
     assert sweeps._column is None
+
+
+def test_nothing_sized_by_m_max_survives_a_sweep():
+    # the column, the factor lists and the m^k tables live only while a
+    # slice runs: a second `extended` sweep, once the first has filled
+    # the caches that persist (Bernoulli table, sieve, primorial, survey
+    # gcds, Faulhaber coefficients), leaves no memory behind
+    verify_all("extended")
+    assert (sweeps._column, sweeps._sweep, powersum._TABLES) == (
+        None, None, None)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verify_all("extended")
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one m^k table of `extended` alone holds some 10^5 bytes
+    assert left < 4096
+    assert (sweeps._column, sweeps._sweep, powersum._TABLES) == (
+        None, None, None)
 
 
 def test_consecutive_gcds_are_taken_from_the_two_sums(monkeypatch):
