@@ -5,16 +5,21 @@ cell as pass, fail, or inapplicable, and collecting counterexamples and
 findings (hits). Every fact about a check is one entry of the ordered
 table `_CHECKS`; the check order, the rows of a grid, grid validation
 and `max_bernoulli_index` are read from it. The work is a list of rows,
-one per check and k; with w > 1 workers, worker i runs the strided
-slice rows[i::w] in one pool call (one worker runs the whole list
-in-process). A slice runs its rows k by k. Workers are seeded with the
-parent's Bernoulli table and rows go back to their list positions, so
-the report (the dict that `verify --format json` prints, built once
-from the rows) is byte-identical at any job count. The job count is an
-argument of `run_grids` and of `run_sweep`/`verify_all`, not part of a
-grid. Sweeps do no file I/O: the CLI reads the Bernoulli cache before a
-sweep and writes it afterwards, up to `max_bernoulli_index` of the
-grids.
+one per check and k. One worker runs the whole list in-process. With
+w > 1 workers the rows are grouped into units, the rows of one k, with
+all numerator-scan rows (which share one remainder tree) as one unit of
+their own; the units are dealt heaviest first, by a static weight per
+row, each to the least-loaded of w slices, and each worker runs one
+slice in one pool call, so no column, table or survey tree is built by
+two workers. A slice runs its rows k by k. The parent fills the
+Bernoulli table before the pool starts: under `fork` the workers
+inherit it, under `spawn` or `forkserver` each builds its own on first
+use. Rows go back to their list positions, so the report (the dict that
+`verify --format json` prints, built once from the rows) is
+byte-identical at any job count. The job count is an argument of
+`run_grids` and of `run_sweep`/`verify_all`, not part of a grid. Sweeps
+do no file I/O: the CLI reads the Bernoulli cache before a sweep and
+writes it afterwards, up to `max_bernoulli_index` of the grids.
 
 Rows call the library's scans (`powersum` searches and running sums,
 `gcdlab` ladders and congruences) rather than restating them; the
@@ -76,11 +81,9 @@ from .bernoulli import (
     _square_free_search,
     bernoulli,
     denominator,
-    even_value_pairs,
     exact_log_abs,
     numerator,
     numerator_bound_check,
-    seed_even_values,
     size_estimate,
     vsc_denominator,
 )
@@ -506,37 +509,69 @@ def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
     return row
 
 
+# Static cost estimates of one row, for dealing rows to workers. An
+# m-cell row grows with its m range and with k (the size of S_k(m)), a
+# min-max row with its prefix; a survey row stands for its share of the
+# sieve, primorial and remainder tree its unit builds once (about 30 ms
+# for the 125 rows of `extended`, cold). One unit is about 0.04 us.
+
+
+def _m_cells_weight(k: int, spec: GridSpec) -> int:
+    return (spec.m_max - spec.m_min + 1) * (k + 8)
+
+
+def _min_max_weight(k: int, spec: GridSpec) -> int:
+    return max(2048, spec.m_max) * (k + 8)
+
+
+def _survey_weight(k: int, spec: GridSpec) -> int:
+    return 7000
+
+
+def _flat_weight(k: int, spec: GridSpec) -> int:
+    return 100
+
+
 class _Check(NamedTuple):
     """What a sweep knows of one check. k_min is the smallest k with a
     row (None: one k-independent row, key 0); reads_b means the rows read
-    B_k up to the grid's k_max, so the table is built that far first."""
+    B_k up to the grid's k_max, so the table is built that far first.
+    weight(k, spec) estimates a row's cost; one_unit means every row of
+    the check runs on one worker (they share one table across k)."""
 
     runner: Callable[[int, GridSpec], _Row]
     k_min: int | None = 2
     even_k: bool = True
     reads_b: bool = True
     reads_trial_bound: bool = False
+    weight: Callable[[int, GridSpec], int] = _flat_weight
+    one_unit: bool = False
 
 
 # every check, in report order
 _CHECKS: dict[str, _Check] = {
     "bernoulli-structure": _Check(_row_bernoulli_structure),
-    "faulhaber-naive": _Check(_row_faulhaber, 1, even_k=False),
-    "telescoping": _Check(_row_telescoping, 1, even_k=False),
+    "faulhaber-naive": _Check(_row_faulhaber, 1, even_k=False,
+                              weight=_m_cells_weight),
+    "telescoping": _Check(_row_telescoping, 1, even_k=False,
+                          weight=_m_cells_weight),
     "s1-s3-identity": _Check(_row_s1s3, None, reads_b=False),
     "ratio-search": _Check(_row_ratio_search, 1, even_k=False,
                            reads_b=False),
     "em-scan": _Check(_row_em_scan, 1, even_k=False, reads_b=False),
-    "gcd-ladder": _Check(_row_gcd_ladder),
-    "congruences": _Check(_row_congruences),
-    "divisibility-equivalence": _Check(_row_div_equiv),
-    "trivial-gcd-iff": _Check(_row_trivial_gcd),
+    "gcd-ladder": _Check(_row_gcd_ladder, weight=_m_cells_weight),
+    "congruences": _Check(_row_congruences, weight=_m_cells_weight),
+    "divisibility-equivalence": _Check(_row_div_equiv,
+                                       weight=_m_cells_weight),
+    "trivial-gcd-iff": _Check(_row_trivial_gcd, weight=_m_cells_weight),
     "special-values": _Check(_row_special_values),
-    "min-max": _Check(_row_min_max, reads_trial_bound=True),
+    "min-max": _Check(_row_min_max, reads_trial_bound=True,
+                      weight=_min_max_weight),
     "cross-gcd": _Check(_row_cross_gcd, 4),
     "crossover-bracket": _Check(_row_crossover, reads_b=False),
     "size-bounds": _Check(_row_size_bounds, 10),
-    "numerator-scan": _Check(_row_numerator_scan, reads_trial_bound=True),
+    "numerator-scan": _Check(_row_numerator_scan, reads_trial_bound=True,
+                             weight=_survey_weight, one_unit=True),
 }
 
 CHECK_ORDER = tuple(_CHECKS)
@@ -626,24 +661,52 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_size(jobs: int, n_tasks: int) -> int:
-    """Worker processes for a sweep: never more than the CPUs or the tasks."""
-    return min(jobs, _available_cpus(), n_tasks)
+def _pool_size(jobs: int, n_units: int) -> int:
+    """Worker processes for a sweep: never more than the CPUs or the units."""
+    return min(jobs, _available_cpus(), n_units)
+
+
+def _units(tasks: list[tuple[str, int, GridSpec]]) -> list[list[int]]:
+    """Task positions grouped into the units a worker runs whole: the
+    rows of one k, and all rows of a `one_unit` check; in order of first
+    appearance."""
+    units: dict[object, list[int]] = {}
+    for i, (check, k, _spec) in enumerate(tasks):
+        units.setdefault(check if _CHECKS[check].one_unit else k,
+                         []).append(i)
+    return list(units.values())
+
+
+def _slices(tasks: list[tuple[str, int, GridSpec]], units: list[list[int]],
+            workers: int) -> list[list[int]]:
+    """Deal the units to `workers` slices of task positions, heaviest
+    unit first, each to the slice with the least weight so far (the
+    first such on ties): a pure function of the task list."""
+    def weight(unit: list[int]) -> int:
+        return sum(_CHECKS[check].weight(k, spec)
+                   for check, k, spec in map(tasks.__getitem__, unit))
+
+    loads = [0] * workers
+    slices: list[list[int]] = [[] for _ in range(workers)]
+    for unit in sorted(units, key=weight, reverse=True):
+        i = loads.index(min(loads))
+        loads[i] += weight(unit)
+        slices[i] += unit
+    return slices
 
 
 def run_grids(specs: list[GridSpec], profile: str | None,
               jobs: int) -> dict:
-    """Validate and run every row, one strided slice per worker, and
-    return the report `verify --format json` prints. Rows merge in list
-    order, so the report is the same at any job count."""
+    """Validate and run every row, on one worker or, by units of one k,
+    on a pool, and return the report `verify --format json` prints. Rows
+    merge in list order, so the report is the same at any job count."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for spec in specs:
         spec.validate()
     t0 = time.perf_counter()
 
-    k_need = max_bernoulli_index(specs)
-    bernoulli(k_need)  # fill the memo before any fork
+    bernoulli(max_bernoulli_index(specs))  # fill the memo before any fork
 
     checks: list[dict] = []
     tasks: list[tuple[str, int, GridSpec]] = []
@@ -661,18 +724,18 @@ def run_grids(specs: list[GridSpec], profile: str | None,
             })
             tasks.extend((check, k, spec) for k in ks)
 
-    workers = _pool_size(jobs, len(tasks))
+    units = _units(tasks) if jobs > 1 else [list(range(len(tasks)))]
+    workers = _pool_size(jobs, len(units))
     if workers > 1:
+        slices = _slices(tasks, units, workers)
         # read as a module attribute, so a swapped-in pool class is used
         pool_class = sys.modules[__name__].ProcessPoolExecutor
-        with pool_class(
-            max_workers=workers, initializer=seed_even_values,
-            initargs=(even_value_pairs(k_need),)
-        ) as pool:
-            slices = [tasks[i::workers] for i in range(workers)]
+        with pool_class(max_workers=workers) as pool:
             results = [None] * len(tasks)
-            for i, rows in enumerate(pool.map(_run_slice, slices)):
-                results[i::workers] = rows
+            for at, rows in zip(slices, pool.map(
+                    _run_slice, [[tasks[i] for i in at] for at in slices])):
+                for i, row in zip(at, rows):
+                    results[i] = row
     else:
         results = _run_slice(tasks)
 

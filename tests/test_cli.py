@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -333,13 +334,21 @@ _REAL_BERNOULLI = cli.ps.bernoulli
     # B_3 = 1 breaks the Faulhaber coefficients' odd-index check
     ("ps", "bernoulli", lambda j: _REAL_BERNOULLI(j) + (j == 3),
      ["powersum", "5", "7"], "odd-index Bernoulli"),
-], ids=["ladder-nesting", "faulhaber-odd-index"])
+    # the same fault inside a pool worker, which sees the fake when forked
+    pytest.param(
+        "ps", "bernoulli", lambda j: _REAL_BERNOULLI(j) + (j == 3),
+        ["verify", "quick", "--jobs", "2"], "odd-index Bernoulli",
+        marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="workers see the fake only when forked")),
+], ids=["ladder-nesting", "faulhaber-odd-index", "faulhaber-odd-index-worker"])
 def test_tripped_invariant_exits_4(monkeypatch, capsys, module, name, fake,
                                    argv, text):
     # an invariant check that trips is an internal fault, not a usage
     # error or an escaped traceback (exit 1, "checks failed")
     monkeypatch.setattr(getattr(cli, module), name, fake)
     monkeypatch.setattr(cli.ps, "_COEFFS", {})
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
     assert cli.main([*argv, "--seedless"]) == 4
     out, err = capsys.readouterr()
     assert out == ""

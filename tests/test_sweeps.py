@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import os
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -173,8 +174,9 @@ def test_extended_report_digest_is_pinned():
 
 
 def test_extended_report_digest_is_pinned_in_parallel(monkeypatch):
-    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 3)
     assert _digest(verify_all("extended", jobs=2)) == EXTENDED_DIGEST
+    assert _digest(verify_all("extended", jobs=3)) == EXTENDED_DIGEST
 
 
 # offsets added to S_k(m) at (k, m), one table per route the rows read:
@@ -256,6 +258,52 @@ def test_extended_builds_each_closed_form_once(monkeypatch):
 _M_CELL_CHECKS = ("faulhaber-naive", "telescoping", "gcd-ladder",
                   "congruences", "divisibility-equivalence",
                   "trivial-gcd-iff")
+
+
+def _tasks(specs: list[GridSpec]) -> list[tuple[str, int, GridSpec]]:
+    """The rows of `specs` in the order `run_grids` lists them."""
+    return [(c, k, spec) for c in CHECK_ORDER for spec in specs
+            if c in spec.checks for k in _rows_for(c, spec)]
+
+
+def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
+    # a worker runs whole units, all rows of one k or all survey rows, so
+    # at 2 workers the closed forms are still 14,600 points (see
+    # test_extended_builds_each_closed_form_once) and the survey's
+    # remainder tree is built once
+    bmod = importlib.import_module("moser_ladder.bernoulli")
+    real_sums, real_tree = powersum.power_sums, bmod.remainders
+    points, trees = [], []
+
+    def counted_sums(k, ms):
+        ms = list(ms)
+        points.extend((k, m) for m in ms)
+        return real_sums(k, ms)
+
+    def counted_tree(p, block):
+        trees.append(len(block))
+        return real_tree(p, block)
+
+    monkeypatch.setattr(powersum, "power_sums", counted_sums)
+    monkeypatch.setattr(bmod, "remainders", counted_tree)
+    specs = PROFILES["extended"]
+    sweeps.bernoulli(max_bernoulli_index(specs))  # as `run_grids` does
+    tasks = _tasks(specs)
+    slices = sweeps._slices(tasks, sweeps._units(tasks), 2)
+    for at in slices:
+        # each worker starts with no survey gcds, as one forked by the CLI
+        monkeypatch.setattr(bmod, "_SURVEY_GCDS", (0, []))
+        sweeps._run_slice([tasks[i] for i in at])
+    assert len(points) == 14_600
+    assert len(trees) == 1
+    assert sorted(i for at in slices for i in at) == list(range(len(tasks)))
+    where: dict = {}
+    for n, at in enumerate(slices):
+        for i in at:
+            check, k, _ = tasks[i]
+            unit = "survey" if check == "numerator-scan" else k
+            where.setdefault(unit, set()).add(n)
+    assert all(len(slice_of) == 1 for slice_of in where.values())
 
 
 def test_column_is_gone_after_a_slice(monkeypatch):
@@ -371,10 +419,15 @@ def test_pool_is_built_from_the_module_attribute(monkeypatch):
     parallel = verify_all("quick", jobs=2)
     assert log == [("workers", 2), ("map", 2)]
     assert _stripped(parallel) == _stripped(verify_all("quick", jobs=1))
+    # the rows of one k are one unit, which one worker runs in-process
+    run_sweep(GridSpec(k_min=4, k_max=4, m_max=20,
+                       checks=("gcd-ladder", "congruences")), jobs=2)
+    assert log == [("workers", 2), ("map", 2)]
 
 
 def test_uneven_slices_merge_in_order(monkeypatch):
-    # 25 rows: the strided slices differ in length at 2 and at 3 workers
+    # 25 rows in 13 units, one per k: the slices differ in length at 2
+    # and at 3 workers
     spec = GridSpec(k_max=13, m_max=40,
                     checks=("ratio-search", "gcd-ladder", "special-values"))
     log = _recording_pool(monkeypatch, 3)
@@ -383,6 +436,21 @@ def test_uneven_slices_merge_in_order(monkeypatch):
     assert log == [("workers", 2), ("map", 2), ("workers", 3), ("map", 3)]
     assert _stripped(reports[2]) == _stripped(reports[1])
     assert _stripped(reports[3]) == _stripped(reports[1])
+
+
+class _SpawnPool(ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs,
+                         mp_context=multiprocessing.get_context("spawn"))
+
+
+def test_spawned_workers_build_their_own_table(monkeypatch):
+    # a spawned worker starts from a fresh import, with no initializer:
+    # it builds the Bernoulli table it reads on first use
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", _SpawnPool)
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
+    assert _stripped(verify_all("quick", jobs=2)) == _stripped(
+        verify_all("quick", jobs=1))
 
 
 def test_pool_size_is_bounded(monkeypatch):
