@@ -19,7 +19,8 @@ import os
 import sys
 from pathlib import Path
 
-from .bernoulli import MemoPoisonedError, _check_trial_bound, bernoulli_record
+from .bernoulli import (MemoPoisonedError, _check_trial_bound, bernoulli,
+                        bernoulli_record)
 from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
@@ -192,6 +193,8 @@ def cmd_search(args) -> tuple[int, int]:
 
 def cmd_scan(args) -> tuple[int, int]:
     _check_trial_bound(args.trial_bound)  # also when --kmax leaves no row
+    if args.kmax >= 2:  # one survey remainder tree needs the whole table
+        bernoulli(args.kmax - args.kmax % 2)
     rows = [sweeps.numerator_survey(k, args.trial_bound)
             for k in range(2, args.kmax + 1, 2)]
     plain = []

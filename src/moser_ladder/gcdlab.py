@@ -13,7 +13,7 @@ m^4 and m^k, with m^k passed in from the caller's table), never derived
 from another rung, so the ladder's nesting stays a real check; the
 consecutive rung gcd(S, S_k(m+1)) comes in as an argument, taken by the
 caller directly from the two sums (the sweep takes S_k(m+1) from the
-closed form and S from the naive route, so the cell ties two routes, and
+closed form and S from the running sums, so the cell ties two routes, and
 shares the gcd with the trivial-gcd row); the closed forms are gcds of m
 with N and D. `_ladder_from_sums`, `gcd_ladder` and the sweep row read
 it. A congruence cell carries S - B_k m as the integer X = D S - N m
@@ -27,12 +27,14 @@ reported values. Its a = gcd(S, S_k(m+1)) = gcd(S, m^k) is taken in the
 loop from rungs 1 and 2 of one S mod m^2, and from `_gcd_with_power`
 only where those two differ (the first stable rung gcd(S, m^j), on
 moduli of a few words); the ladder reads neither, so its rungs stay
-independent. The prefix sums add m^k from `powersum._powers`.
+independent. The prefix reads S_k(m) from `powersum.running_sums`, the
+incremental route, from m = 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Iterable, NamedTuple
 
@@ -44,7 +46,7 @@ from .bernoulli import (
     numerator,
     square_free_status,
 )
-from .powersum import _powers, power_sum
+from .powersum import power_sum, running_sums
 
 __all__ = [
     "gcd_ratio",
@@ -405,9 +407,7 @@ def min_max_scan(
     lo_a = hi_a = 1  # g(2) = gcd(S_k(2), S_k(3)) / 2 = 1/2
     prefix_min_at = prefix_max_at = 2
     closed_agrees: bool | None = True if certified else None
-    s = 1  # S_k(2)
-    powers = _powers(k, limit)
-    for m in range(2, limit + 1):
+    for m, s in islice(running_sums(k, limit), 1, None):
         # a = gcd(S, S + m^k) = gcd(S, m^k): rungs 1 and 2 agree at nearly
         # every m, and then a is their value (`_gcd_with_power`'s rule)
         m2 = m * m
@@ -421,7 +421,6 @@ def min_max_scan(
             hi_a, prefix_max_at = a, m
         if certified and a * gcd(d, m) != gcd(n_abs, m) * m:
             closed_agrees = False
-        s += powers[m]
     prefix_min = Fraction(lo_a, prefix_min_at)
     prefix_max = Fraction(hi_a, prefix_max_at)
 

@@ -9,32 +9,31 @@ only the even-index coefficients and the one at j = 1 are nonzero:
 Horner runs in m^2 over the even ones, which halves the big-integer
 products. `power_sums` evaluates a whole column of m at one k in one
 loop, with the coefficients read once; `power_sum` is its one-point case.
-The naive summation is kept as an independent oracle.
+`power_sum_naive` sums every term afresh, an oracle no sweep row reads.
 
-`_powers` lists m^k for every m up to a bound. While a sweep slice holds
-the table scope (`_TABLES`), the table of k is grown from the latest
-table of a smaller k at the same bound, one multiplication per entry,
-and kept until the slice ends; outside it every call builds afresh and
-keeps nothing. `running_sums`, the sweep column, the gcd ladder's m^k
-rung and the min/max prefix read it.
+`running_sums` is the other route: m^k added one m at a time, with no
+Bernoulli numbers. It reads `_powers`, which lists m^k for every m up to
+a bound. While a sweep slice holds the table scope (`_TABLES`), the
+table of k is grown from the latest table of a smaller k at the same
+bound, one multiplication per entry, and kept until the slice ends;
+outside it every call builds afresh and keeps nothing.
 
-Searches use incremental running sums only (no Bernoulli numbers at all),
-so they are an independent route from the closed form. Each search is a
-per-k generator over an m range (`ratio_hits`, `em_solutions`);
-`search_ratio` and `em_scan` flatten them over k, and the sweep rows
-consume them directly. Both stop at the crossover. For m >= 2,
+The searches filter one walk, `_walk`, which yields (m, S_k(m), m^k)
+from m = 2 up to and including the crossover; `crossover` returns its
+last m. Stopping there loses nothing. For m >= 2,
 
     S_k(m) / m^k = sum_{i=1}^{m-1} (1 - i/m)^k
 
 strictly increases with m: every term grows with m, and the step to m + 1
 adds the positive term i = m. The ratio S_k(m+1)/S_k(m) = 1 + m^k/S_k(m)
 is an integer > 1 only if m^k >= S_k(m), and S_k(m) = m^k needs equality;
-so once S_k(m) > m^k, neither can hold at m or at any larger m.
+so once S_k(m) >= m^k, S_k(m') > m'^k at every m' > m, and neither can
+hold past m.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, count
 from math import comb, lcm
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
@@ -136,9 +135,8 @@ def _powers(k: int, m_max: int) -> list[int]:
     """[m**k for m in range(m_max + 1)], k >= 1. Inside a table scope the
     latest table of a smaller k' at the same bound is multiplied entry by
     entry by m^(k - k') (by m itself when k' = k - 1), the result kept in
-    its place and returned again for the same k; a table with k' < k - 2
-    at another bound is dropped. Outside a scope each call builds afresh
-    and keeps nothing."""
+    its place (one table per bound) and returned again for the same k.
+    Outside a scope each call builds afresh and keeps nothing."""
     got = None if _TABLES is None else _TABLES.get(m_max)
     if got is not None and got[0] == k:
         return got[1]
@@ -150,15 +148,14 @@ def _powers(k: int, m_max: int) -> list[int]:
     else:
         out = [m**k for m in ms]
     if _TABLES is not None:
-        for bound in [b for b, (kb, _) in _TABLES.items() if kb < k - 2]:
-            del _TABLES[bound]
         _TABLES[m_max] = (k, out)
     return out
 
 
 def running_sums(k: int, m_max: int) -> Iterator[tuple[int, int]]:
     """Yield (m, S_k(m)) for m = 1..m_max by incremental summation over
-    the `_powers` table of k at bound m_max."""
+    the `_powers` table of k at bound m_max: the route to S_k(m) of the
+    sweep column and the min/max prefix."""
     _check_km(k, max(m_max, 1))
     return zip(range(1, m_max + 1),
                accumulate(_powers(k, m_max)[1:m_max], initial=0))
@@ -172,22 +169,30 @@ class RatioHit(NamedTuple):
     quotient: int
 
 
+def _walk(k: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (m, S_k(m), m^k) for m = 2, 3, ... up to and including the
+    crossover, the first m with S_k(m) >= m^k (see the module docstring)."""
+    s = 1  # S_k(2)
+    for m in count(2):
+        mk = m**k
+        yield m, s, mk
+        if s >= mk:
+            return
+        s += mk
+
+
 def ratio_hits(k: int, m_min: int, m_max: int) -> Iterator[RatioHit]:
     """Integral-ratio pairs at one k with max(3, m_min) <= m <= m_max.
 
-    Incremental scan in m order. The quotient is 1 + m^k / S_k(m) > 1,
-    so integrality forces m^k >= S_k(m); the scan ends at the first m
-    where that fails, past which it fails for good (see the module
-    docstring).
+    The quotient is 1 + m^k / S_k(m) > 1, so integrality forces
+    m^k >= S_k(m); the scan ends at the crossover (`_walk`).
     """
-    s = 1 + 2**k  # S_k(3)
-    for m in range(3, m_max + 1):
-        mk = m**k
-        if s > mk:
+    m_min = max(3, m_min)
+    for m, s, mk in _walk(k):
+        if m > m_max:
             return
-        if m >= m_min and (s + mk) % s == 0:
-            yield RatioHit(k, m, (s + mk) // s)
-        s += mk
+        if m >= m_min and mk % s == 0:
+            yield RatioHit(k, m, 1 + mk // s)
 
 
 def search_ratio(k_max: int, m_max: int) -> list[RatioHit]:
@@ -201,17 +206,14 @@ def search_ratio(k_max: int, m_max: int) -> list[RatioHit]:
 def em_solutions(k: int, m_min: int, m_max: int) -> Iterator[int]:
     """Every m with S_k(m) = m^k in max(2, m_min) <= m <= m_max, ascending.
 
-    The scan ends at the first m with S_k(m) > m^k: no m from there on
-    solves the equation (see the module docstring).
+    The scan ends at the crossover (`_walk`): no m past it solves the
+    equation.
     """
-    s = 1  # S_k(2)
-    for m in range(2, m_max + 1):
-        mk = m**k
-        if s > mk:
+    for m, s, mk in _walk(k):
+        if m > m_max:
             return
         if m >= m_min and s == mk:
             yield m
-        s += mk
 
 
 def em_scan(k_max: int, m_max: int) -> list[tuple[int, int]]:
@@ -232,9 +234,6 @@ def crossover(k: int) -> int:
     """
     if k < 1:
         raise ValueError(f"crossover needs k >= 1, got {k}")
-    s = 1
-    m = 2
-    while s < m**k:
-        s += m**k
-        m += 1
+    for m, _, _ in _walk(k):
+        pass
     return m

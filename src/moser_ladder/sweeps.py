@@ -24,20 +24,19 @@ writes it afterwards, up to `max_bernoulli_index` of the grids.
 Rows call the library's scans (`powersum` searches and running sums,
 `gcdlab` ladders and congruences) rather than restating them; the
 numerator survey lives here and the CLI's `scan` only formats it. The
-m-cell rows reach S_k(m) by three routes, and their counterexample text
+m-cell rows reach S_k(m) by two routes, and their counterexample text
 depends on which: `telescoping` reads only the closed form (`power_sums`,
-from Bernoulli numbers); `faulhaber-naive` compares it with
-`running_sums`, which `s1-s3-identity` and `congruences` also read; and
-`gcd-ladder`, `divisibility-equivalence` and `trivial-gcd-iff` call
-`power_sum_naive` once, at their first m, then add m^k step by step.
-Within a slice the rows of one k share a column: the running sums, the
-closed forms of the grid's m range (one `power_sums` column), the
-naive-route sums and the consecutive gcds gcd(S_k(m), S_k(m+1)), each
-built once per k, on first use, through the `powersum` module
-attributes. A consecutive gcd takes S_k(m) from the naive route and
-S_k(m+1) from the closed-form column, so the ladder's consecutive-gcd
-cell, and `trivial-gcd-iff`, which reads the same gcds, compare two
-routes. The slice also holds the factor lists of every m (one
+from Bernoulli numbers); `faulhaber-naive` compares it with the running
+sums (`running_sums`, m^k added one m at a time), which
+`s1-s3-identity`, `congruences`, `gcd-ladder` and
+`divisibility-equivalence` also read. Within a slice the rows of one k
+share a column: the running sums, the closed forms of the grid's m range
+(one `power_sums` column) and the consecutive gcds
+gcd(S_k(m), S_k(m+1)), each built once per k, on first use, through the
+`powersum` module attributes. A consecutive gcd takes S_k(m) from the
+running sums and S_k(m+1) from the closed-form column, so the ladder's
+consecutive-gcd cell, and `trivial-gcd-iff`, which reads the same gcds,
+compare the two routes. The slice also holds the factor lists of every m (one
 smallest-prime-factor table, read by `congruences` at every k) and the
 scope of the `powersum._powers` m^k tables, each grown from the table of
 an earlier k at the same bound. All of it exists only while a slice
@@ -66,7 +65,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -199,21 +198,14 @@ def _closed_forms(k: int, ms: range) -> list[int]:
 
 
 @_in_column
-def _naive_sums(k: int, ms: range) -> list[int]:
-    """S_k(m) for m in ms and one m past it: `power_sum_naive` at the
-    first m, then m^k added step by step."""
-    return list(accumulate(ps._powers(k, ms.stop - 1)[ms.start:],
-                           initial=ps.power_sum_naive(k, ms.start)))
-
-
-@_in_column
 def _consecutive_gcds(k: int, ms: range) -> list[int]:
     """gcd(S_k(m), S_k(m+1)) for m in ms from m = 2: S_k(m) from the
-    naive route, S_k(m+1) read from the closed forms of the same m range
-    (the column `faulhaber-naive` builds), so the gcd ties two routes."""
+    running sums, S_k(m+1) read from the closed forms of the same m range
+    (the column `faulhaber-naive` builds), so the gcd ties the two
+    routes."""
     lo = max(2, ms.start)
     closed = _closed_forms(k, ms)[lo + 1 - ms.start:]
-    return list(map(gcd, _naive_sums(k, range(lo, ms.stop)), closed))
+    return list(map(gcd, _running_sums(k, ms.stop - 1)[lo - 1:], closed))
 
 
 @_shared(lambda: _sweep)
@@ -288,7 +280,8 @@ def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
     ms = range(max(2, spec.m_min), spec.m_max + 1)
     powers = ps._powers(k, spec.m_max)
     gcds = _consecutive_gcds(k, range(spec.m_min, spec.m_max + 1))
-    for m, s, a in zip(ms, _naive_sums(k, ms), gcds):
+    running = _running_sums(k, spec.m_max)[ms.start - 1:]
+    for m, s, a in zip(ms, running, gcds):
         (g1, g2, g3, g4, gk, p1, p2, p3, e, residual_ok,
          consecutive) = gcdlab._ladder_rungs(k, m, s, a, powers[m], n_abs,
                                              d)
@@ -334,7 +327,7 @@ def _row_div_equiv(k: int, spec: GridSpec) -> _Row:
     b = bernoulli(k)
     n, d = b.numerator, b.denominator
     ms = range(max(2, spec.m_min), spec.m_max + 1)
-    for m, s in zip(ms, _naive_sums(k, ms)):
+    for m, s in zip(ms, _running_sums(k, spec.m_max)[ms.start - 1:]):
         for r in (1, 2):
             lhs = s % m ** (r + 1) == 0
             rhs = _divides_nd(m, r, n, d)

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,30 @@ def test_scan_numerators_plain():
     out = run_cli("scan", "numerators", "--kmax", "12", "--seedless")
     assert out.returncode == 0
     assert "k=10" in out.stdout and "prime=yes" in out.stdout
+
+
+def test_scan_builds_one_survey_tree_on_a_fresh_table(monkeypatch, capsys):
+    # the table is filled to --kmax before the first survey, so the 125
+    # numerators to k = 250 share one remainder tree, not one tree each
+    bmod = importlib.import_module("moser_ladder.bernoulli")
+    argv = ["scan", "numerators", "--kmax", "250", "--trial-bound", "100000",
+            "--format", "json", "--seedless"]
+    assert cli.main(argv) == 0
+    warm = capsys.readouterr().out
+    real = bmod.remainders
+    blocks = []
+
+    def counted(p, block):
+        blocks.append(len(block))
+        return real(p, block)
+
+    monkeypatch.setattr(bmod, "remainders", counted)
+    monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
+    monkeypatch.setattr(bmod, "_TANGENT", [])
+    monkeypatch.setattr(bmod, "_SURVEY_GCDS", (0, []))
+    assert cli.main(argv) == 0
+    assert blocks == [125]
+    assert capsys.readouterr().out == warm
 
 
 def test_verify_quick_exits_zero():

@@ -104,7 +104,8 @@ def test_crossover_frozen_values():
 
 
 def test_crossover_definition():
-    for k in (2, 5, 9, 14):
+    # k = 1 reaches S_k(m) = m^k exactly, at m = 3
+    for k in (1, 2, 5, 9, 14):
         c = crossover(k)
         assert power_sum(k, c) >= c**k
         assert power_sum(k, c - 1) < (c - 1) ** k

@@ -355,12 +355,12 @@ def test_trivial_gcd_integer_test_matches_fraction(k, m, c, j):
         assert (a == m) == (Fraction(a, m) == 1)
 
 
-def _trivial_gcd_row_as_it_was(k: int, spec: sweeps.GridSpec):
-    """The row on Fractions: S(m) from the naive route, S(m+1) from the
-    closed form."""
+def _trivial_gcd_row_as_it_was(k: int, spec: sweeps.GridSpec, offset: int):
+    """The row on Fractions: S(m) from the naive sum shifted by `offset`,
+    then m^k added step by step, S(m+1) from the closed form."""
     dn = denominator(k) * abs(numerator(k))
     m_lo = max(2, spec.m_min)
-    s = powersum.power_sum_naive(k, m_lo)
+    s = powersum.power_sum_naive(k, m_lo) + offset
     out = []
     for m in range(m_lo, spec.m_max + 1):
         g = Fraction(gcd(s, power_sum(k, m + 1)), m)
@@ -374,14 +374,17 @@ def _trivial_gcd_row_as_it_was(k: int, spec: sweeps.GridSpec):
 @given(k=_even(40), m_min=st.integers(1, 200), span=st.integers(0, 200),
        offset=st.integers(-50, 50))
 def test_trivial_gcd_row_matches_fraction_row(k, m_min, span, offset):
-    # the offset shifts every naive-route S of the row, and not the
+    # the offset shifts every running-sum S of the row, and not the
     # closed-form S(m+1), so many cells fail
     spec = sweeps.GridSpec(k_min=k, k_max=k, m_min=m_min, m_max=m_min + span)
-    real = powersum.power_sum_naive
-    with mock.patch.object(powersum, "power_sum_naive",
-                           lambda k, m: real(k, m) + offset):
+    real = powersum.running_sums
+
+    def shifted(k, m_max):
+        return ((m, s + offset) for m, s in real(k, m_max))
+
+    with mock.patch.object(powersum, "running_sums", shifted):
         row = sweeps._row_trivial_gcd(k, spec)
-        want = _trivial_gcd_row_as_it_was(k, spec)
+    want = _trivial_gcd_row_as_it_was(k, spec, offset)
     assert row.passes == sum(ok for ok, _ in want)
     assert [c["observed"] for c in row.counterexamples] == [
         text for ok, text in want if not ok]
@@ -411,11 +414,10 @@ def test_column_lists_match_their_direct_routes(k, m_min, span, shared):
                 for j in range(m_max + 1)]
             assert sweeps._running_sums(k, m_max) == [
                 s for _, s in running_sums(k, m_max)]
+            assert sweeps._running_sums(k, m_max)[m_min - 1:] == [
+                power_sum_naive(k, m) for m in ms]
             assert sweeps._closed_forms(k, ms) == [
                 power_sum(k, m) for m in range(m_min, m_max + 2)]
-            assert sweeps._naive_sums(k, ladder_ms) == [
-                power_sum_naive(k, m)
-                for m in range(ladder_ms.start, m_max + 2)]
             assert sweeps._consecutive_gcds(k, ladder_ms) == [
                 gcd(power_sum(k, m), power_sum(k, m + 1)) for m in ladder_ms]
 

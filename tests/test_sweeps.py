@@ -40,7 +40,7 @@ EXTENDED_DIGEST = (
 # test_counterexample_text_is_pinned): every m-cell check fails somewhere,
 # so this pins the counterexample strings, not only the counts.
 FAILING_QUICK_DIGEST = (
-    "2215b671baac22f5b2e95b20f14bbc975c9953cc943ce0f8fb0775bc05c0fb50"
+    "5ce9c2f38af48a296560d2877f711037b898044a8513b0367303ed62fb7cffc0"
 )
 
 
@@ -180,22 +180,24 @@ def test_extended_report_digest_is_pinned_in_parallel(monkeypatch):
 
 
 # offsets added to S_k(m) at (k, m), one table per route the rows read:
-# the closed form, the running sums, and the naive sum (which the
-# incremental rows call once per k, at m = 2, so its offset shifts the
-# whole row)
+# the closed form and the running sums; and a shift of the running sums
+# at every m >= 2 of a k, which knocks whole rows off. The shift of 836
+# makes 11^3 divide S_12(11); the offset there is 11^3 so that it still
+# does, and divisibility-equivalence fails at that cell.
 _CLOSED_OFFSETS = {(3, 20): 1, (4, 12): -2, (10, 60): 7}
-_RUNNING_OFFSETS = {(4, 12): 3, (6, 30): 1, (10, 5): 25, (12, 11): 11,
+_RUNNING_OFFSETS = {(4, 12): 3, (6, 30): 1, (10, 5): 25, (12, 11): 11**3,
                     (12, 100): 10**6}
-_NAIVE_OFFSETS = {(6, 2): 4, (12, 2): 836}
+_RUNNING_SHIFTS = {6: 4, 12: 836}
 
 
 def _perturb_sums(monkeypatch):
     real_running = powersum.running_sums
     real_closed = powersum.power_sums
-    real_naive = powersum.power_sum_naive
 
     def running(k, m_max):
         for m, s in real_running(k, m_max):
+            if m >= 2:
+                s += _RUNNING_SHIFTS.get(k, 0)
             yield m, s + _RUNNING_OFFSETS.get((k, m), 0)
 
     def closed(k, ms):
@@ -205,8 +207,6 @@ def _perturb_sums(monkeypatch):
 
     monkeypatch.setattr(powersum, "running_sums", running)
     monkeypatch.setattr(powersum, "power_sums", closed)
-    monkeypatch.setattr(powersum, "power_sum_naive", lambda k, m: real_naive(
-        k, m) + _NAIVE_OFFSETS.get((k, m), 0))
 
 
 def _assert_pinned_failures(d: dict) -> None:
@@ -215,7 +215,7 @@ def _assert_pinned_failures(d: dict) -> None:
                        "congruences", "divisibility-equivalence",
                        "trivial-gcd-iff"}
     # the ladder's consecutive-gcd cell reads S(m+1) from the closed form,
-    # so a naive-route S off its value makes it fail
+    # so a running-sum S off its value makes it fail
     ladder = next(c for c in d["checks"] if c["name"] == "gcd-ladder")
     assert sum(ce["cell"] == "consecutive-gcd"
                for ce in ladder["counterexamples"]) == 96
@@ -368,6 +368,16 @@ def test_consecutive_gcds_are_taken_from_the_two_sums(monkeypatch):
     sweeps._consecutive_gcds(10, ms)
     assert pairs == [(powersum.power_sum(10, m), powersum.power_sum(10, m + 1))
                      for m in ms]
+
+
+def test_no_row_reads_the_naive_sum(monkeypatch):
+    # the rows reach S_k(m) by the closed form and the running sums only;
+    # `power_sum_naive` stays an oracle, read by no row
+    def no_naive(*args):
+        raise AssertionError("the naive sum was read")
+
+    monkeypatch.setattr(powersum, "power_sum_naive", no_naive)
+    assert _digest(verify_all("quick")) == QUICK_DIGEST
 
 
 def test_direct_row_after_a_perturbed_sweep_reads_true_sums(monkeypatch):
