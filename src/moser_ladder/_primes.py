@@ -205,7 +205,8 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic below 3.317e24 (proven Miller-Rabin base set);
+    """Trial division by the primes up to 47 decides n < 53^2; then
+    deterministic below 3.317e24 (proven Miller-Rabin base set), and
     Miller-Rabin plus strong Lucas (BPSW) above that."""
     if n < 2:
         return False
@@ -214,6 +215,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n < 53 * 53:  # no prime factor <= 47, so none <= sqrt(n)
+        return True
     if not all(_miller_rabin(n, b) for b in _MR_BASES):
         return False
     if n < _MR_PROVEN_LIMIT:

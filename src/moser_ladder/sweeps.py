@@ -10,12 +10,13 @@ w > 1 workers the rows are grouped into units, the rows of one k, with
 all numerator-scan rows (which share one remainder tree) as one unit of
 their own; the units are dealt heaviest first, by a static weight per
 row, each to the least-loaded of w slices, and each worker runs one
-slice in one pool call, so no column, table or survey tree is built by
-two workers. A slice runs its rows k by k. The parent fills the
-Bernoulli table before the pool starts: under `fork` the workers
-inherit it, under `spawn` or `forkserver` each builds its own on first
-use. Rows go back to their list positions, so the report (the dict that
-`verify --format json` prints, built once from the rows) is
+slice, so no column, table or survey tree is built by two workers. A
+slice runs its rows k by k. The parent fills the Bernoulli table, then
+forks w - 1 children, which inherit it; it runs the heaviest slice
+itself while each child runs one other and sends its rows back as one
+pickle on a pipe of its own. Where `os.fork` does not exist the sweep
+runs serially. Rows go back to their list positions, so the report (the
+dict that `verify --format json` prints, built once from the rows) is
 byte-identical at any job count. The job count is an argument of
 `run_grids` and of `run_sweep`/`verify_all`, not part of a grid. Sweeps
 do no file I/O: the CLI reads the Bernoulli cache before a sweep and
@@ -52,17 +53,17 @@ differ, which the gcd ladder does not read; the numerator survey takes
 gcd(|N_k|, primorial(B)) for every even k from one remainder tree
 (`bernoulli._primorial_gcd`), and primality from that gcd.
 
-`concurrent.futures` is imported on first use, by the module
-`__getattr__`, so a sweep at jobs = 1 and every other subcommand start
-without it. `run_grids` builds its pool from the module attribute
-`sweeps.ProcessPoolExecutor`; the benchmark's trace driver assigns a
-recording subclass there, and an assignment wins over the lazy import.
+`run_grids` builds its pool from the module attribute
+`sweeps.ProcessPoolExecutor`, the fork pool `_ForkPool` unless something
+assigns another class with its `max_workers` argument and `map` (the
+benchmark's trace driver assigns a recording `concurrent.futures`
+executor). The fork pool imports `pickle` only when it forks, and
+`signal` only to kill a child on an error.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import time
 from fractions import Fraction
 from itertools import islice
@@ -628,15 +629,83 @@ def _run_slice(tasks: list[tuple[str, int, GridSpec]]) -> list[_Row]:
     return rows
 
 
-def __getattr__(name: str):
-    # PEP 562: `ProcessPoolExecutor` is imported, and bound here, on its
-    # first read; an assignment to it beforehand takes precedence
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
+class _ForkPool:
+    """A pool for one `map` call: the first item runs in this process,
+    each other one in a child forked for it, which sends back
+    (ok, result or exception) as one pickle on a pipe of its own and
+    leaves by `os._exit`. `map` returns the results in item order or
+    raises the first error in that order (this process's own first).
+    Every child is reaped before `map` returns or raises; a child still
+    running when `map` raises is killed first."""
 
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    def __init__(self, max_workers: int):
+        pass  # one worker per item of `map`; taken as an executor takes it
+
+    def __enter__(self) -> _ForkPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+    def map(self, fn: Callable, items) -> list:
+        import pickle
+
+        first, *rest = items
+        children: dict = {}  # pid -> read end of its pipe, until reaped
+        try:
+            for item in rest:
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, item, write_end)
+                os.close(write_end)  # before the next fork: EOF on exit
+                children[pid] = open(read_end, "rb")
+            results = [fn(first)]
+            for pid in list(children):
+                with children[pid] as pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[pid]
+                if status != 0:
+                    raise RuntimeError(
+                        f"sweep worker {pid} exited without a result")
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                results.append(value)
+            return results
+        finally:
+            if children:  # only when raising
+                import signal
+
+                for pid, pipe in children.items():
+                    pipe.close()
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+
+
+def _serve(fn: Callable, item, write_end: int) -> None:
+    """A forked child's whole life: run fn(item), write (ok, result or
+    exception) to the pipe and exit, with status 0 only once it is all
+    written. Never returns, so no parent code runs in the child."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            out = True, fn(item)
+        except BaseException as exc:  # even KeyboardInterrupt: report it
+            out = False, exc
+        with open(write_end, "wb") as pipe:
+            pickle.dump(out, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+# the class `run_grids` builds its pool from; read per sweep, so a class
+# assigned here (as the benchmark's trace driver does) is used
+ProcessPoolExecutor = _ForkPool
 
 
 def max_bernoulli_index(specs: list[GridSpec]) -> int:
@@ -655,7 +724,10 @@ def _available_cpus() -> int:
 
 
 def _pool_size(jobs: int, n_units: int) -> int:
-    """Worker processes for a sweep: never more than the CPUs or the units."""
+    """Worker processes for a sweep: never more than the CPUs or the
+    units, and one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     return min(jobs, _available_cpus(), n_units)
 
 
@@ -674,7 +746,8 @@ def _slices(tasks: list[tuple[str, int, GridSpec]], units: list[list[int]],
             workers: int) -> list[list[int]]:
     """Deal the units to `workers` slices of task positions, heaviest
     unit first, each to the slice with the least weight so far (the
-    first such on ties): a pure function of the task list."""
+    first such on ties), and return the slices heaviest first: a pure
+    function of the task list."""
     def weight(unit: list[int]) -> int:
         return sum(_CHECKS[check].weight(k, spec)
                    for check, k, spec in map(tasks.__getitem__, unit))
@@ -685,7 +758,8 @@ def _slices(tasks: list[tuple[str, int, GridSpec]], units: list[list[int]],
         i = loads.index(min(loads))
         loads[i] += weight(unit)
         slices[i] += unit
-    return slices
+    order = sorted(range(workers), key=loads.__getitem__, reverse=True)
+    return [slices[i] for i in order]
 
 
 def run_grids(specs: list[GridSpec], profile: str | None,
@@ -721,9 +795,7 @@ def run_grids(specs: list[GridSpec], profile: str | None,
     workers = _pool_size(jobs, len(units))
     if workers > 1:
         slices = _slices(tasks, units, workers)
-        # read as a module attribute, so a swapped-in pool class is used
-        pool_class = sys.modules[__name__].ProcessPoolExecutor
-        with pool_class(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [None] * len(tasks)
             for at, rows in zip(slices, pool.map(
                     _run_slice, [[tasks[i] for i in at] for at in slices])):

@@ -4,7 +4,6 @@ import hashlib
 import importlib
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -349,6 +348,7 @@ def test_internal_fault_exits_4(monkeypatch, capsys):
 
 
 _REAL_BERNOULLI = cli.ps.bernoulli
+_TEST_PID = os.getpid()
 
 
 @pytest.mark.parametrize("module, name, fake, argv, text", [
@@ -359,13 +359,14 @@ _REAL_BERNOULLI = cli.ps.bernoulli
     # B_3 = 1 breaks the Faulhaber coefficients' odd-index check
     ("ps", "bernoulli", lambda j: _REAL_BERNOULLI(j) + (j == 3),
      ["powersum", "5", "7"], "odd-index Bernoulli"),
-    # the same fault inside a pool worker, which sees the fake when forked
+    # the same fault in a forked worker only: the parent runs its own
+    # slice cleanly, and the child's error must reach the exit code
     pytest.param(
-        "ps", "bernoulli", lambda j: _REAL_BERNOULLI(j) + (j == 3),
+        "ps", "bernoulli",
+        lambda j: _REAL_BERNOULLI(j) + (j == 3 and os.getpid() != _TEST_PID),
         ["verify", "quick", "--jobs", "2"], "odd-index Bernoulli",
-        marks=pytest.mark.skipif(
-            multiprocessing.get_start_method() != "fork",
-            reason="workers see the fake only when forked")),
+        marks=pytest.mark.skipif(not hasattr(os, "fork"),
+                                 reason="workers are forked")),
 ], ids=["ladder-nesting", "faulhaber-odd-index", "faulhaber-odd-index-worker"])
 def test_tripped_invariant_exits_4(monkeypatch, capsys, module, name, fake,
                                    argv, text):
@@ -544,3 +545,20 @@ def test_serial_verify_never_loads_the_pool():
         "assert main(['verify', 'quick', '--seedless', '--jobs', '1']) == 0")
     assert "moser_ladder.sweeps" in added
     assert not [m for m in added if m in _HEAVY_MODULES]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+def test_parallel_verify_loads_no_executor():
+    # the fork pool needs neither concurrent.futures nor multiprocessing;
+    # pickle, which only the parallel path imports, shows that it ran
+    added = _modules_added_by(
+        "from moser_ladder import sweeps\n"
+        "sweeps._available_cpus = lambda: 2\n"
+        "def stripped(jobs):\n"
+        "    report = sweeps.verify_all('quick', jobs=jobs)\n"
+        "    del report['wall_time_s']\n"
+        "    return report\n"
+        "assert stripped(2) == stripped(1)")
+    assert "pickle" in added
+    assert "concurrent.futures" not in added
+    assert "multiprocessing" not in added

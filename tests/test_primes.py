@@ -21,6 +21,11 @@ def test_sieve_keeps_its_limit(monkeypatch):
         assert primes_up_to(n) == want, n
 
 
+def test_is_prime_matches_the_sieve():
+    primes = set(primes_up_to(10**5))
+    assert [n for n in range(10**5) if _primes.is_prime(n)] == sorted(primes)
+
+
 def _count_is_prime(monkeypatch) -> list[int]:
     calls: list[int] = []
     real = _primes.is_prime

@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -227,7 +228,7 @@ def test_counterexample_text_is_pinned(monkeypatch):
     _assert_pinned_failures(verify_all("quick"))
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+@pytest.mark.skipif(not hasattr(os, "fork"),
                     reason="workers see the perturbed sums only when forked")
 def test_counterexample_text_is_pinned_in_parallel(monkeypatch):
     # counterexamples from both workers' slices merge in the serial order
@@ -304,6 +305,18 @@ def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
             unit = "survey" if check == "numerator-scan" else k
             where.setdefault(unit, set()).add(n)
     assert all(len(slice_of) == 1 for slice_of in where.values())
+
+
+def test_heaviest_slice_comes_first():
+    # the parent runs slice 0 itself, so it takes the largest share
+    for profile in ("quick", "standard", "extended"):
+        tasks = _tasks(PROFILES[profile])
+        for workers in (2, 3):
+            slices = sweeps._slices(tasks, sweeps._units(tasks), workers)
+            loads = [sum(sweeps._CHECKS[c].weight(k, spec)
+                         for c, k, spec in map(tasks.__getitem__, at))
+                     for at in slices]
+            assert loads == sorted(loads, reverse=True), (profile, workers)
 
 
 def test_column_is_gone_after_a_slice(monkeypatch):
@@ -448,6 +461,9 @@ def test_uneven_slices_merge_in_order(monkeypatch):
     assert _stripped(reports[3]) == _stripped(reports[1])
 
 
+# The sweep's own pool forks. A `concurrent.futures` executor assigned to
+# `sweeps.ProcessPoolExecutor`, as here, is the only way left to run the
+# rows in a spawned worker.
 class _SpawnPool(ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs,
@@ -463,6 +479,47 @@ def test_spawned_workers_build_their_own_table(monkeypatch):
         verify_all("quick", jobs=1))
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+@pytest.mark.parametrize("fault, error", [
+    ("child-dies", RuntimeError),
+    ("parent-fails", ValueError),
+    ("parent-interrupted", KeyboardInterrupt),
+])
+def test_failed_sweep_leaves_no_process(monkeypatch, fault, error):
+    # jobs - 1 children are forked; whichever side fails, the sweep
+    # raises only once every child is gone, killed if still running
+    parent, real_fork, real_slice = os.getpid(), os.fork, sweeps._run_slice
+    forked = []
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def run(tasks):
+        if os.getpid() != parent:
+            if fault == "child-dies":
+                os._exit(1)
+            time.sleep(30)  # still running when the parent raises
+        elif fault != "child-dies":
+            raise error("parent slice")
+        return real_slice(tasks)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(sweeps, "_run_slice", run)
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 3)
+    spec = GridSpec(k_min=2, k_max=6, m_max=20, checks=("gcd-ladder",))
+    start = time.monotonic()
+    with pytest.raises(error):
+        run_sweep(spec, jobs=3)
+    assert time.monotonic() - start < 10
+    assert len(forked) == 2
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_pool_size_is_bounded(monkeypatch):
     # called directly: a huge --jobs must never reach a real pool;
     # with neither an affinity set nor a CPU count, the sweep is serial
@@ -474,6 +531,9 @@ def test_pool_size_is_bounded(monkeypatch):
     assert _pool_size(10**6, 10**6) == cpus
     assert _pool_size(10**6, 3) == min(3, cpus)
     assert _pool_size(1, 10**6) == 1
+    # without os.fork there is no pool at all
+    monkeypatch.delattr(os, "fork")
+    assert _pool_size(10**6, 10**6) == 1
 
 
 def test_accounting_totals_match_check_sums():
