@@ -135,6 +135,18 @@ def _vsc_primes(k: int) -> list[int]:
     return [d + 1 for d in divisors if is_prime(d + 1)]
 
 
+def _vsc_prime_table(top: int) -> list[list[int]]:
+    """t[k/2] = the primes p with (p-1) | k, ascending, for every even
+    k <= top: one pass over the primes p <= top + 1, each marking the
+    even multiples of p - 1, instead of `_vsc_primes`' divisors of each k."""
+    table: list[list[int]] = [[] for _ in range(top // 2 + 1)]
+    for p in primes_up_to(top + 1):
+        step = max(p - 1, 2)  # p = 2: (p-1) | k for every even k
+        for k in range(step, top + 1, step):
+            table[k // 2].append(p)
+    return table
+
+
 def vsc_denominator(k: int) -> int:
     """von Staudt-Clausen denominator: product of primes p with (p-1) | k.
 
@@ -350,14 +362,18 @@ def seed_even_values(pairs: list[tuple[int, tuple[int, int]]]) -> int:
     A violation, or disagreement with a value already in the memo, raises
     ValueError rather than poisoning the memo. An edit to N_k by a multiple
     of D_k passes both tests; it is caught when the memo is next extended
-    past k. Returns the largest k actually seeded (0 if none).
+    past k. Entries are checked in ascending k, so the first violation
+    reported is the lowest. Returns the largest k actually seeded (0 if
+    none).
     """
     table = {k: nd for k, nd in pairs}
-    seeded = 0
-    k = 2
-    while k in table:
+    top = 0
+    while top + 2 in table:
+        top += 2
+    vsc = _vsc_prime_table(top)
+    for k in range(2, top + 1, 2):
         n, d = table[k]
-        primes = _vsc_primes(k)
+        primes = vsc[k // 2]
         if d != math.prod(primes):
             raise ValueError(
                 f"cache entry for k={k} has denominator {d}, "
@@ -377,9 +393,7 @@ def seed_even_values(pairs: list[tuple[int, tuple[int, int]]]) -> int:
                 )
         elif half == len(_EVEN):
             _EVEN.append(value)
-        seeded = k
-        k += 2
-    return seeded
+    return top
 
 
 def even_value_pairs(k_max: int) -> list[tuple[int, tuple[int, int]]]:

@@ -17,7 +17,9 @@ edit that re-signs the file: a change of N_k by a multiple of D_k also
 passes von Staudt-Clausen and loads (README, "Cache format").
 
 Concurrency contract: one writer or many readers. Writes go through a
-temp file plus atomic rename, so readers never observe a torn file.
+temp file plus atomic rename, so readers never observe a torn file. A
+command whose entries the file already holds writes nothing, so warm
+readers never write.
 """
 
 from __future__ import annotations
@@ -85,14 +87,10 @@ class CacheStore:
             self.put(k, n, d)
 
 
-def _payload_lines(store: CacheStore) -> list[str]:
-    return [f"{k}\t{n}\t{d}\n" for k, (n, d) in store.sorted_items()]
-
-
-def _digest(payload: list[str]) -> str:
+def _digest(payload: bytes) -> str:
     import hashlib  # here, not at the top: --seedless runs never hash
 
-    return hashlib.sha256("".join(payload).encode("ascii")).hexdigest()
+    return hashlib.sha256(payload).hexdigest()
 
 
 def cache_load(path: str | Path) -> CacheStore:
@@ -118,7 +116,9 @@ def cache_load(path: str | Path) -> CacheStore:
     if len(lines) < 2:
         raise CacheFormatError(f"{path}: missing checksum line")
     checksum = lines[-1]
-    payload = [line + "\n" for line in lines[1:-1]]
+    # the record lines, each with its LF: the bytes between the header's
+    # LF and the checksum line (ascii, so a character is a byte)
+    payload = raw[len(lines[0]) + 1:len(raw) - len(checksum) - 1]
     if _digest(payload) != checksum:
         raise CacheChecksumError(f"{path}: payload checksum mismatch")
 
@@ -145,8 +145,9 @@ def cache_load(path: str | Path) -> CacheStore:
 def cache_store(store: CacheStore, path: str | Path) -> None:
     """Write the cache atomically (temp file in place, then rename)."""
     path = Path(path)
-    payload = _payload_lines(store)
-    text = CACHE_HEADER + "\n" + "".join(payload) + _digest(payload) + "\n"
+    payload = "".join(f"{k}\t{n}\t{d}\n" for k, (n, d) in store.sorted_items())
+    text = (CACHE_HEADER + "\n" + payload
+            + _digest(payload.encode("ascii")) + "\n")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(text.encode("ascii"))
@@ -194,7 +195,12 @@ def store_snapshot(
     path: str | Path | None, k_max: int, base: CacheStore | None
 ) -> None:
     """Write the even entries 2..k_max, merged over `base`, to `path`.
-    Does nothing without a path or below k = 2."""
+    Does nothing without a path or below k = 2, or when `base` already
+    holds every even k in 2..k_max: `load_and_warm` seeded that gap-free
+    prefix, checked, so the snapshot would equal `base` entry for entry."""
     if path is None or k_max < 2:
+        return
+    if base is not None and all(
+            k in base.entries for k in range(2, k_max + 1, 2)):
         return
     cache_store(snapshot_bernoulli(k_max, base), path)

@@ -3,12 +3,14 @@
 One binary, one subcommand per library operation. The data stream
 (stdout) carries only the requested artifact; everything else goes to
 stderr. Exit codes are the machine-readable outcome: 0 success, 1 check
-failures, 2 usage errors, 3 I/O or cache errors, 4 internal arithmetic
-faults (a broken invariant, never a bad input). `main` alone touches
-the Bernoulli cache: it loads the cache before the command runs, and
-after the command has printed its answer (for verify, the report) it
-writes the cache once, with the even entries up to the k the command
-returns, so a failed write is a stderr warning, not an error.
+failures, 2 usage errors, 3 I/O or cache errors, 4 internal faults (a
+broken arithmetic invariant or a sweep worker lost without a result,
+never a bad input). `main` alone touches the Bernoulli cache: it loads
+the cache before the command runs, and after the command has printed its
+answer (for verify, the report) it writes the cache at most once, with
+the even entries up to the k the command returns, so a failed write is a
+stderr warning, not an error. A cache that already held all of those
+entries is not written at all.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ def _cache_path(args) -> str | None:
 
 
 # Each cmd_* prints its answer and returns (exit code, k): the even
-# entries of the Bernoulli table up to k are written back to the cache.
+# entries of the Bernoulli table up to k are written back to the cache,
+# unless it already holds them.
 
 
 def cmd_bern(args) -> tuple[int, int]:
@@ -382,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except (cachemod.CacheError, MemoPoisonedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ArithmeticError as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

@@ -145,6 +145,15 @@ def test_vsc_matches_actual_denominator():
         assert denominator(k) == vsc_denominator(k)
 
 
+def test_vsc_routes_agree():
+    # the cache loader's one-pass sieve and the per-k divisor route find
+    # the same primes, the sieve's in ascending order
+    table = bmod._vsc_prime_table(2000)
+    assert len(table) == 1001 and table[0] == []
+    for k in range(2, 2001, 2):
+        assert table[k // 2] == sorted(bmod._vsc_primes(k)), k
+
+
 def test_sign_pattern():
     for k in range(2, 81, 2):
         assert (-1) ** (k // 2 + 1) * numerator(k) > 0

@@ -308,6 +308,69 @@ def test_cache_entries_per_command(tmp_path, capsys, argv, k_max):
     assert cache.read_bytes() == want.read_bytes()
 
 
+def _cache_to(path: Path, k_max: int, skip: tuple = ()) -> bytes:
+    """Write the v1 cache of the even k in 2..k_max, less `skip`, and
+    return its bytes."""
+    cachemod.cache_store(cachemod.CacheStore(
+        {k: nd for k, nd in cachemod.snapshot_bernoulli(k_max).entries.items()
+         if k not in skip}), path)
+    return path.read_bytes()
+
+
+def test_warm_query_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a cache that holds every entry the query used is read and checked,
+    # never rewritten: no store call, same bytes, same mtime
+    cache = tmp_path / "bern.cache"
+    before = _cache_to(cache, 40)
+    mtime = cache.stat().st_mtime_ns
+    stores = []
+    monkeypatch.setattr(cachemod, "cache_store",
+                        lambda *args: stores.append(args))
+    assert cli.main(["bern", "20", "--cache", str(cache)]) == 0
+    assert capsys.readouterr() == ("-174611/330\n", "")
+    assert stores == []
+    assert cache.read_bytes() == before
+    assert cache.stat().st_mtime_ns == mtime
+
+
+@pytest.mark.parametrize("argv", [
+    ["bern", "20"], ["gk", "10", "5"], ["verify", "quick"],
+])
+def test_warm_query_cannot_fail_on_a_write(tmp_path, monkeypatch, capsys,
+                                           argv):
+    # with nothing to write, a failing store is never reached: no warning
+    cache = tmp_path / "bern.cache"
+    _cache_to(cache, 40)
+
+    def refuse(store, path):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(cachemod, "cache_store", refuse)
+    assert cli.main([*argv, "--cache", str(cache)]) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
+
+
+def test_cache_with_a_gap_is_rewritten(tmp_path, capsys):
+    # only the gap-free prefix 2..10 seeds the memo, so a query at k = 20
+    # still writes the full prefix 2..20
+    cache = tmp_path / "bern.cache"
+    _cache_to(cache, 20, skip=(12,))
+    assert sorted(cachemod.cache_load(cache).entries) == [
+        2, 4, 6, 8, 10, 14, 16, 18, 20]
+    assert cli.main(["bern", "20", "--cache", str(cache)]) == 0
+    assert capsys.readouterr() == ("-174611/330\n", "")
+    assert cache.read_bytes() == _cache_to(tmp_path / "want.cache", 20)
+
+
+def test_cache_is_extended_past_its_top(tmp_path, capsys):
+    cache = tmp_path / "bern.cache"
+    _cache_to(cache, 20)
+    assert cli.main(["bern", "30", "--cache", str(cache)]) == 0
+    assert capsys.readouterr() == ("8615841276005/14322\n", "")
+    assert cache.read_bytes() == _cache_to(tmp_path / "want.cache", 30)
+
+
 def test_seedless_and_cache_paths_agree(tmp_path, capsys):
     # a cold cache, a warm cache and no cache give the same report
     cache = str(tmp_path / "warm.cache")
@@ -379,6 +442,28 @@ def test_tripped_invariant_exits_4(monkeypatch, capsys, module, name, fake,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal error: ") and text in err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+def test_dead_sweep_worker_exits_4(monkeypatch, capsys):
+    # a child that exits without sending its rows is an internal fault:
+    # one stderr line and exit 4, not a traceback with exit 1 ("checks
+    # failed")
+    parent, real_slice = os.getpid(), sweeps._run_slice
+
+    def run(tasks):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real_slice(tasks)
+
+    monkeypatch.setattr(sweeps, "_run_slice", run)
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
+    assert cli.main(["verify", "quick", "--seedless", "--jobs", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: sweep worker ")
+    assert err.endswith(" exited without a result\n")
+    assert len(err.splitlines()) == 1
 
 
 def test_search_leaves_the_cache_alone(tmp_path):
@@ -537,6 +622,22 @@ def test_cold_import_skips_heavy_modules():
     added = _modules_added_by("import moser_ladder.cli")
     assert "moser_ladder.cli" in added
     assert not [m for m in added if m in _HEAVY_MODULES]
+
+
+def test_warm_query_loads_only_hashlib(tmp_path):
+    # a warm cache costs a read and a hash: beyond what the same query
+    # loads without a cache (argparse's gettext adds locale to both), it
+    # adds only hashlib, and never a writer's or the pool's modules
+    cache = tmp_path / "bern.cache"
+    _cache_to(cache, 40)
+    query = ("from moser_ladder.cli import main\n"
+             "assert main(['bern', '20'{}]) == 0")
+    seedless = _modules_added_by(query.format(", '--seedless'"))
+    warm = _modules_added_by(query.format(f", '--cache', {str(cache)!r}"))
+    assert set(warm) - set(seedless) <= {"hashlib", "_hashlib", "_blake2"}
+    assert not {"tempfile", "shutil", "pickle", "csv"} & set(warm)
+    cold = set(_modules_added_by("import moser_ladder.cli"))
+    assert set(seedless) - cold <= {"locale", "_locale"}
 
 
 def test_serial_verify_never_loads_the_pool():
