@@ -22,8 +22,6 @@ from ._primes import is_prime, primes_up_to, primorial, remainders
 __all__ = [
     "bernoulli",
     "MemoPoisonedError",
-    "bernoulli_record",
-    "BernoulliRecord",
     "vsc_denominator",
     "numerator",
     "denominator",
@@ -34,7 +32,6 @@ __all__ = [
     "numerator_bound_check",
     "divides_rational",
     "seed_even_values",
-    "even_value_pairs",
 ]
 
 _B1 = Fraction(-1, 2)
@@ -102,23 +99,6 @@ def bernoulli(k: int) -> Fraction:
         return Fraction(0)
     _extend_even(k // 2)
     return _EVEN[k // 2]
-
-
-class BernoulliRecord(NamedTuple):
-    """B_k = numerator/denominator in lowest terms, denominator > 0."""
-
-    k: int
-    numerator: int
-    denominator: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-
-def bernoulli_record(k: int) -> BernoulliRecord:
-    b = bernoulli(k)
-    return BernoulliRecord(k, b.numerator, b.denominator)
 
 
 def _require_even(k: int, what: str) -> None:
@@ -220,28 +200,32 @@ def _smallest_square_prime(n: int, bound: int,
 _SURVEY_GCDS: tuple[int, list[int]] = (0, [])
 
 
-def _primorial_gcd(k: int, bound: int) -> int:
-    """gcd(|N_k|, primorial(bound)) for even k >= 2, from batched gcds.
+def _primorial_gcd(k: int, bound: int, top: int) -> int:
+    """gcd(|N_k|, primorial(bound)) for even k >= 2, from batched gcds of
+    the numerators of a survey that runs to `top`.
 
-    A miss grows the table to k and takes the gcds of the next numerators
-    of the table in blocks, each block from one remainder tree of the
-    primorial (`_primes.remainders`): a block runs from the first k not
-    yet covered while the product of its |N| stays within the
+    A miss grows the table to top and takes the gcds of the next
+    numerators up to top in blocks, each block from one remainder tree of
+    the primorial (`_primes.remainders`): a block runs from the first k
+    not yet covered while the product of its |N| stays within the
     primorial's bits, where one tree costs less than a long division of
-    the primorial per numerator. On `extended` (bound 10^5, a
-    143,816-bit primorial) the 125 numerators to k = 250 are one block.
+    the primorial per numerator. No block reads a numerator past top (or
+    k, if larger), however far the table reaches. On `extended` (bound
+    10^5, a 143,816-bit primorial) the 125 numerators to k = 250 are one
+    block.
     """
     global _SURVEY_GCDS
     if _SURVEY_GCDS[0] != bound:
         _SURVEY_GCDS = (bound, [])
     gcds = _SURVEY_GCDS[1]
     if len(gcds) < k // 2:
-        _extend_even(k // 2)
+        stop = max(k, top) // 2
+        _extend_even(stop)
         p = primorial(bound)
         budget = p.bit_length()
         while len(gcds) < k // 2:
             block, bits = [], 0
-            for b in _EVEN[len(gcds) + 1:]:
+            for b in _EVEN[len(gcds) + 1:stop + 1]:
                 n = abs(b.numerator)
                 bits += n.bit_length()
                 if block and bits > budget:
@@ -252,19 +236,19 @@ def _primorial_gcd(k: int, bound: int) -> int:
 
 
 def _square_free_search(
-    k: int, trial_bound: int, batched: bool = False
+    k: int, trial_bound: int, top: int | None = None
 ) -> tuple[SquareFreeStatus, int, int]:
     """The one square-factor search on N_k: its status, |N_k| and
     g = gcd(|N_k|, primorial(trial_bound)), the product of the primes <= the
     bound that divide |N_k| (1 when |N_k| = 1, which needs no gcd). g is
-    one gcd here, or with `batched` (the numerator survey, which asks for
-    every even k in turn) read from `_primorial_gcd`."""
+    one gcd here, or, given the top k of a numerator survey (which asks
+    for every even k in turn up to it), read from `_primorial_gcd`."""
     _check_trial_bound(trial_bound)
     n = abs(numerator(k))
     if n == 1:
         return SquareFreeStatus("trivial"), n, 1
-    g = (_primorial_gcd(k, trial_bound) if batched
-         else gcd(n, primorial(trial_bound)))
+    g = (gcd(n, primorial(trial_bound)) if top is None
+         else _primorial_gcd(k, trial_bound, top))
     p = _smallest_square_prime(n, trial_bound, g)
     if p is None:
         return (SquareFreeStatus("no-square-factor-below", bound=trial_bound),
@@ -395,11 +379,3 @@ def seed_even_values(pairs: list[tuple[int, tuple[int, int]]]) -> int:
             _EVEN.append(value)
     return top
 
-
-def even_value_pairs(k_max: int) -> list[tuple[int, tuple[int, int]]]:
-    """(k, (N_k, D_k)) for even 2 <= k <= k_max, computing as needed."""
-    out = []
-    for k in range(2, k_max + 1, 2):
-        b = bernoulli(k)
-        out.append((k, (b.numerator, b.denominator)))
-    return out

@@ -16,10 +16,14 @@ damage such as a torn or truncated file. It does not stop a deliberate
 edit that re-signs the file: a change of N_k by a multiple of D_k also
 passes von Staudt-Clausen and loads (README, "Cache format").
 
+A rewrite holds exactly the even prefix 2..k of the command's k: the
+loader seeds only the gap-free even prefix, so entries past a gap, at
+odd k or at k = 0 are not carried over.
+
 Concurrency contract: one writer or many readers. Writes go through a
 temp file plus atomic rename, so readers never observe a torn file. A
-command whose entries the file already holds writes nothing, so warm
-readers never write.
+command whose k the file's checked prefix already reaches writes
+nothing, so warm readers never write.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import os
 from math import gcd
 from pathlib import Path
 
-from .bernoulli import even_value_pairs, seed_even_values
+from .bernoulli import bernoulli, seed_even_values
 
 __all__ = [
     "CACHE_HEADER",
@@ -81,10 +85,6 @@ class CacheStore:
 
     def sorted_items(self) -> list[tuple[int, tuple[int, int]]]:
         return sorted(self.entries.items())
-
-    def merge(self, other: "CacheStore") -> None:
-        for k, (n, d) in other.sorted_items():
-            self.put(k, n, d)
 
 
 def _digest(payload: bytes) -> str:
@@ -169,38 +169,30 @@ def warm_bernoulli(store: CacheStore) -> int:
         raise CacheFormatError(str(exc)) from exc
 
 
-def snapshot_bernoulli(k_max: int, base: CacheStore | None = None) -> CacheStore:
-    """Cache store holding even entries 2..k_max (computed as needed),
-    merged over `base` so unrelated entries survive a rewrite."""
+def snapshot_bernoulli(k_max: int) -> CacheStore:
+    """Cache store holding exactly the even entries 2..k_max (computed as
+    needed)."""
     store = CacheStore()
-    if base is not None:
-        store.merge(base)
-    for k, (n, d) in even_value_pairs(k_max):
-        store.put(k, n, d)
+    for k in range(2, k_max + 1, 2):
+        b = bernoulli(k)
+        store.put(k, b.numerator, b.denominator)
     return store
 
 
-def load_and_warm(path: str | Path | None) -> CacheStore | None:
+def load_and_warm(path: str | Path | None) -> int:
     """Load the cache at `path`, if one is given and exists, and seed the
-    Bernoulli memo from it. Returns the loaded store, or None if there was
-    nothing to load; pass it to store_snapshot as the merge base."""
+    Bernoulli memo from it. Returns the largest k seeded (0 if there was
+    nothing to load); pass it to store_snapshot."""
     if path is None or not os.path.exists(path):
-        return None
-    store = cache_load(path)
-    warm_bernoulli(store)
-    return store
+        return 0
+    return warm_bernoulli(cache_load(path))
 
 
-def store_snapshot(
-    path: str | Path | None, k_max: int, base: CacheStore | None
-) -> None:
-    """Write the even entries 2..k_max, merged over `base`, to `path`.
-    Does nothing without a path or below k = 2, or when `base` already
-    holds every even k in 2..k_max: `load_and_warm` seeded that gap-free
-    prefix, checked, so the snapshot would equal `base` entry for entry."""
-    if path is None or k_max < 2:
+def store_snapshot(path: str | Path | None, k: int, seeded: int) -> None:
+    """Write the even entries 2..k to `path`, and nothing else. Does
+    nothing without a path, or when the even part of k is at most
+    `seeded`, the top of the gap-free prefix `load_and_warm` seeded and
+    checked: the file then already holds every entry the command used."""
+    if path is None or k - k % 2 <= seeded:
         return
-    if base is not None and all(
-            k in base.entries for k in range(2, k_max + 1, 2)):
-        return
-    cache_store(snapshot_bernoulli(k_max, base), path)
+    cache_store(snapshot_bernoulli(k), path)

@@ -8,9 +8,9 @@ broken arithmetic invariant or a sweep worker lost without a result,
 never a bad input). `main` alone touches the Bernoulli cache: it loads
 the cache before the command runs, and after the command has printed its
 answer (for verify, the report) it writes the cache at most once, with
-the even entries up to the k the command returns, so a failed write is a
-stderr warning, not an error. A cache that already held all of those
-entries is not written at all.
+exactly the even entries 2..k of the k the command returns, so a failed
+write is a stderr warning, not an error. A cache whose checked prefix
+already reached that k is not written at all.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bernoulli import (MemoPoisonedError, _check_trial_bound, bernoulli,
-                        bernoulli_record)
+from .bernoulli import MemoPoisonedError, _check_trial_bound, bernoulli
 from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
@@ -118,17 +117,17 @@ def _cache_path(args) -> str | None:
 
 
 # Each cmd_* prints its answer and returns (exit code, k): the even
-# entries of the Bernoulli table up to k are written back to the cache,
-# unless it already holds them.
+# entries 2..k of the Bernoulli table are written back to the cache,
+# unless its checked prefix already reaches k.
 
 
 def cmd_bern(args) -> tuple[int, int]:
-    rec = bernoulli_record(args.k)
-    _emit(args, [rec.value],
-          {"k": rec.k, "numerator": str(rec.numerator),
-           "denominator": str(rec.denominator), "value": str(rec.value)},
+    b = bernoulli(args.k)
+    _emit(args, [b],
+          {"k": args.k, "numerator": str(b.numerator),
+           "denominator": str(b.denominator), "value": str(b)},
           ["k", "numerator", "denominator"],
-          [[rec.k, rec.numerator, rec.denominator]])
+          [[args.k, b.numerator, b.denominator]])
     return 0, args.k
 
 
@@ -196,9 +195,7 @@ def cmd_search(args) -> tuple[int, int]:
 
 def cmd_scan(args) -> tuple[int, int]:
     _check_trial_bound(args.trial_bound)  # also when --kmax leaves no row
-    if args.kmax >= 2:  # one survey remainder tree needs the whole table
-        bernoulli(args.kmax - args.kmax % 2)
-    rows = [sweeps.numerator_survey(k, args.trial_bound)
+    rows = [sweeps.numerator_survey(k, args.trial_bound, args.kmax)
             for k in range(2, args.kmax + 1, 2)]
     plain = []
     for r in rows:
@@ -375,10 +372,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     path = _cache_path(args)
     try:
-        base = cachemod.load_and_warm(path)
+        seeded = cachemod.load_and_warm(path)
         code, k_store = args.func(args)
         try:
-            cachemod.store_snapshot(path, k_store, base)
+            cachemod.store_snapshot(path, k_store, seeded)
         except OSError as exc:
             print(f"warning: cache not written: {exc}", file=sys.stderr)
         return code

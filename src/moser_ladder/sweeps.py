@@ -51,7 +51,8 @@ gcd(S, S_k(m+1)) = gcd(S, m^k) from rungs 1 and 2 of one S mod m^2 and
 its first stable rung beyond (`gcdlab._gcd_with_power`) where those
 differ, which the gcd ladder does not read; the numerator survey takes
 gcd(|N_k|, primorial(B)) for every even k from one remainder tree
-(`bernoulli._primorial_gcd`), and primality from that gcd.
+up to the grid's k_max (`bernoulli._primorial_gcd`), and primality from
+that gcd.
 
 `run_grids` builds its pool from the module attribute
 `sweeps.ProcessPoolExecutor`, the fork pool `_ForkPool` unless something
@@ -466,7 +467,7 @@ def _row_size_bounds(k: int, spec: GridSpec) -> _Row:
 SQUARE_FREE_ESCALATION = (10, 100, 1000, 10_000, 100_000)
 
 
-def numerator_survey(k: int, trial_bound: int) -> dict:
+def numerator_survey(k: int, trial_bound: int, top: int | None = None) -> dict:
     """Survey record of |N_k|, even k >= 2: digit count, primality, and a
     square factor p^2 hunted over the escalating trial bounds up to
     trial_bound, with the bound that flagged it or, if none did, the
@@ -476,14 +477,16 @@ def numerator_survey(k: int, trial_bound: int) -> dict:
     pair that searching bound by bound would give.
 
     The search takes g = gcd(|N_k|, primorial(bound)) from
-    `bernoulli._primorial_gcd`, which takes it for every numerator of the
-    Bernoulli table from one remainder tree. Primality reads the same g:
-    if 1 < g < |N_k|, g is a proper factor and |N_k| is composite, so the
-    primality test (deterministic at desk scale, see _primes) runs only
-    when g is 1 or |N_k|."""
+    `bernoulli._primorial_gcd`, which takes it for every numerator up to
+    the survey's top k (the `numerator-scan` row's k_max, `scan`'s
+    --kmax; k itself when no top is given) from one remainder tree.
+    Primality reads the same g: if 1 < g < |N_k|, g is a proper factor
+    and |N_k| is composite, so the primality test (deterministic at desk
+    scale, see _primes) runs only when g is 1 or |N_k|."""
     bounds = tuple(b for b in SQUARE_FREE_ESCALATION
                    if b < trial_bound) + (trial_bound,)
-    status, n_abs, g = _square_free_search(k, trial_bound, batched=True)
+    status, n_abs, g = _square_free_search(
+        k, trial_bound, k if top is None else top)
     p = status.prime
     flagged = None if p is None else next(b for b in bounds if b >= p)
     return {
@@ -499,7 +502,7 @@ def numerator_survey(k: int, trial_bound: int) -> dict:
 def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
     row = _Row("numerator-scan", k)
     row.passes += 2  # primality decided, square scan completed
-    row.hits.append(numerator_survey(k, spec.trial_bound))
+    row.hits.append(numerator_survey(k, spec.trial_bound, spec.k_max))
     return row
 
 

@@ -9,9 +9,11 @@ check its names against the package.
 
 import ast
 import importlib
+import sys
+from fractions import Fraction
 from pathlib import Path
 
-from moser_ladder import sweeps
+from moser_ladder import cli, sweeps
 
 TRACE_DRIVER = Path(__file__).resolve().parents[1] / "bench" / "trace_driver.py"
 
@@ -88,3 +90,43 @@ def test_every_row_carries_integer_counts():
         counts = (row.passes, row.fails, row.inapplicable)
         assert [type(n) for n in counts] == [int] * 3, check
         assert sum(counts) > 0, check
+
+
+def test_cache_and_bernoulli_layers_are_live(tmp_path, monkeypatch, capsys):
+    # swap every cache/bernoulli target the way the driver's `install`
+    # does (each reference to it in every package module) and count
+    # calls: a layer whose function a command no longer reaches through
+    # that name would read 0 in the benchmark
+    bmod = importlib.import_module("moser_ladder.bernoulli")
+    modules = [m for name, m in sys.modules.items()
+               if name == "moser_ladder" or name.startswith("moser_ladder.")]
+    called: set[str] = set()
+
+    def counted(fn, attr):
+        def wrapper(*args, **kwargs):
+            called.add(attr)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module_name, attr in _trace_targets():
+        if module_name not in ("cache", "bernoulli"):
+            continue
+        original = getattr(importlib.import_module(
+            f"moser_ladder.{module_name}"), attr)
+        swapped = counted(original, attr)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, swapped)
+
+    cache = str(tmp_path / "bern.cache")
+    for run, want in (("cold", ("_extend_even", "snapshot_bernoulli",
+                                "cache_store")),
+                      ("warm", ("cache_load", "warm_bernoulli",
+                                "seed_even_values"))):
+        monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
+        monkeypatch.setattr(bmod, "_TANGENT", [])
+        called.clear()
+        assert cli.main(["bern", "20", "--cache", cache]) == 0
+        assert capsys.readouterr() == ("-174611/330\n", "")
+        assert set(want) <= called, (run, called)

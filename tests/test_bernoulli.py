@@ -9,10 +9,8 @@ import pytest
 from moser_ladder.bernoulli import (
     SquareFreeStatus,
     bernoulli,
-    bernoulli_record,
     denominator,
     divides_rational,
-    even_value_pairs,
     exact_log_abs,
     numerator,
     numerator_bound_check,
@@ -126,12 +124,6 @@ def test_odd_indices_vanish():
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         bernoulli(-2)
-
-
-def test_record_fields():
-    rec = bernoulli_record(12)
-    assert (rec.k, rec.numerator, rec.denominator) == (12, -691, 2730)
-    assert rec.value == Fraction(-691, 2730)
 
 
 def test_vsc_denominator_examples():
@@ -266,8 +258,7 @@ def test_divides_rational_integer_case():
 
 
 def test_seed_even_values_round_trip():
-    pairs = even_value_pairs(20)
-    assert pairs[0] == (2, (1, 6))
+    pairs = [(k, EVEN_TABLE[k]) for k in range(2, 21, 2)]
     assert seed_even_values(pairs) == 20
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from moser_ladder.bernoulli import bernoulli, even_value_pairs
 from moser_ladder.cache import (
     CACHE_HEADER,
     CacheChecksumError,
@@ -17,10 +16,7 @@ from moser_ladder.cache import (
 
 
 def _sample_store() -> CacheStore:
-    store = CacheStore()
-    for k, (n, d) in even_value_pairs(12):
-        store.put(k, n, d)
-    return store
+    return snapshot_bernoulli(12)
 
 
 def test_round_trip(tmp_path):
@@ -145,10 +141,7 @@ def test_put_validates():
 
 
 def test_warm_bernoulli_seeds_prefix():
-    store = CacheStore()
-    for k, (n, d) in even_value_pairs(16):
-        store.put(k, n, d)
-    assert warm_bernoulli(store) == 16
+    assert warm_bernoulli(snapshot_bernoulli(16)) == 16
 
 
 def test_warm_rejects_vsc_mismatch():
@@ -177,11 +170,7 @@ def test_warm_ignores_odd_and_gap_entries():
     assert warm_bernoulli(store) == 2
 
 
-def test_snapshot_merges_base():
-    bernoulli(8)
-    base = CacheStore()
-    base.put(99, 7, 2)
-    snap = snapshot_bernoulli(8, base)
-    assert snap.entries[99] == (7, 2)
-    assert snap.entries[8] == (-1, 30)
-    assert 99 in dict(snap.sorted_items())
+def test_snapshot_holds_exactly_the_even_prefix():
+    assert snapshot_bernoulli(9).sorted_items() == [
+        (2, (1, 6)), (4, (-1, 30)), (6, (1, 42)), (8, (-1, 30))]
+    assert snapshot_bernoulli(1).entries == {}

@@ -109,8 +109,8 @@ def test_scan_numerators_plain():
 
 
 def test_scan_builds_one_survey_tree_on_a_fresh_table(monkeypatch, capsys):
-    # the table is filled to --kmax before the first survey, so the 125
-    # numerators to k = 250 share one remainder tree, not one tree each
+    # the first survey grows the table to --kmax, so the 125 numerators
+    # to k = 250 share one remainder tree, not one tree each
     bmod = importlib.import_module("moser_ladder.bernoulli")
     argv = ["scan", "numerators", "--kmax", "250", "--trial-bound", "100000",
             "--format", "json", "--seedless"]
@@ -130,6 +130,29 @@ def test_scan_builds_one_survey_tree_on_a_fresh_table(monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert blocks == [125]
     assert capsys.readouterr().out == warm
+
+
+def test_survey_block_stops_at_its_top_after_a_warm_load(
+        tmp_path, monkeypatch, capsys):
+    # a k <= 1000 cache seeds the memo far past the survey's k = 250; the
+    # survey still takes one block of its own 125 numerators, not every
+    # numerator of the memo that fits the primorial's bits (192 of them)
+    bmod = importlib.import_module("moser_ladder.bernoulli")
+    cache = tmp_path / "bern.cache"
+    cachemod.cache_store(cachemod.snapshot_bernoulli(1000), cache)
+    real = bmod.remainders
+    blocks = []
+
+    def counted(p, block):
+        blocks.append(len(block))
+        return real(p, block)
+
+    monkeypatch.setattr(bmod, "remainders", counted)
+    monkeypatch.setattr(bmod, "_SURVEY_GCDS", (0, []))
+    assert cli.main(["verify", "extended", "--cache", str(cache)]) == 0
+    assert "result: OK" in capsys.readouterr().out
+    assert blocks == [125]
+    assert len(bmod._SURVEY_GCDS[1]) == 125
 
 
 def test_verify_quick_exits_zero():

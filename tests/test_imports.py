@@ -1,6 +1,6 @@
 """Every name a package module imports is used there or re-exported,
-no module checks an invariant with `assert`, and the CLI picks the
-output format in one place.
+every name a module exports exists, no module checks an invariant with
+`assert`, and the CLI picks the output format in one place.
 
 A stand-in for a linter's unused-import rule: each module of
 `src/moser_ladder/` is parsed with `ast`, and every name bound by an
@@ -8,6 +8,7 @@ import must be read somewhere in the module or listed in its `__all__`.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,18 @@ def test_every_import_is_used_or_exported(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in kept}
     assert unused == {}, f"{path.name}: imported but never used"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_exported_name_exists(path):
+    # a deleted definition left in `__all__` breaks `from ... import *`
+    name = "moser_ladder" + ("" if path.stem == "__init__"
+                             else f".{path.stem}")
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert missing == [], f"{path.name}: exported but not defined"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),

@@ -3,13 +3,18 @@ on random inputs well past the profile grids. Derandomized, so a run is
 reproducible; the example counts keep the whole file to a few seconds."""
 
 import importlib
+import io
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from moser_ladder import gcdlab, powersum, sweeps
+from moser_ladder import cache as cachemod
+from moser_ladder import cli, gcdlab, powersum, sweeps
 from moser_ladder._primes import (
     factor_with_table,
     factorize,
@@ -532,7 +537,7 @@ def test_ladder_and_equivalences_far_past_the_grids(k, m, base, c):
 
 
 # ---- the tables a sweep builds once: m^k tables grown from an earlier k,
-# ---- closed-form columns, batched survey gcds
+# ---- closed-form columns, batched survey gcds sized by the survey's top
 
 
 _BOUNDS = st.sampled_from((0, 1, 2, 7, 60, 300))
@@ -580,28 +585,30 @@ _TRIAL_BOUNDS = st.one_of(st.integers(2, 10**5),
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(bound=_TRIAL_BOUNDS, ks=st.lists(_even(250), min_size=1, max_size=4),
-       grown=_even(250), other=_TRIAL_BOUNDS)
-@example(bound=10**5, ks=[2, 250], grown=250, other=10)
+       grown=_even(500), other=_TRIAL_BOUNDS)
+@example(bound=10**5, ks=[2, 250], grown=500, other=10)
 @example(bound=10, ks=[250, 2, 48], grown=100, other=10**5)
 def test_batched_survey_gcds_match_direct_gcds(bound, ks, grown, other):
-    # a fresh table and memo; the table grows to `grown` after the first
-    # k is asked, so later blocks start from a longer table; then the
-    # same k at another bound
+    # a fresh table and memo for a survey to max(ks); the table grows to
+    # `grown` after the first k is asked, so later blocks start from a
+    # longer table, but none reads past the survey's top; then the same
+    # k at another bound
     p = primorial(bound)
+    top = max(ks)
     with mock.patch.object(bmod, "_EVEN", [Fraction(1)]), \
             mock.patch.object(bmod, "_TANGENT", []), \
             mock.patch.object(bmod, "_SURVEY_GCDS", (0, [])):
         for i, k in enumerate(ks):
-            assert bmod._primorial_gcd(k, bound) == gcd(
+            assert bmod._primorial_gcd(k, bound, top) == gcd(
                 abs(numerator(k)), p), (k, bound)
             if i == 0:
                 bernoulli(grown)
         gcds = bmod._SURVEY_GCDS[1]
-        assert len(gcds) >= max(ks) // 2
+        assert len(gcds) == top // 2
         assert gcds == [gcd(abs(numerator(2 * i + 2)), p)
                         for i in range(len(gcds))]
         for k in ks:
-            assert bmod._primorial_gcd(k, other) == gcd(
+            assert bmod._primorial_gcd(k, other, top) == gcd(
                 abs(numerator(k)), primorial(other)), (k, other)
 
 
@@ -642,3 +649,37 @@ def test_min_max_inline_rung_matches_gcd_with_power():
         assert (res.prefix_min, res.prefix_min_at, res.prefix_max,
                 res.prefix_max_at, res.prefix_closed_form_agrees) == (
             lo, lo_at, hi, hi_at, agrees), k
+
+
+# ---- the cache a command leaves: exactly the even prefix of its k
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(top=st.integers(0, 30).map(lambda h: 2 * h), past=st.integers(0, 8),
+       odd=st.integers(0, 39).map(lambda h: 2 * h + 1),
+       k=st.integers(1, 80))
+@example(top=0, past=0, odd=1, k=1)
+@example(top=20, past=0, odd=21, k=21)
+@example(top=20, past=0, odd=21, k=22)
+@example(top=20, past=8, odd=3, k=40)
+def test_cache_rewrite_is_the_even_prefix_of_the_query(top, past, odd, k):
+    # a file with the gap-free even prefix 2..top, then a gap at top + 2,
+    # one entry past it, one at an odd k and one at k = 0; a query whose
+    # even part the prefix reaches leaves the file untouched, and any
+    # other leaves exactly the even prefix 2..k
+    store = cachemod.snapshot_bernoulli(top)
+    for j in (top + 4 + 2 * past, odd, 0):
+        b = bernoulli(j)
+        store.put(j, b.numerator, b.denominator)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, want = Path(tmp) / "bern.cache", Path(tmp) / "want.cache"
+        cachemod.cache_store(store, path)
+        before, mtime = path.read_bytes(), path.stat().st_mtime_ns
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["bern", str(k), "--cache", str(path)]) == 0
+        if k - k % 2 <= top:
+            assert path.read_bytes() == before
+            assert path.stat().st_mtime_ns == mtime
+        else:
+            cachemod.cache_store(cachemod.snapshot_bernoulli(k), want)
+            assert path.read_bytes() == want.read_bytes()

@@ -1,8 +1,8 @@
 """Result records are named tuples: read-only, equal by value, picklable.
 
-The frozen records (`BernoulliRecord`, `SquareFreeStatus`, `GcdLadder`,
-`CongruenceVerdict`, `PrimeLocalVerdict`, `MinMaxResult`,
-`CrossGcdVerdict`, `RatioHit`, `GridSpec`) are `typing.NamedTuple`s.
+The frozen records (`SquareFreeStatus`, `GcdLadder`, `CongruenceVerdict`,
+`PrimeLocalVerdict`, `MinMaxResult`, `CrossGcdVerdict`, `RatioHit`,
+`GridSpec`) are `typing.NamedTuple`s.
 Grids travel to pool workers and rows come back, so both must pickle.
 """
 
@@ -11,10 +11,9 @@ import pickle
 import pytest
 
 from moser_ladder import gcdlab, powersum, sweeps
-from moser_ladder.bernoulli import bernoulli_record, square_free_status
+from moser_ladder.bernoulli import square_free_status
 
 RECORDS = {
-    "BernoulliRecord": lambda: bernoulli_record(12),
     "SquareFreeStatus": lambda: square_free_status(12, 100),
     "GcdLadder": lambda: gcdlab.gcd_ladder(10, 5),
     "CongruenceVerdict": lambda: gcdlab.congruence_check(10, 6, 1),
