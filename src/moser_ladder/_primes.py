@@ -1,5 +1,6 @@
 """Prime arithmetic helpers: sieve, smallest-prime-factor table,
-primorials, a remainder tree, primality, small factorization.
+primorials, a remainder tree and the primorial gcds taken from it,
+primality, small factorization.
 
 Everything here is deterministic for the input sizes this package meets.
 Miller-Rabin with the 12-prime base set is a proven primality test below
@@ -19,6 +20,7 @@ __all__ = [
     "factor_with_table",
     "primorial",
     "remainders",
+    "primorial_gcds",
     "is_prime",
     "factorize",
 ]
@@ -124,6 +126,25 @@ def remainders(n: int, moduli: list[int]) -> list[int]:
     for level in reversed(tree):
         rems = [rems[i // 2] % q for i, q in enumerate(level)]
     return rems
+
+
+def primorial_gcds(ns: list[int], bound: int) -> list[int]:
+    """[gcd(n, primorial(bound)) for n in ns], n >= 1, in greedy blocks:
+    a block takes the next n while the product of its n stays within the
+    primorial's bits and shares one `remainders` tree, which costs less
+    than a long division of the primorial per n. An empty ns builds no
+    primorial."""
+    if not ns:
+        return []
+    p = primorial(bound)
+    gcds, block, bits = [], [], 0
+    for n in ns:
+        bits += n.bit_length()
+        if block and bits > p.bit_length():
+            gcds += map(gcd, block, remainders(p, block))
+            block, bits = [], n.bit_length()
+        block.append(n)
+    return gcds + list(map(gcd, block, remainders(p, block)))
 
 
 def _miller_rabin(n: int, base: int) -> bool:

@@ -5,9 +5,9 @@ Even-index values come from the tangent numbers T_n (Brent & Harvey,
 "Fast computation of Bernoulli, tangent and secant numbers",
 arXiv:1108.0286): T_1..T_n take O(n^2) products of a small integer by a
 big one, and B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)). Values are
-memoized across calls. Convention: B_1 = -1/2. Denominators are
-cross-checkable against the von Staudt-Clausen product, which is exposed
-separately so the two routes stay independent.
+memoized across calls; nothing else is. Convention: B_1 = -1/2.
+Denominators are cross-checkable against the von Staudt-Clausen product,
+which is exposed separately so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from ._primes import is_prime, primes_up_to, primorial, remainders
+from ._primes import is_prime, primes_up_to, primorial
 
 __all__ = [
     "bernoulli",
@@ -195,65 +195,16 @@ def _smallest_square_prime(n: int, bound: int,
     return next(p for p in primes_up_to(bound) if sq % p == 0)
 
 
-# (bound, gcds): gcds[k/2 - 1] = gcd(|N_k|, primorial(bound)) for the even
-# k the numerator survey has reached at that bound; one bound at a time.
-_SURVEY_GCDS: tuple[int, list[int]] = (0, [])
-
-
-def _primorial_gcd(k: int, bound: int, top: int) -> int:
-    """gcd(|N_k|, primorial(bound)) for even k >= 2, from batched gcds of
-    the numerators of a survey that runs to `top`.
-
-    A miss grows the table to top and takes the gcds of the next
-    numerators up to top in blocks, each block from one remainder tree of
-    the primorial (`_primes.remainders`): a block runs from the first k
-    not yet covered while the product of its |N| stays within the
-    primorial's bits, where one tree costs less than a long division of
-    the primorial per numerator. No block reads a numerator past top (or
-    k, if larger), however far the table reaches. On `extended` (bound
-    10^5, a 143,816-bit primorial) the 125 numerators to k = 250 are one
-    block.
-    """
-    global _SURVEY_GCDS
-    if _SURVEY_GCDS[0] != bound:
-        _SURVEY_GCDS = (bound, [])
-    gcds = _SURVEY_GCDS[1]
-    if len(gcds) < k // 2:
-        stop = max(k, top) // 2
-        _extend_even(stop)
-        p = primorial(bound)
-        budget = p.bit_length()
-        while len(gcds) < k // 2:
-            block, bits = [], 0
-            for b in _EVEN[len(gcds) + 1:stop + 1]:
-                n = abs(b.numerator)
-                bits += n.bit_length()
-                if block and bits > budget:
-                    break
-                block.append(n)
-            gcds += map(gcd, block, remainders(p, block))
-    return gcds[k // 2 - 1]
-
-
-def _square_free_search(
-    k: int, trial_bound: int, top: int | None = None
-) -> tuple[SquareFreeStatus, int, int]:
-    """The one square-factor search on N_k: its status, |N_k| and
-    g = gcd(|N_k|, primorial(trial_bound)), the product of the primes <= the
-    bound that divide |N_k| (1 when |N_k| = 1, which needs no gcd). g is
-    one gcd here, or, given the top k of a numerator survey (which asks
-    for every even k in turn up to it), read from `_primorial_gcd`."""
-    _check_trial_bound(trial_bound)
-    n = abs(numerator(k))
+def _square_free_status(n: int, bound: int, g: int) -> SquareFreeStatus:
+    """The one square-factor decision: the status of n = |N_k| >= 1 at
+    the trial bound, given g = gcd(n, primorial(bound)), the product of
+    the primes <= the bound that divide n (1 when n = 1)."""
     if n == 1:
-        return SquareFreeStatus("trivial"), n, 1
-    g = (gcd(n, primorial(trial_bound)) if top is None
-         else _primorial_gcd(k, trial_bound, top))
-    p = _smallest_square_prime(n, trial_bound, g)
+        return SquareFreeStatus("trivial")
+    p = _smallest_square_prime(n, bound, g)
     if p is None:
-        return (SquareFreeStatus("no-square-factor-below", bound=trial_bound),
-                n, g)
-    return SquareFreeStatus("square-factor", prime=p), n, g
+        return SquareFreeStatus("no-square-factor-below", bound=bound)
+    return SquareFreeStatus("square-factor", prime=p)
 
 
 def square_free_status(k: int, trial_bound: int) -> SquareFreeStatus:
@@ -264,7 +215,10 @@ def square_free_status(k: int, trial_bound: int) -> SquareFreeStatus:
     primorial, cached per bound), and p^2 is tested for those alone.
     Reports the smallest such p, as a trial division in ascending p would.
     """
-    return _square_free_search(k, trial_bound)[0]
+    _check_trial_bound(trial_bound)
+    n = abs(numerator(k))
+    g = 1 if n == 1 else gcd(n, primorial(trial_bound))
+    return _square_free_status(n, trial_bound, g)
 
 
 def size_estimate(k: int, zeta_terms: int = 64) -> float:

@@ -5,12 +5,14 @@ One binary, one subcommand per library operation. The data stream
 stderr. Exit codes are the machine-readable outcome: 0 success, 1 check
 failures, 2 usage errors, 3 I/O or cache errors, 4 internal faults (a
 broken arithmetic invariant or a sweep worker lost without a result,
-never a bad input). `main` alone touches the Bernoulli cache: it loads
-the cache before the command runs, and after the command has printed its
-answer (for verify, the report) it writes the cache at most once, with
-exactly the even entries 2..k of the k the command returns, so a failed
-write is a stderr warning, not an error. A cache whose checked prefix
-already reached that k is not written at all.
+never a bad input; after a cache seeded the memo, a broken invariant
+first recomputes the seeded entries, and a bad one is a cache error).
+`main` alone touches the Bernoulli cache: it loads the cache before the
+command runs, and after the command has printed its answer (for verify,
+the report) it writes the cache at most once, with exactly the even
+entries 2..k of the k the command returns, so a failed write is a
+stderr warning, not an error. A cache whose checked prefix already
+reached that k is not written at all.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bernoulli import MemoPoisonedError, _check_trial_bound, bernoulli
+from .bernoulli import MemoPoisonedError, bernoulli
 from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
@@ -194,9 +196,8 @@ def cmd_search(args) -> tuple[int, int]:
 
 
 def cmd_scan(args) -> tuple[int, int]:
-    _check_trial_bound(args.trial_bound)  # also when --kmax leaves no row
-    rows = [sweeps.numerator_survey(k, args.trial_bound, args.kmax)
-            for k in range(2, args.kmax + 1, 2)]
+    rows = sweeps.numerator_survey(range(2, args.kmax + 1, 2),
+                                   args.trial_bound)
     plain = []
     for r in rows:
         if r["square_factor"] is not None:
@@ -371,6 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     path = _cache_path(args)
+    seeded = 0
     try:
         seeded = cachemod.load_and_warm(path)
         code, k_store = args.func(args)
@@ -383,6 +385,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ArithmeticError, RuntimeError) as exc:
+        if isinstance(exc, ArithmeticError) and seeded:
+            try:  # recompute the seeded entries: was the cache at fault?
+                bernoulli(seeded + 2)
+            except MemoPoisonedError as poisoned:
+                print(f"error: {poisoned}", file=sys.stderr)
+                return 3
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

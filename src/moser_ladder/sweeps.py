@@ -38,10 +38,11 @@ gcd(S_k(m), S_k(m+1)), each built once per k, on first use, through the
 running sums and S_k(m+1) from the closed-form column, so the ladder's
 consecutive-gcd cell, and `trivial-gcd-iff`, which reads the same gcds,
 compare the two routes. The slice also holds the factor lists of every m (one
-smallest-prime-factor table, read by `congruences` at every k) and the
-scope of the `powersum._powers` m^k tables, each grown from the table of
-an earlier k at the same bound. All of it exists only while a slice
-runs; a row called on its own builds what it reads and keeps nothing.
+smallest-prime-factor table, read by `congruences` at every k), the
+records of one numerator survey of the grid's k, and the scope of the
+`powersum._powers` m^k tables, each grown from the table of an earlier k
+at the same bound. All of it exists only while a slice runs; a row
+called on its own builds what it reads and keeps nothing.
 These rows run integer kernels with N_k and D_k read once per row: the
 gcd ladder (`gcdlab._ladder_rungs`, given m^k from the table), the
 congruence cells and the integer core of `divides_rational`. A passing
@@ -50,9 +51,8 @@ in it) is built only when a cell fails. The min-max prefix takes
 gcd(S, S_k(m+1)) = gcd(S, m^k) from rungs 1 and 2 of one S mod m^2 and
 its first stable rung beyond (`gcdlab._gcd_with_power`) where those
 differ, which the gcd ladder does not read; the numerator survey takes
-gcd(|N_k|, primorial(B)) for every even k from one remainder tree
-up to the grid's k_max (`bernoulli._primorial_gcd`), and primality from
-that gcd.
+gcd(|N_k|, primorial(B)) for its numerators from one remainder tree
+(`_primes.primorial_gcds`), and primality from that gcd.
 
 `run_grids` builds its pool from the module attribute
 `sweeps.ProcessPoolExecutor`, the fork pool `_ForkPool` unless something
@@ -73,13 +73,14 @@ from typing import Callable, NamedTuple
 
 from . import gcdlab
 from . import powersum as ps
-from ._primes import factor_with_table, is_prime, smallest_prime_factors
+from ._primes import (factor_with_table, is_prime, primorial_gcds,
+                      smallest_prime_factors)
 from ._version import __version__
 from .bernoulli import (
     _check_trial_bound,
     _divides_nd,
     _smallest_square_prime,
-    _square_free_search,
+    _square_free_status,
     bernoulli,
     denominator,
     exact_log_abs,
@@ -185,6 +186,7 @@ def _shared(store: Callable[[], dict | None]):
 
 
 _in_column = _shared(lambda: _column)
+_in_sweep = _shared(lambda: _sweep)
 
 
 @_in_column
@@ -210,7 +212,7 @@ def _consecutive_gcds(k: int, ms: range) -> list[int]:
     return list(map(gcd, _running_sums(k, ms.stop - 1)[lo - 1:], closed))
 
 
-@_shared(lambda: _sweep)
+@_in_sweep
 def _factor_lists(m_max: int) -> list[list[tuple[int, int]]]:
     """(prime, multiplicity) pairs of each m at index m, 0 <= m <= m_max,
     read off one smallest-prime-factor table."""
@@ -467,42 +469,49 @@ def _row_size_bounds(k: int, spec: GridSpec) -> _Row:
 SQUARE_FREE_ESCALATION = (10, 100, 1000, 10_000, 100_000)
 
 
-def numerator_survey(k: int, trial_bound: int, top: int | None = None) -> dict:
-    """Survey record of |N_k|, even k >= 2: digit count, primality, and a
-    square factor p^2 hunted over the escalating trial bounds up to
-    trial_bound, with the bound that flagged it or, if none did, the
-    largest bound searched clear. The bounds are the ladder's rungs below
-    trial_bound, then trial_bound itself. One search at trial_bound finds
-    the smallest such p; the bound reported is the first one >= p, the
-    pair that searching bound by bound would give.
+def numerator_survey(ks: range, trial_bound: int) -> list[dict]:
+    """Survey records of |N_k| for each even k >= 2 in ks, in order:
+    digit count, primality, and a square factor p^2 hunted over the
+    escalating trial bounds up to trial_bound, with the bound that flagged
+    it or, if none did, the largest bound searched clear. The bounds are
+    the ladder's rungs below trial_bound, then trial_bound itself. One
+    search at trial_bound finds the smallest such p; the bound reported is
+    the first one >= p, the pair that searching bound by bound would give.
 
-    The search takes g = gcd(|N_k|, primorial(bound)) from
-    `bernoulli._primorial_gcd`, which takes it for every numerator up to
-    the survey's top k (the `numerator-scan` row's k_max, `scan`'s
-    --kmax; k itself when no top is given) from one remainder tree.
-    Primality reads the same g: if 1 < g < |N_k|, g is a proper factor
-    and |N_k| is composite, so the primality test (deterministic at desk
-    scale, see _primes) runs only when g is 1 or |N_k|."""
+    The bound is checked first, even for an empty ks. One `primorial_gcds`
+    call over the survey's own |N_k| > 1 gives each g = gcd(|N_k|,
+    primorial(bound)), and `bernoulli._square_free_status` the status;
+    nothing outlives the call. Primality reads the same g: if
+    1 < g < |N_k|, g is a proper factor and |N_k| is composite, so the
+    primality test (deterministic at desk scale, see _primes) runs only
+    when g is 1 or |N_k|."""
+    _check_trial_bound(trial_bound)
     bounds = tuple(b for b in SQUARE_FREE_ESCALATION
                    if b < trial_bound) + (trial_bound,)
-    status, n_abs, g = _square_free_search(
-        k, trial_bound, k if top is None else top)
-    p = status.prime
-    flagged = None if p is None else next(b for b in bounds if b >= p)
-    return {
-        "k": k,
-        "digits": len(str(n_abs)),
-        "prime": g in (1, n_abs) and is_prime(n_abs),
-        "square_factor": None if p is None else str(p),
-        "flagged_at_bound": flagged,
-        "clear_below": trial_bound if p is None else None,
-    }
+    ns = [abs(numerator(k)) for k in ks]
+    gcds = iter(primorial_gcds([n for n in ns if n > 1], trial_bound))
+    records = []
+    for k, n in zip(ks, ns):
+        g = next(gcds) if n > 1 else 1
+        p = _square_free_status(n, trial_bound, g).prime
+        records.append({
+            "k": k,
+            "digits": len(str(n)),
+            "prime": g in (1, n) and is_prime(n),
+            "square_factor": None if p is None else str(p),
+            "flagged_at_bound": (None if p is None
+                                 else next(b for b in bounds if b >= p)),
+            "clear_below": trial_bound if p is None else None,
+        })
+    return records
 
 
 def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
     row = _Row("numerator-scan", k)
     row.passes += 2  # primality decided, square scan completed
-    row.hits.append(numerator_survey(k, spec.trial_bound, spec.k_max))
+    ks = _rows_for("numerator-scan", spec)  # one survey of them per slice
+    survey = _in_sweep(numerator_survey)(ks, spec.trial_bound)
+    row.hits.append(survey[ks.index(k)])
     return row
 
 
@@ -534,7 +543,7 @@ class _Check(NamedTuple):
     row (None: one k-independent row, key 0); reads_b means the rows read
     B_k up to the grid's k_max, so the table is built that far first.
     weight(k, spec) estimates a row's cost; one_unit means every row of
-    the check runs on one worker (they share one table across k)."""
+    the check runs on one worker (they share one survey across k)."""
 
     runner: Callable[[int, GridSpec], _Row]
     k_min: int | None = 2

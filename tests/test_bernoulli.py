@@ -162,7 +162,7 @@ def test_numerator_denominator_need_even_k():
 def _prime(k: int) -> bool:
     # at bound 1000 the survey's primorial gcd is |N_k| for k = 10, 12 and
     # the proper factor 283 for k = 20
-    return numerator_survey(k, 1000)["prime"]
+    return numerator_survey(range(k, k + 1), 1000)[0]["prime"]
 
 
 def test_unit_numerator_prefix():
@@ -189,14 +189,17 @@ def test_square_free_status_kinds():
 
 @pytest.mark.parametrize("bound", [1, bmod.MAX_TRIAL_BOUND + 1])
 def test_trial_bound_out_of_range_is_rejected(bound):
-    # checked before |N_k| is looked at, so the trivial N_2 = 1 too
-    for search in (square_free_status, numerator_survey):
+    # checked before |N_k| is looked at, so the trivial N_2 = 1 too, and
+    # before a survey looks at its k, so a survey of no k too
+    with pytest.raises(ValueError, match=f"got {bound}$"):
+        square_free_status(2, bound)
+    for ks in (range(2, 3), range(0)):
         with pytest.raises(ValueError, match=f"got {bound}$"):
-            search(2, bound)
+            numerator_survey(ks, bound)
 
 
 def _hunt(k: int, bound: int = 10**5) -> tuple:
-    r = numerator_survey(k, bound)
+    [r] = numerator_survey(range(k, k + 1), bound)
     return r["square_factor"], r["flagged_at_bound"], r["clear_below"]
 
 

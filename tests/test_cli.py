@@ -108,51 +108,82 @@ def test_scan_numerators_plain():
     assert "k=10" in out.stdout and "prime=yes" in out.stdout
 
 
-def test_scan_builds_one_survey_tree_on_a_fresh_table(monkeypatch, capsys):
-    # the first survey grows the table to --kmax, so the 125 numerators
-    # to k = 250 share one remainder tree, not one tree each
-    bmod = importlib.import_module("moser_ladder.bernoulli")
-    argv = ["scan", "numerators", "--kmax", "250", "--trial-bound", "100000",
-            "--format", "json", "--seedless"]
-    assert cli.main(argv) == 0
-    warm = capsys.readouterr().out
-    real = bmod.remainders
+def _count_survey_blocks(monkeypatch) -> list[int]:
+    """Record the length of every remainder-tree block from here on."""
+    primes = importlib.import_module("moser_ladder._primes")
+    real = primes.remainders
     blocks = []
 
     def counted(p, block):
         blocks.append(len(block))
         return real(p, block)
 
-    monkeypatch.setattr(bmod, "remainders", counted)
+    monkeypatch.setattr(primes, "remainders", counted)
+    return blocks
+
+
+def test_scan_builds_one_survey_tree_on_a_fresh_table(monkeypatch, capsys):
+    # the survey grows the table to --kmax, so the numerators to k = 250
+    # share one remainder tree, not one tree each: the 121 of the 125
+    # with |N_k| > 1 (|N_k| = 1 at k = 2, 4, 6 and 8 needs no gcd)
+    bmod = importlib.import_module("moser_ladder.bernoulli")
+    argv = ["scan", "numerators", "--kmax", "250", "--trial-bound", "100000",
+            "--format", "json", "--seedless"]
+    assert cli.main(argv) == 0
+    warm = capsys.readouterr().out
+    blocks = _count_survey_blocks(monkeypatch)
     monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
     monkeypatch.setattr(bmod, "_TANGENT", [])
-    monkeypatch.setattr(bmod, "_SURVEY_GCDS", (0, []))
     assert cli.main(argv) == 0
-    assert blocks == [125]
+    assert blocks == [121]
     assert capsys.readouterr().out == warm
 
 
 def test_survey_block_stops_at_its_top_after_a_warm_load(
         tmp_path, monkeypatch, capsys):
     # a k <= 1000 cache seeds the memo far past the survey's k = 250; the
-    # survey still takes one block of its own 125 numerators, not every
-    # numerator of the memo that fits the primorial's bits (192 of them)
-    bmod = importlib.import_module("moser_ladder.bernoulli")
+    # survey still takes one block of its own 121 numerators > 1, not
+    # every numerator of the memo that fits the primorial's bits
     cache = tmp_path / "bern.cache"
     cachemod.cache_store(cachemod.snapshot_bernoulli(1000), cache)
-    real = bmod.remainders
-    blocks = []
-
-    def counted(p, block):
-        blocks.append(len(block))
-        return real(p, block)
-
-    monkeypatch.setattr(bmod, "remainders", counted)
-    monkeypatch.setattr(bmod, "_SURVEY_GCDS", (0, []))
+    blocks = _count_survey_blocks(monkeypatch)
     assert cli.main(["verify", "extended", "--cache", str(cache)]) == 0
     assert "result: OK" in capsys.readouterr().out
-    assert blocks == [125]
-    assert len(bmod._SURVEY_GCDS[1]) == 125
+    assert blocks == [121]
+
+
+def test_scan_and_the_sweep_share_one_survey(capsys):
+    # `scan` only formats `numerator_survey`: its records are the
+    # `numerator-scan` hits of a sweep over the same k, also when the
+    # sweep's blocks start at a later first k
+    assert cli.main(["scan", "numerators", "--kmax", "250", "--trial-bound",
+                     "100000", "--format", "json", "--seedless"]) == 0
+    scanned = json.loads(capsys.readouterr().out)["numerators"]
+    [survey] = [c for c in sweeps.verify_all("extended")["checks"]
+                if c["name"] == "numerator-scan"]
+    assert scanned == survey["hits"]
+    assert cli.main(["scan", "numerators", "--kmax", "120", "--trial-bound",
+                     "1000", "--format", "json", "--seedless"]) == 0
+    scanned = json.loads(capsys.readouterr().out)["numerators"]
+    [survey] = sweeps.run_sweep(sweeps.GridSpec(
+        k_min=60, k_max=120, m_max=1, checks=("numerator-scan",),
+        trial_bound=1000))["checks"]
+    assert survey["hits"] == [r for r in scanned if r["k"] >= 60]
+
+
+def test_survey_of_unit_numerators_builds_no_primorial(monkeypatch, capsys):
+    # |N_k| = 1 for every even k <= 8: no gcd to take, so no primorial of
+    # 10^6 (and no sieve of it) is built
+    calls = []
+    for name, module in list(sys.modules.items()):
+        real = getattr(module, "primorial", None)
+        if name.startswith("moser_ladder") and callable(real):
+            monkeypatch.setattr(module, "primorial",
+                                lambda n, real=real: calls.append(n) or real(n))
+    assert cli.main(["scan", "numerators", "--kmax", "8", "--trial-bound",
+                     "1000000", "--seedless"]) == 0
+    assert capsys.readouterr().out.count("square-factor=none below") == 4
+    assert calls == []
 
 
 def test_verify_quick_exits_zero():
@@ -576,6 +607,44 @@ def test_poisoned_cache_exits_3(tmp_path):
     assert out.returncode == 3
     assert out.stdout == ""
     assert "k=10" in out.stderr
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bad_cache_behind_a_tripped_invariant_exits_3(
+        tmp_path, monkeypatch, capsys, jobs):
+    # N_10 + D_10 loads, and verify quick never grows the k <= 20 table,
+    # so the edit first shows as a failed Faulhaber cancellation; the
+    # seeded entries are then recomputed, and the cache is blamed
+    bmod = importlib.import_module("moser_ladder.bernoulli")
+    cache = tmp_path / "bern.cache"
+    cachemod.cache_store(cachemod.snapshot_bernoulli(20), cache)
+    _rewrite_entry(cache, "10\t5\t66\n", "10\t71\t66\n")
+    monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
+    monkeypatch.setattr(bmod, "_TANGENT", [])
+    monkeypatch.setattr(cli.ps, "_COEFFS", {})
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
+    argv = ["verify", "quick", "--cache", str(cache), "--jobs", jobs]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: memo entry for k=10 disagrees ")
+    assert len(err.splitlines()) == 1
+
+
+def test_tripped_invariant_with_a_sound_cache_exits_4(
+        tmp_path, monkeypatch, capsys):
+    # the seeded entries are recomputed and agree: the fault is the
+    # program's
+    def broken(k, spec):
+        raise ArithmeticError("faulhaber cancellation failed")
+
+    cache = tmp_path / "bern.cache"
+    cachemod.cache_store(cachemod.snapshot_bernoulli(20), cache)
+    monkeypatch.setitem(sweeps._ROW_RUNNERS, "telescoping", broken)
+    assert cli.main(["verify", "quick", "--cache", str(cache)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: faulhaber cancellation failed\n"
 
 
 def test_query_loads_the_cache_once(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Every name a package module imports is used there or re-exported,
 every name a module exports exists, no module checks an invariant with
-`assert`, and the CLI picks the output format in one place.
+`assert`, the CLI picks the output format in one place, and the CLI
+reads no private name of the package.
 
 A stand-in for a linter's unused-import rule: each module of
 `src/moser_ladder/` is parsed with `ast`, and every name bound by an
@@ -98,3 +99,20 @@ def test_cli_picks_the_format_only_in_emit():
         and node.func.id == "_emit_csv"))
     assert list(reads) == ["_emit"]
     assert list(csv_calls) == ["_emit"]
+
+
+def test_cli_reads_no_private_name():
+    # the CLI only formats what the library returns: it imports no
+    # `_`-prefixed name from the package and reads no `_`-prefixed
+    # attribute of the modules it calls
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0
+                for alias in node.names
+                if alias.name.startswith("_") and alias.name != "__version__"]
+    read = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("sweeps", "ps", "gcdlab", "cachemod")]
+    assert imported + read == []

@@ -21,6 +21,7 @@ from moser_ladder._primes import (
     is_prime,
     primes_up_to,
     primorial,
+    primorial_gcds,
     remainders,
     smallest_prime_factors,
 )
@@ -45,6 +46,7 @@ from moser_ladder.powersum import (
 FAST = settings(derandomize=True, max_examples=150, deadline=None)
 
 bmod = importlib.import_module("moser_ladder.bernoulli")
+primes_mod = importlib.import_module("moser_ladder._primes")
 
 
 def _even(max_k: int):
@@ -144,7 +146,7 @@ def test_square_factor_search_matches_trial_division(k, bound):
     # escalation ladder's rungs below the bound, then the bound itself
     bounds = tuple(b for b in sweeps.SQUARE_FREE_ESCALATION
                    if b < bound) + (bound,)
-    survey = sweeps.numerator_survey(k, bound)
+    [survey] = sweeps.numerator_survey(range(k, k + 1), bound)
     got = survey["square_factor"], survey["flagged_at_bound"]
     hit = _escalate_by_trial(k, bounds)
     assert got == ((None, None) if hit is None else (str(hit[0]), hit[1]))
@@ -262,8 +264,8 @@ def test_gcd_with_power_matches_direct_gcd(c, j, m, k):
 @given(k=_even(250), bound=st.one_of(
     st.integers(2, 10**5), st.sampled_from((2, 10, 1000, 10**5))))
 def test_survey_primality_matches_is_prime(k, bound):
-    assert sweeps.numerator_survey(k, bound)["prime"] == is_prime(
-        abs(numerator(k)))
+    [survey] = sweeps.numerator_survey(range(k, k + 1), bound)
+    assert survey["prime"] == is_prime(abs(numerator(k)))
 
 
 # ---- gcd ladder: one integer kernel vs the record-per-cell route
@@ -584,32 +586,34 @@ _TRIAL_BOUNDS = st.one_of(st.integers(2, 10**5),
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(bound=_TRIAL_BOUNDS, ks=st.lists(_even(250), min_size=1, max_size=4),
-       grown=_even(500), other=_TRIAL_BOUNDS)
-@example(bound=10**5, ks=[2, 250], grown=500, other=10)
-@example(bound=10, ks=[250, 2, 48], grown=100, other=10**5)
-def test_batched_survey_gcds_match_direct_gcds(bound, ks, grown, other):
-    # a fresh table and memo for a survey to max(ks); the table grows to
-    # `grown` after the first k is asked, so later blocks start from a
-    # longer table, but none reads past the survey's top; then the same
-    # k at another bound
-    p = primorial(bound)
-    top = max(ks)
-    with mock.patch.object(bmod, "_EVEN", [Fraction(1)]), \
-            mock.patch.object(bmod, "_TANGENT", []), \
-            mock.patch.object(bmod, "_SURVEY_GCDS", (0, [])):
-        for i, k in enumerate(ks):
-            assert bmod._primorial_gcd(k, bound, top) == gcd(
-                abs(numerator(k)), p), (k, bound)
-            if i == 0:
-                bernoulli(grown)
-        gcds = bmod._SURVEY_GCDS[1]
-        assert len(gcds) == top // 2
-        assert gcds == [gcd(abs(numerator(2 * i + 2)), p)
-                        for i in range(len(gcds))]
-        for k in ks:
-            assert bmod._primorial_gcd(k, other, top) == gcd(
-                abs(numerator(k)), primorial(other)), (k, other)
+@given(bound=_TRIAL_BOUNDS, lo=_even(250), hi=_even(250), grown=_even(500),
+       other=_TRIAL_BOUNDS)
+@example(bound=10**5, lo=2, hi=250, grown=500, other=10)
+@example(bound=10, lo=250, hi=48, grown=100, other=10**5)
+def test_batched_survey_gcds_match_direct_gcds(bound, lo, hi, grown, other):
+    # a survey of the even k in [lo, hi], after the table has grown to
+    # `grown`, takes its gcds in blocks of exactly its own numerators > 1,
+    # none past its top however far the table reaches; each gcd is the
+    # direct one, at this bound and at another, wherever the blocks fall
+    ks = range(min(lo, hi), max(lo, hi) + 1, 2)
+    bernoulli(grown)
+    big = [n for n in (abs(numerator(k)) for k in ks) if n > 1]
+    real = primes_mod.remainders
+    blocks = []
+
+    def counted(p, block):
+        blocks.append(block)
+        return real(p, block)
+
+    with mock.patch.object(primes_mod, "remainders", counted):
+        sweeps.numerator_survey(ks, bound)
+    assert [n for block in blocks for n in block] == big
+    for b in (bound, other):
+        want = [gcd(n, primorial(b)) for n in big]
+        assert primorial_gcds(big, b) == want, b
+        for cut in range(0, len(big) + 1, max(1, len(big) // 4)):
+            assert (primorial_gcds(big[:cut], b)
+                    + primorial_gcds(big[cut:], b)) == want, (b, cut)
 
 
 def test_min_max_inline_rung_matches_gcd_with_power():

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from moser_ladder import gcdlab, powersum, sweeps
+from moser_ladder._primes import primorial
 from moser_ladder.sweeps import (
     CHECK_ORDER,
     PROFILES,
@@ -271,9 +272,10 @@ def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
     # a worker runs whole units, all rows of one k or all survey rows, so
     # at 2 workers the closed forms are still 14,600 points (see
     # test_extended_builds_each_closed_form_once) and the survey's
-    # remainder tree is built once
-    bmod = importlib.import_module("moser_ladder.bernoulli")
-    real_sums, real_tree = powersum.power_sums, bmod.remainders
+    # remainder tree is built once, over the survey's 121 numerators > 1
+    # however far the table reaches (here k = 1000, as after a warm cache)
+    primes = importlib.import_module("moser_ladder._primes")
+    real_sums, real_tree = powersum.power_sums, primes.remainders
     points, trees = [], []
 
     def counted_sums(k, ms):
@@ -286,17 +288,15 @@ def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
         return real_tree(p, block)
 
     monkeypatch.setattr(powersum, "power_sums", counted_sums)
-    monkeypatch.setattr(bmod, "remainders", counted_tree)
+    monkeypatch.setattr(primes, "remainders", counted_tree)
     specs = PROFILES["extended"]
-    sweeps.bernoulli(max_bernoulli_index(specs))  # as `run_grids` does
+    sweeps.bernoulli(max(1000, max_bernoulli_index(specs)))
     tasks = _tasks(specs)
     slices = sweeps._slices(tasks, sweeps._units(tasks), 2)
     for at in slices:
-        # each worker starts with no survey gcds, as one forked by the CLI
-        monkeypatch.setattr(bmod, "_SURVEY_GCDS", (0, []))
         sweeps._run_slice([tasks[i] for i in at])
     assert len(points) == 14_600
-    assert len(trees) == 1
+    assert trees == [121]
     assert sorted(i for at in slices for i in at) == list(range(len(tasks)))
     where: dict = {}
     for n, at in enumerate(slices):
@@ -341,24 +341,36 @@ def test_column_is_gone_after_a_slice(monkeypatch):
 
 
 def test_nothing_sized_by_m_max_survives_a_sweep():
-    # the column, the factor lists and the m^k tables live only while a
-    # slice runs: a second `extended` sweep, once the first has filled
-    # the caches that persist (Bernoulli table, sieve, primorial, survey
-    # gcds, Faulhaber coefficients), leaves no memory behind
+    # the column, the factor lists, the m^k tables and the survey live
+    # only while a slice runs: a second `extended` sweep, once the first
+    # has filled the caches that persist (Bernoulli table, sieve,
+    # primorial, Faulhaber coefficients), leaves no memory behind; nor
+    # does a survey to k = 250 after one to k = 10 at the same bound,
+    # where a memo of survey gcds would grow from 5 entries to 125
+    survey = GridSpec(k_min=2, k_max=250, m_max=1, trial_bound=77_777,
+                      checks=("numerator-scan",))
+    primorial(survey.trial_bound)
+    sweeps.bernoulli(250)
     verify_all("extended")
+    run_sweep(survey._replace(k_max=10))
     assert (sweeps._column, sweeps._sweep, powersum._TABLES) == (
         None, None, None)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        run_sweep(survey)
+        gc.collect()
+        survey_left = tracemalloc.get_traced_memory()[0] - before
         verify_all("extended")
         gc.collect()
         left = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # one m^k table of `extended` alone holds some 10^5 bytes
+    # one m^k table of `extended` alone holds some 10^5 bytes, and 125
+    # survey gcds in a list some 3,300
     assert left < 4096
+    assert survey_left < 1024
     assert (sweeps._column, sweeps._sweep, powersum._TABLES) == (
         None, None, None)
 
