@@ -18,7 +18,6 @@ reached that k is not written at all.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -32,51 +31,6 @@ from ._version import __version__
 
 FORMATS = ("plain", "json", "csv")
 
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "moser-ladder verification report",
-    "description": "Emitted by `verify --format json`. schema_version "
-                   "identifies this layout; integers too large for common "
-                   "JSON consumers are carried as decimal strings.",
-    "type": "object",
-    "required": ["schema_version", "tool_version", "profile", "checks",
-                 "totals", "wall_time_s"],
-    "properties": {
-        "schema_version": {"const": sweeps.SCHEMA_VERSION},
-        "tool_version": {"type": "string"},
-        "profile": {"type": ["string", "null"]},
-        "checks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "grid", "rows", "pass", "fail",
-                             "inapplicable", "counterexamples", "hits"],
-                "properties": {
-                    "name": {"enum": list(sweeps.CHECK_ORDER)},
-                    "grid": {
-                        "type": "object",
-                        "required": ["k_min", "k_max", "m_min", "m_max"],
-                        "additionalProperties": {"type": "integer"},
-                    },
-                    "rows": {"type": "integer"},
-                    "pass": {"type": "integer"},
-                    "fail": {"type": "integer"},
-                    "inapplicable": {"type": "integer"},
-                    "counterexamples": {"type": "array",
-                                        "items": {"type": "object"}},
-                    "hits": {"type": "array", "items": {"type": "object"}},
-                },
-            },
-        },
-        "totals": {
-            "type": "object",
-            "required": ["pass", "fail", "inapplicable"],
-            "additionalProperties": {"type": "integer"},
-        },
-        "wall_time_s": {"type": "number"},
-    },
-}
-
 
 def default_cache_path() -> str:
     base = os.environ.get("XDG_DATA_HOME") or str(Path.home() / ".local" / "share")
@@ -84,6 +38,8 @@ def default_cache_path() -> str:
 
 
 def _emit_json(obj) -> None:
+    import json  # here, not at the top: only verify and --format json need it
+
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
@@ -267,6 +223,8 @@ def cmd_verify(args) -> tuple[int, int]:
           c["inapplicable"], len(c["counterexamples"]), len(c["hits"])]
          for c in d["checks"]],
     )
+    import json
+
     for c in d["checks"]:
         for cex in c["counterexamples"]:
             print("counterexample: " + json.dumps(cex, sort_keys=True),
@@ -274,7 +232,9 @@ def cmd_verify(args) -> tuple[int, int]:
     return (0 if t["fail"] == 0 else 1), sweeps.max_bernoulli_index(specs)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verify: bool = True) -> argparse.ArgumentParser:
+    """The CLI's parser; `verify=False` leaves out verify's arguments, so
+    that a command line that does not name verify never runs `sweeps`."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="plain",
                         help="output format (default plain)")
@@ -343,19 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a verification sweep and report")
-    p.add_argument("profile", nargs="?",
-                   choices=tuple(sorted(sweeps.PROFILES)),
-                   help="named preset grid collection")
-    p.add_argument("--grid", metavar="KSPAN:MSPAN",
-                   help="custom grid, spans as MAX or MIN-MAX (e.g. 2-12:100)")
-    p.add_argument("--checks", metavar="LIST",
-                   help="comma-separated check names for --grid "
-                        f"(default: all; known: {', '.join(sweeps.CHECK_ORDER)})")
-    p.add_argument("--trial-bound", type=int, default=None,
-                   help="square-factor trial bound of min-max and "
-                        "numerator-scan, for --grid (default 10000)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (at most the CPU count)")
+    if verify:  # its profile names and check list are read from sweeps
+        p.add_argument("profile", nargs="?",
+                       choices=tuple(sorted(sweeps.PROFILES)),
+                       help="named preset grid collection")
+        p.add_argument("--grid", metavar="KSPAN:MSPAN",
+                       help="custom grid, spans as MAX or MIN-MAX (e.g. 2-12:100)")
+        p.add_argument("--checks", metavar="LIST",
+                       help="comma-separated check names for --grid (default:"
+                            f" all; known: {', '.join(sweeps.CHECK_ORDER)})")
+        p.add_argument("--trial-bound", type=int, default=None,
+                       help="square-factor trial bound of min-max and "
+                            "numerator-scan, for --grid (default 10000)")
+        p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="worker processes (at most the CPU count)")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -363,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--help-schema" in argv:
-        _emit_json(REPORT_SCHEMA)
-        return 0
-    parser = build_parser()
+    parser = build_parser(verify="verify" in argv)
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) is None:
+    if args.help_schema:
+        _emit_json(sweeps.REPORT_SCHEMA)
+        return 0
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
     path = _cache_path(args)

@@ -71,8 +71,9 @@ from itertools import islice
 from math import gcd
 from typing import Callable, NamedTuple
 
-from . import gcdlab
-from . import powersum as ps
+# absolute imports run these lazy modules now: forked workers inherit them
+import moser_ladder.gcdlab as gcdlab
+import moser_ladder.powersum as ps
 from ._primes import (factor_with_table, is_prime, primorial_gcds,
                       smallest_prime_factors)
 from ._version import __version__
@@ -92,6 +93,7 @@ from .bernoulli import (
 
 __all__ = [
     "SCHEMA_VERSION",
+    "REPORT_SCHEMA",
     "CHECK_ORDER",
     "PROFILES",
     "GridSpec",
@@ -102,8 +104,6 @@ __all__ = [
     "run_sweep",
     "verify_all",
 ]
-
-SCHEMA_VERSION = "1"
 
 class _Row:
     """Counts, counterexamples and hits of one check at one k (None for
@@ -581,6 +581,53 @@ _CHECKS: dict[str, _Check] = {
 }
 
 CHECK_ORDER = tuple(_CHECKS)
+
+# the layout of the report `run_grids` builds, printed by `--help-schema`
+SCHEMA_VERSION = "1"
+REPORT_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "moser-ladder verification report",
+    "description": "Emitted by `verify --format json`. schema_version "
+                   "identifies this layout; integers too large for common "
+                   "JSON consumers are carried as decimal strings.",
+    "type": "object",
+    "required": ["schema_version", "tool_version", "profile", "checks",
+                 "totals", "wall_time_s"],
+    "properties": {
+        "schema_version": {"const": SCHEMA_VERSION},
+        "tool_version": {"type": "string"},
+        "profile": {"type": ["string", "null"]},
+        "checks": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["name", "grid", "rows", "pass", "fail",
+                             "inapplicable", "counterexamples", "hits"],
+                "properties": {
+                    "name": {"enum": list(CHECK_ORDER)},
+                    "grid": {
+                        "type": "object",
+                        "required": ["k_min", "k_max", "m_min", "m_max"],
+                        "additionalProperties": {"type": "integer"},
+                    },
+                    "rows": {"type": "integer"},
+                    "pass": {"type": "integer"},
+                    "fail": {"type": "integer"},
+                    "inapplicable": {"type": "integer"},
+                    "counterexamples": {"type": "array",
+                                        "items": {"type": "object"}},
+                    "hits": {"type": "array", "items": {"type": "object"}},
+                },
+            },
+        },
+        "totals": {
+            "type": "object",
+            "required": ["pass", "fail", "inapplicable"],
+            "additionalProperties": {"type": "integer"},
+        },
+        "wall_time_s": {"type": "number"},
+    },
+}
 
 # the row runner of each check, looked up per row when a row runs (the
 # benchmark's trace driver wraps these entries)

@@ -4,15 +4,22 @@
 and every `sweeps._ROW_RUNNERS` entry, from outside the package. A
 renamed kernel would make its traced runs fail or go quiet, so these
 tests read the driver's source with `ast` (without importing it) and
-check its names against the package.
+check its names against the package; one test runs the driver itself.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+import moser_ladder
 from moser_ladder import cli, sweeps
 
 TRACE_DRIVER = Path(__file__).resolve().parents[1] / "bench" / "trace_driver.py"
@@ -130,3 +137,42 @@ def test_cache_and_bernoulli_layers_are_live(tmp_path, monkeypatch, capsys):
         assert cli.main(["bern", "20", "--cache", cache]) == 0
         assert capsys.readouterr() == ("-174611/330\n", "")
         assert set(want) <= called, (run, called)
+
+
+@pytest.mark.parametrize("command", [
+    "bern 20 --seedless",
+    "verify --grid 2-6:20 --seedless --format json",
+])
+def test_trace_driver_runs_the_cli_unchanged(command, tmp_path):
+    # the driver reads sys.modules["moser_ladder.sweeps"] right after
+    # `import moser_ladder.cli` and wraps functions in every package
+    # module: a traced run prints what an untraced one prints, and its
+    # spans cover the table build and every row of the sweep
+    src = str(Path(moser_ladder.__file__).resolve().parents[1])
+    spans = tmp_path / "spans.jsonl"
+
+    def run(*head):
+        return subprocess.run(
+            [sys.executable, *head, *command.split()], capture_output=True,
+            text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
+
+    traced = run(str(TRACE_DRIVER), str(spans), "r", "all")
+    plain = run("-m", "moser_ladder.cli")
+    assert (traced.returncode, traced.stderr) == (0, "")
+    assert plain.returncode == 0
+    names = Counter(json.loads(line)["name"] for line in
+                    spans.read_text(encoding="utf-8").splitlines())
+    assert names["bernoulli.table"] > 0
+    if command.startswith("bern"):
+        assert traced.stdout == plain.stdout
+        return
+    reports = [json.loads(out) for out in (traced.stdout, plain.stdout)]
+    for report in reports:
+        del report["wall_time_s"]
+    assert reports[0] == reports[1]
+    rows = {f"sweeps.row.{c['name']}": c["rows"] for c in reports[1]["checks"]
+            if c["rows"]}
+    # size-bounds starts at k = 10, so this grid has no row of it
+    assert len(rows) == len(sweeps.CHECK_ORDER) - 1
+    assert {name: n for name, n in names.items()
+            if name.startswith("sweeps.row.")} == rows

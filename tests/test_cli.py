@@ -666,6 +666,24 @@ def test_help_schema():
     assert schema["properties"]["schema_version"]["const"] == "1"
 
 
+@pytest.mark.parametrize("argv, code", [
+    ("--help-schema", 0),
+    ("--help-schema bern 10", 0),
+    ("bern 10 --help-schema --seedless", 2),
+])
+def test_help_schema_is_a_top_level_flag(argv, code):
+    # argparse reads it: before a command it prints the schema, after one
+    # it is an unknown argument of that command
+    out = run_cli(*argv.split())
+    assert out.returncode == code
+    if code == 0:
+        assert json.loads(out.stdout) == sweeps.REPORT_SCHEMA
+        assert out.stderr == ""
+    else:
+        assert out.stdout == ""
+        assert "unrecognized arguments: --help-schema" in out.stderr
+
+
 def test_schema_required_keys_match_a_real_report(capsys):
     assert cli.main(["--help-schema"]) == 0
     schema = json.loads(capsys.readouterr().out)
@@ -691,29 +709,45 @@ def test_version_flag():
 
 # Modules a cold start must not load: the process pool (only --jobs > 1
 # builds one), dataclasses, and hashlib and csv (only a cache write and
-# --format csv use them).
+# --format csv use them). json, which only verify and --format json use,
+# is checked per command below, and so are the lazy modules: the package
+# registers them on import, but each runs only when a command calls it.
 _HEAVY_MODULES = ("dataclasses", "concurrent.futures", "multiprocessing",
                   "hashlib", "csv")
+_LAZY_MODULES = {"moser_ladder.powersum", "moser_ladder.gcdlab",
+                 "moser_ladder.sweeps"}
 
 
-def _modules_added_by(statement: str) -> list[str]:
+def _modules_added_by(statement: str) -> tuple[list[str], set[str]]:
     """Modules that `statement` adds to sys.modules in a fresh
-    interpreter, over those the bare interpreter already holds."""
-    code = ("import sys\n"
+    interpreter, over those the bare interpreter already holds, and the
+    `moser_ladder` modules that ran: a lazy module is a plain module only
+    once it has run, and `type()` does not make it run."""
+    code = ("import sys, types\n"
             "before = set(sys.modules)\n"
             f"{statement}\n"
-            "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n")
+            "ran = [name for name, module in sys.modules.items()\n"
+            "       if name.startswith('moser_ladder')\n"
+            "       and type(module) is types.ModuleType]\n"
+            "sys.stderr.write(' '.join(sorted(set(sys.modules) - before))\n"
+            "                 + '\\n' + ' '.join(ran))\n")
     src = str(Path(moser_ladder.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src),
                          check=True)
-    return out.stderr.split()
+    added, ran = out.stderr.split("\n")[-2:]
+    return added.split(), set(ran.split())
 
 
 def test_cold_import_skips_heavy_modules():
-    added = _modules_added_by("import moser_ladder.cli")
+    added, ran = _modules_added_by("import moser_ladder.cli")
     assert "moser_ladder.cli" in added
     assert not [m for m in added if m in _HEAVY_MODULES]
+    assert _LAZY_MODULES <= set(added)
+    assert ran == {"moser_ladder", "moser_ladder._version",
+                   "moser_ladder._primes", "moser_ladder.bernoulli",
+                   "moser_ladder.cache", "moser_ladder.cli"}
+    assert "json" not in added
 
 
 def test_warm_query_loads_only_hashlib(tmp_path):
@@ -724,16 +758,35 @@ def test_warm_query_loads_only_hashlib(tmp_path):
     _cache_to(cache, 40)
     query = ("from moser_ladder.cli import main\n"
              "assert main(['bern', '20'{}]) == 0")
-    seedless = _modules_added_by(query.format(", '--seedless'"))
-    warm = _modules_added_by(query.format(f", '--cache', {str(cache)!r}"))
+    seedless, seedless_ran = _modules_added_by(query.format(", '--seedless'"))
+    warm, warm_ran = _modules_added_by(
+        query.format(f", '--cache', {str(cache)!r}"))
     assert set(warm) - set(seedless) <= {"hashlib", "_hashlib", "_blake2"}
     assert not {"tempfile", "shutil", "pickle", "csv"} & set(warm)
-    cold = set(_modules_added_by("import moser_ladder.cli"))
+    cold = set(_modules_added_by("import moser_ladder.cli")[0])
     assert set(seedless) - cold <= {"locale", "_locale"}
+    # a bern query compiles none of the lazy modules and writes no JSON
+    assert not _LAZY_MODULES & (seedless_ran | warm_ran)
+    assert "json" not in set(seedless) | set(warm)
+
+
+@pytest.mark.parametrize("command, runs", [
+    ("powersum 10 5", {"moser_ladder.powersum"}),
+    ("gk 10 5", {"moser_ladder.powersum", "moser_ladder.gcdlab"}),
+    ("ladder 10 5", {"moser_ladder.powersum", "moser_ladder.gcdlab"}),
+    ("verify quick", _LAZY_MODULES),
+    ("verify quick --format json", _LAZY_MODULES),
+])
+def test_a_command_runs_only_the_modules_it_calls(command, runs):
+    added, ran = _modules_added_by(
+        "from moser_ladder.cli import main\n"
+        f"assert main({[*command.split(), '--seedless']!r}) == 0")
+    assert ran & _LAZY_MODULES == runs
+    assert ("json" in added) == command.startswith("verify")
 
 
 def test_serial_verify_never_loads_the_pool():
-    added = _modules_added_by(
+    added, _ = _modules_added_by(
         "from moser_ladder.cli import main\n"
         "assert main(['verify', 'quick', '--seedless', '--jobs', '1']) == 0")
     assert "moser_ladder.sweeps" in added
@@ -744,7 +797,7 @@ def test_serial_verify_never_loads_the_pool():
 def test_parallel_verify_loads_no_executor():
     # the fork pool needs neither concurrent.futures nor multiprocessing;
     # pickle, which only the parallel path imports, shows that it ran
-    added = _modules_added_by(
+    added, _ = _modules_added_by(
         "from moser_ladder import sweeps\n"
         "sweeps._available_cpus = lambda: 2\n"
         "def stripped(jobs):\n"
@@ -755,3 +808,20 @@ def test_parallel_verify_loads_no_executor():
     assert "pickle" in added
     assert "concurrent.futures" not in added
     assert "multiprocessing" not in added
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+def test_workers_inherit_every_module_they_run():
+    # a module still lazy when the pool forks would be compiled and run
+    # again in every worker
+    _modules_added_by(
+        "import os, types\n"
+        "lazy = []\n"
+        "os.register_at_fork(before=lambda: lazy.extend(\n"
+        "    name for name, module in sys.modules.items()\n"
+        "    if name.startswith('moser_ladder')\n"
+        "    and type(module) is not types.ModuleType))\n"
+        "from moser_ladder import sweeps\n"
+        "sweeps._available_cpus = lambda: 2\n"
+        "sweeps.verify_all('quick', jobs=2)\n"
+        "assert lazy == [], lazy")

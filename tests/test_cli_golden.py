@@ -1,7 +1,9 @@
-"""Golden outputs of every query subcommand in every format.
+"""Golden outputs of every query subcommand in every format, and of the
+help texts and a usage error.
 
 Each case runs `cli.main` in-process with `--seedless` and compares exit
-code, stdout and stderr byte for byte with `cli_golden.json`. The
+code, stdout and stderr byte for byte with `cli_golden.json`; help is
+wrapped at 80 columns whatever the terminal. The
 `verify --format json` report is compared without its `wall_time_s`,
 the one field that differs between runs. A deliberate output change
 regenerates the file with `PYTHONPATH=src python tests/test_cli_golden.py`
@@ -10,6 +12,7 @@ and says so in CHANGES.md.
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -34,8 +37,18 @@ COMMANDS = (
     "search em --kmax 2 --mmax 2",
     "scan numerators --kmax 1",
 )
+# argparse ends these with SystemExit; verify's help and its profile
+# choices read sweeps, which the parser adds only for a verify command
+USAGE = ("--help", "verify --help", "bern --help", "verify bogus")
 CASES = [f"{command} --format {fmt}"
-         for command in COMMANDS for fmt in cli.FORMATS]
+         for command in COMMANDS for fmt in cli.FORMATS] + list(USAGE)
+
+
+def _main(case: str) -> int:
+    try:
+        return cli.main([*case.split(), "--seedless"])
+    except SystemExit as exc:
+        return exc.code
 
 
 def _outcome(case: str, code: int, out: str, err: str) -> dict:
@@ -48,9 +61,10 @@ def _outcome(case: str, code: int, out: str, err: str) -> dict:
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_output_matches_golden(case, capsys):
+def test_output_matches_golden(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
-    code = cli.main([*case.split(), "--seedless"])
+    code = _main(case)
     assert _outcome(case, code, *capsys.readouterr()) == want
 
 
@@ -61,10 +75,11 @@ def test_golden_has_no_stale_cases():
 
 def _regenerate() -> None:
     golden = {}
+    os.environ["COLUMNS"] = "80"
     for case in CASES:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main([*case.split(), "--seedless"])
+            code = _main(case)
         golden[case] = _outcome(case, code, out.getvalue(), err.getvalue())
     GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n",
                       encoding="utf-8")

@@ -1,7 +1,8 @@
 """Every name a package module imports is used there or re-exported,
 every name a module exports exists, no module checks an invariant with
-`assert`, the CLI picks the output format in one place, and the CLI
-reads no private name of the package.
+`assert`, the CLI picks the output format in one place, the CLI
+reads no private name of the package, and the package's lazy modules
+give the same names as eager ones would.
 
 A stand-in for a linter's unused-import rule: each module of
 `src/moser_ladder/` is parsed with `ast`, and every name bound by an
@@ -10,9 +11,14 @@ import must be read somewhere in the module or listed in its `__all__`.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import moser_ladder
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "moser_ladder"
 
@@ -116,3 +122,47 @@ def test_cli_reads_no_private_name():
             and isinstance(node.value, ast.Name)
             and node.value.id in ("sweeps", "ps", "gcdlab", "cachemod")]
     assert imported + read == []
+
+
+_DEFINING = ("bernoulli", "cache", "powersum", "gcdlab", "sweeps")
+
+
+def test_star_import_binds_each_name_to_its_definition():
+    modules = [importlib.import_module(f"moser_ladder.{stem}")
+               for stem in _DEFINING]
+    bound: dict = {}
+    exec("from moser_ladder import *", bound)
+    for name in moser_ladder.__all__:
+        if name == "__version__":
+            assert bound[name] == moser_ladder._version.__version__
+            continue
+        owners = [m for m in modules if name in m.__all__]
+        assert len(owners) == 1, name
+        assert bound[name] is getattr(owners[0], name), name
+    # the package binds `bernoulli` to the function, not to its module
+    assert moser_ladder.bernoulli is modules[0].bernoulli
+    assert callable(moser_ladder.bernoulli)
+    assert set(moser_ladder.__all__) <= set(dir(moser_ladder))
+
+
+def test_the_lazy_modules_run_on_first_use():
+    # in a fresh interpreter: importing the package runs none of the three,
+    # and import_module runs one and returns the registered module
+    code = """
+import importlib, sys, types
+import moser_ladder
+lazy = {name for name, module in sys.modules.items()
+        if name.startswith("moser_ladder") and type(module) is not types.ModuleType}
+if lazy != {"moser_ladder.powersum", "moser_ladder.gcdlab", "moser_ladder.sweeps"}:
+    raise SystemExit(f"lazy modules {sorted(lazy)}")
+registered = sys.modules["moser_ladder.sweeps"]
+sweeps = importlib.import_module("moser_ladder.sweeps")
+if not (sweeps is registered is moser_ladder.sweeps
+        and type(sweeps) is types.ModuleType
+        and sweeps.verify_all is moser_ladder.verify_all):
+    raise SystemExit("import_module gave another sweeps")
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert (out.returncode, out.stderr) == (0, "")
