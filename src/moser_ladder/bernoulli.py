@@ -1,11 +1,11 @@
 """Exact Bernoulli numbers and the structure of their numerators and
 denominators.
 
-Even-index values come from the tangent numbers T_n (Brent & Harvey,
-"Fast computation of Bernoulli, tangent and secant numbers",
-arXiv:1108.0286): T_1..T_n take O(n^2) products of a small integer by a
-big one, and B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)). Values are
-memoized across calls; nothing else is. Convention: B_1 = -1/2.
+Even-index values come from the Genocchi numbers G_2n, read off
+Seidel's triangle (Dumont & Viennot, Ann. Discrete Math. 6 (1980)): each
+pair of rows is two prefix sums, O(n^2) additions in all and no
+multiplications, and B_2n = (-1)^(n-1) |G_2n| / (2 (4^n - 1)). Values
+are memoized across calls; nothing else is. Convention: B_1 = -1/2.
 Denominators are cross-checkable against the von Staudt-Clausen product,
 which is exposed separately so the two routes stay independent.
 """
@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from ._primes import is_prime, primes_up_to, primorial
+from ._primes import is_prime, primes_up_to, primorial, primorial_gcds
 
 __all__ = [
     "bernoulli",
@@ -27,6 +28,8 @@ __all__ = [
     "denominator",
     "SquareFreeStatus",
     "square_free_status",
+    "SQUARE_FREE_ESCALATION",
+    "numerator_survey",
     "size_estimate",
     "exact_log_abs",
     "numerator_bound_check",
@@ -41,49 +44,47 @@ _B1 = Fraction(-1, 2)
 # parallel sweeps precompute the needed range up front instead of racing.
 _EVEN: list[Fraction] = [Fraction(1)]
 
-# Column n = len(_TANGENT) of the Brent-Harvey tangent triangle: the value
-# at position n after each of the algorithm's n passes, from
-# _TANGENT[0] = (n-1)! to _TANGENT[-1] = T_n. _EVEN agrees with the tangent
-# numbers up to B_2n; entries past it were seeded, not computed.
-_TANGENT: list[int] = []
+# Row 2n - 1 of Seidel's triangle, n = len(_SEIDEL): its n entries end in
+# |G_2n|. _EVEN agrees with the Genocchi numbers up to B_2n; entries past
+# it were seeded, not computed.
+_SEIDEL: list[int] = []
 
 
 class MemoPoisonedError(ValueError):
-    """A seeded memo entry disagrees with the tangent numbers (a bad cache)."""
+    """A seeded memo entry disagrees with the Genocchi numbers (a bad
+    cache)."""
 
 
 def _extend_even(half: int) -> None:
     """Grow the memo to B_{2 half}, checking any seeded entries on the way.
 
-    The tangent triangle is advanced one column at a time, so growing the
-    table in steps costs the same O(half^2) products as one build. A seeded
-    entry that disagrees raises MemoPoisonedError.
+    Seidel's triangle is advanced two rows at a time: the suffix sums of
+    row 2n - 1 give row 2n reversed, and its prefix sums, with the last
+    one repeated, give row 2n + 1. So growing the table in steps costs the
+    same O(half^2) additions as one build. A seeded entry that disagrees
+    raises MemoPoisonedError.
     """
-    global _TANGENT
+    global _SEIDEL
     if half < len(_EVEN):
         return
-    while len(_TANGENT) < half:
-        prev = _TANGENT
-        n = len(prev) + 1
-        t = (n - 1) * prev[0] if prev else 1  # (n-1)!
-        col = [t]
-        for i in range(1, n - 1):
-            t = (n - i - 1) * prev[i] + (n - i + 1) * t
-            col.append(t)
-        if n > 1:
-            t *= 2  # the last pass adds 0 * T_{n-1}
-            col.append(t)
-        four_n = 4**n
-        value = Fraction((-1) ** (n - 1) * 2 * n * t, four_n * (four_n - 1))
+    while len(_SEIDEL) < half:
+        if _SEIDEL:
+            even = list(accumulate(reversed(_SEIDEL)))  # row 2n, reversed
+            row = list(accumulate(reversed(even)))
+            row.append(row[-1])
+        else:
+            row = [1]  # row 1; the step above needs a row to sum
+        n = len(row)
+        value = Fraction((-1) ** (n - 1) * row[-1], 2 * (4**n - 1))
         if n < len(_EVEN):
             if _EVEN[n] != value:
                 raise MemoPoisonedError(
-                    f"memo entry for k={2 * n} disagrees with the tangent "
+                    f"memo entry for k={2 * n} disagrees with the Genocchi "
                     f"numbers (seeded from a bad cache?)"
                 )
         else:
             _EVEN.append(value)
-        _TANGENT = col
+        _SEIDEL = row
 
 
 def bernoulli(k: int) -> Fraction:
@@ -130,7 +131,7 @@ def _vsc_prime_table(top: int) -> list[list[int]]:
 def vsc_denominator(k: int) -> int:
     """von Staudt-Clausen denominator: product of primes p with (p-1) | k.
 
-    Independent of the tangent numbers; used to cross-check denominator(k).
+    Independent of the Genocchi numbers; used to cross-check denominator(k).
     """
     _require_even(k, "vsc_denominator")
     return math.prod(_vsc_primes(k))
@@ -219,6 +220,48 @@ def square_free_status(k: int, trial_bound: int) -> SquareFreeStatus:
     n = abs(numerator(k))
     g = 1 if n == 1 else gcd(n, primorial(trial_bound))
     return _square_free_status(n, trial_bound, g)
+
+
+# Documented escalation ladder for hunting square factors; k = 228 flags
+# at 1000. A trial bound that is not a rung is searched as one more rung.
+SQUARE_FREE_ESCALATION = (10, 100, 1000, 10_000, 100_000)
+
+
+def numerator_survey(ks: range, trial_bound: int) -> list[dict]:
+    """Survey records of |N_k| for each even k >= 2 in ks, in order:
+    digit count, primality, and a square factor p^2 hunted over the
+    escalating trial bounds up to trial_bound, with the bound that flagged
+    it or, if none did, the largest bound searched clear. The bounds are
+    the ladder's rungs below trial_bound, then trial_bound itself. One
+    search at trial_bound finds the smallest such p; the bound reported is
+    the first one >= p, the pair that searching bound by bound would give.
+
+    The bound is checked first, even for an empty ks. One `primorial_gcds`
+    call over the survey's own |N_k| > 1 gives each g = gcd(|N_k|,
+    primorial(bound)), and `_square_free_status` the status; nothing
+    outlives the call. Primality reads the same g: if
+    1 < g < |N_k|, g is a proper factor and |N_k| is composite, so the
+    primality test (deterministic at desk scale, see _primes) runs only
+    when g is 1 or |N_k|."""
+    _check_trial_bound(trial_bound)
+    bounds = tuple(b for b in SQUARE_FREE_ESCALATION
+                   if b < trial_bound) + (trial_bound,)
+    ns = [abs(numerator(k)) for k in ks]
+    gcds = iter(primorial_gcds([n for n in ns if n > 1], trial_bound))
+    records = []
+    for k, n in zip(ks, ns):
+        g = next(gcds) if n > 1 else 1
+        p = _square_free_status(n, trial_bound, g).prime
+        records.append({
+            "k": k,
+            "digits": len(str(n)),
+            "prime": g in (1, n) and is_prime(n),
+            "square_factor": None if p is None else str(p),
+            "flagged_at_bound": (None if p is None
+                                 else next(b for b in bounds if b >= p)),
+            "clear_below": trial_bound if p is None else None,
+        })
+    return records
 
 
 def size_estimate(k: int, zeta_terms: int = 64) -> float:

@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bernoulli import MemoPoisonedError, bernoulli
+from .bernoulli import MemoPoisonedError, bernoulli, numerator_survey
 from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
@@ -152,8 +152,7 @@ def cmd_search(args) -> tuple[int, int]:
 
 
 def cmd_scan(args) -> tuple[int, int]:
-    rows = sweeps.numerator_survey(range(2, args.kmax + 1, 2),
-                                   args.trial_bound)
+    rows = numerator_survey(range(2, args.kmax + 1, 2), args.trial_bound)
     plain = []
     for r in rows:
         if r["square_factor"] is not None:
@@ -234,7 +233,7 @@ def cmd_verify(args) -> tuple[int, int]:
 
 def build_parser(verify: bool = True) -> argparse.ArgumentParser:
     """The CLI's parser; `verify=False` leaves out verify's arguments, so
-    that a command line that does not name verify never runs `sweeps`."""
+    that a command other than verify never runs `sweeps`."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="plain",
                         help="output format (default plain)")
@@ -324,7 +323,10 @@ def build_parser(verify: bool = True) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(verify="verify" in argv)
+    # the command word is the first argument that is not an option: no
+    # option before it takes a value
+    command = next((a for a in argv if not a.startswith("-")), None)
+    parser = build_parser(verify=command == "verify")
     args = parser.parse_args(argv)
     if args.help_schema:
         _emit_json(sweeps.REPORT_SCHEMA)

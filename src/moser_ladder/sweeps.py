@@ -23,8 +23,8 @@ do no file I/O: the CLI reads the Bernoulli cache before a sweep and
 writes it afterwards, up to `max_bernoulli_index` of the grids.
 
 Rows call the library's scans (`powersum` searches and running sums,
-`gcdlab` ladders and congruences) rather than restating them; the
-numerator survey lives here and the CLI's `scan` only formats it. The
+`gcdlab` ladders and congruences, the `bernoulli` numerator survey that
+the CLI's `scan` only formats) rather than restating them. The
 m-cell rows reach S_k(m) by two routes, and their counterexample text
 depends on which: `telescoping` reads only the closed form (`power_sums`,
 from Bernoulli numbers); `faulhaber-naive` compares it with the running
@@ -50,9 +50,7 @@ cell is only counted; the text of a counterexample (and any `Fraction`
 in it) is built only when a cell fails. The min-max prefix takes
 gcd(S, S_k(m+1)) = gcd(S, m^k) from rungs 1 and 2 of one S mod m^2 and
 its first stable rung beyond (`gcdlab._gcd_with_power`) where those
-differ, which the gcd ladder does not read; the numerator survey takes
-gcd(|N_k|, primorial(B)) for its numerators from one remainder tree
-(`_primes.primorial_gcds`), and primality from that gcd.
+differ, which the gcd ladder does not read.
 
 `run_grids` builds its pool from the module attribute
 `sweeps.ProcessPoolExecutor`, the fork pool `_ForkPool` unless something
@@ -74,19 +72,18 @@ from typing import Callable, NamedTuple
 # absolute imports run these lazy modules now: forked workers inherit them
 import moser_ladder.gcdlab as gcdlab
 import moser_ladder.powersum as ps
-from ._primes import (factor_with_table, is_prime, primorial_gcds,
-                      smallest_prime_factors)
+from ._primes import factor_with_table, smallest_prime_factors
 from ._version import __version__
 from .bernoulli import (
     _check_trial_bound,
     _divides_nd,
     _smallest_square_prime,
-    _square_free_status,
     bernoulli,
     denominator,
     exact_log_abs,
     numerator,
     numerator_bound_check,
+    numerator_survey,
     size_estimate,
     vsc_denominator,
 )
@@ -97,8 +94,6 @@ __all__ = [
     "CHECK_ORDER",
     "PROFILES",
     "GridSpec",
-    "SQUARE_FREE_ESCALATION",
-    "numerator_survey",
     "max_bernoulli_index",
     "run_grids",
     "run_sweep",
@@ -462,48 +457,6 @@ def _row_size_bounds(k: int, spec: GridSpec) -> _Row:
              "|N| < (2 pi/3)(k/pi)^(k-1) and D | 2(2^k-1)",
              cell="numerator-bound")
     return row
-
-
-# Documented escalation ladder for hunting square factors; k = 228 flags
-# at 1000. A trial bound that is not a rung is searched as one more rung.
-SQUARE_FREE_ESCALATION = (10, 100, 1000, 10_000, 100_000)
-
-
-def numerator_survey(ks: range, trial_bound: int) -> list[dict]:
-    """Survey records of |N_k| for each even k >= 2 in ks, in order:
-    digit count, primality, and a square factor p^2 hunted over the
-    escalating trial bounds up to trial_bound, with the bound that flagged
-    it or, if none did, the largest bound searched clear. The bounds are
-    the ladder's rungs below trial_bound, then trial_bound itself. One
-    search at trial_bound finds the smallest such p; the bound reported is
-    the first one >= p, the pair that searching bound by bound would give.
-
-    The bound is checked first, even for an empty ks. One `primorial_gcds`
-    call over the survey's own |N_k| > 1 gives each g = gcd(|N_k|,
-    primorial(bound)), and `bernoulli._square_free_status` the status;
-    nothing outlives the call. Primality reads the same g: if
-    1 < g < |N_k|, g is a proper factor and |N_k| is composite, so the
-    primality test (deterministic at desk scale, see _primes) runs only
-    when g is 1 or |N_k|."""
-    _check_trial_bound(trial_bound)
-    bounds = tuple(b for b in SQUARE_FREE_ESCALATION
-                   if b < trial_bound) + (trial_bound,)
-    ns = [abs(numerator(k)) for k in ks]
-    gcds = iter(primorial_gcds([n for n in ns if n > 1], trial_bound))
-    records = []
-    for k, n in zip(ks, ns):
-        g = next(gcds) if n > 1 else 1
-        p = _square_free_status(n, trial_bound, g).prime
-        records.append({
-            "k": k,
-            "digits": len(str(n)),
-            "prime": g in (1, n) and is_prime(n),
-            "square_factor": None if p is None else str(p),
-            "flagged_at_bound": (None if p is None
-                                 else next(b for b in bounds if b >= p)),
-            "clear_below": trial_bound if p is None else None,
-        })
-    return records
 
 
 def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:

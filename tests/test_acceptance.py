@@ -20,6 +20,7 @@ from moser_ladder.bernoulli import (
     exact_log_abs,
     numerator,
     numerator_bound_check,
+    numerator_survey,
     size_estimate,
     square_free_status,
     vsc_denominator,
@@ -40,7 +41,6 @@ from moser_ladder.powersum import (
     power_sum_naive,
     search_ratio,
 )
-from moser_ladder.sweeps import numerator_survey
 
 
 def _report(n: int, text: str) -> None:

@@ -132,7 +132,7 @@ def test_cache_and_bernoulli_layers_are_live(tmp_path, monkeypatch, capsys):
                       ("warm", ("cache_load", "warm_bernoulli",
                                 "seed_even_values"))):
         monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
-        monkeypatch.setattr(bmod, "_TANGENT", [])
+        monkeypatch.setattr(bmod, "_SEIDEL", [])
         called.clear()
         assert cli.main(["bern", "20", "--cache", cache]) == 0
         assert capsys.readouterr() == ("-174611/330\n", "")

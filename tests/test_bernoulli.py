@@ -2,11 +2,15 @@
 
 import importlib
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moser_ladder.bernoulli import (
+    SQUARE_FREE_ESCALATION,
     SquareFreeStatus,
     bernoulli,
     denominator,
@@ -14,12 +18,12 @@ from moser_ladder.bernoulli import (
     exact_log_abs,
     numerator,
     numerator_bound_check,
+    numerator_survey,
     seed_even_values,
     size_estimate,
     square_free_status,
     vsc_denominator,
 )
-from moser_ladder.sweeps import SQUARE_FREE_ESCALATION, numerator_survey
 
 # the package rebinds the name `bernoulli` to the function
 bmod = importlib.import_module("moser_ladder.bernoulli")
@@ -75,23 +79,74 @@ def _even_recurrence(k_max: int) -> list[Fraction]:
 def fresh_memo(monkeypatch):
     """An empty memo for one test; the module's own is restored after it."""
     monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
-    monkeypatch.setattr(bmod, "_TANGENT", [])
+    monkeypatch.setattr(bmod, "_SEIDEL", [])
 
 
-def test_tangent_engine_matches_even_recurrence(fresh_memo):
-    # ascending queries grow the table one column at a time
+def _tangent_oracle(k_max: int) -> list[Fraction]:
+    # B_0, B_2, ..., B_kmax from the tangent numbers T_n (Brent & Harvey,
+    # arXiv:1108.0286, Algorithm TangentNumbers), a route independent of
+    # the engine's Genocchi triangle:
+    # B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1))
+    half = k_max // 2
+    t = [0, 1]
+    for n in range(2, half + 1):
+        t.append((n - 1) * t[n - 1])
+    for j in range(2, half + 1):
+        for i in range(j, half + 1):
+            t[i] = (i - j) * t[i - 1] + (i - j + 2) * t[i]
+    return [Fraction(1)] + [
+        Fraction((-1) ** (n - 1) * 2 * n * t[n], 4**n * (4**n - 1))
+        for n in range(1, half + 1)]
+
+
+def test_genocchi_engine_matches_even_recurrence(fresh_memo):
+    # ascending queries grow the table two rows at a time
     assert [bernoulli(k) for k in range(0, 501, 2)] == _even_recurrence(500)
 
 
+def test_genocchi_engine_matches_tangent_numbers(fresh_memo):
+    # every even k <= 1000, the benchmark's whole K range
+    bernoulli(1000)
+    assert bmod._EVEN == _tangent_oracle(1000)
+
+
+def test_kept_row_ends_in_the_genocchi_numbers(fresh_memo):
+    # |G_2n| of Seidel's triangle, read off the kept row after each step
+    last = []
+    for k in range(2, 17, 2):
+        bernoulli(k)
+        assert len(bmod._SEIDEL) == k // 2
+        last.append(bmod._SEIDEL[-1])
+    assert last == [1, 1, 3, 17, 155, 2073, 38227, 929569]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(steps=st.lists(st.integers(1, 40), min_size=1, max_size=6))
+def test_growth_in_steps_matches_one_build(steps):
+    # from a fresh memo, ascending queries that grow the table by random
+    # numbers of rows leave what one build to the last of them leaves
+    tops = [2 * half for half in accumulate(steps)]
+    tables = []
+    for queries in (tops, tops[-1:]):
+        with mock.patch.object(bmod, "_EVEN", [Fraction(1)]), \
+                mock.patch.object(bmod, "_SEIDEL", []):
+            for k in queries:
+                bernoulli(k)
+            tables.append((bmod._EVEN, bmod._SEIDEL))
+    assert tables[0] == tables[1]
+    assert len(tables[0][0]) == tops[-1] // 2 + 1
+
+
 def test_extension_checks_seeded_entries(fresh_memo):
-    # N_12 + D_12 passes both von Staudt-Clausen tests on load; the tangent
-    # numbers catch it when the table grows past k = 12
+    # N_12 + D_12 passes both von Staudt-Clausen tests on load; the
+    # Genocchi numbers catch it when the table grows past k = 12
     pairs = [(k, EVEN_TABLE[k]) for k in range(2, 13, 2)]
     pairs[-1] = (12, (-691 + 2730, 2730))
     assert seed_even_values(pairs) == 12
     assert bernoulli(12) == Fraction(2039, 2730)  # served as seeded
-    assert bmod._TANGENT == []
-    with pytest.raises(ValueError, match="k=12"):
+    assert bmod._SEIDEL == []
+    with pytest.raises(bmod.MemoPoisonedError,
+                       match="^memo entry for k=12 disagrees "):
         bernoulli(14)
     assert len(bmod._EVEN) == 7
     assert bmod._EVEN[6] == Fraction(2039, 2730)

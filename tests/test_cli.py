@@ -133,7 +133,7 @@ def test_scan_builds_one_survey_tree_on_a_fresh_table(monkeypatch, capsys):
     warm = capsys.readouterr().out
     blocks = _count_survey_blocks(monkeypatch)
     monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
-    monkeypatch.setattr(bmod, "_TANGENT", [])
+    monkeypatch.setattr(bmod, "_SEIDEL", [])
     assert cli.main(argv) == 0
     assert blocks == [121]
     assert capsys.readouterr().out == warm
@@ -599,7 +599,7 @@ def test_poisoned_cache_exits_3(tmp_path):
     assert out.stdout == ""
     assert "k=12" in out.stderr
     # N_10 + D_10 passes von Staudt-Clausen on load; growing the memo past
-    # k = 10 recomputes it from the tangent numbers and finds the edit
+    # k = 10 recomputes it from the Genocchi numbers and finds the edit
     cache = tmp_path / "grow.cache"
     assert run_cli("bern", "20", "--cache", str(cache)).returncode == 0
     _rewrite_entry(cache, "10\t5\t66\n", "10\t71\t66\n")
@@ -620,7 +620,7 @@ def test_bad_cache_behind_a_tripped_invariant_exits_3(
     cachemod.cache_store(cachemod.snapshot_bernoulli(20), cache)
     _rewrite_entry(cache, "10\t5\t66\n", "10\t71\t66\n")
     monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
-    monkeypatch.setattr(bmod, "_TANGENT", [])
+    monkeypatch.setattr(bmod, "_SEIDEL", [])
     monkeypatch.setattr(cli.ps, "_COEFFS", {})
     monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
     argv = ["verify", "quick", "--cache", str(cache), "--jobs", jobs]
@@ -776,6 +776,8 @@ def test_warm_query_loads_only_hashlib(tmp_path):
     ("ladder 10 5", {"moser_ladder.powersum", "moser_ladder.gcdlab"}),
     ("verify quick", _LAZY_MODULES),
     ("verify quick --format json", _LAZY_MODULES),
+    ("bern 10 --cache verify", set()),
+    ("scan numerators --kmax 20", set()),
 ])
 def test_a_command_runs_only_the_modules_it_calls(command, runs):
     added, ran = _modules_added_by(

@@ -26,6 +26,7 @@ from moser_ladder._primes import (
     smallest_prime_factors,
 )
 from moser_ladder.bernoulli import (
+    SQUARE_FREE_ESCALATION,
     SquareFreeStatus,
     _divides_nd,
     _smallest_square_prime,
@@ -33,6 +34,7 @@ from moser_ladder.bernoulli import (
     denominator,
     divides_rational,
     numerator,
+    numerator_survey,
     square_free_status,
 )
 from moser_ladder.powersum import (
@@ -144,9 +146,8 @@ def test_square_factor_search_matches_trial_division(k, bound):
     assert square_free_status(k, bound) == want
     # the survey's one search against the bound-by-bound loop over the
     # escalation ladder's rungs below the bound, then the bound itself
-    bounds = tuple(b for b in sweeps.SQUARE_FREE_ESCALATION
-                   if b < bound) + (bound,)
-    [survey] = sweeps.numerator_survey(range(k, k + 1), bound)
+    bounds = tuple(b for b in SQUARE_FREE_ESCALATION if b < bound) + (bound,)
+    [survey] = numerator_survey(range(k, k + 1), bound)
     got = survey["square_factor"], survey["flagged_at_bound"]
     hit = _escalate_by_trial(k, bounds)
     assert got == ((None, None) if hit is None else (str(hit[0]), hit[1]))
@@ -264,7 +265,7 @@ def test_gcd_with_power_matches_direct_gcd(c, j, m, k):
 @given(k=_even(250), bound=st.one_of(
     st.integers(2, 10**5), st.sampled_from((2, 10, 1000, 10**5))))
 def test_survey_primality_matches_is_prime(k, bound):
-    [survey] = sweeps.numerator_survey(range(k, k + 1), bound)
+    [survey] = numerator_survey(range(k, k + 1), bound)
     assert survey["prime"] == is_prime(abs(numerator(k)))
 
 
@@ -606,7 +607,7 @@ def test_batched_survey_gcds_match_direct_gcds(bound, lo, hi, grown, other):
         return real(p, block)
 
     with mock.patch.object(primes_mod, "remainders", counted):
-        sweeps.numerator_survey(ks, bound)
+        numerator_survey(ks, bound)
     assert [n for block in blocks for n in block] == big
     for b in (bound, other):
         want = [gcd(n, primorial(b)) for n in big]

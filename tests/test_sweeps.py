@@ -130,7 +130,7 @@ def test_max_bernoulli_index_covers_every_read(monkeypatch):
         12, 40, 2, 2, 14]
     for specs in grids:
         monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
-        monkeypatch.setattr(bmod, "_TANGENT", [])
+        monkeypatch.setattr(bmod, "_SEIDEL", [])
         monkeypatch.setattr(powersum, "_COEFFS", {})
         bmod.bernoulli(max_bernoulli_index(specs))
         filled = len(bmod._EVEN)
@@ -629,14 +629,15 @@ def test_extended_survey_tests_primality_only_without_a_proper_factor(
         monkeypatch):
     # the survey's primorial gcd g settles every |N_k| with 1 < g < |N_k|
     # as composite; is_prime runs for the other 22 of the 125 numerators
+    bmod = importlib.import_module("moser_ladder.bernoulli")
     calls = []
-    is_prime = sweeps.is_prime
+    is_prime = bmod.is_prime
 
     def counted(n):
         calls.append(n)
         return is_prime(n)
 
-    monkeypatch.setattr(sweeps, "is_prime", counted)
+    monkeypatch.setattr(bmod, "is_prime", counted)
     grid = PROFILES["extended"][-1]
     assert grid.checks == ("numerator-scan",)
     report = run_sweep(grid)
