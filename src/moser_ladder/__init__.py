@@ -1,39 +1,20 @@
 """Exact arithmetic for Bernoulli numbers, power sums, and the gcd
 structure of consecutive power sums, plus grid verification sweeps.
 
+Importing the package runs `bernoulli` alone. `_primes`, `cache`,
 `powersum`, `gcdlab` and `sweeps` are lazy: each sits in `sys.modules`
 and on the package from the first import (`bench/trace_driver.py` reads
-`sys.modules["moser_ladder.sweeps"]` right after `import moser_ladder.cli`),
-but runs only on first attribute access, so a query that never calls one
-never compiles it. `__getattr__` resolves the package's names from them.
+`sys.modules` for `_primes`, `cache` and `sweeps` right after
+`import moser_ladder.cli`), but runs only on first attribute access, so
+a query that never calls one never compiles it. `__getattr__` resolves
+a package name from the one module `_OWNER` names, so finding it runs
+only that module and its imports.
 """
 
 import importlib.util
 import sys
 
 from ._version import __version__
-from .bernoulli import (
-    SquareFreeStatus,
-    bernoulli,
-    denominator,
-    divides_rational,
-    numerator,
-    numerator_bound_check,
-    size_estimate,
-    square_free_status,
-    vsc_denominator,
-)
-from .cache import (
-    CacheChecksumError,
-    CacheError,
-    CacheFormatError,
-    CacheStore,
-    CacheVersionError,
-    cache_load,
-    cache_store,
-    snapshot_bernoulli,
-    warm_bernoulli,
-)
 
 
 def _lazy(name: str):
@@ -46,15 +27,42 @@ def _lazy(name: str):
     return module
 
 
-# dependencies first, so finding a name runs only its module and its imports
-_LAZY = powersum, gcdlab, sweeps = (
-    _lazy("powersum"), _lazy("gcdlab"), _lazy("sweeps"))
+# before `bernoulli` runs, so that its `from . import _primes` binds the
+# registered module without running it
+_primes, cache, powersum, gcdlab, sweeps = map(_lazy, (
+    "_primes", "cache", "powersum", "gcdlab", "sweeps"))
+
+from .bernoulli import (  # noqa: E402
+    SquareFreeStatus,
+    bernoulli,
+    denominator,
+    divides_rational,
+    numerator,
+    numerator_bound_check,
+    size_estimate,
+    square_free_status,
+    vsc_denominator,
+)
+
+# the module that defines each lazy name of the package
+_OWNER = {name: module for module, names in (
+    (cache, ("CacheChecksumError", "CacheError", "CacheFormatError",
+             "CacheStore", "CacheVersionError", "cache_load", "cache_store",
+             "snapshot_bernoulli", "warm_bernoulli")),
+    (gcdlab, ("CongruenceVerdict", "CrossGcdVerdict", "GcdLadder",
+              "MinMaxResult", "PrimeLocalVerdict", "WindowTooSmallError",
+              "congruence_check", "cross_gcd_check", "gcd_ladder",
+              "gcd_ratio", "min_max_scan", "prime_local_congruences")),
+    (powersum, ("RatioHit", "crossover", "em_scan", "power_sum",
+                "power_sum_naive", "running_sums", "search_ratio")),
+    (sweeps, ("CHECK_ORDER", "PROFILES", "GridSpec", "run_sweep",
+              "verify_all")),
+) for name in names}
 
 
 def __getattr__(name: str):
-    for module in _LAZY if name in __all__ else ():
-        if name in module.__all__:
-            return getattr(module, name)
+    if name in _OWNER:
+        return getattr(_OWNER[name], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -73,37 +81,5 @@ __all__ = [
     "size_estimate",
     "square_free_status",
     "vsc_denominator",
-    "CacheChecksumError",
-    "CacheError",
-    "CacheFormatError",
-    "CacheStore",
-    "CacheVersionError",
-    "cache_load",
-    "cache_store",
-    "snapshot_bernoulli",
-    "warm_bernoulli",
-    "CongruenceVerdict",
-    "CrossGcdVerdict",
-    "GcdLadder",
-    "MinMaxResult",
-    "PrimeLocalVerdict",
-    "WindowTooSmallError",
-    "congruence_check",
-    "cross_gcd_check",
-    "gcd_ladder",
-    "gcd_ratio",
-    "min_max_scan",
-    "prime_local_congruences",
-    "RatioHit",
-    "crossover",
-    "em_scan",
-    "power_sum",
-    "power_sum_naive",
-    "running_sums",
-    "search_ratio",
-    "CHECK_ORDER",
-    "PROFILES",
-    "GridSpec",
-    "run_sweep",
-    "verify_all",
 ]
+__all__ += list(_OWNER)

@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from ._primes import is_prime, primes_up_to, primorial, primorial_gcds
+from . import _primes
 
 __all__ = [
     "bernoulli",
@@ -113,7 +113,7 @@ def _vsc_primes(k: int) -> list[int]:
     for d in range(1, isqrt(k) + 1):
         if k % d == 0:
             divisors.update((d, k // d))
-    return [d + 1 for d in divisors if is_prime(d + 1)]
+    return [d + 1 for d in divisors if _primes.is_prime(d + 1)]
 
 
 def _vsc_prime_table(top: int) -> list[list[int]]:
@@ -121,7 +121,7 @@ def _vsc_prime_table(top: int) -> list[list[int]]:
     k <= top: one pass over the primes p <= top + 1, each marking the
     even multiples of p - 1, instead of `_vsc_primes`' divisors of each k."""
     table: list[list[int]] = [[] for _ in range(top // 2 + 1)]
-    for p in primes_up_to(top + 1):
+    for p in _primes.primes_up_to(top + 1):
         step = max(p - 1, 2)  # p = 2: (p-1) | k for every even k
         for k in range(step, top + 1, step):
             table[k // 2].append(p)
@@ -189,11 +189,11 @@ def _smallest_square_prime(n: int, bound: int,
     its smallest prime is then looked for.
     """
     if g is None:
-        g = gcd(n, primorial(bound))
+        g = gcd(n, _primes.primorial(bound))
     sq = gcd(n // g, g)
     if sq == 1:
         return None
-    return next(p for p in primes_up_to(bound) if sq % p == 0)
+    return next(p for p in _primes.primes_up_to(bound) if sq % p == 0)
 
 
 def _square_free_status(n: int, bound: int, g: int) -> SquareFreeStatus:
@@ -218,7 +218,7 @@ def square_free_status(k: int, trial_bound: int) -> SquareFreeStatus:
     """
     _check_trial_bound(trial_bound)
     n = abs(numerator(k))
-    g = 1 if n == 1 else gcd(n, primorial(trial_bound))
+    g = 1 if n == 1 else gcd(n, _primes.primorial(trial_bound))
     return _square_free_status(n, trial_bound, g)
 
 
@@ -247,7 +247,7 @@ def numerator_survey(ks: range, trial_bound: int) -> list[dict]:
     bounds = tuple(b for b in SQUARE_FREE_ESCALATION
                    if b < trial_bound) + (trial_bound,)
     ns = [abs(numerator(k)) for k in ks]
-    gcds = iter(primorial_gcds([n for n in ns if n > 1], trial_bound))
+    gcds = iter(_primes.primorial_gcds([n for n in ns if n > 1], trial_bound))
     records = []
     for k, n in zip(ks, ns):
         g = next(gcds) if n > 1 else 1
@@ -255,7 +255,7 @@ def numerator_survey(ks: range, trial_bound: int) -> list[dict]:
         records.append({
             "k": k,
             "digits": len(str(n)),
-            "prime": g in (1, n) and is_prime(n),
+            "prime": g in (1, n) and _primes.is_prime(n),
             "square_factor": None if p is None else str(p),
             "flagged_at_bound": (None if p is None
                                  else next(b for b in bounds if b >= p)),

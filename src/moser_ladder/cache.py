@@ -179,20 +179,20 @@ def snapshot_bernoulli(k_max: int) -> CacheStore:
     return store
 
 
-def load_and_warm(path: str | Path | None) -> int:
-    """Load the cache at `path`, if one is given and exists, and seed the
-    Bernoulli memo from it. Returns the largest k seeded (0 if there was
-    nothing to load); pass it to store_snapshot."""
-    if path is None or not os.path.exists(path):
+def load_and_warm(path: str | Path) -> int:
+    """Load the cache at `path`, if it exists, and seed the Bernoulli memo
+    from it. Returns the largest k seeded (0 if there was nothing to
+    load); pass it to store_snapshot."""
+    if not os.path.exists(path):
         return 0
     return warm_bernoulli(cache_load(path))
 
 
-def store_snapshot(path: str | Path | None, k: int, seeded: int) -> None:
+def store_snapshot(path: str | Path, k: int, seeded: int) -> None:
     """Write the even entries 2..k to `path`, and nothing else. Does
-    nothing without a path, or when the even part of k is at most
-    `seeded`, the top of the gap-free prefix `load_and_warm` seeded and
-    checked: the file then already holds every entry the command used."""
-    if path is None or k - k % 2 <= seeded:
+    nothing when the even part of k is at most `seeded`, the top of the
+    gap-free prefix `load_and_warm` seeded and checked: the file then
+    already holds every entry the command used."""
+    if k - k % 2 <= seeded:
         return
     cache_store(snapshot_bernoulli(k), path)

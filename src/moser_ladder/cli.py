@@ -7,12 +7,13 @@ failures, 2 usage errors, 3 I/O or cache errors, 4 internal faults (a
 broken arithmetic invariant or a sweep worker lost without a result,
 never a bad input; after a cache seeded the memo, a broken invariant
 first recomputes the seeded entries, and a bad one is a cache error).
-`main` alone touches the Bernoulli cache: it loads the cache before the
-command runs, and after the command has printed its answer (for verify,
-the report) it writes the cache at most once, with exactly the even
-entries 2..k of the k the command returns, so a failed write is a
-stderr warning, not an error. A cache whose checked prefix already
-reached that k is not written at all.
+`main` alone touches the Bernoulli cache, and runs the `cache` module
+only for a run with a cache file: it loads the cache before the command
+runs, and after the command has printed its answer (for verify, the
+report) it writes the cache at most once, with exactly the even entries
+2..k of the k the command returns, so a failed write is a stderr
+warning, not an error. A cache whose checked prefix already reached
+that k is not written at all.
 """
 
 from __future__ import annotations
@@ -337,10 +338,11 @@ def main(argv: list[str] | None = None) -> int:
     path = _cache_path(args)
     seeded = 0
     try:
-        seeded = cachemod.load_and_warm(path)
+        seeded = cachemod.load_and_warm(path) if path else 0
         code, k_store = args.func(args)
         try:
-            cachemod.store_snapshot(path, k_store, seeded)
+            if path:
+                cachemod.store_snapshot(path, k_store, seeded)
         except OSError as exc:
             print(f"warning: cache not written: {exc}", file=sys.stderr)
         return code

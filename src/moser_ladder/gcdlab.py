@@ -38,7 +38,7 @@ from itertools import islice
 from math import gcd
 from typing import Iterable, NamedTuple
 
-from ._primes import factorize
+from . import _primes
 from .bernoulli import (
     SquareFreeStatus,
     bernoulli,
@@ -289,7 +289,7 @@ def prime_local_congruences(
     n, d = b.numerator, b.denominator
     num = (_diff_numerator(k, m, power_sum(k, m), n, d) if diff is None
            else Fraction(diff).numerator)
-    factors = factorize(m).items()
+    factors = _primes.factorize(m).items()
     cells = iter(_congruence_cells(k, m, num, factors, n, d)[3:])
     out = []
     for p, mult in factors:
@@ -496,7 +496,7 @@ def cross_gcd_check(k: int, s: int) -> CrossGcdVerdict:
     divides_k = k % c == 0
     if c == 1:
         return CrossGcdVerdict(k, s, c, divides_k, True, ())
-    facs = factorize(c)
+    facs = _primes.factorize(c)
     c_square_free = all(e == 1 for e in facs.values())
     d_s = denominator(s)
     b_over_k = bernoulli(k) / k

@@ -249,24 +249,38 @@ def _row_s1s3(_k: int, spec: GridSpec) -> _Row:
     return row
 
 
-# the two searches are observational: every scanned m passes, hits are
-# findings
+# the searches' only hits: S_1(3) = 3, and S_k(4)/S_k(3) at k = 1 and 3
+_KNOWN_HITS = {"ratio-search": ({"k": 1, "m": 3, "quotient": "2"},
+                                {"k": 3, "m": 3, "quotient": "4"}),
+               "em-scan": ({"k": 1, "m": 3},)}
+
+
+def _search_cells(row: _Row, ms: range) -> _Row:
+    """One cell per scanned m of a search row: it fails where the row's
+    hit at m is not the known one (invented, changed or missing)."""
+    got = {h["m"]: h for h in row.hits}
+    want = {h["m"]: h for h in _KNOWN_HITS[row.check]
+            if h["k"] == row.k and h["m"] in ms}
+    hit_at = sorted(got.keys() | want.keys())
+    for m in hit_at:
+        row.cell(got.get(m) == want.get(m), got.get(m, "no hit"),
+                 want.get(m, "no hit"), m=m)
+    row.passes += len(ms) - len(hit_at)
+    return row
 
 
 def _row_ratio_search(k: int, spec: GridSpec) -> _Row:
     row = _Row("ratio-search", k)
     row.hits = [{"k": k, "m": h.m, "quotient": str(h.quotient)}
                 for h in ps.ratio_hits(k, spec.m_min, spec.m_max)]
-    row.passes = len(range(max(3, spec.m_min), spec.m_max + 1))
-    return row
+    return _search_cells(row, range(max(3, spec.m_min), spec.m_max + 1))
 
 
 def _row_em_scan(k: int, spec: GridSpec) -> _Row:
     row = _Row("em-scan", k)
     row.hits = [{"k": k, "m": m}
                 for m in ps.em_solutions(k, spec.m_min, spec.m_max)]
-    row.passes = len(range(max(2, spec.m_min), spec.m_max + 1))
-    return row
+    return _search_cells(row, range(max(2, spec.m_min), spec.m_max + 1))
 
 
 _LADDER_CLOSED_FORMS = ("closed-form-m", "closed-form-m2", "closed-form-m3")
@@ -439,10 +453,15 @@ def _row_cross_gcd(k: int, spec: GridSpec) -> _Row:
 def _row_crossover(k: int, spec: GridSpec) -> _Row:
     row = _Row("crossover-bracket", k)
     c = ps.crossover(k)
-    inside = k < c < 2 * k
+    # the certificate reads the closed form, not the walk's running sums;
+    # S_k(m)/m^k increases in m (`powersum`), so it covers every m < c
+    below, at = ps.power_sums(k, (c - 1, c))
+    row.cell(below < (c - 1)**k and at >= c**k, (below, at),
+             f"S_k(c-1) < (c-1)^k and S_k(c) >= c^k at c = {c}",
+             cell="certificate")
     # bracket misses are reported as findings, not failures
-    row.passes += 1
-    row.hits.append({"k": k, "crossover": str(c), "inside_bracket": inside})
+    row.hits.append({"k": k, "crossover": str(c),
+                     "inside_bracket": k < c < 2 * k})
     return row
 
 
@@ -527,7 +546,7 @@ _CHECKS: dict[str, _Check] = {
     "min-max": _Check(_row_min_max, reads_trial_bound=True,
                       weight=_min_max_weight),
     "cross-gcd": _Check(_row_cross_gcd, 4),
-    "crossover-bracket": _Check(_row_crossover, reads_b=False),
+    "crossover-bracket": _Check(_row_crossover),
     "size-bounds": _Check(_row_size_bounds, 10),
     "numerator-scan": _Check(_row_numerator_scan, reads_trial_bound=True,
                              weight=_survey_weight, one_unit=True),

@@ -261,9 +261,9 @@ def test_trial_bound_below_2_runs_no_row(monkeypatch, capsys):
         raise AssertionError("a prime sieve was built")
 
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
-    bmod = importlib.import_module("moser_ladder.bernoulli")
-    monkeypatch.setattr(bmod, "primorial", no_sieve)
-    monkeypatch.setattr(bmod, "primes_up_to", no_sieve)
+    primes = importlib.import_module("moser_ladder._primes")
+    monkeypatch.setattr(primes, "primorial", no_sieve)
+    monkeypatch.setattr(primes, "primes_up_to", no_sieve)
     for bound, text in (("1", ">= 2, got 1"),
                         ("1000001", "<= 1000000, got 1000001")):
         error = f"error: trial_bound must be {text}\n"
@@ -344,7 +344,7 @@ def test_verify_survives_an_unwritable_cache(tmp_path, capsys):
     (["verify", "quick"], 12),
     (["search", "em", "--kmax", "3", "--mmax", "10"], None),
     (["powersum", "9", "5", "--naive"], None),
-    (["verify", "--grid", "2-30:1", "--checks", "crossover-bracket"], 2),
+    (["verify", "--grid", "2-30:1", "--checks", "crossover-bracket"], 30),
 ])
 def test_cache_entries_per_command(tmp_path, capsys, argv, k_max):
     # each command leaves exactly the even prefix 2..k_max of the table,
@@ -716,6 +716,10 @@ _HEAVY_MODULES = ("dataclasses", "concurrent.futures", "multiprocessing",
                   "hashlib", "csv")
 _LAZY_MODULES = {"moser_ladder.powersum", "moser_ladder.gcdlab",
                  "moser_ladder.sweeps"}
+# lazy too, but run by queries as well: `_primes` for a prime, `cache`
+# for a cache file
+_PRIMES, _CACHE = "moser_ladder._primes", "moser_ladder.cache"
+_ON_DEMAND = _LAZY_MODULES | {_PRIMES, _CACHE}
 
 
 def _modules_added_by(statement: str) -> tuple[list[str], set[str]]:
@@ -743,10 +747,9 @@ def test_cold_import_skips_heavy_modules():
     added, ran = _modules_added_by("import moser_ladder.cli")
     assert "moser_ladder.cli" in added
     assert not [m for m in added if m in _HEAVY_MODULES]
-    assert _LAZY_MODULES <= set(added)
+    assert _ON_DEMAND <= set(added)
     assert ran == {"moser_ladder", "moser_ladder._version",
-                   "moser_ladder._primes", "moser_ladder.bernoulli",
-                   "moser_ladder.cache", "moser_ladder.cli"}
+                   "moser_ladder.bernoulli", "moser_ladder.cli"}
     assert "json" not in added
 
 
@@ -774,16 +777,26 @@ def test_warm_query_loads_only_hashlib(tmp_path):
     ("powersum 10 5", {"moser_ladder.powersum"}),
     ("gk 10 5", {"moser_ladder.powersum", "moser_ladder.gcdlab"}),
     ("ladder 10 5", {"moser_ladder.powersum", "moser_ladder.gcdlab"}),
-    ("verify quick", _LAZY_MODULES),
-    ("verify quick --format json", _LAZY_MODULES),
+    ("verify quick", _LAZY_MODULES | {_PRIMES}),
+    ("verify quick --format json", _LAZY_MODULES | {_PRIMES}),
     ("bern 10 --cache verify", set()),
-    ("scan numerators --kmax 20", set()),
+    ("scan numerators --kmax 20", {_PRIMES}),
+    ("bern 10 --cache FRESH", {_CACHE}),
+    ("bern 10 --cache WARM", {_CACHE, _PRIMES}),
 ])
-def test_a_command_runs_only_the_modules_it_calls(command, runs):
+def test_a_command_runs_only_the_modules_it_calls(command, runs, tmp_path):
+    # a command runs `--seedless` unless it names a cache file: FRESH
+    # does not exist yet, WARM holds the even k <= 20
+    files = {"FRESH": tmp_path / "fresh.cache", "WARM": tmp_path / "warm.cache"}
+    _cache_to(files["WARM"], 20)
+    words = command.split()
+    argv = [str(files.get(word, word)) for word in words]
+    if not files.keys() & set(words):
+        argv.append("--seedless")
     added, ran = _modules_added_by(
         "from moser_ladder.cli import main\n"
-        f"assert main({[*command.split(), '--seedless']!r}) == 0")
-    assert ran & _LAZY_MODULES == runs
+        f"assert main({argv!r}) == 0")
+    assert ran & _ON_DEMAND == runs
     assert ("json" in added) == command.startswith("verify")
 
 
@@ -826,4 +839,4 @@ def test_workers_inherit_every_module_they_run():
         "from moser_ladder import sweeps\n"
         "sweeps._available_cpus = lambda: 2\n"
         "sweeps.verify_all('quick', jobs=2)\n"
-        "assert lazy == [], lazy")
+        "assert set(lazy) <= {'moser_ladder.cache'}, lazy")

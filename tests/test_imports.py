@@ -146,14 +146,15 @@ def test_star_import_binds_each_name_to_its_definition():
 
 
 def test_the_lazy_modules_run_on_first_use():
-    # in a fresh interpreter: importing the package runs none of the three,
+    # in a fresh interpreter: importing the package runs none of the five,
     # and import_module runs one and returns the registered module
     code = """
 import importlib, sys, types
 import moser_ladder
 lazy = {name for name, module in sys.modules.items()
         if name.startswith("moser_ladder") and type(module) is not types.ModuleType}
-if lazy != {"moser_ladder.powersum", "moser_ladder.gcdlab", "moser_ladder.sweeps"}:
+if lazy != {"moser_ladder._primes", "moser_ladder.cache", "moser_ladder.powersum",
+            "moser_ladder.gcdlab", "moser_ladder.sweeps"}:
     raise SystemExit(f"lazy modules {sorted(lazy)}")
 registered = sys.modules["moser_ladder.sweeps"]
 sweeps = importlib.import_module("moser_ladder.sweeps")
@@ -166,3 +167,24 @@ if not (sweeps is registered is moser_ladder.sweeps
                          text=True,
                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
     assert (out.returncode, out.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("name, runs", [
+    ("cache_load", {"cache"}),
+    ("power_sum", {"powersum"}),
+    ("gcd_ratio", {"powersum", "gcdlab"}),
+    ("verify_all", {"powersum", "gcdlab", "sweeps", "_primes"}),
+])
+def test_a_package_name_runs_only_its_module_and_its_imports(name, runs):
+    code = f"""
+import sys, types
+import moser_ladder
+moser_ladder.{name}
+ran = {{name.removeprefix("moser_ladder.") for name, module in sys.modules.items()
+       if name.startswith("moser_ladder.") and type(module) is types.ModuleType}}
+sys.stderr.write(" ".join(sorted(ran - {{"_version", "bernoulli"}})))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert set(out.stderr.split()) == runs

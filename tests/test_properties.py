@@ -516,6 +516,24 @@ def test_sum_over_m_to_the_k_strictly_increases(k, m):
     assert power_sum(k, m) * (m + 1)**k < power_sum(k, m + 1) * m**k
 
 
+def _power_sum_mod(k: int, m: int, p: int) -> int:
+    """S_k(m) mod p, summed term by term mod p: no Bernoulli number."""
+    return sum(pow(j, k, p) for j in range(m)) % p
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(k=st.integers(1, 120), m=st.integers(1, 10**30 - 1),
+       p=st.sampled_from(primes_up_to(100)))
+@example(k=1, m=10**30 - 1, p=2)
+@example(k=96, m=97 * 10**27, p=97)  # r = 0, and (p - 1) | k
+def test_power_sum_far_past_the_grids_matches_periodicity_mod_p(k, m, p):
+    # j^k mod p has period p in j, so S_k(qp + r) = q S_k(p) + S_k(r)
+    # (mod p): the closed form at m < 10^30 against p + r small terms
+    q, r = divmod(m, p)
+    assert power_sum(k, m) % p == (
+        q * _power_sum_mod(k, p, p) + _power_sum_mod(k, r, p)) % p
+
+
 # ---- the per-cell statements the sweep rows check, far past every grid
 
 

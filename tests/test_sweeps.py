@@ -127,7 +127,7 @@ def test_max_bernoulli_index_covers_every_read(monkeypatch):
         [GridSpec(k_max=15, m_max=20, checks=("telescoping",))],
     ]
     assert [max_bernoulli_index(specs) for specs in grids] == [
-        12, 40, 2, 2, 14]
+        12, 40, 14, 2, 14]
     for specs in grids:
         monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
         monkeypatch.setattr(bmod, "_SEIDEL", [])
@@ -242,7 +242,8 @@ def test_extended_builds_each_closed_form_once(monkeypatch):
     # faulhaber-naive, telescoping, gcd-ladder and trivial-gcd-iff share
     # one column of closed forms per k: 48 k times m = 1..301 (14,448),
     # plus 152 for the witnesses of special-values and min-max (two sums
-    # per gcd_ratio). Every closed form is a point of `power_sums`;
+    # per gcd_ratio) and 40 for the crossover certificates (c - 1 and c
+    # at 20 k). Every closed form is a point of `power_sums`;
     # `power_sum` is its one-point case.
     real = powersum.power_sums
     calls = []
@@ -254,7 +255,7 @@ def test_extended_builds_each_closed_form_once(monkeypatch):
 
     monkeypatch.setattr(powersum, "power_sums", counted)
     assert _digest(verify_all("extended")) == EXTENDED_DIGEST
-    assert len(calls) == 14_600
+    assert len(calls) == 14_640
 
 
 _M_CELL_CHECKS = ("faulhaber-naive", "telescoping", "gcd-ladder",
@@ -270,7 +271,7 @@ def _tasks(specs: list[GridSpec]) -> list[tuple[str, int, GridSpec]]:
 
 def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
     # a worker runs whole units, all rows of one k or all survey rows, so
-    # at 2 workers the closed forms are still 14,600 points (see
+    # at 2 workers the closed forms are still 14,640 points (see
     # test_extended_builds_each_closed_form_once) and the survey's
     # remainder tree is built once, over the survey's 121 numerators > 1
     # however far the table reaches (here k = 1000, as after a warm cache)
@@ -295,7 +296,7 @@ def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
     slices = sweeps._slices(tasks, sweeps._units(tasks), 2)
     for at in slices:
         sweeps._run_slice([tasks[i] for i in at])
-    assert len(points) == 14_600
+    assert len(points) == 14_640
     assert trees == [121]
     assert sorted(i for at in slices for i in at) == list(range(len(tasks)))
     where: dict = {}
@@ -604,6 +605,40 @@ def test_observational_checks_never_fail():
     assert report["totals"]["fail"] == 0
 
 
+def test_a_search_fails_the_cell_of_each_wrong_or_missing_hit(
+        monkeypatch):
+    # each scanned m is one cell: a hit other than (1, 3) for em-scan, or
+    # (1, 3, 2) and (3, 3, 4) for ratio-search, fails the cell of its m,
+    # and so does a known hit on the grid that the scan misses
+    real = powersum.em_solutions
+    monkeypatch.setattr(powersum, "em_solutions", lambda k, lo, hi: [
+        *real(k, lo, hi), *([5] if k == 4 else [])])
+    monkeypatch.setattr(powersum, "ratio_hits", lambda k, lo, hi: iter(()))
+    ratio, em = run_sweep(GridSpec(
+        k_max=4, m_max=10, checks=("ratio-search", "em-scan")))["checks"]
+    assert (ratio["pass"], ratio["fail"], ratio["hits"]) == (4 * 8 - 2, 2, [])
+    assert [(c["k"], c["m"], c["observed"], c["predicted"])
+            for c in ratio["counterexamples"]] == [
+        (1, 3, "no hit", "{'k': 1, 'm': 3, 'quotient': '2'}"),
+        (3, 3, "no hit", "{'k': 3, 'm': 3, 'quotient': '4'}")]
+    assert (em["pass"], em["fail"]) == (4 * 9 - 1, 1)
+    assert em["counterexamples"] == [{
+        "check": "em-scan", "k": 4, "m": 5,
+        "observed": "{'k': 4, 'm': 5}", "predicted": "no hit"}]
+
+
+@pytest.mark.parametrize("shift", (-1, 1))
+def test_a_crossover_one_m_off_fails_its_certificate(monkeypatch, shift):
+    # S_k(c - 1) < (c - 1)^k and S_k(c) >= c^k, from the closed form, hold
+    # at the true crossover c alone
+    real = powersum.crossover
+    monkeypatch.setattr(powersum, "crossover", lambda k: real(k) + shift)
+    [check] = run_sweep(GridSpec(k_min=2, k_max=6, m_max=1,
+                                 checks=("crossover-bracket",)))["checks"]
+    assert (check["pass"], check["fail"]) == (0, 3)
+    assert [c["cell"] for c in check["counterexamples"]] == ["certificate"] * 3
+
+
 def test_searches_honour_m_min():
     # the ratio and equation scans count and report only m >= m_min, like
     # every other check; both scans' only hits (m = 3) fall below it here
@@ -629,15 +664,15 @@ def test_extended_survey_tests_primality_only_without_a_proper_factor(
         monkeypatch):
     # the survey's primorial gcd g settles every |N_k| with 1 < g < |N_k|
     # as composite; is_prime runs for the other 22 of the 125 numerators
-    bmod = importlib.import_module("moser_ladder.bernoulli")
+    primes = importlib.import_module("moser_ladder._primes")
     calls = []
-    is_prime = bmod.is_prime
+    is_prime = primes.is_prime
 
     def counted(n):
         calls.append(n)
         return is_prime(n)
 
-    monkeypatch.setattr(bmod, "is_prime", counted)
+    monkeypatch.setattr(primes, "is_prime", counted)
     grid = PROFILES["extended"][-1]
     assert grid.checks == ("numerator-scan",)
     report = run_sweep(grid)
