@@ -46,8 +46,7 @@ from .bernoulli import (  # noqa: E402
 
 # the module that defines each lazy name of the package
 _OWNER = {name: module for module, names in (
-    (cache, ("CacheChecksumError", "CacheError", "CacheFormatError",
-             "CacheStore", "CacheVersionError", "cache_load", "cache_store",
+    (cache, ("CacheError", "CacheStore", "cache_load", "cache_store",
              "snapshot_bernoulli", "warm_bernoulli")),
     (gcdlab, ("CongruenceVerdict", "CrossGcdVerdict", "GcdLadder",
               "MinMaxResult", "PrimeLocalVerdict", "WindowTooSmallError",

@@ -13,6 +13,7 @@ which is exposed separately so the two routes stay independent.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isqrt
@@ -315,8 +316,9 @@ def divides_rational(m: int, r: int, b: Fraction | int) -> bool:
     """p-adic divisibility m^r | b for a rational b.
 
     True iff ord_p(b) >= r * ord_p(m) for every prime p | m. Equivalent,
-    without factoring m: b's denominator is coprime to m and m^r divides
-    b's numerator (m^r carries exactly the exponents r * ord_p(m)).
+    without factoring m: m^r divides b's numerator (m^r carries exactly
+    the exponents r * ord_p(m)). In lowest terms, a prime of m that
+    divides the numerator cannot divide the denominator.
     """
     if m < 1:
         raise ValueError(f"divides_rational needs m >= 1, got {m}")
@@ -329,17 +331,19 @@ def divides_rational(m: int, r: int, b: Fraction | int) -> bool:
 def _divides_nd(m: int, r: int, n: int, d: int) -> bool:
     """Integer core of divides_rational: m^r | n/d p-adically, for n/d in
     lowest terms with d > 0 and m, r >= 1. Hot loops call it with N_k and
-    D_k read once per k."""
-    return gcd(m, d) == 1 and n % m**r == 0
+    D_k read once per k. d is not read: m^r | n puts every prime of m in
+    n, so none of them divides d."""
+    return n % m**r == 0
 
 
-def seed_even_values(pairs: list[tuple[int, tuple[int, int]]]) -> int:
+def seed_even_values(pairs: Iterable[tuple[int, tuple[int, int]]]) -> int:
     """Warm the memo from (k, (N_k, D_k)) pairs.
 
     Pairs must supply a gap-free even prefix 2, 4, 6, ... to be usable; the
-    memo holds B_0, B_2, ... by position. Entries beyond the first gap are
-    ignored. Each accepted entry must satisfy von Staudt-Clausen: D_k is the
-    product of the primes p with (p-1) | k, and N_k + sum D_k/p = 0 mod D_k.
+    memo holds B_0, B_2, ... by position. Entries beyond the first gap, at
+    odd k or at k = 0 are ignored. Each accepted entry must satisfy von
+    Staudt-Clausen: D_k is the product of the primes p with (p-1) | k, and
+    N_k + sum D_k/p = 0 mod D_k.
     A violation, or disagreement with a value already in the memo, raises
     ValueError rather than poisoning the memo. An edit to N_k by a multiple
     of D_k passes both tests; it is caught when the memo is next extended

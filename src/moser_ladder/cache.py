@@ -37,9 +37,6 @@ from .bernoulli import bernoulli, seed_even_values
 __all__ = [
     "CACHE_HEADER",
     "CacheError",
-    "CacheVersionError",
-    "CacheChecksumError",
-    "CacheFormatError",
     "CacheStore",
     "cache_load",
     "cache_store",
@@ -53,19 +50,7 @@ CACHE_HEADER = "moser-ladder-cache v1"
 
 
 class CacheError(Exception):
-    """Base class for cache file problems."""
-
-
-class CacheVersionError(CacheError):
-    """Header present but not the supported format version."""
-
-
-class CacheChecksumError(CacheError):
-    """Payload does not match the trailing SHA-256 line."""
-
-
-class CacheFormatError(CacheError):
-    """Structurally malformed file or record."""
+    """A cache file that cannot be loaded; the message names the fault."""
 
 
 class CacheStore:
@@ -94,51 +79,51 @@ def _digest(payload: bytes) -> str:
 
 
 def cache_load(path: str | Path) -> CacheStore:
-    """Load and verify a cache file. Raises CacheError subclasses."""
+    """Load and verify a cache file. Raises CacheError."""
     raw = Path(path).read_bytes()
     if raw == b"":
         return CacheStore()
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
-        raise CacheFormatError(f"{path}: not an ascii text file") from exc
+        raise CacheError(f"{path}: not an ascii text file") from exc
     if not text.endswith("\n"):
-        raise CacheFormatError(f"{path}: missing trailing newline")
+        raise CacheError(f"{path}: missing trailing newline")
     lines = text.split("\n")[:-1]
     if not lines:
-        raise CacheFormatError(f"{path}: no header line")
+        raise CacheError(f"{path}: no header line")
     if lines[0] != CACHE_HEADER:
         if lines[0].startswith("moser-ladder-cache"):
-            raise CacheVersionError(
+            raise CacheError(
                 f"{path}: unsupported version {lines[0]!r}, want {CACHE_HEADER!r}"
             )
-        raise CacheFormatError(f"{path}: bad header {lines[0][:40]!r}")
+        raise CacheError(f"{path}: bad header {lines[0][:40]!r}")
     if len(lines) < 2:
-        raise CacheFormatError(f"{path}: missing checksum line")
+        raise CacheError(f"{path}: missing checksum line")
     checksum = lines[-1]
     # the record lines, each with its LF: the bytes between the header's
     # LF and the checksum line (ascii, so a character is a byte)
     payload = raw[len(lines[0]) + 1:len(raw) - len(checksum) - 1]
     if _digest(payload) != checksum:
-        raise CacheChecksumError(f"{path}: payload checksum mismatch")
+        raise CacheError(f"{path}: payload checksum mismatch")
 
     store = CacheStore()
     last_k = -1
     for lineno, line in enumerate(lines[1:-1], start=2):
         parts = line.split("\t")
         if len(parts) != 3:
-            raise CacheFormatError(f"{path}:{lineno}: want 3 tab fields")
+            raise CacheError(f"{path}:{lineno}: want 3 tab fields")
         try:
             k, n, d = (int(p) for p in parts)
         except ValueError as exc:
-            raise CacheFormatError(f"{path}:{lineno}: non-integer field") from exc
+            raise CacheError(f"{path}:{lineno}: non-integer field") from exc
         if k <= last_k:
-            raise CacheFormatError(f"{path}:{lineno}: indices not ascending")
+            raise CacheError(f"{path}:{lineno}: indices not ascending")
         last_k = k
         try:
             store.put(k, n, d)
         except ValueError as exc:
-            raise CacheFormatError(f"{path}:{lineno}: {exc}") from exc
+            raise CacheError(f"{path}:{lineno}: {exc}") from exc
     return store
 
 
@@ -157,16 +142,16 @@ def cache_store(store: CacheStore, path: str | Path) -> None:
 def warm_bernoulli(store: CacheStore) -> int:
     """Seed the Bernoulli memo from a loaded cache.
 
-    Only the gap-free even prefix is usable (the memo holds B_0, B_2, ...
-    by position). Every entry is re-checked against von Staudt-Clausen, on
-    the denominator and on the numerator modulo the denominator; failure
-    raises CacheFormatError. Returns the largest k seeded.
+    `seed_even_values` reads only the gap-free even prefix from k = 2 (the
+    memo holds B_0, B_2, ... by position) and re-checks each entry of it
+    against von Staudt-Clausen, on the denominator and on the numerator
+    modulo the denominator; failure raises CacheError. Returns the largest
+    k seeded.
     """
-    even = [(k, nd) for k, nd in store.sorted_items() if k >= 2 and k % 2 == 0]
     try:
-        return seed_even_values(even)
+        return seed_even_values(store.entries.items())
     except ValueError as exc:
-        raise CacheFormatError(str(exc)) from exc
+        raise CacheError(str(exc)) from exc
 
 
 def snapshot_bernoulli(k_max: int) -> CacheStore:

@@ -5,7 +5,6 @@ under plain pytest the per-test PASSED/FAILED verdicts carry the same
 information. Budgets are wall-clock and asserted where stated.
 """
 
-import hashlib
 import json
 import subprocess
 import sys
@@ -41,6 +40,7 @@ from moser_ladder.powersum import (
     power_sum_naive,
     search_ratio,
 )
+from pins import canonical, digest, pinned
 
 
 def _report(n: int, text: str) -> None:
@@ -229,20 +229,10 @@ def test_criterion_12_analytic_bounds():
                 f"{exceptions} ({elapsed:.2f}s)")
 
 
-# Digest of the standard report pinned at the release that first recorded
-# it, canonical form: the JSON without wall_time_s, sorted keys, indent 2,
-# trailing newline. A deliberate report change (or a version bump) re-records
-# it and says so in CHANGES.md.
-STANDARD_DIGEST = (
-    "5b9b046463ee774f3556809bd189dcfe45848a1bf45f08ac975d498e4bc682f1"
-)
-
-
 def test_criterion_13_deterministic_reports():
     t0 = time.perf_counter()
-    reports = []
 
-    def run(jobs: str) -> str:
+    def run(jobs: str) -> dict:
         out = subprocess.run(
             [sys.executable, "-m", "moser_ladder.cli", "verify", "standard",
              "--jobs", jobs, "--format", "json", "--seedless"],
@@ -251,16 +241,13 @@ def test_criterion_13_deterministic_reports():
         assert out.returncode == 0, out.stderr
         data = json.loads(out.stdout)
         assert data["totals"]["fail"] == 0
-        reports.append(data)
-        return "\n".join(line for line in out.stdout.splitlines()
-                         if "wall_time_s" not in line)
+        # stdout is the canonical form plus wall_time_s
+        assert out.stdout == json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return data
 
     one, eight = run("1"), run("8")
-    assert one == eight
-    for data in reports:
-        data.pop("wall_time_s")
-        canonical = json.dumps(data, sort_keys=True, indent=2) + "\n"
-        assert hashlib.sha256(canonical.encode()).hexdigest() == STANDARD_DIGEST
+    assert canonical(one) == canonical(eight)
+    assert digest(one) == pinned("standard")
     elapsed = time.perf_counter() - t0
     _report(13, f"verify standard --jobs 1 and --jobs 8 byte-identical "
                 f"after dropping wall time ({elapsed:.2f}s)")

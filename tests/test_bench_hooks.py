@@ -21,6 +21,7 @@ import pytest
 
 import moser_ladder
 from moser_ladder import cli, sweeps
+from pins import canonical
 
 TRACE_DRIVER = Path(__file__).resolve().parents[1] / "bench" / "trace_driver.py"
 
@@ -167,9 +168,7 @@ def test_trace_driver_runs_the_cli_unchanged(command, tmp_path):
         assert traced.stdout == plain.stdout
         return
     reports = [json.loads(out) for out in (traced.stdout, plain.stdout)]
-    for report in reports:
-        del report["wall_time_s"]
-    assert reports[0] == reports[1]
+    assert canonical(reports[0]) == canonical(reports[1])
     rows = {f"sweeps.row.{c['name']}": c["rows"] for c in reports[1]["checks"]
             if c["rows"]}
     # size-bounds starts at k = 10, so this grid has no row of it

@@ -4,21 +4,19 @@ help texts and a usage error.
 Each case runs `cli.main` in-process with `--seedless` and compares exit
 code, stdout and stderr byte for byte with `cli_golden.json`; help is
 wrapped at 80 columns whatever the terminal. The
-`verify --format json` report is compared without its `wall_time_s`,
-the one field that differs between runs. A deliberate output change
-regenerates the file with `PYTHONPATH=src python tests/test_cli_golden.py`
-and says so in CHANGES.md.
+`verify --format json` report is compared in the canonical form of
+`pins.py`, without its `wall_time_s`. A deliberate output change
+re-records this file and the report pins together with
+`PYTHONPATH=src python tests/pins.py` and says so in CHANGES.md.
 """
 
-import io
 import json
-import os
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from moser_ladder import cli
+from pins import canonical
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -55,8 +53,7 @@ def _outcome(case: str, code: int, out: str, err: str) -> dict:
     if case.startswith("verify ") and case.endswith(" json"):
         report = json.loads(out)
         assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
-        del report["wall_time_s"]
-        out = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        out = canonical(report)
     return {"exit": code, "stdout": out, "stderr": err}
 
 
@@ -71,20 +68,3 @@ def test_output_matches_golden(case, capsys, monkeypatch):
 def test_golden_has_no_stale_cases():
     assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(
         CASES)
-
-
-def _regenerate() -> None:
-    golden = {}
-    os.environ["COLUMNS"] = "80"
-    for case in CASES:
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = _main(case)
-        golden[case] = _outcome(case, code, out.getvalue(), err.getvalue())
-    GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n",
-                      encoding="utf-8")
-    print(f"wrote {len(golden)} cases to {GOLDEN}")
-
-
-if __name__ == "__main__":
-    _regenerate()

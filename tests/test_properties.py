@@ -325,19 +325,41 @@ def test_ladder_nesting_is_tested_rung_by_rung(k, g):
     assert gcdlab._rungs_nest(k, *g) == _nests_as_it_was(k, *g)
 
 
-# ---- divisibility: the integer core vs divides_rational on a Fraction
+# ---- divisibility: the integer core vs p-adic valuations
+
+
+def _valuation(p: int, n: int) -> int:
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+def _divides_by_valuations(m: int, r: int, b: Fraction) -> bool:
+    """m^r | b p-adically: v_p(N) - v_p(D) >= r v_p(m) at every prime
+    p | m, with m factored here by trial division."""
+    primes, rest, p = [], m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            rest //= p ** _valuation(p, rest)
+        p += 1
+    primes += [rest] if rest > 1 else []
+    return b == 0 or all(
+        _valuation(p, b.numerator) - _valuation(p, b.denominator)
+        >= r * _valuation(p, m) for p in primes)
 
 
 @FAST
 @given(m=st.integers(1, 10**6), r=st.integers(1, 4),
        n=st.integers(-10**30, 10**30), d=st.integers(1, 10**12),
-       scale=st.integers(1, 10**6))
-def test_divides_core_matches_divides_rational(m, r, n, d, scale):
-    # scale = m^r-ish multiples make the true verdict common as well
-    n = n * scale ** r
-    b = Fraction(n, d)
+       scale=st.integers(1, 10**6), shared=st.integers(0, 2))
+def test_divides_core_matches_valuations(m, r, n, d, scale, shared):
+    # scale^r multiples make the true verdict common as well; d * m^shared
+    # leaves primes of m in the denominator, which the core never reads
+    b = Fraction(n * scale**r, d * m**shared)
     assert _divides_nd(m, r, b.numerator, b.denominator) == (
-        divides_rational(m, r, b))
+        _divides_by_valuations(m, r, b))
 
 
 @FAST
@@ -347,7 +369,7 @@ def test_divides_core_on_bernoulli_numbers(k, m, r):
     # m | N_k for about one m in a hundred here, so try a divisor of N_k
     for q in (m, gcd(m, b.numerator)):
         assert _divides_nd(q, r, b.numerator, b.denominator) == (
-            divides_rational(q, r, b))
+            _divides_by_valuations(q, r, b))
 
 
 # ---- trivial gcd: g = 1 as gcd(S, S_next) == m, vs the Fraction g

@@ -1,9 +1,7 @@
 """Sweep engine: determinism, accounting, profile composition."""
 
 import gc
-import hashlib
 import importlib
-import json
 import math
 import multiprocessing
 import os
@@ -27,36 +25,7 @@ from moser_ladder.sweeps import (
     run_sweep,
     verify_all,
 )
-
-
-# Report digests pinned at the release that first recorded them, in the
-# canonical form of `verify --format json` without wall_time_s: sorted
-# keys, indent 2, trailing newline. A deliberate report change (or a
-# version bump, which changes tool_version) re-records them and says so
-# in CHANGES.md.
-QUICK_DIGEST = "5b31de8a1ed3ddb0a748be845836190278d3e60ca192ccc4c0dc481c5bd051d6"
-EXTENDED_DIGEST = (
-    "59e4aa8d35c8f801334c09f390a0e93791b2fcc58e4caaa9f0fadb52bf79873c"
-)
-# `quick` with S_k(m) knocked off its true value at a few cells (see
-# test_counterexample_text_is_pinned): every m-cell check fails somewhere,
-# so this pins the counterexample strings, not only the counts.
-FAILING_QUICK_DIGEST = (
-    "5ce9c2f38af48a296560d2877f711037b898044a8513b0367303ed62fb7cffc0"
-)
-
-
-def _digest(report: dict) -> str:
-    body = {key: value for key, value in report.items() if key != "wall_time_s"}
-    text = json.dumps(body, sort_keys=True, indent=2) + "\n"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _stripped(report) -> str:
-    text = json.dumps(report, sort_keys=True, indent=2)
-    return "\n".join(
-        line for line in text.splitlines() if "wall_time_s" not in line
-    )
+from pins import canonical, digest, perturb_sums, pinned
 
 
 def test_check_order_is_stable():
@@ -166,49 +135,29 @@ def test_quick_profile_known_findings():
 
 
 def test_quick_report_digest_is_pinned():
-    assert _digest(verify_all("quick")) == QUICK_DIGEST
+    assert digest(verify_all("quick")) == pinned("quick")
 
 
 def test_extended_report_digest_is_pinned():
     # the integer congruence, square-factor and min/max kernels run on
     # the extended grid far past the quick one; about 1 s in-process
-    assert _digest(verify_all("extended")) == EXTENDED_DIGEST
+    assert digest(verify_all("extended")) == pinned("extended")
 
 
 def test_extended_report_digest_is_pinned_in_parallel(monkeypatch):
     monkeypatch.setattr(sweeps, "_available_cpus", lambda: 3)
-    assert _digest(verify_all("extended", jobs=2)) == EXTENDED_DIGEST
-    assert _digest(verify_all("extended", jobs=3)) == EXTENDED_DIGEST
+    assert digest(verify_all("extended", jobs=2)) == pinned("extended")
+    assert digest(verify_all("extended", jobs=3)) == pinned("extended")
 
 
-# offsets added to S_k(m) at (k, m), one table per route the rows read:
-# the closed form and the running sums; and a shift of the running sums
-# at every m >= 2 of a k, which knocks whole rows off. The shift of 836
-# makes 11^3 divide S_12(11); the offset there is 11^3 so that it still
-# does, and divisibility-equivalence fails at that cell.
-_CLOSED_OFFSETS = {(3, 20): 1, (4, 12): -2, (10, 60): 7}
-_RUNNING_OFFSETS = {(4, 12): 3, (6, 30): 1, (10, 5): 25, (12, 11): 11**3,
-                    (12, 100): 10**6}
-_RUNNING_SHIFTS = {6: 4, 12: 836}
+def test_profile_reports_match_the_schema():
+    # every profile's report, wall time included, against the schema that
+    # `--help-schema` prints; jsonschema is in the `test` extra
+    import jsonschema
 
-
-def _perturb_sums(monkeypatch):
-    real_running = powersum.running_sums
-    real_closed = powersum.power_sums
-
-    def running(k, m_max):
-        for m, s in real_running(k, m_max):
-            if m >= 2:
-                s += _RUNNING_SHIFTS.get(k, 0)
-            yield m, s + _RUNNING_OFFSETS.get((k, m), 0)
-
-    def closed(k, ms):
-        ms = list(ms)
-        return [s + _CLOSED_OFFSETS.get((k, m), 0)
-                for m, s in zip(ms, real_closed(k, ms))]
-
-    monkeypatch.setattr(powersum, "running_sums", running)
-    monkeypatch.setattr(powersum, "power_sums", closed)
+    assert list(PROFILES) == ["quick", "standard", "extended"]
+    for profile in PROFILES:
+        jsonschema.validate(verify_all(profile), sweeps.REPORT_SCHEMA)
 
 
 def _assert_pinned_failures(d: dict) -> None:
@@ -221,11 +170,11 @@ def _assert_pinned_failures(d: dict) -> None:
     ladder = next(c for c in d["checks"] if c["name"] == "gcd-ladder")
     assert sum(ce["cell"] == "consecutive-gcd"
                for ce in ladder["counterexamples"]) == 96
-    assert _digest(d) == FAILING_QUICK_DIGEST
+    assert digest(d) == pinned("perturbed-quick")
 
 
 def test_counterexample_text_is_pinned(monkeypatch):
-    _perturb_sums(monkeypatch)
+    perturb_sums(monkeypatch)
     _assert_pinned_failures(verify_all("quick"))
 
 
@@ -233,7 +182,7 @@ def test_counterexample_text_is_pinned(monkeypatch):
                     reason="workers see the perturbed sums only when forked")
 def test_counterexample_text_is_pinned_in_parallel(monkeypatch):
     # counterexamples from both workers' slices merge in the serial order
-    _perturb_sums(monkeypatch)
+    perturb_sums(monkeypatch)
     monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
     _assert_pinned_failures(verify_all("quick", jobs=2))
 
@@ -254,7 +203,7 @@ def test_extended_builds_each_closed_form_once(monkeypatch):
         return real(k, ms)
 
     monkeypatch.setattr(powersum, "power_sums", counted)
-    assert _digest(verify_all("extended")) == EXTENDED_DIGEST
+    assert digest(verify_all("extended")) == pinned("extended")
     assert len(calls) == 14_640
 
 
@@ -403,13 +352,13 @@ def test_no_row_reads_the_naive_sum(monkeypatch):
         raise AssertionError("the naive sum was read")
 
     monkeypatch.setattr(powersum, "power_sum_naive", no_naive)
-    assert _digest(verify_all("quick")) == QUICK_DIGEST
+    assert digest(verify_all("quick")) == pinned("quick")
 
 
 def test_direct_row_after_a_perturbed_sweep_reads_true_sums(monkeypatch):
     spec = GridSpec(k_min=2, k_max=12, m_max=100, checks=_M_CELL_CHECKS)
     with monkeypatch.context() as patch:
-        _perturb_sums(patch)
+        perturb_sums(patch)
         assert run_sweep(spec)["totals"]["fail"] > 0
     for check in _M_CELL_CHECKS:
         for k in _rows_for(check, spec):
@@ -418,11 +367,11 @@ def test_direct_row_after_a_perturbed_sweep_reads_true_sums(monkeypatch):
 
 
 def test_repeat_runs_identical():
-    assert _stripped(verify_all("quick")) == _stripped(verify_all("quick"))
+    assert canonical(verify_all("quick")) == canonical(verify_all("quick"))
 
 
 def test_job_count_does_not_change_report():
-    assert _stripped(verify_all("quick", jobs=1)) == _stripped(
+    assert canonical(verify_all("quick", jobs=1)) == canonical(
         verify_all("quick", jobs=2)
     )
 
@@ -454,7 +403,7 @@ def test_pool_is_built_from_the_module_attribute(monkeypatch):
     log = _recording_pool(monkeypatch, 2)
     parallel = verify_all("quick", jobs=2)
     assert log == [("workers", 2), ("map", 2)]
-    assert _stripped(parallel) == _stripped(verify_all("quick", jobs=1))
+    assert canonical(parallel) == canonical(verify_all("quick", jobs=1))
     # the rows of one k are one unit, which one worker runs in-process
     run_sweep(GridSpec(k_min=4, k_max=4, m_max=20,
                        checks=("gcd-ladder", "congruences")), jobs=2)
@@ -470,8 +419,8 @@ def test_uneven_slices_merge_in_order(monkeypatch):
     reports = {jobs: run_sweep(spec, jobs=jobs) for jobs in (1, 2, 3)}
     assert sum(c["rows"] for c in reports[1]["checks"]) == 25
     assert log == [("workers", 2), ("map", 2), ("workers", 3), ("map", 3)]
-    assert _stripped(reports[2]) == _stripped(reports[1])
-    assert _stripped(reports[3]) == _stripped(reports[1])
+    assert canonical(reports[2]) == canonical(reports[1])
+    assert canonical(reports[3]) == canonical(reports[1])
 
 
 # The sweep's own pool forks. A `concurrent.futures` executor assigned to
@@ -488,7 +437,7 @@ def test_spawned_workers_build_their_own_table(monkeypatch):
     # it builds the Bernoulli table it reads on first use
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", _SpawnPool)
     monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
-    assert _stripped(verify_all("quick", jobs=2)) == _stripped(
+    assert canonical(verify_all("quick", jobs=2)) == canonical(
         verify_all("quick", jobs=1))
 
 
