@@ -33,6 +33,7 @@ _primes, cache, powersum, gcdlab, sweeps = map(_lazy, (
     "_primes", "cache", "powersum", "gcdlab", "sweeps"))
 
 from .bernoulli import (  # noqa: E402
+    CacheError,
     SquareFreeStatus,
     bernoulli,
     denominator,
@@ -46,7 +47,7 @@ from .bernoulli import (  # noqa: E402
 
 # the module that defines each lazy name of the package
 _OWNER = {name: module for module, names in (
-    (cache, ("CacheError", "CacheStore", "cache_load", "cache_store",
+    (cache, ("CacheStore", "cache_load", "cache_store",
              "snapshot_bernoulli", "warm_bernoulli")),
     (gcdlab, ("CongruenceVerdict", "CrossGcdVerdict", "GcdLadder",
               "MinMaxResult", "PrimeLocalVerdict", "WindowTooSmallError",
@@ -71,6 +72,7 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "__version__",
+    "CacheError",
     "SquareFreeStatus",
     "bernoulli",
     "denominator",

@@ -3,7 +3,7 @@ primorials, a remainder tree and the primorial gcds taken from it,
 primality, small factorization.
 
 Everything here is deterministic for the input sizes this package meets.
-Miller-Rabin with the 12-prime base set is a proven primality test below
+Miller-Rabin to the first 13 prime bases is a proven primality test below
 3.317e24; above that a strong Lucas test is added (BPSW), which has no
 known counterexample at any size.
 """
@@ -25,9 +25,9 @@ __all__ = [
     "factorize",
 ]
 
-# Proven deterministic Miller-Rabin base set for n < 3,317,044,064,679,887,385,961,981
-# (Sorenson and Webster).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes: a proven Miller-Rabin base set below the limit
+# (Sorenson and Webster, Math. Comp. 86 (2017)); 12 are not enough.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_LIMIT = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

@@ -8,6 +8,11 @@ multiplications, and B_2n = (-1)^(n-1) |G_2n| / (2 (4^n - 1)). Values
 are memoized across calls; nothing else is. Convention: B_1 = -1/2.
 Denominators are cross-checkable against the von Staudt-Clausen product,
 which is exposed separately so the two routes stay independent.
+
+Entries seeded from the cache file are checked against von Staudt-Clausen
+by `seed_even_values`, and against the Genocchi numbers when the memo
+grows past them; bad cache data raises CacheError, defined here because
+this module always loads.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from . import _primes
 
 __all__ = [
     "bernoulli",
-    "MemoPoisonedError",
+    "CacheError",
     "vsc_denominator",
     "numerator",
     "denominator",
@@ -51,9 +56,10 @@ _EVEN: list[Fraction] = [Fraction(1)]
 _SEIDEL: list[int] = []
 
 
-class MemoPoisonedError(ValueError):
-    """A seeded memo entry disagrees with the Genocchi numbers (a bad
-    cache)."""
+class CacheError(ValueError):
+    """Bad cache data: a file that cannot be loaded, or an entry that
+    fails von Staudt-Clausen or disagrees with the Genocchi numbers; the
+    message names the fault."""
 
 
 def _extend_even(half: int) -> None:
@@ -63,7 +69,7 @@ def _extend_even(half: int) -> None:
     row 2n - 1 give row 2n reversed, and its prefix sums, with the last
     one repeated, give row 2n + 1. So growing the table in steps costs the
     same O(half^2) additions as one build. A seeded entry that disagrees
-    raises MemoPoisonedError.
+    raises CacheError.
     """
     global _SEIDEL
     if half < len(_EVEN):
@@ -79,7 +85,7 @@ def _extend_even(half: int) -> None:
         value = Fraction((-1) ** (n - 1) * row[-1], 2 * (4**n - 1))
         if n < len(_EVEN):
             if _EVEN[n] != value:
-                raise MemoPoisonedError(
+                raise CacheError(
                     f"memo entry for k={2 * n} disagrees with the Genocchi "
                     f"numbers (seeded from a bad cache?)"
                 )
@@ -345,7 +351,7 @@ def seed_even_values(pairs: Iterable[tuple[int, tuple[int, int]]]) -> int:
     Staudt-Clausen: D_k is the product of the primes p with (p-1) | k, and
     N_k + sum D_k/p = 0 mod D_k.
     A violation, or disagreement with a value already in the memo, raises
-    ValueError rather than poisoning the memo. An edit to N_k by a multiple
+    CacheError rather than poisoning the memo. An edit to N_k by a multiple
     of D_k passes both tests; it is caught when the memo is next extended
     past k. Entries are checked in ascending k, so the first violation
     reported is the lowest. Returns the largest k actually seeded (0 if
@@ -360,12 +366,12 @@ def seed_even_values(pairs: Iterable[tuple[int, tuple[int, int]]]) -> int:
         n, d = table[k]
         primes = vsc[k // 2]
         if d != math.prod(primes):
-            raise ValueError(
+            raise CacheError(
                 f"cache entry for k={k} has denominator {d}, "
                 f"von Staudt-Clausen says {math.prod(primes)}"
             )
         if (n + sum(d // p for p in primes)) % d:
-            raise ValueError(
+            raise CacheError(
                 f"cache entry for k={k} has numerator {n}, which fails "
                 f"von Staudt-Clausen modulo {d}"
             )
@@ -373,7 +379,7 @@ def seed_even_values(pairs: Iterable[tuple[int, tuple[int, int]]]) -> int:
         value = Fraction(n, d)
         if half < len(_EVEN):
             if _EVEN[half] != value:
-                raise ValueError(
+                raise CacheError(
                     f"cache entry for k={k} disagrees with computed value"
                 )
         elif half == len(_EVEN):

@@ -14,16 +14,14 @@ each including its LF). A zero-byte file is a valid empty cache. Anything
 else malformed is rejected loudly, and the checksum catches accidental
 damage such as a torn or truncated file. It does not stop a deliberate
 edit that re-signs the file: a change of N_k by a multiple of D_k also
-passes von Staudt-Clausen and loads (README, "Cache format").
+passes von Staudt-Clausen and loads (README, "Cache format"). Bad data
+raises `bernoulli.CacheError`, the package's one error for it.
 
-A rewrite holds exactly the even prefix 2..k of the command's k: the
-loader seeds only the gap-free even prefix, so entries past a gap, at
-odd k or at k = 0 are not carried over.
+This module holds the format and two bridges to the Bernoulli memo;
+`cli.main` alone decides when a file is read and written.
 
 Concurrency contract: one writer or many readers. Writes go through a
-temp file plus atomic rename, so readers never observe a torn file. A
-command whose k the file's checked prefix already reaches writes
-nothing, so warm readers never write.
+temp file plus atomic rename, so readers never observe a torn file.
 """
 
 from __future__ import annotations
@@ -32,25 +30,18 @@ import os
 from math import gcd
 from pathlib import Path
 
-from .bernoulli import bernoulli, seed_even_values
+from .bernoulli import CacheError, bernoulli, seed_even_values
 
 __all__ = [
     "CACHE_HEADER",
-    "CacheError",
     "CacheStore",
     "cache_load",
     "cache_store",
     "warm_bernoulli",
     "snapshot_bernoulli",
-    "load_and_warm",
-    "store_snapshot",
 ]
 
 CACHE_HEADER = "moser-ladder-cache v1"
-
-
-class CacheError(Exception):
-    """A cache file that cannot be loaded; the message names the fault."""
 
 
 class CacheStore:
@@ -58,18 +49,6 @@ class CacheStore:
 
     def __init__(self, entries: dict[int, tuple[int, int]] | None = None):
         self.entries = {} if entries is None else entries
-
-    def put(self, k: int, n: int, d: int) -> None:
-        if k < 0:
-            raise ValueError(f"cache index must be >= 0, got {k}")
-        if d < 1:
-            raise ValueError(f"cache denominator must be >= 1, got {d}")
-        if gcd(abs(n), d) != 1:
-            raise ValueError(f"cache entry for k={k} not in lowest terms")
-        self.entries[k] = (n, d)
-
-    def sorted_items(self) -> list[tuple[int, tuple[int, int]]]:
-        return sorted(self.entries.items())
 
 
 def _digest(payload: bytes) -> str:
@@ -89,9 +68,7 @@ def cache_load(path: str | Path) -> CacheStore:
         raise CacheError(f"{path}: not an ascii text file") from exc
     if not text.endswith("\n"):
         raise CacheError(f"{path}: missing trailing newline")
-    lines = text.split("\n")[:-1]
-    if not lines:
-        raise CacheError(f"{path}: no header line")
+    lines = text.split("\n")[:-1]  # not empty: text ends in LF
     if lines[0] != CACHE_HEADER:
         if lines[0].startswith("moser-ladder-cache"):
             raise CacheError(
@@ -117,20 +94,25 @@ def cache_load(path: str | Path) -> CacheStore:
             k, n, d = (int(p) for p in parts)
         except ValueError as exc:
             raise CacheError(f"{path}:{lineno}: non-integer field") from exc
+        # last_k starts at -1, so this also rejects k < 0
         if k <= last_k:
             raise CacheError(f"{path}:{lineno}: indices not ascending")
+        if d < 1:
+            raise CacheError(
+                f"{path}:{lineno}: cache denominator must be >= 1, got {d}")
+        if gcd(abs(n), d) != 1:
+            raise CacheError(
+                f"{path}:{lineno}: cache entry for k={k} not in lowest terms")
         last_k = k
-        try:
-            store.put(k, n, d)
-        except ValueError as exc:
-            raise CacheError(f"{path}:{lineno}: {exc}") from exc
+        store.entries[k] = (n, d)
     return store
 
 
 def cache_store(store: CacheStore, path: str | Path) -> None:
     """Write the cache atomically (temp file in place, then rename)."""
     path = Path(path)
-    payload = "".join(f"{k}\t{n}\t{d}\n" for k, (n, d) in store.sorted_items())
+    payload = "".join(f"{k}\t{n}\t{d}\n"
+                      for k, (n, d) in sorted(store.entries.items()))
     text = (CACHE_HEADER + "\n" + payload
             + _digest(payload.encode("ascii")) + "\n")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -148,10 +130,7 @@ def warm_bernoulli(store: CacheStore) -> int:
     modulo the denominator; failure raises CacheError. Returns the largest
     k seeded.
     """
-    try:
-        return seed_even_values(store.entries.items())
-    except ValueError as exc:
-        raise CacheError(str(exc)) from exc
+    return seed_even_values(store.entries.items())
 
 
 def snapshot_bernoulli(k_max: int) -> CacheStore:
@@ -159,25 +138,6 @@ def snapshot_bernoulli(k_max: int) -> CacheStore:
     needed)."""
     store = CacheStore()
     for k in range(2, k_max + 1, 2):
-        b = bernoulli(k)
-        store.put(k, b.numerator, b.denominator)
+        b = bernoulli(k)  # a Fraction, so in lowest terms
+        store.entries[k] = (b.numerator, b.denominator)
     return store
-
-
-def load_and_warm(path: str | Path) -> int:
-    """Load the cache at `path`, if it exists, and seed the Bernoulli memo
-    from it. Returns the largest k seeded (0 if there was nothing to
-    load); pass it to store_snapshot."""
-    if not os.path.exists(path):
-        return 0
-    return warm_bernoulli(cache_load(path))
-
-
-def store_snapshot(path: str | Path, k: int, seeded: int) -> None:
-    """Write the even entries 2..k to `path`, and nothing else. Does
-    nothing when the even part of k is at most `seeded`, the top of the
-    gap-free prefix `load_and_warm` seeded and checked: the file then
-    already holds every entry the command used."""
-    if k - k % 2 <= seeded:
-        return
-    cache_store(snapshot_bernoulli(k), path)

@@ -7,13 +7,13 @@ failures, 2 usage errors, 3 I/O or cache errors, 4 internal faults (a
 broken arithmetic invariant or a sweep worker lost without a result,
 never a bad input; after a cache seeded the memo, a broken invariant
 first recomputes the seeded entries, and a bad one is a cache error).
-`main` alone touches the Bernoulli cache, and runs the `cache` module
-only for a run with a cache file: it loads the cache before the command
-runs, and after the command has printed its answer (for verify, the
-report) it writes the cache at most once, with exactly the even entries
-2..k of the k the command returns, so a failed write is a stderr
-warning, not an error. A cache whose checked prefix already reached
-that k is not written at all.
+`main` alone decides when the Bernoulli cache is read and written, and
+runs the `cache` module only for a run with a cache file: it loads an
+existing file before the command runs, and after the command has printed
+its answer (for verify, the report) writes the cache at most once, with
+exactly the even entries 2..k of the k the command returns, so a failed
+write is a stderr warning. A cache whose checked prefix already reaches
+that k is not written. Bad cache data raises one class, `CacheError`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bernoulli import MemoPoisonedError, bernoulli, numerator_survey
+from .bernoulli import CacheError, bernoulli, numerator_survey
 from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
@@ -75,9 +75,9 @@ def _cache_path(args) -> str | None:
     return args.cache or default_cache_path()
 
 
-# Each cmd_* prints its answer and returns (exit code, k): the even
-# entries 2..k of the Bernoulli table are written back to the cache,
-# unless its checked prefix already reaches k.
+# Each cmd_* prints its answer and returns (exit code, k), k - k % 2 the
+# largest even index of the Bernoulli table it read: `main` writes the
+# even entries 2..k back to the cache.
 
 
 def cmd_bern(args) -> tuple[int, int]:
@@ -87,7 +87,7 @@ def cmd_bern(args) -> tuple[int, int]:
            "denominator": str(b.denominator), "value": str(b)},
           ["k", "numerator", "denominator"],
           [[args.k, b.numerator, b.denominator]])
-    return 0, args.k
+    return 0, 0 if args.k % 2 else args.k  # odd k reads no table entry
 
 
 def cmd_powersum(args) -> tuple[int, int]:
@@ -336,24 +336,25 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     path = _cache_path(args)
-    seeded = 0
+    seeded = 0  # top of the gap-free even prefix seeded and checked
     try:
-        seeded = cachemod.load_and_warm(path) if path else 0
-        code, k_store = args.func(args)
-        try:
-            if path:
-                cachemod.store_snapshot(path, k_store, seeded)
-        except OSError as exc:
-            print(f"warning: cache not written: {exc}", file=sys.stderr)
+        if path and os.path.exists(path):
+            seeded = cachemod.warm_bernoulli(cachemod.cache_load(path))
+        code, k = args.func(args)
+        if path and k - k % 2 > seeded:
+            try:
+                cachemod.cache_store(cachemod.snapshot_bernoulli(k), path)
+            except OSError as exc:
+                print(f"warning: cache not written: {exc}", file=sys.stderr)
         return code
-    except (cachemod.CacheError, MemoPoisonedError, OSError) as exc:
+    except (CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ArithmeticError, RuntimeError) as exc:
         if isinstance(exc, ArithmeticError) and seeded:
             try:  # recompute the seeded entries: was the cache at fault?
                 bernoulli(seeded + 2)
-            except MemoPoisonedError as poisoned:
+            except CacheError as poisoned:
                 print(f"error: {poisoned}", file=sys.stderr)
                 return 3
         print(f"internal error: {exc}", file=sys.stderr)

@@ -145,7 +145,7 @@ def test_extension_checks_seeded_entries(fresh_memo):
     assert seed_even_values(pairs) == 12
     assert bernoulli(12) == Fraction(2039, 2730)  # served as seeded
     assert bmod._SEIDEL == []
-    with pytest.raises(bmod.MemoPoisonedError,
+    with pytest.raises(bmod.CacheError,
                        match="^memo entry for k=12 disagrees "):
         bernoulli(14)
     assert len(bmod._EVEN) == 7
@@ -327,8 +327,11 @@ def test_seed_rejects_bad_denominator():
 
 def test_seed_rejects_wrong_value():
     bernoulli(2)  # ensure the memo already covers the index
-    with pytest.raises(ValueError):
-        seed_even_values([(2, (5, 6))])
+    # 7/6 = (N_2 + D_2)/D_2 passes both von Staudt-Clausen tests, so only
+    # the comparison with the memo rejects it
+    with pytest.raises(bmod.CacheError,
+                       match="^cache entry for k=2 disagrees with computed"):
+        seed_even_values([(2, (7, 6))])
 
 
 def test_seed_rejects_numerator_failing_vsc(fresh_memo):

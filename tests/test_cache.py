@@ -2,9 +2,9 @@
 
 import pytest
 
+from moser_ladder.bernoulli import CacheError
 from moser_ladder.cache import (
     CACHE_HEADER,
-    CacheError,
     CacheStore,
     cache_load,
     cache_store,
@@ -21,7 +21,8 @@ def test_round_trip(tmp_path):
     path = tmp_path / "bern.cache"
     store = _sample_store()
     cache_store(store, path)
-    assert cache_load(path).sorted_items() == store.sorted_items()
+    assert (sorted(cache_load(path).entries.items())
+            == sorted(store.entries.items()))
 
 
 def test_file_shape(tmp_path):
@@ -62,6 +63,13 @@ def test_alien_header(tmp_path):
     path = tmp_path / "alien.cache"
     path.write_text("something else\n", encoding="ascii")
     with pytest.raises(CacheError, match="bad header 'something else'"):
+        cache_load(path)
+
+
+def test_header_only(tmp_path):
+    path = tmp_path / "header.cache"
+    path.write_text(CACHE_HEADER + "\n", encoding="ascii")
+    with pytest.raises(CacheError, match="missing checksum line"):
         cache_load(path)
 
 
@@ -127,14 +135,15 @@ def test_out_of_order_records(tmp_path):
         cache_load(path)
 
 
-def test_put_validates():
-    store = CacheStore()
-    with pytest.raises(ValueError):
-        store.put(-2, 1, 6)
-    with pytest.raises(ValueError):
-        store.put(2, 1, 0)
-    with pytest.raises(ValueError):
-        store.put(2, 2, 12)  # not lowest terms
+def test_load_validates_each_record(tmp_path):
+    path = tmp_path / "bern.cache"
+    for record, error in (
+            ("-2\t1\t6", ":2: indices not ascending"),  # a negative index
+            ("2\t1\t0", ":2: cache denominator must be >= 1, got 0"),
+            ("2\t2\t12", ":2: cache entry for k=2 not in lowest terms")):
+        path.write_bytes(_hand_rolled([record]))
+        with pytest.raises(CacheError, match=error):
+            cache_load(path)
 
 
 def test_warm_bernoulli_seeds_prefix():
@@ -142,8 +151,8 @@ def test_warm_bernoulli_seeds_prefix():
 
 
 def test_warm_rejects_vsc_mismatch():
-    store = CacheStore()
-    store.put(2, 1, 10)  # lowest terms, but not a Bernoulli denominator
+    # lowest terms, but not a Bernoulli denominator
+    store = CacheStore({2: (1, 10)})
     with pytest.raises(CacheError, match="k=2 has denominator 10, .* says 6"):
         warm_bernoulli(store)
 
@@ -152,7 +161,7 @@ def test_warm_rejects_poisoned_numerator(tmp_path):
     # B_12 edited to -697/2730 and the checksum recomputed: the file loads,
     # but the numerator fails von Staudt-Clausen modulo D_12
     store = _sample_store()
-    store.put(12, -697, 2730)
+    store.entries[12] = (-697, 2730)
     path = tmp_path / "bern.cache"
     cache_store(store, path)
     with pytest.raises(CacheError, match="k=12 .*von Staudt-Clausen"):
@@ -160,14 +169,13 @@ def test_warm_rejects_poisoned_numerator(tmp_path):
 
 
 def test_warm_ignores_odd_and_gap_entries():
-    store = CacheStore()
-    store.put(2, 1, 6)
-    store.put(3, 1, 2)  # odd index: not part of the even prefix
-    store.put(6, 1, 42)  # gap at 4: past the end of the even prefix
+    # k = 3 is odd, not part of the even prefix; the gap at 4 puts k = 6
+    # past its end
+    store = CacheStore({2: (1, 6), 3: (1, 2), 6: (1, 42)})
     assert warm_bernoulli(store) == 2
 
 
 def test_snapshot_holds_exactly_the_even_prefix():
-    assert snapshot_bernoulli(9).sorted_items() == [
+    assert sorted(snapshot_bernoulli(9).entries.items()) == [
         (2, (1, 6)), (4, (-1, 30)), (6, (1, 42)), (8, (-1, 30))]
     assert snapshot_bernoulli(1).entries == {}

@@ -334,7 +334,7 @@ def test_verify_survives_an_unwritable_cache(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, k_max", [
-    (["bern", "7"], 6),
+    (["bern", "7"], None),
     (["powersum", "9", "5"], 8),
     (["gk", "10", "5"], 10),
     (["ladder", "12", "5"], 12),
@@ -795,6 +795,15 @@ def test_a_command_runs_only_the_modules_it_calls(command, runs, tmp_path):
         f"assert main({argv!r}) == 0")
     assert ran & _ON_DEMAND == runs
     assert ("json" in added) == command.startswith("verify")
+
+
+def test_a_usage_error_runs_no_cache_module():
+    # `main` sorts errors by classes that `bernoulli` defines, so a
+    # --seedless usage error never compiles `cache` to read an except
+    _, ran = _modules_added_by(
+        "from moser_ladder.cli import main\n"
+        "assert main(['bern', '-1', '--seedless']) == 2")
+    assert _CACHE not in ran
 
 
 def test_serial_verify_never_loads_the_pool():

@@ -55,3 +55,21 @@ def test_semiprime_past_trial_bound_goes_through_rho(monkeypatch):
     assert factorize(n) == {100_003: 1, 100_019: 1}
     assert rho == [n]
     assert sorted(calls) == [100_003, 100_019, n]
+
+
+def test_strong_pseudoprime_to_the_first_twelve_prime_bases():
+    # the smallest strong pseudoprime to the bases 2..37: base 41 rejects it
+    n = 318665857834031151167461
+    assert all(_primes._miller_rabin(n, b)
+               for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert not _primes.is_prime(n)
+    assert factorize(n) == {399165290221: 1, 798330580441: 1}
+
+
+def test_past_the_proven_limit_the_lucas_test_decides():
+    # the proven limit is itself a strong pseudoprime to all 13 bases:
+    # only the strong Lucas test rejects it
+    n = _primes._MR_PROVEN_LIMIT
+    assert all(_primes._miller_rabin(n, b) for b in _primes._MR_BASES)
+    assert not _primes.is_prime(n)
+    assert _primes.is_prime(2**89 - 1)

@@ -709,20 +709,20 @@ def test_min_max_inline_rung_matches_gcd_with_power():
 @example(top=20, past=8, odd=3, k=40)
 def test_cache_rewrite_is_the_even_prefix_of_the_query(top, past, odd, k):
     # a file with the gap-free even prefix 2..top, then a gap at top + 2,
-    # one entry past it, one at an odd k and one at k = 0; a query whose
-    # even part the prefix reaches leaves the file untouched, and any
-    # other leaves exactly the even prefix 2..k
+    # one entry past it, one at an odd k and one at k = 0; an odd query
+    # (B_k = 0 reads no entry) or an even one the prefix reaches leaves the
+    # file untouched, and any other leaves exactly the even prefix 2..k
     store = cachemod.snapshot_bernoulli(top)
     for j in (top + 4 + 2 * past, odd, 0):
         b = bernoulli(j)
-        store.put(j, b.numerator, b.denominator)
+        store.entries[j] = (b.numerator, b.denominator)
     with tempfile.TemporaryDirectory() as tmp:
         path, want = Path(tmp) / "bern.cache", Path(tmp) / "want.cache"
         cachemod.cache_store(store, path)
         before, mtime = path.read_bytes(), path.stat().st_mtime_ns
         with redirect_stdout(io.StringIO()):
             assert cli.main(["bern", str(k), "--cache", str(path)]) == 0
-        if k - k % 2 <= top:
+        if k % 2 or k <= top:
             assert path.read_bytes() == before
             assert path.stat().st_mtime_ns == mtime
         else:

@@ -546,6 +546,15 @@ def test_min_max_rows_widen_window():
     assert hit["max_witness"] == "691"
 
 
+def test_min_max_row_without_a_certificate_asserts_only_the_minimum():
+    # 7^2 divides N_98, below the default trial bound: the two minimum
+    # cells still run, the four that need the closed form are inapplicable
+    spec = GridSpec(k_min=98, k_max=98, m_max=10, checks=("min-max",))
+    [check] = run_sweep(spec)["checks"]
+    assert (check["pass"], check["fail"], check["inapplicable"]) == (2, 0, 4)
+    assert [hit["certified"] for hit in check["hits"]] == [False]
+
+
 def test_observational_checks_never_fail():
     spec = GridSpec(k_min=1, k_max=6, m_max=50,
                     checks=("ratio-search", "em-scan", "crossover-bracket",
