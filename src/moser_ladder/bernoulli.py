@@ -203,18 +203,6 @@ def _smallest_square_prime(n: int, bound: int,
     return next(p for p in _primes.primes_up_to(bound) if sq % p == 0)
 
 
-def _square_free_status(n: int, bound: int, g: int) -> SquareFreeStatus:
-    """The one square-factor decision: the status of n = |N_k| >= 1 at
-    the trial bound, given g = gcd(n, primorial(bound)), the product of
-    the primes <= the bound that divide n (1 when n = 1)."""
-    if n == 1:
-        return SquareFreeStatus("trivial")
-    p = _smallest_square_prime(n, bound, g)
-    if p is None:
-        return SquareFreeStatus("no-square-factor-below", bound=bound)
-    return SquareFreeStatus("square-factor", prime=p)
-
-
 def square_free_status(k: int, trial_bound: int) -> SquareFreeStatus:
     """Search |N_k| for a square factor p^2 over the primes p <= trial_bound.
 
@@ -225,8 +213,12 @@ def square_free_status(k: int, trial_bound: int) -> SquareFreeStatus:
     """
     _check_trial_bound(trial_bound)
     n = abs(numerator(k))
-    g = 1 if n == 1 else gcd(n, _primes.primorial(trial_bound))
-    return _square_free_status(n, trial_bound, g)
+    if n == 1:
+        return SquareFreeStatus("trivial")
+    p = _smallest_square_prime(n, trial_bound)
+    if p is None:
+        return SquareFreeStatus("no-square-factor-below", bound=trial_bound)
+    return SquareFreeStatus("square-factor", prime=p)
 
 
 # Documented escalation ladder for hunting square factors; k = 228 flags
@@ -245,8 +237,8 @@ def numerator_survey(ks: range, trial_bound: int) -> list[dict]:
 
     The bound is checked first, even for an empty ks. One `primorial_gcds`
     call over the survey's own |N_k| > 1 gives each g = gcd(|N_k|,
-    primorial(bound)), and `_square_free_status` the status; nothing
-    outlives the call. Primality reads the same g: if
+    primorial(bound)), and `_smallest_square_prime` the square factor;
+    nothing outlives the call. Primality reads the same g: if
     1 < g < |N_k|, g is a proper factor and |N_k| is composite, so the
     primality test (deterministic at desk scale, see _primes) runs only
     when g is 1 or |N_k|."""
@@ -258,7 +250,7 @@ def numerator_survey(ks: range, trial_bound: int) -> list[dict]:
     records = []
     for k, n in zip(ks, ns):
         g = next(gcds) if n > 1 else 1
-        p = _square_free_status(n, trial_bound, g).prime
+        p = _smallest_square_prime(n, trial_bound, g)
         records.append({
             "k": k,
             "digits": len(str(n)),

@@ -41,6 +41,7 @@ from typing import Iterable, NamedTuple
 from . import _primes
 from .bernoulli import (
     SquareFreeStatus,
+    _require_even,
     bernoulli,
     denominator,
     numerator,
@@ -65,18 +66,13 @@ __all__ = [
 ]
 
 
-def _require_even(k: int) -> None:
-    if k < 2 or k % 2:
-        raise ValueError(f"defined for even k >= 2 only, got {k}")
-
-
 def gcd_ratio(k: int, m: int) -> Fraction:
     """g(m) = gcd(S_k(m), S_k(m+1)) / m, both sums evaluated directly.
 
     Even k >= 2, m >= 2. Always a positive rational whose denominator
     divides m.
     """
-    _require_even(k)
+    _require_even(k, "gcd_ratio")
     if m < 2:
         raise ValueError(f"gcd_ratio needs m >= 2, got {m}")
     return Fraction(gcd(power_sum(k, m), power_sum(k, m + 1)), m)
@@ -179,7 +175,7 @@ def _ladder_from_sums(k: int, m: int, s: int, s_next: int) -> GcdLadder:
 
 def gcd_ladder(k: int, m: int) -> GcdLadder:
     """Full ladder record at one (k, m); sums from the closed form."""
-    _require_even(k)
+    _require_even(k, "gcd_ladder")
     if m < 2:
         raise ValueError(f"gcd_ladder needs m >= 2, got {m}")
     return _ladder_from_sums(k, m, power_sum(k, m), power_sum(k, m + 1))
@@ -249,7 +245,7 @@ def congruence_check(
     `diff` accepts a precomputed S_k(m) - B_k m; without it the sum comes
     from the closed form.
     """
-    _require_even(k)
+    _require_even(k, "congruence_check")
     if m < 1:
         raise ValueError(f"congruence_check needs m >= 1, got {m}")
     if r not in (1, 2, 3):
@@ -282,7 +278,7 @@ def prime_local_congruences(
     k: int, m: int, diff: Fraction | None = None
 ) -> list[PrimeLocalVerdict]:
     """Level 2 and 3 prime-local verdicts for every prime power in m."""
-    _require_even(k)
+    _require_even(k, "prime_local_congruences")
     if m < 2:
         raise ValueError(f"prime_local_congruences needs m >= 2, got {m}")
     b = bernoulli(k)
@@ -388,7 +384,7 @@ def min_max_scan(
     Raises WindowTooSmallError unless m_max >= max(D, |N|): a window that
     excludes a witness cannot certify an extreme over all m >= 2.
     """
-    _require_even(k)
+    _require_even(k, "min_max_scan")
     n_abs = abs(numerator(k))
     d = denominator(k)
     if m_max < max(d, n_abs):
@@ -487,7 +483,7 @@ class CrossGcdVerdict(NamedTuple):
 
 def cross_gcd_check(k: int, s: int) -> CrossGcdVerdict:
     """Verify the cross-index gcd structure at one (k, s)."""
-    _require_even(k)
+    _require_even(k, "cross_gcd_check")
     if s not in CROSS_GCD_OFFSETS:
         raise ValueError(f"s must be one of {CROSS_GCD_OFFSETS}, got {s}")
     if k - s < 2:

@@ -6,12 +6,15 @@ information. Budgets are wall-clock and asserted where stated.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
+import moser_ladder
 from moser_ladder.bernoulli import (
     bernoulli,
     denominator,
@@ -231,12 +234,14 @@ def test_criterion_12_analytic_bounds():
 
 def test_criterion_13_deterministic_reports():
     t0 = time.perf_counter()
+    src = str(Path(moser_ladder.__file__).resolve().parents[1])
 
     def run(jobs: str) -> dict:
         out = subprocess.run(
             [sys.executable, "-m", "moser_ladder.cli", "verify", "standard",
              "--jobs", jobs, "--format", "json", "--seedless"],
             capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
         )
         assert out.returncode == 0, out.stderr
         data = json.loads(out.stdout)

@@ -18,10 +18,14 @@ from moser_ladder import cli, sweeps
 from pins import canonical
 
 
+SRC = str(Path(moser_ladder.__file__).resolve().parents[1])
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "moser_ladder.cli", *args],
-        capture_output=True, text=True, **kwargs,
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), **kwargs,
     )
 
 
@@ -235,7 +239,10 @@ def test_usage_error_verify_needs_one_mode():
                  ["quick", "--trial-bound", "10000"],
                  ["--grid", "2-6:20", "--checks", ""],
                  ["--grid", "2-6:20", "--checks", "gcd-ladder,,min-max"],
-                 ["--grid", "2-6:20", "--trial-bound", "0"]):
+                 ["--grid", "2-6:20", "--trial-bound", "0"],
+                 ["--grid", "12"],
+                 ["--grid", "2-x:5"],
+                 ["--grid", "2-6:y"]):
         out = run_cli("verify", *argv, "--seedless")
         assert (out.returncode, out.stdout) == (2, ""), argv
         assert out.stderr.startswith("error: "), argv
@@ -732,9 +739,8 @@ def _modules_added_by(statement: str) -> tuple[list[str], set[str]]:
             "       and type(module) is types.ModuleType]\n"
             "sys.stderr.write(' '.join(sorted(set(sys.modules) - before))\n"
             "                 + '\\n' + ' '.join(ran))\n")
-    src = str(Path(moser_ladder.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         text=True, env=dict(os.environ, PYTHONPATH=SRC),
                          check=True)
     added, ran = out.stderr.split("\n")[-2:]
     return added.split(), set(ran.split())

@@ -15,6 +15,7 @@ from moser_ladder.bernoulli import (
 from moser_ladder.gcdlab import (
     CROSS_GCD_OFFSETS,
     WindowTooSmallError,
+    _ladder_rungs,
     congruence_check,
     cross_gcd_check,
     gcd_ladder,
@@ -88,6 +89,13 @@ def test_residual_factor():
     assert lad.residual == 1 and lad.residual_primes_divide_numerator
     for m in range(2, 30):
         assert gcd_ladder(12, m).residual_primes_divide_numerator, m
+    # no real cell has gcd(S, m^k) > gcd(S, m^3) at desk scale, so a
+    # synthetic S = 5^6 * 7 at k = 10, m = 5 gives the residual 5^3; its
+    # prime divides |N| = 5 (stripped by the loop) but not |N| = 7
+    s = 5**6 * 7
+    for n_abs, ok in ((5, True), (7, False)):
+        rungs = _ladder_rungs(10, 5, s, gcd(s, s + 5**10), 5**10, n_abs, 66)
+        assert rungs[-3:] == (125, ok, True), n_abs
 
 
 def test_m4_explore_low_k_equals_m3():
