@@ -1,6 +1,5 @@
-"""Prime arithmetic helpers: sieve, smallest-prime-factor table,
-primorials, a remainder tree and the primorial gcds taken from it,
-primality, small factorization.
+"""Prime arithmetic helpers: sieve, primorials and gcds with them,
+primality, factorization.
 
 Everything here is deterministic for the input sizes this package meets.
 Miller-Rabin to the first 13 prime bases is a proven primality test below
@@ -16,10 +15,7 @@ from math import gcd, isqrt
 
 __all__ = [
     "primes_up_to",
-    "smallest_prime_factors",
-    "factor_with_table",
     "primorial",
-    "remainders",
     "primorial_gcds",
     "is_prime",
     "factorize",
@@ -64,36 +60,6 @@ def primes_up_to(n: int) -> list[int]:
     return _sieve_cache[: bisect_right(_sieve_cache, n)]
 
 
-def smallest_prime_factors(n: int) -> list[int]:
-    """Table t with t[i] the smallest prime factor of i for 2 <= i <= n
-    (t[0] = 0, t[1] = 1). Not cached: one table serves a whole sweep row.
-
-    The primes p <= sqrt(n) mark their multiples from p^2 on, largest p
-    first, so the last mark a composite gets is its smallest prime factor
-    (which is at most its square root). Primes keep t[i] = i.
-    """
-    table = list(range(n + 1))
-    for p in reversed(primes_up_to(isqrt(n))):
-        table[p * p :: p] = [p] * len(range(p * p, n + 1, p))
-    return table
-
-
-def factor_with_table(
-    n: int, table: list[int]
-) -> list[tuple[int, int]]:
-    """(prime, multiplicity) pairs of 1 <= n < len(table), ascending, read
-    off a smallest_prime_factors table; the items of factorize(n)."""
-    out = []
-    while n > 1:
-        p = table[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
 def primorial(n: int) -> int:
     """Product of all primes <= n: chunks of a few primes, each a product
     of a few words, then multiplied pairwise up a balanced tree. Cached,
@@ -109,42 +75,28 @@ def primorial(n: int) -> int:
     return got
 
 
-def remainders(n: int, moduli: list[int]) -> list[int]:
-    """[n % q for q in moduli], moduli positive, from one remainder tree
-    (Bernstein, "How to find smooth parts of integers", 2004): the moduli
-    are multiplied pairwise up a product tree, n is reduced modulo the
-    root, and each remainder again modulo the two products below it. A
-    large n meets one long division by the root instead of one per
-    modulus, and the divisions further down are on numbers no larger
-    than the root."""
-    tree = [moduli]
-    while len(tree[-1]) > 1:
-        level = tree[-1]
-        tree.append([math.prod(level[i : i + 2])
-                     for i in range(0, len(level), 2)])
-    rems = [n]
-    for level in reversed(tree):
-        rems = [rems[i // 2] % q for i, q in enumerate(level)]
-    return rems
-
-
 def primorial_gcds(ns: list[int], bound: int) -> list[int]:
     """[gcd(n, primorial(bound)) for n in ns], n >= 1, in greedy blocks:
-    a block takes the next n while the product of its n stays within the
-    primorial's bits and shares one `remainders` tree, which costs less
-    than a long division of the primorial per n. An empty ns builds no
-    primorial."""
+    a block takes the next n while the product M of its n stays within
+    the primorial's bits, and one gcd g = gcd(M, P) with the primorial P
+    serves the whole block, since gcd(n, g) = gcd(n, P) for each n that
+    divides M. That costs less than a long division of the primorial per
+    n. An empty ns builds no primorial."""
     if not ns:
         return []
     p = primorial(bound)
-    gcds, block, bits = [], [], 0
+    blocks, bits = [[]], 0
     for n in ns:
         bits += n.bit_length()
-        if block and bits > p.bit_length():
-            gcds += map(gcd, block, remainders(p, block))
-            block, bits = [], n.bit_length()
-        block.append(n)
-    return gcds + list(map(gcd, block, remainders(p, block)))
+        if blocks[-1] and bits > p.bit_length():
+            blocks.append([])
+            bits = n.bit_length()
+        blocks[-1].append(n)
+    gcds = []
+    for block in blocks:
+        g = gcd(math.prod(block), p)
+        gcds += [gcd(n, g) for n in block]
+    return gcds
 
 
 def _miller_rabin(n: int, base: int) -> bool:

@@ -45,9 +45,9 @@ __all__ = [
 
 _B1 = Fraction(-1, 2)
 
-# _EVEN[i] = B_{2i}; grown on demand, never shrunk. Safe to share across
-# threads only because entries are immutable and appends are GIL-atomic;
-# parallel sweeps precompute the needed range up front instead of racing.
+# _EVEN[i] = B_{2i}; grown on demand, never shrunk. `sweeps.run_grids`
+# fills it to the grids' largest k before it forks, and the workers
+# inherit it.
 _EVEN: list[Fraction] = [Fraction(1)]
 
 # Row 2n - 1 of Seidel's triangle, n = len(_SEIDEL): its n entries end in

@@ -7,10 +7,10 @@ table `_CHECKS`; the check order, the rows of a grid, grid validation
 and `max_bernoulli_index` are read from it. The work is a list of rows,
 one per check and k. One worker runs the whole list in-process. With
 w > 1 workers the rows are grouped into units, the rows of one k, with
-all numerator-scan rows (which share one remainder tree) as one unit of
+all numerator-scan rows (which share one survey) as one unit of
 their own; the units are dealt heaviest first, by a static weight per
 row, each to the least-loaded of w slices, and each worker runs one
-slice, so no column, table or survey tree is built by two workers. A
+slice, so no column, table or survey is built by two workers. A
 slice runs its rows k by k. The parent fills the Bernoulli table, then
 forks w - 1 children, which inherit it; it runs the heaviest slice
 itself while each child runs one other and sends its rows back as one
@@ -37,8 +37,8 @@ gcd(S_k(m), S_k(m+1)), each built once per k, on first use, through the
 `powersum` module attributes. A consecutive gcd takes S_k(m) from the
 running sums and S_k(m+1) from the closed-form column, so the ladder's
 consecutive-gcd cell, and `trivial-gcd-iff`, which reads the same gcds,
-compare the two routes. The slice also holds the factor lists of every m (one
-smallest-prime-factor table, read by `congruences` at every k), the
+compare the two routes. The slice also holds the factor lists of every m
+(one `factorize` call per m, read by `congruences` at every k), the
 records of one numerator survey of the grid's k, and the scope of the
 `powersum._powers` m^k tables, each grown from the table of an earlier k
 at the same bound. All of it exists only while a slice runs; a row
@@ -72,7 +72,7 @@ from typing import Callable, NamedTuple
 # absolute imports run these lazy modules now: forked workers inherit them
 import moser_ladder.gcdlab as gcdlab
 import moser_ladder.powersum as ps
-from ._primes import factor_with_table, smallest_prime_factors
+from ._primes import factorize
 from ._version import __version__
 from .bernoulli import (
     _check_trial_bound,
@@ -209,10 +209,8 @@ def _consecutive_gcds(k: int, ms: range) -> list[int]:
 
 @_in_sweep
 def _factor_lists(m_max: int) -> list[list[tuple[int, int]]]:
-    """(prime, multiplicity) pairs of each m at index m, 0 <= m <= m_max,
-    read off one smallest-prime-factor table."""
-    table = smallest_prime_factors(m_max)
-    return [factor_with_table(m, table) for m in range(m_max + 1)]
+    """(prime, multiplicity) pairs of each m at index m, 0 <= m <= m_max."""
+    return [[]] + [list(factorize(m).items()) for m in range(1, m_max + 1)]
 
 
 def _row_faulhaber(k: int, spec: GridSpec) -> _Row:
@@ -490,7 +488,7 @@ def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
 # Static cost estimates of one row, for dealing rows to workers. An
 # m-cell row grows with its m range and with k (the size of S_k(m)), a
 # min-max row with its prefix; a survey row stands for its share of the
-# sieve, primorial and remainder tree its unit builds once (about 30 ms
+# sieve, primorial and block gcds its unit takes once (about 30 ms
 # for the 125 rows of `extended`, cold). One unit is about 0.04 us.
 
 

@@ -1,0 +1,45 @@
+"""Each library entry point rejects an argument outside its domain with a
+ValueError that names the function and the bad value."""
+
+import re
+from fractions import Fraction
+
+import pytest
+
+from moser_ladder._primes import factorize
+from moser_ladder.bernoulli import divides_rational, size_estimate
+from moser_ladder.gcdlab import (
+    congruence_check,
+    cross_gcd_check,
+    gcd_ladder,
+    prime_local_congruences,
+)
+from moser_ladder.powersum import crossover, em_scan, search_ratio
+
+B = Fraction(1, 6)
+
+CASES = [
+    (gcd_ladder, (10, 1), "gcd_ladder needs m >= 2, got 1"),
+    (congruence_check, (10, 0, 1), "congruence_check needs m >= 1, got 0"),
+    (congruence_check, (10, 5, 4),
+     "congruence_check supports r in 1..3, got 4"),
+    (prime_local_congruences, (10, 1),
+     "prime_local_congruences needs m >= 2, got 1"),
+    (cross_gcd_check, (20, 3),
+     "s must be one of (2, 4, 6, 8, 10, 14), got 3"),
+    (cross_gcd_check, (10, 10), "needs k - s >= 2, got k=10, s=10"),
+    (divides_rational, (0, 1, B), "divides_rational needs m >= 1, got 0"),
+    (divides_rational, (2, 0, B), "divides_rational needs r >= 1, got 0"),
+    (size_estimate, (10, 0), "zeta_terms must be >= 1, got 0"),
+    (factorize, (0,), "factorize wants n >= 1, got 0"),
+    (crossover, (0,), "crossover needs k >= 1, got 0"),
+    (search_ratio, (0, 5), "search_ratio needs k_max >= 1, m_max >= 3"),
+    (em_scan, (3, 1), "em_scan needs k_max >= 1, m_max >= 2"),
+]
+
+
+@pytest.mark.parametrize("call, args, message", CASES,
+                         ids=[f"{f.__name__}{a}" for f, a, _ in CASES])
+def test_out_of_domain_arguments_raise_value_error(call, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)

@@ -114,22 +114,23 @@ def test_scan_numerators_plain():
 
 
 def _count_survey_blocks(monkeypatch) -> list[int]:
-    """Record the length of every remainder-tree block from here on."""
+    """Record how many numbers each `primorial_gcds` call takes from here
+    on."""
     primes = importlib.import_module("moser_ladder._primes")
-    real = primes.remainders
+    real = primes.primorial_gcds
     blocks = []
 
-    def counted(p, block):
-        blocks.append(len(block))
-        return real(p, block)
+    def counted(ns, bound):
+        blocks.append(len(ns))
+        return real(ns, bound)
 
-    monkeypatch.setattr(primes, "remainders", counted)
+    monkeypatch.setattr(primes, "primorial_gcds", counted)
     return blocks
 
 
 def test_scan_builds_one_survey_tree_on_a_fresh_table(monkeypatch, capsys):
     # the survey grows the table to --kmax, so the numerators to k = 250
-    # share one remainder tree, not one tree each: the 121 of the 125
+    # share one primorial_gcds call, not one call each: the 121 of the 125
     # with |N_k| > 1 (|N_k| = 1 at k = 2, 4, 6 and 8 needs no gcd)
     bmod = importlib.import_module("moser_ladder.bernoulli")
     argv = ["scan", "numerators", "--kmax", "250", "--trial-bound", "100000",
@@ -213,10 +214,15 @@ def test_usage_error_non_integer():
 
 
 def test_usage_error_domain():
-    out = run_cli("gk", "3", "5", "--seedless")
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert "error" in out.stderr
+    # the library's ValueError text, as the CLI prints it
+    for argv, message in (
+            (["gk", "3", "5"], "gcd_ratio needs even k >= 2, got 3"),
+            (["ladder", "10", "1"], "gcd_ladder needs m >= 2, got 1"),
+            (["search", "ratio", "--kmax", "0", "--mmax", "5"],
+             "search_ratio needs k_max >= 1, m_max >= 3")):
+        out = run_cli(*argv, "--seedless")
+        assert (out.returncode, out.stdout) == (2, ""), argv
+        assert out.stderr == f"error: {message}\n", argv
 
 
 def test_usage_error_no_command():

@@ -1,8 +1,9 @@
 """Every name a package module imports is used there or re-exported,
-every name a module exports exists, no module checks an invariant with
-`assert`, the CLI picks the output format in one place, the CLI
-reads no private name of the package, and the package's lazy modules
-give the same names as eager ones would.
+every name a module exports exists, every export of `_primes` is read
+by another module, no module checks an invariant with `assert`, the CLI
+picks the output format in one place, the CLI reads no private name of
+the package, and the package's lazy modules give the same names as
+eager ones would.
 
 A stand-in for a linter's unused-import rule: each module of
 `src/moser_ladder/` is parsed with `ast`, and every name bound by an
@@ -77,6 +78,26 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def test_every_primes_export_is_read_by_another_module():
+    # `_primes` is the package's private arithmetic layer: a name it
+    # exports that no other module imports or reads as `_primes.<name>`
+    # serves only tests, and is dead code
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "_primes":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("_primes", "moser_ladder._primes")):
+                read.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "_primes"):
+                read.add(node.attr)
+    tree = ast.parse((PACKAGE / "_primes.py").read_text())
+    assert sorted(_exported(tree) - read) == []
 
 
 def _uses_by_function(tree: ast.Module, is_use) -> dict[str, int]:

@@ -73,3 +73,10 @@ def test_past_the_proven_limit_the_lucas_test_decides():
     assert all(_primes._miller_rabin(n, b) for b in _primes._MR_BASES)
     assert not _primes.is_prime(n)
     assert _primes.is_prime(2**89 - 1)
+    # a prime n = 1 mod 4: n + 1 is twice an odd number, so the strong
+    # Lucas test can only accept at U_t = 0 or V_t = 0; Proth's theorem
+    # certifies n
+    n = 3 * 2**189 + 1
+    assert pow(5, (n - 1) // 2, n) == n - 1
+    assert _primes._strong_lucas(n)
+    assert _primes.is_prime(n)

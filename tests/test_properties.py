@@ -16,14 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 from moser_ladder import cache as cachemod
 from moser_ladder import cli, gcdlab, powersum, sweeps
 from moser_ladder._primes import (
-    factor_with_table,
     factorize,
     is_prime,
     primes_up_to,
     primorial,
     primorial_gcds,
-    remainders,
-    smallest_prime_factors,
 )
 from moser_ladder.bernoulli import (
     SQUARE_FREE_ESCALATION,
@@ -482,22 +479,6 @@ def test_power_sum_matches_full_horner(k, m):
     assert power_sum(k, m) == _power_sum_full_horner(k, m)
 
 
-# ---- factor table: smallest prime factors vs factorize
-
-
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(n=st.integers(1, 200_000), picks=st.lists(st.integers(0, 10**9),
-                                                  min_size=1, max_size=40))
-def test_factor_table_matches_factorize(n, picks):
-    table = smallest_prime_factors(n)
-    assert len(table) == n + 1 and table[:2] == [0, 1]
-    for m in {1 + pick % n for pick in picks} | {n}:
-        want = factorize(m)
-        assert factor_with_table(m, table) == list(want.items())
-        if m >= 2:
-            assert table[m] == min(want)
-
-
 # ---- searches: stopping at the crossover vs scanning every m
 
 
@@ -616,10 +597,15 @@ def test_power_sums_match_naive_sums(k, ms):
 
 
 @FAST
-@given(n=st.integers(0, 10**400), moduli=st.lists(
-    st.integers(1, 10**60), max_size=40))
-def test_remainder_tree_matches_each_remainder(n, moduli):
-    assert remainders(n, moduli) == [n % q for q in moduli]
+@given(ns=st.lists(st.one_of(st.integers(1, 10**400), st.integers(1, 10**40)),
+                   max_size=40),
+       bound=st.integers(2, 3000))
+@example(ns=[10**400 - 1, 6, 35, 10**400 + 1, 2**64 * 3**5], bound=1000)
+def test_primorial_gcds_match_direct_gcds(ns, bound):
+    # primorial(3000) has about 4300 bits, so a list of numbers up to
+    # 10^400 falls into several blocks
+    p = primorial(bound)
+    assert primorial_gcds(ns, bound) == [gcd(n, p) for n in ns]
 
 
 _TRIAL_BOUNDS = st.one_of(st.integers(2, 10**5),
@@ -633,22 +619,23 @@ _TRIAL_BOUNDS = st.one_of(st.integers(2, 10**5),
 @example(bound=10, lo=250, hi=48, grown=100, other=10**5)
 def test_batched_survey_gcds_match_direct_gcds(bound, lo, hi, grown, other):
     # a survey of the even k in [lo, hi], after the table has grown to
-    # `grown`, takes its gcds in blocks of exactly its own numerators > 1,
-    # none past its top however far the table reaches; each gcd is the
-    # direct one, at this bound and at another, wherever the blocks fall
+    # `grown`, takes its gcds in one call over exactly its own numerators
+    # > 1, none past its top however far the table reaches; each gcd is
+    # the direct one, at this bound and at another, wherever the blocks
+    # fall
     ks = range(min(lo, hi), max(lo, hi) + 1, 2)
     bernoulli(grown)
     big = [n for n in (abs(numerator(k)) for k in ks) if n > 1]
-    real = primes_mod.remainders
-    blocks = []
+    real = primes_mod.primorial_gcds
+    calls = []
 
-    def counted(p, block):
-        blocks.append(block)
-        return real(p, block)
+    def counted(ns, b):
+        calls.append(ns)
+        return real(ns, b)
 
-    with mock.patch.object(primes_mod, "remainders", counted):
+    with mock.patch.object(primes_mod, "primorial_gcds", counted):
         numerator_survey(ks, bound)
-    assert [n for block in blocks for n in block] == big
+    assert calls == [big]
     for b in (bound, other):
         want = [gcd(n, primorial(b)) for n in big]
         assert primorial_gcds(big, b) == want, b

@@ -222,23 +222,23 @@ def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
     # a worker runs whole units, all rows of one k or all survey rows, so
     # at 2 workers the closed forms are still 14,640 points (see
     # test_extended_builds_each_closed_form_once) and the survey's
-    # remainder tree is built once, over the survey's 121 numerators > 1
+    # primorial gcds are taken once, over the survey's 121 numerators > 1
     # however far the table reaches (here k = 1000, as after a warm cache)
     primes = importlib.import_module("moser_ladder._primes")
-    real_sums, real_tree = powersum.power_sums, primes.remainders
-    points, trees = [], []
+    real_sums, real_gcds = powersum.power_sums, primes.primorial_gcds
+    points, surveys = [], []
 
     def counted_sums(k, ms):
         ms = list(ms)
         points.extend((k, m) for m in ms)
         return real_sums(k, ms)
 
-    def counted_tree(p, block):
-        trees.append(len(block))
-        return real_tree(p, block)
+    def counted_gcds(ns, bound):
+        surveys.append(len(ns))
+        return real_gcds(ns, bound)
 
     monkeypatch.setattr(powersum, "power_sums", counted_sums)
-    monkeypatch.setattr(primes, "remainders", counted_tree)
+    monkeypatch.setattr(primes, "primorial_gcds", counted_gcds)
     specs = PROFILES["extended"]
     sweeps.bernoulli(max(1000, max_bernoulli_index(specs)))
     tasks = _tasks(specs)
@@ -246,7 +246,7 @@ def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
     for at in slices:
         sweeps._run_slice([tasks[i] for i in at])
     assert len(points) == 14_640
-    assert trees == [121]
+    assert surveys == [121]
     assert sorted(i for at in slices for i in at) == list(range(len(tasks)))
     where: dict = {}
     for n, at in enumerate(slices):
