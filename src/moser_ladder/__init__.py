@@ -50,9 +50,9 @@ _OWNER = {name: module for module, names in (
     (cache, ("CacheStore", "cache_load", "cache_store",
              "snapshot_bernoulli", "warm_bernoulli")),
     (gcdlab, ("CongruenceVerdict", "CrossGcdVerdict", "GcdLadder",
-              "MinMaxResult", "PrimeLocalVerdict", "WindowTooSmallError",
-              "congruence_check", "cross_gcd_check", "gcd_ladder",
-              "gcd_ratio", "min_max_scan", "prime_local_congruences")),
+              "MinMaxResult", "PrimeLocalVerdict", "congruence_check",
+              "cross_gcd_check", "gcd_ladder", "gcd_ratio", "min_max_scan",
+              "prime_local_congruences")),
     (powersum, ("RatioHit", "crossover", "em_scan", "power_sum",
                 "power_sum_naive", "running_sums", "search_ratio")),
     (sweeps, ("CHECK_ORDER", "PROFILES", "GridSpec", "run_sweep",

@@ -4,7 +4,7 @@ One binary, one subcommand per library operation. The data stream
 (stdout) carries only the requested artifact; everything else goes to
 stderr. Exit codes are the machine-readable outcome: 0 success, 1 check
 failures, 2 usage errors, 3 I/O or cache errors, 4 internal faults (a
-broken arithmetic invariant or a sweep worker lost without a result,
+broken arithmetic invariant, a lost sweep worker or any uncaught error,
 never a bad input; after a cache seeded the memo, a broken invariant
 first recomputes the seeded entries, and a bad one is a cache error).
 `main` alone decides when the Bernoulli cache is read and written, and
@@ -350,18 +350,19 @@ def main(argv: list[str] | None = None) -> int:
     except (CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ArithmeticError, RuntimeError) as exc:
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug, never a bad input or a failed check
         if isinstance(exc, ArithmeticError) and seeded:
             try:  # recompute the seeded entries: was the cache at fault?
                 bernoulli(seeded + 2)
             except CacheError as poisoned:
                 print(f"error: {poisoned}", file=sys.stderr)
                 return 3
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

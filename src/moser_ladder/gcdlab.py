@@ -1,7 +1,7 @@
 """Gcd structure of power sums: the normalized gcd of consecutive sums,
 its closed forms in terms of Bernoulli numerators and denominators, the
 congruences S_k(m) = B_k m (mod m^r) with their applicability gates, and
-the window scan for the extremes of the normalized gcd.
+the min/max scan for the extremes of the normalized gcd.
 
 Notation used throughout: S = S_k(m), N = numerator(k), D = denominator(k),
 g(m) = gcd(S_k(m), S_k(m+1)) / m.
@@ -47,7 +47,7 @@ from .bernoulli import (
     numerator,
     square_free_status,
 )
-from .powersum import power_sum, running_sums
+from .powersum import _check_m_max, power_sum, running_sums
 
 __all__ = [
     "gcd_ratio",
@@ -57,7 +57,6 @@ __all__ = [
     "congruence_check",
     "PrimeLocalVerdict",
     "prime_local_congruences",
-    "WindowTooSmallError",
     "MinMaxResult",
     "min_max_scan",
     "CrossGcdVerdict",
@@ -326,35 +325,34 @@ def _gcd_with_power(s: int, m: int, k: int) -> int:
     return nxt
 
 
-class WindowTooSmallError(ValueError):
-    """min_max_scan window must contain both witnesses D and |N|."""
+# the brute-force prefix of min_max_scan runs on past m_max to the larger
+# witness max(D, |N|) when that witness is below this m
+_PREFIX_CAP = 2048
 
 
 class MinMaxResult(NamedTuple):
-    """Extremes of g over 2 <= m <= m_max.
+    """Extremes of g over every m >= 2, from a brute-force prefix and both
+    witnesses D and |N|.
 
-    The window must contain both witnesses D and |N|. Every m up to
-    prefix_limit is evaluated by definition, g(m) = a/m with
-    a = gcd(S_k(m), S_k(m+1)) = gcd(S_k(m), m^k), taken from the first
-    stable rung gcd(S_k(m), m^j): rungs 1 and 2 from one S_k(m) mod m^2,
-    and `_gcd_with_power` only where they differ; both witnesses are
-    evaluated by definition regardless of size. On the rest of the window the
-    square-free closed form g(m) = gcd(N, m)/gcd(D, m) bounds g between
-    1/D and |N| pointwise, so the witness values are the exact extremes
-    whenever `certified` is set. `certified` is not stored: it reads
-    `square_free.certified`, the one rule, which holds when the search
-    found no square factor below trial_bound (square-freeness above the
-    bound is the closed form's hypothesis, taken as verified). The
-    minimum needs no square-free input: g(m) >= 1/gcd(D, m)
+    Every m of the prefix 2 <= m <= prefix_limit is evaluated by
+    definition, g(m) = a/m with a = gcd(S_k(m), S_k(m+1)) = gcd(S_k(m), m^k),
+    taken from the first stable rung gcd(S_k(m), m^j): rungs 1 and 2 from
+    one S_k(m) mod m^2, and `_gcd_with_power` only where they differ; both
+    witnesses are evaluated by definition regardless of size. Past the
+    prefix the square-free closed form g(m) = gcd(N, m)/gcd(D, m) bounds g
+    between 1/D and |N| pointwise, so the witness values are the exact
+    extremes whenever `certified` is set. `certified` is not stored: it
+    reads `square_free.certified`, the one rule, which holds when the
+    search found no square factor below the trial bound (square-freeness
+    above the bound is the closed form's hypothesis, taken as verified).
+    The minimum needs no square-free input: g(m) >= 1/gcd(D, m)
     unconditionally, so min_value is exact whenever the witness attains it.
     When `certified` is false, max_value is only a lower bound for the
     true supremum and the scan reports, never asserts.
     """
 
     k: int
-    m_max: int
     prefix_limit: int
-    trial_bound: int
     square_free: SquareFreeStatus
     min_value: Fraction
     min_witness: int
@@ -373,25 +371,18 @@ class MinMaxResult(NamedTuple):
         return self.square_free.certified
 
 
-def min_max_scan(
-    k: int,
-    m_max: int,
-    prefix_limit: int = 2048,
-    trial_bound: int = 10_000,
-) -> MinMaxResult:
-    """Scan g over [2, m_max] for its extremes and their smallest witnesses.
+def min_max_scan(k: int, m_max: int,
+                 trial_bound: int = 10_000) -> MinMaxResult:
+    """The extremes of g over every m >= 2 and their smallest witnesses.
 
-    Raises WindowTooSmallError unless m_max >= max(D, |N|): a window that
-    excludes a witness cannot certify an extreme over all m >= 2.
+    The brute-force prefix covers every m <= m_max, and runs on to the
+    larger witness max(D, |N|) when that is below `_PREFIX_CAP`. m_max is
+    bounded like every table over m (`powersum.MAX_M`).
     """
     _require_even(k, "min_max_scan")
+    _check_m_max(m_max)
     n_abs = abs(numerator(k))
     d = denominator(k)
-    if m_max < max(d, n_abs):
-        raise WindowTooSmallError(
-            f"k={k}: window m_max={m_max} must contain witnesses "
-            f"D={d} and |N|={n_abs}"
-        )
     status = square_free_status(k, trial_bound)
     certified = status.certified
 
@@ -399,7 +390,7 @@ def min_max_scan(
     # form where the closed form is certified to apply. g(m) = a/m is kept
     # unreduced and compared by cross-multiplication; strict comparisons
     # keep the first witness of each extreme.
-    limit = min(m_max, max(prefix_limit, 2))
+    limit = max(m_max, min(max(d, n_abs), _PREFIX_CAP))
     lo_a = hi_a = 1  # g(2) = gcd(S_k(2), S_k(3)) / 2 = 1/2
     prefix_min_at = prefix_max_at = 2
     closed_agrees: bool | None = True if certified else None
@@ -433,25 +424,10 @@ def min_max_scan(
         max_value = prefix_max
 
     product = min_value * max_value
-    b = bernoulli(k)
-    return MinMaxResult(
-        k=k,
-        m_max=m_max,
-        prefix_limit=limit,
-        trial_bound=trial_bound,
-        square_free=status,
-        min_value=min_value,
-        min_witness=min_witness,
-        max_value=max_value,
-        max_witness=max_witness,
-        product=product,
-        product_matches_abs_b=product == abs(b),
-        prefix_min=prefix_min,
-        prefix_min_at=prefix_min_at,
-        prefix_max=prefix_max,
-        prefix_max_at=prefix_max_at,
-        prefix_closed_form_agrees=closed_agrees,
-    )
+    return MinMaxResult(k, limit, status, min_value, min_witness, max_value,
+                        max_witness, product, product == abs(bernoulli(k)),
+                        prefix_min, prefix_min_at, prefix_max, prefix_max_at,
+                        closed_agrees)
 
 
 # offsets s for the numerator/denominator cross gcd; these are the even s

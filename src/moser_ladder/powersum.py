@@ -91,6 +91,17 @@ def _check_km(k: int, m: int) -> None:
         raise ValueError(f"power sum needs m >= 1, got {m}")
 
 
+# the largest bound of a table over m (`_powers`, `running_sums` and the
+# sweep rows and min/max prefix built on them): one big integer per m
+MAX_M = 10**5
+
+
+def _check_m_max(m_max: int) -> None:
+    if not 1 <= m_max <= MAX_M:
+        raise ValueError(f"a table over m needs 1 <= m_max <= {MAX_M}, "
+                         f"got {m_max}")
+
+
 def power_sums(k: int, ms: Iterable[int]) -> list[int]:
     """[S_k(m) for m in ms] via the Bernoulli closed form, one Horner
     evaluation per m in one loop. Exact, integer results."""
@@ -156,7 +167,8 @@ def running_sums(k: int, m_max: int) -> Iterator[tuple[int, int]]:
     """Yield (m, S_k(m)) for m = 1..m_max by incremental summation over
     the `_powers` table of k at bound m_max: the route to S_k(m) of the
     sweep column and the min/max prefix."""
-    _check_km(k, max(m_max, 1))
+    _check_km(k, 1)
+    _check_m_max(m_max)
     return zip(range(1, m_max + 1),
                accumulate(_powers(k, m_max)[1:m_max], initial=0))
 

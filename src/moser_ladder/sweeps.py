@@ -394,13 +394,7 @@ def _row_min_max(k: int, spec: GridSpec) -> _Row:
     row = _Row("min-max", k)
     d = denominator(k)
     n_abs = abs(numerator(k))
-    window = max(spec.m_max, d, n_abs)
-    result = gcdlab.min_max_scan(
-        k,
-        window,
-        prefix_limit=max(2048, spec.m_max),
-        trial_bound=spec.trial_bound,
-    )
+    result = gcdlab.min_max_scan(k, spec.m_max, spec.trial_bound)
     row.cell(result.min_value == Fraction(1, d) and result.min_witness == d,
              f"{result.min_value} at {result.min_witness}", f"1/{d} at {d}",
              cell="min-attained")
@@ -465,7 +459,7 @@ def _row_crossover(k: int, spec: GridSpec) -> _Row:
 
 def _row_size_bounds(k: int, spec: GridSpec) -> _Row:
     row = _Row("size-bounds", k)
-    est = size_estimate(k, 64)
+    est = size_estimate(k)
     exact = exact_log_abs(k)
     rel = abs(est - exact) / abs(exact)
     row.cell(rel <= 1e-9, f"relative error {rel!r}", "<= 1e-9",
@@ -497,7 +491,7 @@ def _m_cells_weight(k: int, spec: GridSpec) -> int:
 
 
 def _min_max_weight(k: int, spec: GridSpec) -> int:
-    return max(2048, spec.m_max) * (k + 8)
+    return max(gcdlab._PREFIX_CAP, spec.m_max) * (k + 8)
 
 
 def _survey_weight(k: int, spec: GridSpec) -> int:
@@ -511,7 +505,8 @@ def _flat_weight(k: int, spec: GridSpec) -> int:
 class _Check(NamedTuple):
     """What a sweep knows of one check. k_min is the smallest k with a
     row (None: one k-independent row, key 0); reads_b means the rows read
-    B_k up to the grid's k_max, so the table is built that far first.
+    B_k up to the grid's k_max, so the table is built that far first;
+    tables_m means the rows build tables over m to the grid's m_max.
     weight(k, spec) estimates a row's cost; one_unit means every row of
     the check runs on one worker (they share one survey across k)."""
 
@@ -520,6 +515,7 @@ class _Check(NamedTuple):
     even_k: bool = True
     reads_b: bool = True
     reads_trial_bound: bool = False
+    tables_m: bool = False
     weight: Callable[[int, GridSpec], int] = _flat_weight
     one_unit: bool = False
 
@@ -528,20 +524,23 @@ class _Check(NamedTuple):
 _CHECKS: dict[str, _Check] = {
     "bernoulli-structure": _Check(_row_bernoulli_structure),
     "faulhaber-naive": _Check(_row_faulhaber, 1, even_k=False,
-                              weight=_m_cells_weight),
+                              tables_m=True, weight=_m_cells_weight),
     "telescoping": _Check(_row_telescoping, 1, even_k=False,
-                          weight=_m_cells_weight),
-    "s1-s3-identity": _Check(_row_s1s3, None, reads_b=False),
+                          tables_m=True, weight=_m_cells_weight),
+    "s1-s3-identity": _Check(_row_s1s3, None, reads_b=False, tables_m=True),
     "ratio-search": _Check(_row_ratio_search, 1, even_k=False,
                            reads_b=False),
     "em-scan": _Check(_row_em_scan, 1, even_k=False, reads_b=False),
-    "gcd-ladder": _Check(_row_gcd_ladder, weight=_m_cells_weight),
-    "congruences": _Check(_row_congruences, weight=_m_cells_weight),
-    "divisibility-equivalence": _Check(_row_div_equiv,
+    "gcd-ladder": _Check(_row_gcd_ladder, tables_m=True,
+                         weight=_m_cells_weight),
+    "congruences": _Check(_row_congruences, tables_m=True,
+                          weight=_m_cells_weight),
+    "divisibility-equivalence": _Check(_row_div_equiv, tables_m=True,
                                        weight=_m_cells_weight),
-    "trivial-gcd-iff": _Check(_row_trivial_gcd, weight=_m_cells_weight),
+    "trivial-gcd-iff": _Check(_row_trivial_gcd, tables_m=True,
+                              weight=_m_cells_weight),
     "special-values": _Check(_row_special_values),
-    "min-max": _Check(_row_min_max, reads_trial_bound=True,
+    "min-max": _Check(_row_min_max, reads_trial_bound=True, tables_m=True,
                       weight=_min_max_weight),
     "cross-gcd": _Check(_row_cross_gcd, 4),
     "crossover-bracket": _Check(_row_crossover),
@@ -626,6 +625,8 @@ class GridSpec(NamedTuple):
                 f"unknown checks: {', '.join(map(repr, unknown))}")
         if any(_CHECKS[c].reads_trial_bound for c in self.checks):
             _check_trial_bound(self.trial_bound)
+        if any(_CHECKS[c].tables_m for c in self.checks):
+            ps._check_m_max(self.m_max)
 
 
 def _rows_for(check: str, spec: GridSpec) -> range:

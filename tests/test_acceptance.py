@@ -137,9 +137,7 @@ def test_criterion_07_min_times_max():
     for k in range(2, 49, 2):
         status = square_free_status(k, 10_000)
         assert status.kind in ("trivial", "no-square-factor-below"), k
-        d = denominator(k)
-        n_abs = abs(numerator(k))
-        res = min_max_scan(k, max(300, d, n_abs))
+        res = min_max_scan(k, 300)
         assert res.certified, k
         assert res.product == abs(bernoulli(k)), k
         assert res.product_matches_abs_b, k

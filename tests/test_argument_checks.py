@@ -7,14 +7,20 @@ from fractions import Fraction
 import pytest
 
 from moser_ladder._primes import factorize
-from moser_ladder.bernoulli import divides_rational, size_estimate
+from moser_ladder.bernoulli import divides_rational
 from moser_ladder.gcdlab import (
     congruence_check,
     cross_gcd_check,
     gcd_ladder,
+    min_max_scan,
     prime_local_congruences,
 )
-from moser_ladder.powersum import crossover, em_scan, search_ratio
+from moser_ladder.powersum import (
+    crossover,
+    em_scan,
+    running_sums,
+    search_ratio,
+)
 
 B = Fraction(1, 6)
 
@@ -30,11 +36,16 @@ CASES = [
     (cross_gcd_check, (10, 10), "needs k - s >= 2, got k=10, s=10"),
     (divides_rational, (0, 1, B), "divides_rational needs m >= 1, got 0"),
     (divides_rational, (2, 0, B), "divides_rational needs r >= 1, got 0"),
-    (size_estimate, (10, 0), "zeta_terms must be >= 1, got 0"),
     (factorize, (0,), "factorize wants n >= 1, got 0"),
     (crossover, (0,), "crossover needs k >= 1, got 0"),
     (search_ratio, (0, 5), "search_ratio needs k_max >= 1, m_max >= 3"),
     (em_scan, (3, 1), "em_scan needs k_max >= 1, m_max >= 2"),
+    (min_max_scan, (10, 0),
+     "a table over m needs 1 <= m_max <= 100000, got 0"),
+    (min_max_scan, (10, 100_001),
+     "a table over m needs 1 <= m_max <= 100000, got 100001"),
+    (running_sums, (2, 100_001),
+     "a table over m needs 1 <= m_max <= 100000, got 100001"),
 ]
 
 

@@ -282,14 +282,6 @@ def test_escalation_ladder_is_sorted():
     assert SQUARE_FREE_ESCALATION[-1] == 100_000
 
 
-def test_size_estimate_small_index():
-    # zeta converges slowly at k = 2; the term count here keeps the
-    # partial-sum tail below 1e-5 of the exact value
-    est = size_estimate(2, zeta_terms=200_000)
-    exact = exact_log_abs(2)
-    assert abs(est - exact) / abs(exact) < 1e-5
-
-
 def test_size_estimate_default_terms():
     for k in range(10, 201, 2):
         rel = abs(size_estimate(k) - exact_log_abs(k)) / abs(exact_log_abs(k))

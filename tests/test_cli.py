@@ -294,6 +294,29 @@ def test_trial_bound_below_2_runs_no_row(monkeypatch, capsys):
             assert capsys.readouterr() == ("", error)
 
 
+def test_m_bound_runs_no_row(monkeypatch, capsys):
+    # every check that tables m rejects an m_max past powersum.MAX_M as a
+    # usage error before any row runs; the searches and the k-only checks
+    # build no table over m and take any m_max
+    def no_row(k, spec):
+        raise AssertionError("a row ran")
+
+    for check, entry in sweeps._CHECKS.items():
+        if entry.tables_m:
+            monkeypatch.setitem(sweeps._ROW_RUNNERS, check, no_row)
+    tables_m = [c for c, entry in sweeps._CHECKS.items() if entry.tables_m]
+    assert len(tables_m) == 8
+    for check in tables_m:
+        assert cli.main(["verify", "--grid", "2-2:1000000000", "--checks",
+                         check, "--seedless"]) == 2, check
+        assert capsys.readouterr() == ("", "error: a table over m needs "
+                                       "1 <= m_max <= 100000, got "
+                                       "1000000000\n"), check
+    assert cli.main(["verify", "--grid", "1-400:1000000000000", "--checks",
+                     "ratio-search,em-scan", "--seedless"]) == 0
+    assert capsys.readouterr().out.endswith("result: OK\n")
+
+
 def test_io_error_corrupt_cache(tmp_path):
     bad = tmp_path / "bad.cache"
     bad.write_bytes(b"not a cache file")
@@ -472,6 +495,22 @@ def test_internal_fault_exits_4(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: faulhaber cancellation failed at k=5\n"
+
+
+@pytest.mark.parametrize("exc, text", [
+    (TypeError("unsupported operand"), "unsupported operand"),
+    (MemoryError(), "MemoryError"),  # no message: the class names it
+], ids=["TypeError", "MemoryError"])
+def test_unexpected_exception_exits_4(monkeypatch, capsys, exc, text):
+    # any exception the program does not expect is an internal fault, not
+    # a traceback with exit 1 ("checks failed")
+    def broken(k, ms):
+        raise exc
+
+    monkeypatch.setattr(cli.ps, "power_sums", broken)
+    assert cli.main(["verify", "--grid", "2-4:10", "--checks", "telescoping",
+                     "--seedless"]) == 4
+    assert capsys.readouterr() == ("", f"internal error: {text}\n")
 
 
 _REAL_BERNOULLI = cli.ps.bernoulli

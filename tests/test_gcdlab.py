@@ -14,7 +14,6 @@ from moser_ladder.bernoulli import (
 )
 from moser_ladder.gcdlab import (
     CROSS_GCD_OFFSETS,
-    WindowTooSmallError,
     _ladder_rungs,
     congruence_check,
     cross_gcd_check,
@@ -174,16 +173,16 @@ def test_min_max_k10():
 
 
 def test_min_max_beyond_prefix():
-    res = min_max_scan(12, 3000, prefix_limit=100)
+    # D_12 = 2730 lies past the prefix, which stops at the cap 2048
+    res = min_max_scan(12, 100)
     assert (res.min_value, res.min_witness) == (Fraction(1, 2730), 2730)
     assert (res.max_value, res.max_witness) == (691, 691)
-    assert res.prefix_limit == 100
+    assert res.prefix_limit == 2048
     assert res.prefix_closed_form_agrees
 
 
-def test_min_max_window_must_cover_witnesses():
-    with pytest.raises(WindowTooSmallError):
-        min_max_scan(10, 50)  # D_10 = 66 outside
+def test_min_max_prefix_runs_on_to_a_witness_below_the_cap():
+    assert min_max_scan(10, 50).prefix_limit == 66  # D_10 = 66
 
 
 def test_cross_gcd_offsets():

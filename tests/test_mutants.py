@@ -57,7 +57,7 @@ def gcd_with_power_returns_rung_1(mp):
 
 def size_estimate_off(mp):
     _wrap(mp, sweeps, "size_estimate",
-          lambda real, k, terms: real(k, terms) * (1 + 1e-6))
+          lambda real, k: real(k) * (1 + 1e-6))
 
 
 def power_table_entry_plus_one(mp):

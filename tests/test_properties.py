@@ -209,8 +209,8 @@ def _fraction_prefix(k: int, limit: int, certified: bool, g, rung):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(k=_even(60), prefix=st.integers(2, 300), skew=st.integers(0, 40))
-def test_min_max_prefix_matches_fraction_scan(k, prefix, skew):
+@given(k=_even(60), m_max=st.integers(1, 300), skew=st.integers(0, 40))
+def test_min_max_prefix_matches_fraction_scan(k, m_max, skew):
     # skew > 1 doubles the values that fall in one residue class, in both
     # scans alike, so new extremes and closed-form disagreements appear on
     # purpose: every gcd keyed on its arguments (the closed forms, and
@@ -230,11 +230,12 @@ def test_min_max_prefix_matches_fraction_scan(k, prefix, skew):
     def rung(s, m, k):
         return skewed(gcd(s, m**k), m)
 
-    window = max(denominator(k), abs(numerator(k)))
     with mock.patch.object(gcdlab, "gcd", g), \
             mock.patch.object(gcdlab, "_gcd_with_power", rung):
-        res = gcdlab.min_max_scan(k, window, prefix_limit=prefix,
-                                  trial_bound=100)
+        res = gcdlab.min_max_scan(k, m_max, trial_bound=100)
+    # every m <= m_max, then on to the larger witness below the cap
+    witness = max(denominator(k), abs(numerator(k)))
+    assert res.prefix_limit == max(m_max, min(witness, gcdlab._PREFIX_CAP))
     got = (res.prefix_min, res.prefix_min_at, res.prefix_max,
            res.prefix_max_at, res.prefix_closed_form_agrees)
     assert got == _fraction_prefix(k, res.prefix_limit, res.certified, g,
@@ -659,8 +660,8 @@ def test_min_max_inline_rung_matches_gcd_with_power():
         n_abs, d = abs(numerator(k)), denominator(k)
         climbed.clear()
         with mock.patch.object(gcdlab, "_gcd_with_power", recorded):
-            res = gcdlab.min_max_scan(k, max(4096, d, n_abs),
-                                      prefix_limit=4096)
+            res = gcdlab.min_max_scan(k, 4096)
+        assert res.prefix_limit == 4096, k
         lo = hi = Fraction(1, 2)
         lo_at = hi_at = 2
         agrees = True if res.certified else None
