@@ -175,8 +175,9 @@ class SquareFreeStatus(NamedTuple):
         return self.kind != "square-factor"
 
 
-# Largest square-factor trial bound accepted: the primorial and the prime
+# Default and largest square-factor trial bound: the primorial and the prime
 # sieve of a bound grow with it (at 10^6, about 0.4 s and 21 MB).
+TRIAL_BOUND = 10_000
 MAX_TRIAL_BOUND = 10**6
 
 

@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bernoulli import CacheError, bernoulli, numerator_survey
+from .bernoulli import TRIAL_BOUND, CacheError, bernoulli, numerator_survey
 from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
@@ -201,7 +201,8 @@ def cmd_verify(args) -> tuple[int, int]:
         m_min, m_max = _parse_span(mspec, "m")
         checks = (sweeps.CHECK_ORDER if args.checks is None
                   else tuple(args.checks.split(",")))
-        trial_bound = 10_000 if args.trial_bound is None else args.trial_bound
+        trial_bound = (TRIAL_BOUND if args.trial_bound is None
+                       else args.trial_bound)
         specs = [sweeps.GridSpec(
             k_min=k_min, k_max=k_max, m_min=m_min, m_max=m_max,
             checks=checks, trial_bound=trial_bound,
@@ -297,8 +298,9 @@ def build_parser(verify: bool = True) -> argparse.ArgumentParser:
                             "bounded square-factor hunt")
     p.add_argument("what", choices=("numerators",))
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--trial-bound", type=int, default=10_000,
-                   help="largest square-factor trial bound (default 10000)")
+    p.add_argument("--trial-bound", type=int, default=TRIAL_BOUND,
+                   help="largest square-factor trial bound "
+                        "(default %(default)s)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", parents=[common],
@@ -314,7 +316,8 @@ def build_parser(verify: bool = True) -> argparse.ArgumentParser:
                             f" all; known: {', '.join(sweeps.CHECK_ORDER)})")
         p.add_argument("--trial-bound", type=int, default=None,
                        help="square-factor trial bound of min-max and "
-                            "numerator-scan, for --grid (default 10000)")
+                            "numerator-scan, for --grid (default "
+                            f"{TRIAL_BOUND})")
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes (at most the CPU count)")
     p.set_defaults(func=cmd_verify)
@@ -329,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     command = next((a for a in argv if not a.startswith("-")), None)
     parser = build_parser(verify=command == "verify")
     args = parser.parse_args(argv)
+    # argv is parsed; from here ints of any size print and cache (3.10.7+)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     if args.help_schema:
         _emit_json(sweeps.REPORT_SCHEMA)
         return 0

@@ -28,18 +28,20 @@ loop from rungs 1 and 2 of one S mod m^2, and from `_gcd_with_power`
 only where those two differ (the first stable rung gcd(S, m^j), on
 moduli of a few words); the ladder reads neither, so its rungs stay
 independent. The prefix reads S_k(m) from `powersum.running_sums`, the
-incremental route, from m = 2.
+incremental route, from m = 2. `_extreme_witnesses` picks the extremes'
+two witnesses and evaluates g at both, for min/max and special-values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import gcd
 from typing import Iterable, NamedTuple
 
 from . import _primes
 from .bernoulli import (
+    TRIAL_BOUND,
     SquareFreeStatus,
     _require_even,
     bernoulli,
@@ -330,9 +332,17 @@ def _gcd_with_power(s: int, m: int, k: int) -> int:
 _PREFIX_CAP = 2048
 
 
+def _extreme_witnesses(k: int) -> tuple[int, Fraction, int, Fraction]:
+    """(D, g(D), m, g(m)) with m = |N|, or the first m >= 2 coprime to D
+    when |N| = 1 (g = 1 there too); both values by definition, any size."""
+    d, n_abs = denominator(k), abs(numerator(k))
+    m = n_abs if n_abs >= 2 else next(j for j in count(2) if gcd(d, j) == 1)
+    return d, gcd_ratio(k, d), m, gcd_ratio(k, m)
+
+
 class MinMaxResult(NamedTuple):
     """Extremes of g over every m >= 2, from a brute-force prefix and both
-    witnesses D and |N|.
+    witnesses: D, and |N| or, when |N| = 1, the first m coprime to D.
 
     Every m of the prefix 2 <= m <= prefix_limit is evaluated by
     definition, g(m) = a/m with a = gcd(S_k(m), S_k(m+1)) = gcd(S_k(m), m^k),
@@ -372,8 +382,9 @@ class MinMaxResult(NamedTuple):
 
 
 def min_max_scan(k: int, m_max: int,
-                 trial_bound: int = 10_000) -> MinMaxResult:
-    """The extremes of g over every m >= 2 and their smallest witnesses.
+                 trial_bound: int = TRIAL_BOUND) -> MinMaxResult:
+    """The extremes of g over every m >= 2 and their smallest witnesses,
+    from `_extreme_witnesses`; the prefix is reported, never read for them.
 
     The brute-force prefix covers every m <= m_max, and runs on to the
     larger witness max(D, |N|) when that is below `_PREFIX_CAP`. m_max is
@@ -411,18 +422,7 @@ def min_max_scan(k: int, m_max: int,
     prefix_min = Fraction(lo_a, prefix_min_at)
     prefix_max = Fraction(hi_a, prefix_max_at)
 
-    # witnesses by definition, any size (cost is polynomial in log m)
-    min_witness = d
-    min_value = gcd_ratio(k, d)
-    if n_abs >= 2:
-        max_witness = n_abs
-        max_value = gcd_ratio(k, n_abs)
-    else:
-        # |N| = 1: the maximum 1 is attained at every m coprime to D N,
-        # first inside the prefix
-        max_witness = prefix_max_at
-        max_value = prefix_max
-
+    min_witness, min_value, max_witness, max_value = _extreme_witnesses(k)
     product = min_value * max_value
     return MinMaxResult(k, limit, status, min_value, min_witness, max_value,
                         max_witness, product, product == abs(bernoulli(k)),

@@ -75,6 +75,7 @@ import moser_ladder.powersum as ps
 from ._primes import factorize
 from ._version import __version__
 from .bernoulli import (
+    TRIAL_BOUND,
     _check_trial_bound,
     _divides_nd,
     _smallest_square_prime,
@@ -147,7 +148,7 @@ def _row_bernoulli_structure(k: int, spec: GridSpec) -> _Row:
              cell="divides-2(2^k-1)")
     # direct square-free probe of D, bounded; D == vsc product of distinct
     # primes already implies square-freeness, this probes it independently
-    sq = _smallest_square_prime(d, 10_000)
+    sq = _smallest_square_prime(d, TRIAL_BOUND)
     row.cell(sq is None, f"square factor {sq}", "square-free",
              cell="denominator-square-free")
     return row
@@ -368,20 +369,10 @@ def _row_trivial_gcd(k: int, spec: GridSpec) -> _Row:
 
 def _row_special_values(k: int, spec: GridSpec) -> _Row:
     row = _Row("special-values", k)
-    d = denominator(k)
-    n_abs = abs(numerator(k))
-    got_min = gcdlab.gcd_ratio(k, d)
+    d, got_min, m_wit, got_max = gcdlab._extreme_witnesses(k)
     row.cell(got_min == Fraction(1, d), got_min, Fraction(1, d),
              cell="value-at-D")
-    if n_abs >= 2:
-        m_wit = n_abs
-        want = Fraction(n_abs)
-    else:
-        # numerator is a unit: the top value 1 is taken at the first m
-        # coprime to D
-        m_wit = next(m for m in range(2, d + 3) if gcd(d, m) == 1)
-        want = Fraction(1)
-    got_max = gcdlab.gcd_ratio(k, m_wit)
+    want = Fraction(abs(numerator(k)))
     row.cell(got_max == want, got_max, want, cell="value-at-N")
     row.hits.append(
         {"k": k, "at_D": str(got_min), "witness_D": str(d),
@@ -612,7 +603,7 @@ class GridSpec(NamedTuple):
     k_min: int = 1
     m_min: int = 1
     checks: tuple[str, ...] = CHECK_ORDER
-    trial_bound: int = 10_000
+    trial_bound: int = TRIAL_BOUND
 
     def validate(self) -> None:
         if self.k_min < 1 or self.k_max < self.k_min:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 import moser_ladder
 from moser_ladder import cache as cachemod
 from moser_ladder import cli, sweeps
+from moser_ladder.bernoulli import bernoulli
 from pins import canonical
 
 
@@ -627,6 +629,33 @@ def test_cache_round_trip(tmp_path):
     assert header == "moser-ladder-cache v1"
     again = run_cli("bern", "20", "--cache", str(cache))
     assert again.stdout == first.stdout == "-174611/330\n"
+
+
+def _decimal(n: int) -> str:
+    # Decimal converts and prints without int -> str's digit limit
+    return str(Decimal(n))
+
+
+def test_naive_powersum_prints_past_the_digit_limit():
+    # S_1500(3000) has 5216 digits, past the 4300 that Python's int -> str
+    # conversion allows by default
+    out = run_cli("powersum", "1500", "3000", "--naive")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == _decimal(sum(i**1500 for i in range(3000))) + "\n"
+
+
+def test_cache_holds_values_past_the_digit_limit(tmp_path):
+    # k = 2064 is the first even k whose |N_k| is past 4300 digits: the
+    # query writes the cache after its answer, and a warm bern reads it back
+    cache = tmp_path / "bern.cache"
+    first = run_cli("gk", "2064", "5", "--cache", str(cache))
+    assert (first.returncode, first.stdout, first.stderr) == (0, "1/5\n", "")
+    written = cache.read_bytes()
+    warm = run_cli("bern", "2064", "--cache", str(cache))
+    assert (warm.returncode, warm.stderr) == (0, "")
+    b = bernoulli(2064)
+    assert warm.stdout == f"{_decimal(b.numerator)}/{b.denominator}\n"
+    assert cache.read_bytes() == written
 
 
 def _rewrite_entry(cache: Path, old: str, new: str) -> None:

@@ -37,7 +37,8 @@ COMMANDS = (
 )
 # argparse ends these with SystemExit; verify's help and its profile
 # choices read sweeps, which the parser adds only for a verify command
-USAGE = ("--help", "verify --help", "bern --help", "verify bogus")
+USAGE = ("--help", "verify --help", "bern --help", "scan --help",
+         "verify bogus")
 CASES = [f"{command} --format {fmt}"
          for command in COMMANDS for fmt in cli.FORMATS] + list(USAGE)
 

@@ -14,6 +14,7 @@ from moser_ladder.bernoulli import (
 )
 from moser_ladder.gcdlab import (
     CROSS_GCD_OFFSETS,
+    _extreme_witnesses,
     _ladder_rungs,
     congruence_check,
     cross_gcd_check,
@@ -154,6 +155,8 @@ def test_min_max_small_window():
     res = min_max_scan(2, 50)
     assert (res.min_value, res.min_witness) == (Fraction(1, 6), 6)
     assert (res.max_value, res.max_witness) == (1, 5)
+    # |N_2| = 1: the maximum's witness is the first m coprime to D_2 = 6
+    assert _extreme_witnesses(2) == (6, Fraction(1, 6), 5, 1)
     assert res.certified
     assert res.product == Fraction(1, 6)
     assert res.product_matches_abs_b
@@ -163,12 +166,15 @@ def test_min_max_k8():
     res = min_max_scan(8, 50)
     assert (res.min_value, res.min_witness) == (Fraction(1, 30), 30)
     assert (res.max_value, res.max_witness) == (1, 7)
+    assert _extreme_witnesses(8) == _extreme_witnesses(4) == (
+        30, Fraction(1, 30), 7, 1)
 
 
 def test_min_max_k10():
     res = min_max_scan(10, 100)
     assert (res.min_value, res.min_witness) == (Fraction(1, 66), 66)
     assert (res.max_value, res.max_witness) == (5, 5)
+    assert _extreme_witnesses(10) == (66, Fraction(1, 66), 5, 5)
     assert res.product_matches_abs_b
 
 
@@ -177,6 +183,7 @@ def test_min_max_beyond_prefix():
     res = min_max_scan(12, 100)
     assert (res.min_value, res.min_witness) == (Fraction(1, 2730), 2730)
     assert (res.max_value, res.max_witness) == (691, 691)
+    assert _extreme_witnesses(12) == (2730, Fraction(1, 2730), 691, 691)
     assert res.prefix_limit == 2048
     assert res.prefix_closed_form_agrees
 

@@ -190,9 +190,9 @@ def test_counterexample_text_is_pinned_in_parallel(monkeypatch):
 def test_extended_builds_each_closed_form_once(monkeypatch):
     # faulhaber-naive, telescoping, gcd-ladder and trivial-gcd-iff share
     # one column of closed forms per k: 48 k times m = 1..301 (14,448),
-    # plus 152 for the witnesses of special-values and min-max (two sums
-    # per gcd_ratio) and 40 for the crossover certificates (c - 1 and c
-    # at 20 k). Every closed form is a point of `power_sums`;
+    # plus 160 for the witnesses: 80 `gcd_ratio` calls of special-values
+    # and min-max, two sums each, and 40 for the crossover certificates
+    # (c - 1 and c at 20 k). Every closed form is a point of `power_sums`;
     # `power_sum` is its one-point case.
     real = powersum.power_sums
     calls = []
@@ -204,7 +204,7 @@ def test_extended_builds_each_closed_form_once(monkeypatch):
 
     monkeypatch.setattr(powersum, "power_sums", counted)
     assert digest(verify_all("extended")) == pinned("extended")
-    assert len(calls) == 14_640
+    assert len(calls) == 14_648
 
 
 _M_CELL_CHECKS = ("faulhaber-naive", "telescoping", "gcd-ladder",
@@ -220,7 +220,7 @@ def _tasks(specs: list[GridSpec]) -> list[tuple[str, int, GridSpec]]:
 
 def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
     # a worker runs whole units, all rows of one k or all survey rows, so
-    # at 2 workers the closed forms are still 14,640 points (see
+    # at 2 workers the closed forms are still 14,648 points (see
     # test_extended_builds_each_closed_form_once) and the survey's
     # primorial gcds are taken once, over the survey's 121 numerators > 1
     # however far the table reaches (here k = 1000, as after a warm cache)
@@ -245,7 +245,7 @@ def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
     slices = sweeps._slices(tasks, sweeps._units(tasks), 2)
     for at in slices:
         sweeps._run_slice([tasks[i] for i in at])
-    assert len(points) == 14_640
+    assert len(points) == 14_648
     assert surveys == [121]
     assert sorted(i for at in slices for i in at) == list(range(len(tasks)))
     where: dict = {}
