@@ -27,6 +27,7 @@ temp file plus atomic rename, so readers never observe a torn file.
 from __future__ import annotations
 
 import os
+import sys
 from math import gcd
 from pathlib import Path
 
@@ -93,6 +94,11 @@ def cache_load(path: str | Path) -> CacheStore:
         try:
             k, n, d = (int(p) for p in parts)
         except ValueError as exc:
+            if all(p.removeprefix("-").isdigit() for p in parts):
+                raise CacheError(  # only the int-to-str limit rejects these
+                    f"{path}:{lineno}: field longer than the interpreter's "
+                    f"{sys.get_int_max_str_digits()}-digit int limit "
+                    f"(sys.set_int_max_str_digits)") from exc
             raise CacheError(f"{path}:{lineno}: non-integer field") from exc
         # last_k starts at -1, so this also rejects k < 0
         if k <= last_k:

@@ -28,7 +28,8 @@ loop from rungs 1 and 2 of one S mod m^2, and from `_gcd_with_power`
 only where those two differ (the first stable rung gcd(S, m^j), on
 moduli of a few words); the ladder reads neither, so its rungs stay
 independent. The prefix reads S_k(m) from `powersum.running_sums`, the
-incremental route, from m = 2. `_extreme_witnesses` picks the extremes'
+incremental route, for 2 <= m <= m_max, the grid's m range, like every
+other table over m. `_extreme_witnesses` picks the extremes'
 two witnesses and evaluates g at both, for min/max and special-values.
 """
 
@@ -236,15 +237,12 @@ def _congruence_cells(
     return cells
 
 
-def congruence_check(
-    k: int, m: int, r: int, diff: Fraction | None = None
-) -> CongruenceVerdict:
-    """Check S_k(m) = B_k m (mod m^r) for r in 1, 2, 3.
+def congruence_check(k: int, m: int, r: int) -> CongruenceVerdict:
+    """Check S_k(m) = B_k m (mod m^r) for r in 1, 2, 3, with S_k(m) from
+    the closed form.
 
     Applicability gates: r = 1 needs k >= 2 only; r = 2 needs k >= 4 and
     gcd(D, m) = 1; r = 3 needs k >= 6 and m | B_k (p-adically).
-    `diff` accepts a precomputed S_k(m) - B_k m; without it the sum comes
-    from the closed form.
     """
     _require_even(k, "congruence_check")
     if m < 1:
@@ -253,8 +251,7 @@ def congruence_check(
         raise ValueError(f"congruence_check supports r in 1..3, got {r}")
     b = bernoulli(k)
     n, d = b.numerator, b.denominator
-    num = (_diff_numerator(k, m, power_sum(k, m), n, d) if diff is None
-           else Fraction(diff).numerator)
+    num = _diff_numerator(k, m, power_sum(k, m), n, d)
     _, _, applicable, holds = _congruence_cells(k, m, num, (), n, d)[r - 1]
     return CongruenceVerdict(k, m, r, applicable, holds)
 
@@ -275,17 +272,15 @@ class PrimeLocalVerdict(NamedTuple):
     holds: bool
 
 
-def prime_local_congruences(
-    k: int, m: int, diff: Fraction | None = None
-) -> list[PrimeLocalVerdict]:
-    """Level 2 and 3 prime-local verdicts for every prime power in m."""
+def prime_local_congruences(k: int, m: int) -> list[PrimeLocalVerdict]:
+    """Level 2 and 3 prime-local verdicts for every prime power in m, with
+    S_k(m) from the closed form."""
     _require_even(k, "prime_local_congruences")
     if m < 2:
         raise ValueError(f"prime_local_congruences needs m >= 2, got {m}")
     b = bernoulli(k)
     n, d = b.numerator, b.denominator
-    num = (_diff_numerator(k, m, power_sum(k, m), n, d) if diff is None
-           else Fraction(diff).numerator)
+    num = _diff_numerator(k, m, power_sum(k, m), n, d)
     factors = _primes.factorize(m).items()
     cells = iter(_congruence_cells(k, m, num, factors, n, d)[3:])
     out = []
@@ -327,11 +322,6 @@ def _gcd_with_power(s: int, m: int, k: int) -> int:
     return nxt
 
 
-# the brute-force prefix of min_max_scan runs on past m_max to the larger
-# witness max(D, |N|) when that witness is below this m
-_PREFIX_CAP = 2048
-
-
 def _extreme_witnesses(k: int) -> tuple[int, Fraction, int, Fraction]:
     """(D, g(D), m, g(m)) with m = |N|, or the first m >= 2 coprime to D
     when |N| = 1 (g = 1 there too); both values by definition, any size."""
@@ -344,8 +334,8 @@ class MinMaxResult(NamedTuple):
     """Extremes of g over every m >= 2, from a brute-force prefix and both
     witnesses: D, and |N| or, when |N| = 1, the first m coprime to D.
 
-    Every m of the prefix 2 <= m <= prefix_limit is evaluated by
-    definition, g(m) = a/m with a = gcd(S_k(m), S_k(m+1)) = gcd(S_k(m), m^k),
+    Every m of the prefix 2 <= m <= m_max is evaluated by definition,
+    g(m) = a/m with a = gcd(S_k(m), S_k(m+1)) = gcd(S_k(m), m^k),
     taken from the first stable rung gcd(S_k(m), m^j): rungs 1 and 2 from
     one S_k(m) mod m^2, and `_gcd_with_power` only where they differ; both
     witnesses are evaluated by definition regardless of size. Past the
@@ -362,7 +352,6 @@ class MinMaxResult(NamedTuple):
     """
 
     k: int
-    prefix_limit: int
     square_free: SquareFreeStatus
     min_value: Fraction
     min_witness: int
@@ -386,9 +375,9 @@ def min_max_scan(k: int, m_max: int,
     """The extremes of g over every m >= 2 and their smallest witnesses,
     from `_extreme_witnesses`; the prefix is reported, never read for them.
 
-    The brute-force prefix covers every m <= m_max, and runs on to the
-    larger witness max(D, |N|) when that is below `_PREFIX_CAP`. m_max is
-    bounded like every table over m (`powersum.MAX_M`).
+    The brute-force prefix covers 2 <= m <= m_max, the grid's m range, and
+    is seeded with g(2) = 1/2; m_max is bounded like every table over m
+    (`powersum.MAX_M`).
     """
     _require_even(k, "min_max_scan")
     _check_m_max(m_max)
@@ -401,11 +390,10 @@ def min_max_scan(k: int, m_max: int,
     # form where the closed form is certified to apply. g(m) = a/m is kept
     # unreduced and compared by cross-multiplication; strict comparisons
     # keep the first witness of each extreme.
-    limit = max(m_max, min(max(d, n_abs), _PREFIX_CAP))
     lo_a = hi_a = 1  # g(2) = gcd(S_k(2), S_k(3)) / 2 = 1/2
     prefix_min_at = prefix_max_at = 2
     closed_agrees: bool | None = True if certified else None
-    for m, s in islice(running_sums(k, limit), 1, None):
+    for m, s in islice(running_sums(k, m_max), 1, None):
         # a = gcd(S, S + m^k) = gcd(S, m^k): rungs 1 and 2 agree at nearly
         # every m, and then a is their value (`_gcd_with_power`'s rule)
         m2 = m * m
@@ -424,7 +412,7 @@ def min_max_scan(k: int, m_max: int,
 
     min_witness, min_value, max_witness, max_value = _extreme_witnesses(k)
     product = min_value * max_value
-    return MinMaxResult(k, limit, status, min_value, min_witness, max_value,
+    return MinMaxResult(k, status, min_value, min_witness, max_value,
                         max_witness, product, product == abs(bernoulli(k)),
                         prefix_min, prefix_min_at, prefix_max, prefix_max_at,
                         closed_agrees)

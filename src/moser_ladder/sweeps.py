@@ -471,18 +471,14 @@ def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
 
 
 # Static cost estimates of one row, for dealing rows to workers. An
-# m-cell row grows with its m range and with k (the size of S_k(m)), a
-# min-max row with its prefix; a survey row stands for its share of the
+# m-cell row, min-max's prefix among them, grows with its m range and
+# with k (the size of S_k(m)); a survey row stands for its share of the
 # sieve, primorial and block gcds its unit takes once (about 30 ms
 # for the 125 rows of `extended`, cold). One unit is about 0.04 us.
 
 
 def _m_cells_weight(k: int, spec: GridSpec) -> int:
     return (spec.m_max - spec.m_min + 1) * (k + 8)
-
-
-def _min_max_weight(k: int, spec: GridSpec) -> int:
-    return max(gcdlab._PREFIX_CAP, spec.m_max) * (k + 8)
 
 
 def _survey_weight(k: int, spec: GridSpec) -> int:
@@ -532,7 +528,7 @@ _CHECKS: dict[str, _Check] = {
                               weight=_m_cells_weight),
     "special-values": _Check(_row_special_values),
     "min-max": _Check(_row_min_max, reads_trial_bound=True, tables_m=True,
-                      weight=_min_max_weight),
+                      weight=_m_cells_weight),
     "cross-gcd": _Check(_row_cross_gcd, 4),
     "crossover-bracket": _Check(_row_crossover),
     "size-bounds": _Check(_row_size_bounds, 10),

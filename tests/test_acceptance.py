@@ -15,6 +15,7 @@ from math import gcd
 from pathlib import Path
 
 import moser_ladder
+from moser_ladder._primes import factorize
 from moser_ladder.bernoulli import (
     bernoulli,
     denominator,
@@ -29,12 +30,12 @@ from moser_ladder.bernoulli import (
 )
 from moser_ladder.gcdlab import (
     CROSS_GCD_OFFSETS,
+    _congruence_cells,
+    _diff_numerator,
     _ladder_rungs,
-    congruence_check,
     cross_gcd_check,
     gcd_ratio,
     min_max_scan,
-    prime_local_congruences,
 )
 from moser_ladder.powersum import (
     crossover,
@@ -176,15 +177,15 @@ def test_criterion_10_congruence_suite():
     failures = 0
     for k in range(2, 41, 2):
         b = bernoulli(k)
+        n, d = b.numerator, b.denominator
         s = 1  # S_k(2)
         for m in range(2, 301):
-            diff = Fraction(s) - b * m
-            for r in (1, 2, 3):
-                v = congruence_check(k, m, r, diff=diff)
-                if v.applicable and not v.holds:
-                    failures += 1
-            for pv in prime_local_congruences(k, m, diff=diff):
-                if pv.applicable and not pv.holds:
+            # the running sum through the kernel that the sweep row reads:
+            # the mod-m^r cells, then the prime-local ones
+            num = _diff_numerator(k, m, s, n, d)
+            for _, _, applicable, holds in _congruence_cells(
+                    k, m, num, factorize(m).items(), n, d):
+                if applicable and not holds:
                     failures += 1
             for r in (1, 2):
                 lhs = s % m ** (r + 1) == 0

@@ -1,5 +1,7 @@
 """Cache file format: round trips, tamper detection, memo warming."""
 
+import sys
+
 import pytest
 
 from moser_ladder.bernoulli import CacheError
@@ -126,6 +128,25 @@ def test_non_integer_field(tmp_path):
     path.write_bytes(_hand_rolled(["2\tx\t6"]))
     with pytest.raises(CacheError, match=":2: non-integer field"):
         cache_load(path)
+
+
+def test_a_field_past_the_digit_limit_names_the_limit(tmp_path):
+    # a decimal field that only the interpreter's int-to-str limit rejects;
+    # an in-process cli.main earlier in the run may have lifted the limit
+    path = tmp_path / "bern.cache"
+    path.write_bytes(_hand_rolled(["2\t1\t6", f"4\t-1{'0' * 4400}\t30"]))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(CacheError,
+                           match=":3: field longer than the interpreter's "
+                                 "4300-digit int limit"):
+            cache_load(path)
+        path.write_bytes(_hand_rolled([f"2\t1{'0' * 4400}\tx"]))
+        with pytest.raises(CacheError, match=":2: non-integer field"):
+            cache_load(path)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_out_of_order_records(tmp_path):

@@ -160,6 +160,11 @@ def test_min_max_small_window():
     assert res.certified
     assert res.product == Fraction(1, 6)
     assert res.product_matches_abs_b
+    # m_max = 1 scans no m past the seed g(2) = 1/2 (S_k(2) = 1 at every k)
+    for k in (2, 10, 12, 48):
+        res = min_max_scan(k, 1)
+        assert (res.prefix_min, res.prefix_min_at) == (Fraction(1, 2), 2)
+        assert (res.prefix_max, res.prefix_max_at) == (Fraction(1, 2), 2)
 
 
 def test_min_max_k8():
@@ -179,17 +184,13 @@ def test_min_max_k10():
 
 
 def test_min_max_beyond_prefix():
-    # D_12 = 2730 lies past the prefix, which stops at the cap 2048
+    # D_12 = 2730 and |N_12| = 691 lie past the prefix 2 <= m <= 100
     res = min_max_scan(12, 100)
     assert (res.min_value, res.min_witness) == (Fraction(1, 2730), 2730)
     assert (res.max_value, res.max_witness) == (691, 691)
     assert _extreme_witnesses(12) == (2730, Fraction(1, 2730), 691, 691)
-    assert res.prefix_limit == 2048
+    assert res.prefix_min_at <= 100 and res.prefix_max_at <= 100
     assert res.prefix_closed_form_agrees
-
-
-def test_min_max_prefix_runs_on_to_a_witness_below_the_cap():
-    assert min_max_scan(10, 50).prefix_limit == 66  # D_10 = 66
 
 
 def test_cross_gcd_offsets():

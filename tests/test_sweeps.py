@@ -536,14 +536,32 @@ def test_grid_validation():
 
 
 def test_min_max_rows_widen_window():
-    # the per-k window grows to cover both witnesses even when the grid
-    # m_max is far below them
+    # both witnesses are evaluated even when the grid's m_max is far below
+    # them
     spec = GridSpec(k_min=12, k_max=12, m_max=10, checks=("min-max",))
     d = run_sweep(spec)
     assert d["totals"]["fail"] == 0
     hit = d["checks"][0]["hits"][0]
     assert hit["min_witness"] == "2730"
     assert hit["max_witness"] == "691"
+
+
+def test_tables_over_m_stop_at_the_grid_m_max(monkeypatch):
+    # GridSpec.validate bounds these tables by the grid's m_max, so no
+    # row may build one past it, min-max's prefix included
+    real = powersum._powers
+    bounds = set()
+
+    def recorded(k, m_max):
+        bounds.add(m_max)
+        return real(k, m_max)
+
+    monkeypatch.setattr(powersum, "_powers", recorded)
+    checks = tuple(c for c, e in sweeps._CHECKS.items() if e.tables_m)
+    assert "min-max" in checks
+    report = run_sweep(GridSpec(k_min=2, k_max=12, m_max=50, checks=checks))
+    assert report["totals"]["fail"] == 0
+    assert bounds == {50}
 
 
 def test_min_max_row_without_a_certificate_asserts_only_the_minimum():
