@@ -327,14 +327,14 @@ def divides_rational(m: int, r: int, b: Fraction | int) -> bool:
     if r < 1:
         raise ValueError(f"divides_rational needs r >= 1, got {r}")
     b = Fraction(b)
-    return _divides_nd(m, r, b.numerator, b.denominator)
+    return _divides_nd(m, r, b.numerator)
 
 
-def _divides_nd(m: int, r: int, n: int, d: int) -> bool:
+def _divides_nd(m: int, r: int, n: int) -> bool:
     """Integer core of divides_rational: m^r | n/d p-adically, for n/d in
-    lowest terms with d > 0 and m, r >= 1. Hot loops call it with N_k and
-    D_k read once per k. d is not read: m^r | n puts every prime of m in
-    n, so none of them divides d."""
+    lowest terms and m, r >= 1. Hot loops call it with N_k read once per
+    k. d is not needed: m^r | n puts every prime of m in n, so none of
+    them divides d."""
     return n % m**r == 0
 
 

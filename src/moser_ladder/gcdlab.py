@@ -23,10 +23,9 @@ gates are integer tests on that numerator and on N and D. One kernel,
 them as a list: `congruence_check`, `prime_local_congruences` and the
 sweep row all read it. The min/max prefix keeps g(m) = a/m unreduced and
 compares by cross-multiplication; `Fraction`s are built only for
-reported values. Its a = gcd(S, S_k(m+1)) = gcd(S, m^k) is taken in the
-loop from rungs 1 and 2 of one S mod m^2, and from `_gcd_with_power`
-only where those two differ (the first stable rung gcd(S, m^j), on
-moduli of a few words); the ladder reads neither, so its rungs stay
+reported values. Its a = gcd(S, S_k(m+1)) = gcd(S, m^k) is the first
+stable rung gcd(S, m^j), from `_gcd_with_power` at every m, on moduli of
+a few words; the ladder does not read it, so its rungs stay
 independent. The prefix reads S_k(m) from `powersum.running_sums`, the
 incremental route, for 2 <= m <= m_max, the grid's m range, like every
 other table over m. `_extreme_witnesses` picks the extremes'
@@ -198,7 +197,7 @@ class CongruenceVerdict(NamedTuple):
     holds: bool
 
 
-def _diff_numerator(k: int, m: int, s: int, n: int, d: int) -> int:
+def _diff_numerator(m: int, s: int, n: int, d: int) -> int:
     """Numerator of S - B_k m in lowest terms, for S = S_k(m) and
     B_k = n/d: the integer X = D S - N m over D, reduced once."""
     x = d * s - n * m
@@ -251,7 +250,7 @@ def congruence_check(k: int, m: int, r: int) -> CongruenceVerdict:
         raise ValueError(f"congruence_check supports r in 1..3, got {r}")
     b = bernoulli(k)
     n, d = b.numerator, b.denominator
-    num = _diff_numerator(k, m, power_sum(k, m), n, d)
+    num = _diff_numerator(m, power_sum(k, m), n, d)
     _, _, applicable, holds = _congruence_cells(k, m, num, (), n, d)[r - 1]
     return CongruenceVerdict(k, m, r, applicable, holds)
 
@@ -280,7 +279,7 @@ def prime_local_congruences(k: int, m: int) -> list[PrimeLocalVerdict]:
         raise ValueError(f"prime_local_congruences needs m >= 2, got {m}")
     b = bernoulli(k)
     n, d = b.numerator, b.denominator
-    num = _diff_numerator(k, m, power_sum(k, m), n, d)
+    num = _diff_numerator(m, power_sum(k, m), n, d)
     factors = _primes.factorize(m).items()
     cells = iter(_congruence_cells(k, m, num, factors, n, d)[3:])
     out = []
@@ -303,8 +302,7 @@ def _gcd_with_power(s: int, m: int, k: int) -> int:
     v_p(s) <= j e, so v_p(a_i) = v_p(s) for every i >= j. The answer is a_j
     at the first stable j, or a_k if no rung below k is stable. One
     reduction of s mod m^2 serves the first two rungs, which settle
-    nearly every m of a sweep (the min/max prefix takes those two itself
-    and calls this only where they differ). The gcd ladder does not call
+    nearly every m of the min/max prefix. The gcd ladder does not call
     this: its nesting and consecutive-gcd cells need every rung computed
     on its own.
     """
@@ -336,8 +334,7 @@ class MinMaxResult(NamedTuple):
 
     Every m of the prefix 2 <= m <= m_max is evaluated by definition,
     g(m) = a/m with a = gcd(S_k(m), S_k(m+1)) = gcd(S_k(m), m^k),
-    taken from the first stable rung gcd(S_k(m), m^j): rungs 1 and 2 from
-    one S_k(m) mod m^2, and `_gcd_with_power` only where they differ; both
+    the first stable rung gcd(S_k(m), m^j) (`_gcd_with_power`); both
     witnesses are evaluated by definition regardless of size. Past the
     prefix the square-free closed form g(m) = gcd(N, m)/gcd(D, m) bounds g
     between 1/D and |N| pointwise, so the witness values are the exact
@@ -394,13 +391,7 @@ def min_max_scan(k: int, m_max: int,
     prefix_min_at = prefix_max_at = 2
     closed_agrees: bool | None = True if certified else None
     for m, s in islice(running_sums(k, m_max), 1, None):
-        # a = gcd(S, S + m^k) = gcd(S, m^k): rungs 1 and 2 agree at nearly
-        # every m, and then a is their value (`_gcd_with_power`'s rule)
-        m2 = m * m
-        r = s % m2
-        a = gcd(r, m)
-        if a != gcd(r, m2):
-            a = _gcd_with_power(s, m, k)
+        a = _gcd_with_power(s, m, k)  # gcd(S, S + m^k) = gcd(S, m^k)
         if a * prefix_min_at < lo_a * m:
             lo_a, prefix_min_at = a, m
         if a * prefix_max_at > hi_a * m:

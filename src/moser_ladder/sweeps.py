@@ -48,9 +48,8 @@ gcd ladder (`gcdlab._ladder_rungs`, given m^k from the table), the
 congruence cells and the integer core of `divides_rational`. A passing
 cell is only counted; the text of a counterexample (and any `Fraction`
 in it) is built only when a cell fails. The min-max prefix takes
-gcd(S, S_k(m+1)) = gcd(S, m^k) from rungs 1 and 2 of one S mod m^2 and
-its first stable rung beyond (`gcdlab._gcd_with_power`) where those
-differ, which the gcd ladder does not read.
+gcd(S, S_k(m+1)) = gcd(S, m^k) from its first stable rung
+(`gcdlab._gcd_with_power`), which the gcd ladder does not read.
 
 `run_grids` builds its pool from the module attribute
 `sweeps.ProcessPoolExecutor`, the fork pool `_ForkPool` unless something
@@ -321,7 +320,7 @@ def _row_congruences(k: int, spec: GridSpec) -> _Row:
     factors = _factor_lists(spec.m_max)
     running = _running_sums(k, spec.m_max)[spec.m_min - 1:]
     for m, s in zip(range(spec.m_min, spec.m_max + 1), running):
-        num = gcdlab._diff_numerator(k, m, s, n, d)
+        num = gcdlab._diff_numerator(m, s, n, d)
         for label, p, applicable, holds in gcdlab._congruence_cells(
                 k, m, num, factors[m], n, d):
             if not applicable:
@@ -336,13 +335,12 @@ def _row_congruences(k: int, spec: GridSpec) -> _Row:
 
 def _row_div_equiv(k: int, spec: GridSpec) -> _Row:
     row = _Row("divisibility-equivalence", k)
-    b = bernoulli(k)
-    n, d = b.numerator, b.denominator
+    n = bernoulli(k).numerator
     ms = range(max(2, spec.m_min), spec.m_max + 1)
     for m, s in zip(ms, _running_sums(k, spec.m_max)[ms.start - 1:]):
         for r in (1, 2):
             lhs = s % m ** (r + 1) == 0
-            rhs = _divides_nd(m, r, n, d)
+            rhs = _divides_nd(m, r, n)
             if lhs == rhs:
                 row.passes += 1
             else:
@@ -470,40 +468,19 @@ def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
     return row
 
 
-# Static cost estimates of one row, for dealing rows to workers. An
-# m-cell row, min-max's prefix among them, grows with its m range and
-# with k (the size of S_k(m)); a survey row stands for its share of the
-# sieve, primorial and block gcds its unit takes once (about 30 ms
-# for the 125 rows of `extended`, cold). One unit is about 0.04 us.
-
-
-def _m_cells_weight(k: int, spec: GridSpec) -> int:
-    return (spec.m_max - spec.m_min + 1) * (k + 8)
-
-
-def _survey_weight(k: int, spec: GridSpec) -> int:
-    return 7000
-
-
-def _flat_weight(k: int, spec: GridSpec) -> int:
-    return 100
-
-
 class _Check(NamedTuple):
     """What a sweep knows of one check. k_min is the smallest k with a
     row (None: one k-independent row, key 0); reads_b means the rows read
     B_k up to the grid's k_max, so the table is built that far first;
-    tables_m means the rows build tables over m to the grid's m_max.
-    weight(k, spec) estimates a row's cost; one_unit means every row of
-    the check runs on one worker (they share one survey across k)."""
+    tables_m means the rows build tables over m up to the grid's m_max;
+    one_unit means every row of the check runs on one worker (they share
+    one survey across k). A row's cost estimate, `_weight`, reads these."""
 
     runner: Callable[[int, GridSpec], _Row]
     k_min: int | None = 2
     even_k: bool = True
     reads_b: bool = True
-    reads_trial_bound: bool = False
     tables_m: bool = False
-    weight: Callable[[int, GridSpec], int] = _flat_weight
     one_unit: bool = False
 
 
@@ -511,29 +488,22 @@ class _Check(NamedTuple):
 _CHECKS: dict[str, _Check] = {
     "bernoulli-structure": _Check(_row_bernoulli_structure),
     "faulhaber-naive": _Check(_row_faulhaber, 1, even_k=False,
-                              tables_m=True, weight=_m_cells_weight),
-    "telescoping": _Check(_row_telescoping, 1, even_k=False,
-                          tables_m=True, weight=_m_cells_weight),
+                              tables_m=True),
+    "telescoping": _Check(_row_telescoping, 1, even_k=False, tables_m=True),
     "s1-s3-identity": _Check(_row_s1s3, None, reads_b=False, tables_m=True),
     "ratio-search": _Check(_row_ratio_search, 1, even_k=False,
                            reads_b=False),
     "em-scan": _Check(_row_em_scan, 1, even_k=False, reads_b=False),
-    "gcd-ladder": _Check(_row_gcd_ladder, tables_m=True,
-                         weight=_m_cells_weight),
-    "congruences": _Check(_row_congruences, tables_m=True,
-                          weight=_m_cells_weight),
-    "divisibility-equivalence": _Check(_row_div_equiv, tables_m=True,
-                                       weight=_m_cells_weight),
-    "trivial-gcd-iff": _Check(_row_trivial_gcd, tables_m=True,
-                              weight=_m_cells_weight),
+    "gcd-ladder": _Check(_row_gcd_ladder, tables_m=True),
+    "congruences": _Check(_row_congruences, tables_m=True),
+    "divisibility-equivalence": _Check(_row_div_equiv, tables_m=True),
+    "trivial-gcd-iff": _Check(_row_trivial_gcd, tables_m=True),
     "special-values": _Check(_row_special_values),
-    "min-max": _Check(_row_min_max, reads_trial_bound=True, tables_m=True,
-                      weight=_m_cells_weight),
+    "min-max": _Check(_row_min_max, tables_m=True),
     "cross-gcd": _Check(_row_cross_gcd, 4),
     "crossover-bracket": _Check(_row_crossover),
     "size-bounds": _Check(_row_size_bounds, 10),
-    "numerator-scan": _Check(_row_numerator_scan, reads_trial_bound=True,
-                             weight=_survey_weight, one_unit=True),
+    "numerator-scan": _Check(_row_numerator_scan, one_unit=True),
 }
 
 CHECK_ORDER = tuple(_CHECKS)
@@ -610,8 +580,7 @@ class GridSpec(NamedTuple):
         if unknown:
             raise ValueError(
                 f"unknown checks: {', '.join(map(repr, unknown))}")
-        if any(_CHECKS[c].reads_trial_bound for c in self.checks):
-            _check_trial_bound(self.trial_bound)
+        _check_trial_bound(self.trial_bound)
         if any(_CHECKS[c].tables_m for c in self.checks):
             ps._check_m_max(self.m_max)
 
@@ -759,6 +728,20 @@ def _units(tasks: list[tuple[str, int, GridSpec]]) -> list[list[int]]:
     return list(units.values())
 
 
+def _weight(check: _Check, k: int, spec: GridSpec) -> int:
+    """Static cost estimate of one row, for dealing rows to workers. A
+    survey row stands for its share of the sieve, primorial and block gcds
+    its unit takes once (about 30 ms for the 125 rows of `extended`,
+    cold). A row with tables over m builds m^k and the running sums from
+    m = 1 to m_max, whatever its m_min, so it grows with m_max and with k
+    (the size of S_k(m)). One unit is about 0.04 us."""
+    if check.one_unit:
+        return 7000
+    if check.tables_m:
+        return spec.m_max * (k + 8)
+    return 100
+
+
 def _slices(tasks: list[tuple[str, int, GridSpec]], units: list[list[int]],
             workers: int) -> list[list[int]]:
     """Deal the units to `workers` slices of task positions, heaviest
@@ -766,7 +749,7 @@ def _slices(tasks: list[tuple[str, int, GridSpec]], units: list[list[int]],
     first such on ties), and return the slices heaviest first: a pure
     function of the task list."""
     def weight(unit: list[int]) -> int:
-        return sum(_CHECKS[check].weight(k, spec)
+        return sum(_weight(_CHECKS[check], k, spec)
                    for check, k, spec in map(tasks.__getitem__, unit))
 
     loads = [0] * workers

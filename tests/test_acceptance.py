@@ -182,7 +182,7 @@ def test_criterion_10_congruence_suite():
         for m in range(2, 301):
             # the running sum through the kernel that the sweep row reads:
             # the mod-m^r cells, then the prime-local ones
-            num = _diff_numerator(k, m, s, n, d)
+            num = _diff_numerator(m, s, n, d)
             for _, _, applicable, holds in _congruence_cells(
                     k, m, num, factorize(m).items(), n, d):
                 if applicable and not holds:

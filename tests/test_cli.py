@@ -241,20 +241,26 @@ def test_usage_error_verify_needs_one_mode():
     out = run_cli("verify", "quick", "--jobs", "0", "--seedless")
     assert out.returncode == 2
     # --checks and --trial-bound shape a --grid; a profile rejects them,
-    # and an empty check name is an unknown check, shown quoted
+    # an empty check name is an unknown check, shown quoted, and a bad
+    # trial bound is bad whatever the checks
     for argv in (["quick", "--checks", "gcd-ladder"],
                  ["quick", "--trial-bound", "1"],
                  ["quick", "--trial-bound", "10000"],
                  ["--grid", "2-6:20", "--checks", ""],
                  ["--grid", "2-6:20", "--checks", "gcd-ladder,,min-max"],
                  ["--grid", "2-6:20", "--trial-bound", "0"],
+                 ["--grid", "2-6:20", "--checks", "gcd-ladder",
+                  "--trial-bound", "0"],
                  ["--grid", "12"],
                  ["--grid", "2-x:5"],
                  ["--grid", "2-6:y"]):
         out = run_cli("verify", *argv, "--seedless")
         assert (out.returncode, out.stdout) == (2, ""), argv
         assert out.stderr.startswith("error: "), argv
-        if argv[0] == "--grid" and "--checks" in argv:
+        if argv[0] == "--grid" and "--trial-bound" in argv:
+            assert out.stderr == ("error: trial_bound must be >= 2, "
+                                  "got 0\n"), argv
+        elif argv[0] == "--grid" and "--checks" in argv:
             assert out.stderr == "error: unknown checks: ''\n", argv
 
 

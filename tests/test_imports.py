@@ -1,6 +1,7 @@
 """Every name a package module imports is used there or re-exported,
-every name a module exports exists, every export of `_primes` is read
-by another module, no module checks an invariant with `assert`, the CLI
+every name a module exports exists, every parameter a function takes is
+read in its body, every export of `_primes` is read by another module,
+no module checks an invariant with `assert`, the CLI
 picks the output format in one place, the CLI reads no private name of
 the package, and the package's lazy modules give the same names as
 eager ones would.
@@ -67,6 +68,59 @@ def test_every_exported_name_exists(path):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == [], f"{path.name}: exported but not defined"
+
+
+def _functions(scope: ast.AST, prefix: str = ""):
+    """(qualified name, node, is a method) of every function and lambda
+    in scope, nested ones included."""
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            name = prefix + getattr(node, "name", "<lambda>")
+            yield name, node, isinstance(scope, ast.ClassDef)
+            yield from _functions(node, name + ".")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, prefix + node.name + ".")
+        else:
+            yield from _functions(node, prefix)
+
+
+def _unread_allowed(module: str) -> dict[str, set[str]]:
+    """Parameters a body may leave unread: every row runner takes
+    (k, spec), the one signature `_ROW_RUNNERS[check](k, spec)` calls,
+    and the fork pool takes `max_workers` as the executor it stands in
+    for does."""
+    if module != "sweeps":
+        return {}
+    from moser_ladder import sweeps
+
+    allowed = {"_ForkPool.__init__": {"max_workers"}}
+    for check in sweeps._CHECKS.values():
+        code = check.runner.__code__
+        allowed[check.runner.__name__] = set(
+            code.co_varnames[:code.co_argcount])
+    return allowed
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    # a method's receiver and a catch-all *args or **kwargs are not
+    # counted: a protocol such as `__exit__` fixes them
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = _unread_allowed(path.stem)
+    unread = {}
+    for name, node, is_method in _functions(tree):
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args
+                  + args.kwonlyargs][is_method:]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for part in body for n in ast.walk(part)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        missing = set(params) - read - allowed.get(name, set())
+        if missing:
+            unread[f"{name} (line {node.lineno})"] = sorted(missing)
+    assert unread == {}, f"{path.name}: parameters never read"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),

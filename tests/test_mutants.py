@@ -115,8 +115,7 @@ def denominator_off(mp):
 
 
 def divides_reads_m_to_r_plus_1(mp):
-    mp.setattr(sweeps, "_divides_nd",
-               lambda m, r, n, d: gcd(m, d) == 1 and n % m**(r + 1) == 0)
+    mp.setattr(sweeps, "_divides_nd", lambda m, r, n: n % m**(r + 1) == 0)
 
 
 def gcd_ratio_doubled(mp):

@@ -65,7 +65,7 @@ def test_congruence_kernel_matches_fraction_route(k, m, c, j):
     b = bernoulli(k)
     diff = Fraction(s) - b * m
     n, d = b.numerator, b.denominator
-    num = gcdlab._diff_numerator(k, m, s, n, d)
+    num = gcdlab._diff_numerator(m, s, n, d)
     assert num == diff.numerator
     factors = factorize(m).items()
     want = [
@@ -185,9 +185,8 @@ def test_factorize_product_and_primality(small, big):
 
 def _fraction_prefix(k: int, m_max: int, certified: bool, g, rung):
     """The prefix loop as it was, on Fractions, with gcd function g for the
-    closed form and for rungs 1 and 2 of a = gcd(S, S_next) = gcd(S, m^k),
-    which are taken from S mod m^2 as the scan takes them, and rung(S, m, k)
-    for a where those two differ. m = 2 is evaluated even at m_max = 1,
+    closed form and a = gcd(S, S_next) = gcd(S, m^k) taken as rung(S, m, k)
+    at every m, as the scan takes it. m = 2 is evaluated even at m_max = 1,
     where the scan reports its seed g(2) = 1/2."""
     n_abs, d = abs(numerator(k)), denominator(k)
     lo = hi = None
@@ -196,11 +195,7 @@ def _fraction_prefix(k: int, m_max: int, certified: bool, g, rung):
     s = 1
     for m in range(2, max(m_max, 2) + 1):
         s_next = s + m**k
-        r = s % (m * m)
-        a = g(r, m)
-        if a != g(r, m * m):
-            a = rung(s, m, k)
-        v = Fraction(a, m)
+        v = Fraction(rung(s, m, k), m)
         if lo is None or v < lo:
             lo, lo_at = v, m
         if hi is None or v > hi:
@@ -216,19 +211,17 @@ def _fraction_prefix(k: int, m_max: int, certified: bool, g, rung):
 def test_min_max_prefix_matches_fraction_scan(k, m_max, skew):
     # skew > 1 doubles the values that fall in one residue class, in both
     # scans alike, so new extremes and closed-form disagreements appear on
-    # purpose: every gcd keyed on its arguments (the closed forms, and
-    # rungs 1 and 2 of the prefix gcd a = gcd(S, S_next) = gcd(S, m^k)),
-    # and a keyed on (a, m) where those rungs differ. The scan seeds its
-    # extremes with g(2) = 1/2 (S_k(2) = 1), so a is skewed from m = 3:
-    # neither a nor a gcd with 2 or 4 (the rungs at m = 2) is skewed.
+    # purpose: every gcd of the closed form keyed on its arguments, and the
+    # prefix gcd a = gcd(S, S_next) = gcd(S, m^k) keyed on (a, m). The scan
+    # seeds its extremes with g(2) = 1/2 (S_k(2) = 1), so a is skewed from
+    # m = 3.
     def skewed(a, m):
         return (2 * a if skew > 1 and m > 2 and (a + 3 * m) % skew == 1
                 else a)
 
     def g(a, b):
         value = gcd(a, b)
-        return (2 * value if skew > 1 and b not in (2, 4)
-                and (a + 3 * b) % skew == 1 else value)
+        return 2 * value if skew > 1 and (a + 3 * b) % skew == 1 else value
 
     def rung(s, m, k):
         return skewed(gcd(s, m**k), m)
@@ -360,8 +353,7 @@ def test_divides_core_matches_valuations(m, r, n, d, scale, shared):
     # scale^r multiples make the true verdict common as well; d * m^shared
     # leaves primes of m in the denominator, which the core never reads
     b = Fraction(n * scale**r, d * m**shared)
-    assert _divides_nd(m, r, b.numerator, b.denominator) == (
-        _divides_by_valuations(m, r, b))
+    assert _divides_nd(m, r, b.numerator) == _divides_by_valuations(m, r, b)
 
 
 @FAST
@@ -370,7 +362,7 @@ def test_divides_core_on_bernoulli_numbers(k, m, r):
     b = bernoulli(k)
     # m | N_k for about one m in a hundred here, so try a divisor of N_k
     for q in (m, gcd(m, b.numerator)):
-        assert _divides_nd(q, r, b.numerator, b.denominator) == (
+        assert _divides_nd(q, r, b.numerator) == (
             _divides_by_valuations(q, r, b))
 
 
@@ -649,39 +641,27 @@ def test_batched_survey_gcds_match_direct_gcds(bound, lo, hi, grown, other):
                     + primorial_gcds(big[cut:], b)) == want, (b, cut)
 
 
-def test_min_max_inline_rung_matches_gcd_with_power():
-    # the prefix takes a = gcd(S, m^k) from rungs 1 and 2 of one S mod m^2
-    # and calls _gcd_with_power only where they differ; against a scan
-    # that takes a from _gcd_with_power at every m <= 4096, even k <= 60
-    real = gcdlab._gcd_with_power
-    climbed = []
-
-    def recorded(s, m, k):
-        climbed.append(m)
-        return real(s, m, k)
-
+def test_min_max_prefix_matches_definition():
+    # the prefix takes a = gcd(S, S_next) as the first stable rung
+    # gcd(S, m^j); against a scan that takes a = gcd(S, S + m^k) itself
+    # at every m <= 4096, even k <= 60
     for k in range(2, 61, 2):
         n_abs, d = abs(numerator(k)), denominator(k)
-        climbed.clear()
-        with mock.patch.object(gcdlab, "_gcd_with_power", recorded):
-            res = gcdlab.min_max_scan(k, 4096)
+        res = gcdlab.min_max_scan(k, 4096)
         lo = hi = Fraction(1, 2)
         lo_at = hi_at = 2
         agrees = True if res.certified else None
-        rungs_differ = []
         s = 1
         for m in range(2, 4097):
-            if gcd(s, m) != gcd(s, m * m):
-                rungs_differ.append(m)
-            v = Fraction(real(s, m, k), m)
+            s_next = s + m**k
+            v = Fraction(gcd(s, s_next), m)
             if v < lo:
                 lo, lo_at = v, m
             if v > hi:
                 hi, hi_at = v, m
             if res.certified and v != Fraction(gcd(n_abs, m), gcd(d, m)):
                 agrees = False
-            s += m**k
-        assert climbed == rungs_differ, k
+            s = s_next
         assert (res.prefix_min, res.prefix_min_at, res.prefix_max,
                 res.prefix_max_at, res.prefix_closed_form_agrees) == (
             lo, lo_at, hi, hi_at, agrees), k

@@ -263,10 +263,20 @@ def test_heaviest_slice_comes_first():
         tasks = _tasks(PROFILES[profile])
         for workers in (2, 3):
             slices = sweeps._slices(tasks, sweeps._units(tasks), workers)
-            loads = [sum(sweeps._CHECKS[c].weight(k, spec)
+            loads = [sum(sweeps._weight(sweeps._CHECKS[c], k, spec)
                          for c, k, spec in map(tasks.__getitem__, at))
                      for at in slices]
             assert loads == sorted(loads, reverse=True), (profile, workers)
+
+
+def test_a_row_with_tables_over_m_weighs_its_m_max():
+    # min-max scans 2 <= m <= m_max and builds its sums from m = 1 whatever
+    # the grid's m_min, so a window of 11 m weighs the whole prefix
+    check = sweeps._CHECKS["min-max"]
+    window = GridSpec(k_min=12, k_max=12, m_min=290, m_max=300,
+                      checks=("min-max",))
+    assert sweeps._weight(check, 12, window) == sweeps._weight(
+        check, 12, window._replace(m_min=1)) == 300 * (12 + 8)
 
 
 def test_column_is_gone_after_a_slice(monkeypatch):
