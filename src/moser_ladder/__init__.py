@@ -3,18 +3,19 @@ structure of consecutive power sums, plus grid verification sweeps.
 
 Importing the package runs `bernoulli` alone. `_primes`, `cache`,
 `powersum`, `gcdlab` and `sweeps` are lazy: each sits in `sys.modules`
-and on the package from the first import (`bench/trace_driver.py` reads
-`sys.modules` for `_primes`, `cache` and `sweeps` right after
-`import moser_ladder.cli`), but runs only on first attribute access, so
-a query that never calls one never compiles it. `__getattr__` resolves
-a package name from the one module `_OWNER` names, so finding it runs
-only that module and its imports.
+and on the package from the first import (`bench/trace_driver.py` binds
+`_primes`, `bernoulli` and `sweeps` from `sys.modules` right after
+`import moser_ladder.cli`, and its `install` also reads `cache`,
+`gcdlab` and `powersum` there), but runs only on first attribute access,
+so a query that never calls one never compiles it. `__getattr__`
+resolves a package name from the one module `_OWNER` names, so finding
+it runs only that module and its imports.
 """
+
+__version__ = "0.1.0"  # as `pyproject.toml` states it; a test ties the two
 
 import importlib.util
 import sys
-
-from ._version import __version__
 
 
 def _lazy(name: str):

@@ -38,6 +38,9 @@ _PRIMORIAL_CHUNK = 8
 # factorize trial-divides by every prime up to this bound
 _TRIAL_LIMIT = 100_000
 
+# Floyd steps one _pollard_rho call may take over all its constants
+_RHO_STEPS = 2**22
+
 
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n, ascending. Cached; the cache only grows."""
@@ -201,11 +204,16 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (rho, Floyd cycle detection)."""
+    """A nontrivial factor of composite odd n (rho, Floyd cycle detection),
+    within `_RHO_STEPS` steps over all constants c."""
+    steps = 0
     for c in range(1, 100):
         x = y = 2
         d = 1
         while d == 1:
+            steps += 1
+            if steps > _RHO_STEPS:
+                raise ArithmeticError(f"rho ran out of steps on {n}")
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
@@ -222,7 +230,8 @@ def factorize(n: int) -> dict[int, int]:
     p^2 exceeds what is left. Every prime factor of the cofactor c then
     exceeds the last trial prime, so c <= (trial limit)^2 (in particular
     any c <= 10^10) is prime without a primality test; only a larger c
-    goes to is_prime and Pollard rho.
+    goes to is_prime and Pollard rho, which raises ArithmeticError naming
+    a composite it cannot split in `_RHO_STEPS` steps, rather than hang.
     """
     if n < 1:
         raise ValueError(f"factorize wants n >= 1, got {n}")

@@ -28,7 +28,7 @@ from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
 from . import sweeps
-from ._version import __version__
+from . import __version__
 
 FORMATS = ("plain", "json", "csv")
 

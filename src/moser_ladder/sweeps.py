@@ -71,8 +71,8 @@ from typing import Callable, NamedTuple
 # absolute imports run these lazy modules now: forked workers inherit them
 import moser_ladder.gcdlab as gcdlab
 import moser_ladder.powersum as ps
+from . import __version__
 from ._primes import factorize
-from ._version import __version__
 from .bernoulli import (
     TRIAL_BOUND,
     _check_trial_bound,
@@ -731,10 +731,11 @@ def _units(tasks: list[tuple[str, int, GridSpec]]) -> list[list[int]]:
 def _weight(check: _Check, k: int, spec: GridSpec) -> int:
     """Static cost estimate of one row, for dealing rows to workers. A
     survey row stands for its share of the sieve, primorial and block gcds
-    its unit takes once (about 30 ms for the 125 rows of `extended`,
-    cold). A row with tables over m builds m^k and the running sums from
-    m = 1 to m_max, whatever its m_min, so it grows with m_max and with k
-    (the size of S_k(m)). One unit is about 0.04 us."""
+    its unit takes once (for the 125 rows of `extended`, cold, on 2
+    cores: 24-30 ms, serial or in the parent of a `--jobs 2` run). A row
+    with tables over m builds m^k and the running sums from m = 1 to
+    m_max, whatever its m_min, so it grows with m_max and with k (the size
+    of S_k(m)). One unit is about 0.04 us."""
     if check.one_unit:
         return 7000
     if check.tables_m:

@@ -2,6 +2,8 @@
 
 from math import prod
 
+import pytest
+
 from moser_ladder import _primes
 from moser_ladder._primes import factorize, primes_up_to, primorial
 
@@ -55,6 +57,14 @@ def test_semiprime_past_trial_bound_goes_through_rho(monkeypatch):
     assert factorize(n) == {100_003: 1, 100_019: 1}
     assert rho == [n]
     assert sorted(calls) == [100_003, 100_019, n]
+
+
+def test_rho_raises_when_its_step_budget_runs_out(monkeypatch):
+    # the semiprime above needs 275 steps; ten are not enough
+    monkeypatch.setattr(_primes, "_RHO_STEPS", 10)
+    n = 100_003 * 100_019
+    with pytest.raises(ArithmeticError, match=str(n)):
+        factorize(n)
 
 
 def test_strong_pseudoprime_to_the_first_twelve_prime_bases():
