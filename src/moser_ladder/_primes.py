@@ -10,6 +10,7 @@ known counterexample at any size.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import compress
 from math import gcd, isqrt
 
@@ -30,7 +31,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _sieve_cache: list[int] = []
 _sieve_cache_limit = 0
-_primorial_cache: dict[int, int] = {}
 
 # primes per leaf of the primorial's product tree
 _PRIMORIAL_CHUNK = 8
@@ -63,19 +63,17 @@ def primes_up_to(n: int) -> list[int]:
     return _sieve_cache[: bisect_right(_sieve_cache, n)]
 
 
+@cache
 def primorial(n: int) -> int:
     """Product of all primes <= n: chunks of a few primes, each a product
     of a few words, then multiplied pairwise up a balanced tree. Cached,
     one entry per distinct n."""
-    got = _primorial_cache.get(n)
-    if got is None:
-        primes = primes_up_to(n)
-        level = [math.prod(primes[i : i + _PRIMORIAL_CHUNK])
-                 for i in range(0, len(primes), _PRIMORIAL_CHUNK)] or [1]
-        while len(level) > 1:
-            level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
-        got = _primorial_cache[n] = level[0]
-    return got
+    primes = primes_up_to(n)
+    level = [math.prod(primes[i : i + _PRIMORIAL_CHUNK])
+             for i in range(0, len(primes), _PRIMORIAL_CHUNK)] or [1]
+    while len(level) > 1:
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
 
 
 def primorial_gcds(ns: list[int], bound: int) -> list[int]:

@@ -170,8 +170,8 @@ class SquareFreeStatus(NamedTuple):
 
     @property
     def certified(self) -> bool:
-        """No square factor found, so the closed form g(m) = gcd(N, m) /
-        gcd(D, m) is taken to hold: the one rule for certification."""
+        """No square factor found, so g(m) = gcd(N, m)/gcd(D, m) is taken to
+        hold past min/max's prefix: the one rule for certification."""
         return self.kind != "square-factor"
 
 

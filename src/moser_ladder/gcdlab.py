@@ -30,6 +30,14 @@ independent. The prefix reads S_k(m) from `powersum.running_sums`, the
 incremental route, for 2 <= m <= m_max, the grid's m range, like every
 other table over m. `_extreme_witnesses` picks the extremes'
 two witnesses and evaluates g at both, for min/max and special-values.
+
+The prefix's closed form holds pointwise: at even k, g(m) = gcd(N, m) /
+gcd(D, m) for each m >= 2 that no prime p with p^2 | N divides. At p | m,
+e = v_p(m), v_p(D) <= 1 (von Staudt-Clausen) and v_p(N) <= 1 make the right
+side's valuation t = v_p(B_k m), and the congruences give v_p(S - B_k m) >
+t: if p | D, t = e - 1 and S = B_k m (mod m); if p | N, t = e + 1, k >= 6
+and S = B_k m (mod p^(3e)); else t = e and S = B_k m (mod p^(2e)) at k >= 4,
+while S_2(m) = m(m - 1)(2m - 1)/6 has v_p = e. So v_p(S) = t <= ke.
 """
 
 from __future__ import annotations
@@ -332,20 +340,18 @@ class MinMaxResult(NamedTuple):
     """Extremes of g over every m >= 2, from a brute-force prefix and both
     witnesses: D, and |N| or, when |N| = 1, the first m coprime to D.
 
-    Every m of the prefix 2 <= m <= m_max is evaluated by definition,
-    g(m) = a/m with a = gcd(S_k(m), S_k(m+1)) = gcd(S_k(m), m^k),
-    the first stable rung gcd(S_k(m), m^j) (`_gcd_with_power`); both
-    witnesses are evaluated by definition regardless of size. Past the
-    prefix the square-free closed form g(m) = gcd(N, m)/gcd(D, m) bounds g
-    between 1/D and |N| pointwise, so the witness values are the exact
-    extremes whenever `certified` is set. `certified` is not stored: it
-    reads `square_free.certified`, the one rule, which holds when the
-    search found no square factor below the trial bound (square-freeness
-    above the bound is the closed form's hypothesis, taken as verified).
-    The minimum needs no square-free input: g(m) >= 1/gcd(D, m)
-    unconditionally, so min_value is exact whenever the witness attains it.
-    When `certified` is false, max_value is only a lower bound for the
-    true supremum and the scan reports, never asserts.
+    The prefix 2 <= m <= m_max and both witnesses are evaluated by
+    definition (module docstring), whatever their size, and the prefix is
+    compared with g(m) = gcd(N, m)/gcd(D, m) wherever that is proven, at
+    every k. Past the prefix the square-free closed form bounds g between
+    1/D and |N| pointwise, so the witness values are the exact extremes
+    whenever `certified` is set, which governs these claims alone: it reads
+    `square_free.certified`, the one rule, true when the search found no
+    square factor below the trial bound. The minimum needs no square-free
+    input: g(m) >= 1/gcd(D, m) unconditionally, so min_value is exact
+    whenever the witness attains it. When `certified` is false, max_value
+    is only a lower bound for the true supremum and the scan reports, never
+    asserts.
     """
 
     k: int
@@ -360,7 +366,7 @@ class MinMaxResult(NamedTuple):
     prefix_min_at: int
     prefix_max: Fraction
     prefix_max_at: int
-    prefix_closed_form_agrees: bool | None
+    prefix_closed_form_agrees: bool
 
     @property
     def certified(self) -> bool:
@@ -381,31 +387,31 @@ def min_max_scan(k: int, m_max: int,
     n_abs = abs(numerator(k))
     d = denominator(k)
     status = square_free_status(k, trial_bound)
-    certified = status.certified
+    g = gcd(n_abs, _primes.primorial(m_max))  # square-free
+    sq = gcd(n_abs // g, g)  # product of the primes p <= m_max with p^2 | N
 
     # brute-force prefix by definition, cross-checked against the closed
-    # form where the closed form is certified to apply. g(m) = a/m is kept
-    # unreduced and compared by cross-multiplication; strict comparisons
-    # keep the first witness of each extreme.
+    # form at every m coprime to sq (exact: the primes of m are <= m_max).
+    # g(m) = a/m is kept unreduced and compared by cross-multiplication;
+    # strict comparisons keep the first witness of each extreme.
     lo_a = hi_a = 1  # g(2) = gcd(S_k(2), S_k(3)) / 2 = 1/2
     prefix_min_at = prefix_max_at = 2
-    closed_agrees: bool | None = True if certified else None
+    closed_agrees = True
     for m, s in islice(running_sums(k, m_max), 1, None):
         a = _gcd_with_power(s, m, k)  # gcd(S, S + m^k) = gcd(S, m^k)
         if a * prefix_min_at < lo_a * m:
             lo_a, prefix_min_at = a, m
         if a * prefix_max_at > hi_a * m:
             hi_a, prefix_max_at = a, m
-        if certified and a * gcd(d, m) != gcd(n_abs, m) * m:
+        if a * gcd(d, m) != gcd(n_abs, m) * m and gcd(m, sq) == 1:
             closed_agrees = False
-    prefix_min = Fraction(lo_a, prefix_min_at)
-    prefix_max = Fraction(hi_a, prefix_max_at)
 
     min_witness, min_value, max_witness, max_value = _extreme_witnesses(k)
     product = min_value * max_value
     return MinMaxResult(k, status, min_value, min_witness, max_value,
                         max_witness, product, product == abs(bernoulli(k)),
-                        prefix_min, prefix_min_at, prefix_max, prefix_max_at,
+                        Fraction(lo_a, prefix_min_at), prefix_min_at,
+                        Fraction(hi_a, prefix_max_at), prefix_max_at,
                         closed_agrees)
 
 

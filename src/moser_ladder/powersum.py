@@ -33,6 +33,7 @@ hold past m.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, count
 from math import comb, lcm
 from operator import mul
@@ -53,22 +54,17 @@ __all__ = [
     "crossover",
 ]
 
-# k -> (scale, (c_0, c_1, c_2), tail): S_k(m) = (sum_j c_j m^(k+1-j)) / scale
+# (scale, (c_0, c_1, c_2), tail): S_k(m) = (sum_j c_j m^(k+1-j)) / scale
 # with c_j = C(k+1, j) * L * B_j and scale = L * (k+1), L the lcm of the
 # B_j denominators. All integers, so Horner needs no rational arithmetic.
 # c_j = 0 for odd j >= 3, so the sum is a polynomial in x = m^2 over the
 # even j, times m when k is even, once c_1 m^k rides with c_2 m^(k-1) as
 # (c_1 m + c_2) m^(k-1). tail is c_4, c_6, ... up to c_k, with a 0 for
-# j = k + 1 when k is odd (c_2 = 0 at k = 1 for the same reason).
-_COEFFS: dict[int, tuple[int, tuple[int, int, int], tuple[int, ...]]] = {}
-
-
-def _faulhaber_coeffs(
-    k: int,
-) -> tuple[int, tuple[int, int, int], tuple[int, ...]]:
-    got = _COEFFS.get(k)
-    if got is not None:
-        return got
+# j = k + 1 when k is odd (c_2 = 0 at k = 1 for the same reason). One k is
+# kept: callers read k by k, and one build costs ~90 evaluations at k = 1000.
+@lru_cache(maxsize=1)
+def _faulhaber_coeffs(k: int) -> tuple[int, tuple[int, int, int],
+                                       tuple[int, ...]]:
     bs = [bernoulli(j) for j in range(k + 1)]
     scale_l = lcm(*(b.denominator for b in bs))
     coeffs = [
@@ -78,10 +74,8 @@ def _faulhaber_coeffs(
     if any(coeffs[3::2]):
         raise ArithmeticError(f"odd-index Bernoulli number nonzero below k={k}")
     even = coeffs[0::2] + [0] * (k % 2)
-    got = (scale_l * (k + 1), (coeffs[0], coeffs[1], even[1]),
-           tuple(even[2:]))
-    _COEFFS[k] = got
-    return got
+    return (scale_l * (k + 1), (coeffs[0], coeffs[1], even[1]),
+            tuple(even[2:]))
 
 
 def _check_km(k: int, m: int) -> None:

@@ -210,6 +210,18 @@ def test_verify_grid_json():
     assert data["totals"]["fail"] == 0
 
 
+def test_min_max_prefix_passes_past_a_square_prime_above_the_bound():
+    # 103^2 | N_228: a trial bound of 100 misses it, so the row stays
+    # certified, but the prefix's closed form is gated on the primes
+    # p <= m_max with p^2 | N and skips m = 103 instead of failing there
+    out = run_cli("verify", "--grid", "228-228:103", "--checks", "min-max",
+                  "--trial-bound", "100", "--seedless")
+    assert out.returncode == 0
+    assert "result: OK" in out.stdout
+    assert re.search(r"^min-max +pass 6 +fail 0 +inapplicable 0 ",
+                     out.stdout, re.M)
+
+
 def test_usage_error_non_integer():
     out = run_cli("bern", "six", "--seedless")
     assert out.returncode == 2
@@ -543,12 +555,11 @@ _TEST_PID = os.getpid()
         marks=pytest.mark.skipif(not hasattr(os, "fork"),
                                  reason="workers are forked")),
 ], ids=["ladder-nesting", "faulhaber-odd-index", "faulhaber-odd-index-worker"])
-def test_tripped_invariant_exits_4(monkeypatch, capsys, module, name, fake,
-                                   argv, text):
+def test_tripped_invariant_exits_4(monkeypatch, capsys, fresh_faulhaber,
+                                   module, name, fake, argv, text):
     # an invariant check that trips is an internal fault, not a usage
     # error or an escaped traceback (exit 1, "checks failed")
     monkeypatch.setattr(getattr(cli, module), name, fake)
-    monkeypatch.setattr(cli.ps, "_COEFFS", {})
     monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
     assert cli.main([*argv, "--seedless"]) == 4
     out, err = capsys.readouterr()
@@ -696,7 +707,7 @@ def test_poisoned_cache_exits_3(tmp_path):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_bad_cache_behind_a_tripped_invariant_exits_3(
-        tmp_path, monkeypatch, capsys, jobs):
+        tmp_path, monkeypatch, capsys, fresh_faulhaber, jobs):
     # N_10 + D_10 loads, and verify quick never grows the k <= 20 table,
     # so the edit first shows as a failed Faulhaber cancellation; the
     # seeded entries are then recomputed, and the cache is blamed
@@ -706,7 +717,6 @@ def test_bad_cache_behind_a_tripped_invariant_exits_3(
     _rewrite_entry(cache, "10\t5\t66\n", "10\t71\t66\n")
     monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
     monkeypatch.setattr(bmod, "_SEIDEL", [])
-    monkeypatch.setattr(cli.ps, "_COEFFS", {})
     monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
     argv = ["verify", "quick", "--cache", str(cache), "--jobs", jobs]
     assert cli.main(argv) == 3

@@ -2,7 +2,8 @@
 checks of `verify quick` that it fails.
 
 Each fault patches one module attribute, and fresh copies of the memos
-it touches, through monkeypatch, so no wrong value outlives its test.
+it touches, through monkeypatch, and the Faulhaber memo is emptied
+before and after each fault, so no wrong value outlives its test.
 The run goes through `cli.main` as a user's would. Its outcome is the
 names of the checks that report a failure (exit 1), `()` for a clean
 run (exit 0), or "exit 4" where a broken arithmetic invariant stops the
@@ -29,12 +30,12 @@ ps = importlib.import_module("moser_ladder.powersum")
 
 
 def _fresh_table(monkeypatch) -> None:
-    """Fresh Bernoulli and Faulhaber memos, the table built to k = 12 (all
-    that `quick` reads), for a fault to change; monkeypatch puts back the
-    old ones."""
+    """A fresh Bernoulli memo, the table built to k = 12 (all that `quick`
+    reads), for a fault to change; monkeypatch puts back the old one, and
+    the test's `fresh_faulhaber` fixture empties the Faulhaber memo before
+    and after."""
     monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
     monkeypatch.setattr(bmod, "_SEIDEL", [])
-    monkeypatch.setattr(ps, "_COEFFS", {})
     bmod.bernoulli(12)
 
 
@@ -191,7 +192,7 @@ def test_quick_fails_no_check_without_a_fault(capsys):
 @pytest.mark.parametrize("fault, fails", FAULTS,
                          ids=[fault.__name__ for fault, _ in FAULTS])
 def test_each_fault_fails_exactly_its_checks(fault, fails, monkeypatch,
-                                             capsys):
+                                             capsys, fresh_faulhaber):
     fault(monkeypatch)
     assert _failing_checks(capsys) == fails
 

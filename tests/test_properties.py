@@ -183,15 +183,20 @@ def test_factorize_product_and_primality(small, big):
 # ---- min/max prefix: cross-multiplied integers vs the Fraction scan
 
 
-def _fraction_prefix(k: int, m_max: int, certified: bool, g, rung):
+def _fraction_prefix(k: int, m_max: int, g, rung):
     """The prefix loop as it was, on Fractions, with gcd function g for the
-    closed form and a = gcd(S, S_next) = gcd(S, m^k) taken as rung(S, m, k)
-    at every m, as the scan takes it. m = 2 is evaluated even at m_max = 1,
-    where the scan reports its seed g(2) = 1/2."""
+    closed form and its gate and a = gcd(S, S_next) = gcd(S, m^k) taken as
+    rung(S, m, k) at every m, as the scan takes it. The closed form is
+    compared wherever g(m, sq) = 1, sq = g(N/h, h) with h = g(N, P) and P
+    the primorial of m_max: under the real gcd, the product of the primes
+    p <= m_max with p^2 | N. m = 2 is evaluated even at m_max = 1, where
+    the scan reports its seed g(2) = 1/2 and compares nothing."""
     n_abs, d = abs(numerator(k)), denominator(k)
+    h = g(n_abs, primorial(m_max))
+    sq = g(n_abs // h, h)
     lo = hi = None
     lo_at = hi_at = 0
-    agrees = True if certified else None
+    agrees = True
     s = 1
     for m in range(2, max(m_max, 2) + 1):
         s_next = s + m**k
@@ -200,7 +205,8 @@ def _fraction_prefix(k: int, m_max: int, certified: bool, g, rung):
             lo, lo_at = v, m
         if hi is None or v > hi:
             hi, hi_at = v, m
-        if certified and v != Fraction(g(n_abs, m), g(d, m)):
+        if (m <= m_max and g(m, sq) == 1
+                and v != Fraction(g(n_abs, m), g(d, m))):
             agrees = False
         s = s_next
     return lo, lo_at, hi, hi_at, agrees
@@ -211,10 +217,10 @@ def _fraction_prefix(k: int, m_max: int, certified: bool, g, rung):
 def test_min_max_prefix_matches_fraction_scan(k, m_max, skew):
     # skew > 1 doubles the values that fall in one residue class, in both
     # scans alike, so new extremes and closed-form disagreements appear on
-    # purpose: every gcd of the closed form keyed on its arguments, and the
-    # prefix gcd a = gcd(S, S_next) = gcd(S, m^k) keyed on (a, m). The scan
-    # seeds its extremes with g(2) = 1/2 (S_k(2) = 1), so a is skewed from
-    # m = 3.
+    # purpose: every gcd of the closed form and of its gate keyed on its
+    # arguments, and the prefix gcd a = gcd(S, S_next) = gcd(S, m^k) keyed
+    # on (a, m). The scan seeds its extremes with g(2) = 1/2 (S_k(2) = 1),
+    # so a is skewed from m = 3.
     def skewed(a, m):
         return (2 * a if skew > 1 and m > 2 and (a + 3 * m) % skew == 1
                 else a)
@@ -236,7 +242,7 @@ def test_min_max_prefix_matches_fraction_scan(k, m_max, skew):
         res = gcdlab.min_max_scan(k, m_max, trial_bound=100)
     got = (res.prefix_min, res.prefix_min_at, res.prefix_max,
            res.prefix_max_at, res.prefix_closed_form_agrees)
-    assert got == _fraction_prefix(k, m_max, res.certified, g, rung)
+    assert got == _fraction_prefix(k, m_max, g, rung)
 
 
 # m with many repeated primes, so s = c m^j shares deep rungs with m^k
@@ -644,13 +650,15 @@ def test_batched_survey_gcds_match_direct_gcds(bound, lo, hi, grown, other):
 def test_min_max_prefix_matches_definition():
     # the prefix takes a = gcd(S, S_next) as the first stable rung
     # gcd(S, m^j); against a scan that takes a = gcd(S, S + m^k) itself
-    # at every m <= 4096, even k <= 60
+    # at every m <= 4096, even k <= 60, and compares the closed form at
+    # every m that no p with p^2 | N divides (5^2 | N_50)
     for k in range(2, 61, 2):
         n_abs, d = abs(numerator(k)), denominator(k)
+        sq = prod(p for p in primes_up_to(4096) if n_abs % (p * p) == 0)
         res = gcdlab.min_max_scan(k, 4096)
         lo = hi = Fraction(1, 2)
         lo_at = hi_at = 2
-        agrees = True if res.certified else None
+        agrees = True
         s = 1
         for m in range(2, 4097):
             s_next = s + m**k
@@ -659,12 +667,13 @@ def test_min_max_prefix_matches_definition():
                 lo, lo_at = v, m
             if v > hi:
                 hi, hi_at = v, m
-            if res.certified and v != Fraction(gcd(n_abs, m), gcd(d, m)):
+            if gcd(m, sq) == 1 and v != Fraction(gcd(n_abs, m), gcd(d, m)):
                 agrees = False
             s = s_next
         assert (res.prefix_min, res.prefix_min_at, res.prefix_max,
                 res.prefix_max_at, res.prefix_closed_form_agrees) == (
             lo, lo_at, hi, hi_at, agrees), k
+        assert agrees, k
 
 
 # ---- the cache a command leaves: exactly the even prefix of its k

@@ -84,7 +84,7 @@ def test_rows_per_check_are_pinned(spec, want):
     assert {check: list(_rows_for(check, spec)) for check in CHECK_ORDER} == want
 
 
-def test_max_bernoulli_index_covers_every_read(monkeypatch):
+def test_max_bernoulli_index_covers_every_read(monkeypatch, fresh_faulhaber):
     # pool workers are seeded, and verify writes the cache, up to
     # max_bernoulli_index: a row that read B_k past it would grow the memo
     bmod = importlib.import_module("moser_ladder.bernoulli")
@@ -100,7 +100,7 @@ def test_max_bernoulli_index_covers_every_read(monkeypatch):
     for specs in grids:
         monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
         monkeypatch.setattr(bmod, "_SEIDEL", [])
-        monkeypatch.setattr(powersum, "_COEFFS", {})
+        powersum._faulhaber_coeffs.cache_clear()
         bmod.bernoulli(max_bernoulli_index(specs))
         filled = len(bmod._EVEN)
         assert run_grids(specs, None, 1)["totals"]["fail"] == 0
@@ -304,9 +304,10 @@ def test_nothing_sized_by_m_max_survives_a_sweep():
     # the column, the factor lists, the m^k tables and the survey live
     # only while a slice runs: a second `extended` sweep, once the first
     # has filled the caches that persist (Bernoulli table, sieve,
-    # primorial, Faulhaber coefficients), leaves no memory behind; nor
-    # does a survey to k = 250 after one to k = 10 at the same bound,
-    # where a memo of survey gcds would grow from 5 entries to 125
+    # primorial, the Faulhaber coefficients of its last k), leaves no
+    # memory behind; nor does a survey to k = 250 after one to k = 10 at
+    # the same bound, where a memo of survey gcds would grow from 5
+    # entries to 125
     survey = GridSpec(k_min=2, k_max=250, m_max=1, trial_bound=77_777,
                       checks=("numerator-scan",))
     primorial(survey.trial_bound)
@@ -333,6 +334,25 @@ def test_nothing_sized_by_m_max_survives_a_sweep():
     assert survey_left < 1024
     assert (sweeps._column, sweeps._sweep, powersum._TABLES) == (
         None, None, None)
+
+
+def test_the_faulhaber_memo_keeps_one_k():
+    # rows run k by k and no caller reads an old k again, so a sweep to
+    # k = 200 after one to k = 20 leaves the coefficients of k = 200
+    # alone; a memo of every k would keep some 0.87 MB
+    spec = GridSpec(k_max=20, m_max=10, checks=("faulhaber-naive",))
+    sweeps.bernoulli(200)
+    run_sweep(spec)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_sweep(spec._replace(k_max=200))
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 64 * 1024
 
 
 def test_consecutive_gcds_are_taken_from_the_two_sums(monkeypatch):
@@ -574,12 +594,13 @@ def test_tables_over_m_stop_at_the_grid_m_max(monkeypatch):
     assert bounds == {50}
 
 
-def test_min_max_row_without_a_certificate_asserts_only_the_minimum():
+def test_min_max_row_without_a_certificate_asserts_the_minimum_and_prefix():
     # 7^2 divides N_98, below the default trial bound: the two minimum
-    # cells still run, the four that need the closed form are inapplicable
+    # cells still run, and so does the prefix's closed form, gated off
+    # m = 7; the three that speak of every m are inapplicable
     spec = GridSpec(k_min=98, k_max=98, m_max=10, checks=("min-max",))
     [check] = run_sweep(spec)["checks"]
-    assert (check["pass"], check["fail"], check["inapplicable"]) == (2, 0, 4)
+    assert (check["pass"], check["fail"], check["inapplicable"]) == (3, 0, 3)
     assert [hit["certified"] for hit in check["hits"]] == [False]
 
 
