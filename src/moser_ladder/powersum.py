@@ -13,10 +13,10 @@ loop, with the coefficients read once; `power_sum` is its one-point case.
 
 `running_sums` is the other route: m^k added one m at a time, with no
 Bernoulli numbers. It reads `_powers`, which lists m^k for every m up to
-a bound. While a sweep slice holds the table scope (`_TABLES`), the
-table of k is grown from the latest table of a smaller k at the same
-bound, one multiplication per entry, and kept until the slice ends;
-outside it every call builds afresh and keeps nothing.
+a bound. While a sweep slice runs (`_SLICE` is a dict), each builder
+marked `_latest` (`_powers`, and the lists the sweep rows share) keeps
+its latest result until it is called with other arguments; outside a
+slice every call builds afresh and keeps nothing.
 
 The searches filter one walk, `_walk`, which yields (m, S_k(m), m^k)
 from m = 2 up to and including the crossover; `crossover` returns its
@@ -36,8 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, count
 from math import comb, lcm
-from operator import mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bernoulli import bernoulli
 
@@ -130,31 +129,29 @@ def power_sum_naive(k: int, m: int) -> int:
     return sum(j**k for j in range(1, m))
 
 
-# bound -> (k, [m**k for m in range(bound + 1)]), the latest table built
-# at that bound, while a sweep slice holds the scope (`sweeps._run_slice`
-# sets a dict and clears it when the slice ends); None otherwise.
-_TABLES: dict[int, tuple[int, list[int]]] | None = None
+# builder -> (args, build(*args)), the latest result of each `_latest`
+# builder, while a sweep slice runs (`sweeps._run_slice` sets a dict and
+# puts back None when the slice ends); None otherwise.
+_SLICE: dict | None = None
 
 
+def _latest(build: Callable[..., list]) -> Callable[..., list]:
+    """Decorator: inside a slice, build(*args) is kept until `build` is
+    called with other arguments; outside one, each call builds afresh."""
+    def latest(*args) -> list:
+        if _SLICE is None:
+            return build(*args)
+        if build not in _SLICE or _SLICE[build][0] != args:
+            _SLICE.pop(build, None)  # the old result goes before the build
+            _SLICE[build] = args, build(*args)
+        return _SLICE[build][1]
+    return latest
+
+
+@_latest
 def _powers(k: int, m_max: int) -> list[int]:
-    """[m**k for m in range(m_max + 1)], k >= 1. Inside a table scope the
-    latest table of a smaller k' at the same bound is multiplied entry by
-    entry by m^(k - k') (by m itself when k' = k - 1), the result kept in
-    its place (one table per bound) and returned again for the same k.
-    Outside a scope each call builds afresh and keeps nothing."""
-    got = None if _TABLES is None else _TABLES.get(m_max)
-    if got is not None and got[0] == k:
-        return got[1]
-    ms = range(m_max + 1)
-    if got is not None and got[0] < k:
-        step = k - got[0]
-        out = list(map(mul, got[1], ms if step == 1 else
-                       [m**step for m in ms]))
-    else:
-        out = [m**k for m in ms]
-    if _TABLES is not None:
-        _TABLES[m_max] = (k, out)
-    return out
+    """[m**k for m in range(m_max + 1)]."""
+    return [m**k for m in range(m_max + 1)]
 
 
 def running_sums(k: int, m_max: int) -> Iterator[tuple[int, int]]:

@@ -10,7 +10,7 @@ w > 1 workers the rows are grouped into units, the rows of one k, with
 all numerator-scan rows (which share one survey) as one unit of
 their own; the units are dealt heaviest first, by a static weight per
 row, each to the least-loaded of w slices, and each worker runs one
-slice, so no column, table or survey is built by two workers. A
+slice, so no shared list or survey is built by two workers. A
 slice runs its rows k by k. The parent fills the Bernoulli table, then
 forks w - 1 children, which inherit it; it runs the heaviest slice
 itself while each child runs one other and sends its rows back as one
@@ -24,25 +24,26 @@ writes it afterwards, up to `max_bernoulli_index` of the grids.
 
 Rows call the library's scans (`powersum` searches and running sums,
 `gcdlab` ladders and congruences, the `bernoulli` numerator survey that
-the CLI's `scan` only formats) rather than restating them. The
-m-cell rows reach S_k(m) by two routes, and their counterexample text
-depends on which: `telescoping` reads only the closed form (`power_sums`,
-from Bernoulli numbers); `faulhaber-naive` compares it with the running
-sums (`running_sums`, m^k added one m at a time), which
-`s1-s3-identity`, `congruences`, `gcd-ladder` and
-`divisibility-equivalence` also read. Within a slice the rows of one k
-share a column: the running sums, the closed forms of the grid's m range
-(one `power_sums` column) and the consecutive gcds
-gcd(S_k(m), S_k(m+1)), each built once per k, on first use, through the
-`powersum` module attributes. A consecutive gcd takes S_k(m) from the
+the CLI's `scan` only formats) rather than restating them. The m-cell
+rows reach S_k(m) by two routes, and their counterexample text depends
+on which: `telescoping` reads only the closed form (`power_sums`, from
+Bernoulli numbers); `faulhaber-naive` compares it with the running sums
+(`running_sums`, m^k added one m at a time), which `s1-s3-identity`,
+`congruences`, `gcd-ladder` and `divisibility-equivalence` also read.
+The rows share lists: the running sums, the closed forms of the grid's m
+range (one `power_sums` column), the consecutive gcds gcd(S_k(m),
+S_k(m+1)), the m^k table (`powersum._powers`), the factor lists of every
+m (one `factorize` call per m, read by `congruences` at every k) and the
+records of one numerator survey of the grid's k. One rule keeps them
+(`powersum._latest`): while a slice runs, each builder keeps its latest
+result until it is called with other arguments. A slice runs its rows in
+k order and every profile's grids at one k share one m range, so each
+list is built once per k, or once per slice where it does not depend on
+k; a row called on its own builds what it reads and keeps nothing, and
+nothing outlives a slice. A consecutive gcd takes S_k(m) from the
 running sums and S_k(m+1) from the closed-form column, so the ladder's
 consecutive-gcd cell, and `trivial-gcd-iff`, which reads the same gcds,
-compare the two routes. The slice also holds the factor lists of every m
-(one `factorize` call per m, read by `congruences` at every k), the
-records of one numerator survey of the grid's k, and the scope of the
-`powersum._powers` m^k tables, each grown from the table of an earlier k
-at the same bound. All of it exists only while a slice runs; a row
-called on its own builds what it reads and keeps nothing.
+compare the two routes.
 These rows run integer kernels with N_k and D_k read once per row: the
 gcd ladder (`gcdlab._ladder_rungs`, given m^k from the table), the
 congruence cells and the integer core of `divides_rational`. A passing
@@ -153,50 +154,23 @@ def _row_bernoulli_structure(k: int, spec: GridSpec) -> _Row:
     return row
 
 
-# ---- what the rows of one slice share
-
-# (builder, *args) -> list, while `_run_slice` runs (None outside it).
-# `_column` holds the lists of the k whose rows are running and is
-# replaced at each new k; `_sweep` holds k-free tables for the whole
-# slice. Rows read these lists and never change them. The m^k tables are
-# shared through the `powersum._powers` scope, which the slice also holds.
-_column: dict | None = None
-_sweep: dict | None = None
+# ---- what the rows of one slice share: lists that rows read and never
+# ---- change, each builder's latest kept while the slice runs (`ps._latest`)
 
 
-def _shared(store: Callable[[], dict | None]):
-    """Decorator: build(*args) once per store() dict, on first use; with
-    no store (outside a slice), afresh at every call."""
-    def decorate(build: Callable[..., list]) -> Callable[..., list]:
-        def shared(*args) -> list:
-            got = store()
-            if got is None:
-                return build(*args)
-            key = (build, *args)
-            if key not in got:
-                got[key] = build(*args)
-            return got[key]
-        return shared
-    return decorate
-
-
-_in_column = _shared(lambda: _column)
-_in_sweep = _shared(lambda: _sweep)
-
-
-@_in_column
+@ps._latest
 def _running_sums(k: int, m_max: int) -> list[int]:
     """S_k(m) from `running_sums` at index m - 1, 1 <= m <= m_max."""
     return [s for _, s in ps.running_sums(k, m_max)]
 
 
-@_in_column
+@ps._latest
 def _closed_forms(k: int, ms: range) -> list[int]:
     """S_k(m) from `power_sums` for m in ms and one m past it."""
     return ps.power_sums(k, range(ms.start, ms.stop + 1))
 
 
-@_in_column
+@ps._latest
 def _consecutive_gcds(k: int, ms: range) -> list[int]:
     """gcd(S_k(m), S_k(m+1)) for m in ms from m = 2: S_k(m) from the
     running sums, S_k(m+1) read from the closed forms of the same m range
@@ -207,7 +181,7 @@ def _consecutive_gcds(k: int, ms: range) -> list[int]:
     return list(map(gcd, _running_sums(k, ms.stop - 1)[lo - 1:], closed))
 
 
-@_in_sweep
+@ps._latest
 def _factor_lists(m_max: int) -> list[list[tuple[int, int]]]:
     """(prime, multiplicity) pairs of each m at index m, 0 <= m <= m_max."""
     return [[]] + [list(factorize(m).items()) for m in range(1, m_max + 1)]
@@ -464,7 +438,8 @@ def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
     row = _Row("numerator-scan", k)
     row.passes += 2  # primality decided, square scan completed
     ks = _rows_for("numerator-scan", spec)  # one survey of them per slice
-    survey = _in_sweep(numerator_survey)(ks, spec.trial_bound)
+    # `numerator_survey` is read per call, so one patched in is the one run
+    survey = ps._latest(numerator_survey)(ks, spec.trial_bound)
     row.hits.append(survey[ks.index(k)])
     return row
 
@@ -598,21 +573,17 @@ def _rows_for(check: str, spec: GridSpec) -> range:
 
 
 def _run_slice(tasks: list[tuple[str, int, GridSpec]]) -> list[_Row]:
-    """Run the rows k by k, the rows of one k sharing one column and the
-    whole slice sharing its tables and m^k tables, and return each row at
-    its task's position. Nothing the slice built outlives it."""
-    global _column, _sweep
+    """Run the rows k by k, each shared builder keeping its latest result
+    (`ps._latest`), and return each row at its task's position. Nothing
+    the slice built outlives it."""
     rows: list = [None] * len(tasks)
-    k_now = None
-    _sweep, ps._TABLES = {}, {}
+    ps._SLICE = {}
     try:
         for i in sorted(range(len(tasks)), key=lambda i: tasks[i][1]):
             check, k, spec = tasks[i]
-            if k != k_now:
-                _column, k_now = {}, k
             rows[i] = _ROW_RUNNERS[check](k, spec)
     finally:
-        _column = _sweep = ps._TABLES = None
+        ps._SLICE = None
     return rows
 
 

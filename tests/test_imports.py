@@ -263,3 +263,48 @@ sys.stderr.write(" ".join(sorted(ran - {{"bernoulli"}})))
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
     assert set(out.stderr.split()) == runs
+
+
+def _state_writes(tree: ast.Module, module: str) -> set[str]:
+    """`module.function: name` for each name a function rebinds at module
+    level: every name of a `global` statement, and every attribute of an
+    imported module that it assigns or deletes."""
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+
+    def own(node: ast.AST):
+        # the nodes of one function, not those of the functions nested in it
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.Lambda)):
+                yield child
+                yield from own(child)
+
+    out = set()
+    for name, node, _ in _functions(tree):
+        for inner in own(node):
+            if isinstance(inner, ast.Global):
+                out.update(f"{module}.{name}: {g}" for g in inner.names)
+            elif (isinstance(inner, ast.Attribute)
+                    and isinstance(inner.ctx, (ast.Store, ast.Del))
+                    and isinstance(inner.value, ast.Name)
+                    and inner.value.id in modules):
+                out.add(f"{module}.{name}: {inner.value.id}.{inner.attr}")
+    return out
+
+
+def test_module_state_is_written_only_where_listed():
+    # the package's scopes: the Bernoulli table, the sieve, and the slice
+    # that keeps each shared builder's latest result; a new one is added
+    # here on purpose, not by a stray `global`
+    writes = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        writes |= _state_writes(tree, path.stem)
+    assert writes == {
+        "bernoulli._extend_even: _SEIDEL",
+        "_primes.primes_up_to: _sieve_cache",
+        "_primes.primes_up_to: _sieve_cache_limit",
+        "sweeps._run_slice: ps._SLICE",
+    }

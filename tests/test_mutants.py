@@ -8,7 +8,9 @@ The run goes through `cli.main` as a user's would. Its outcome is the
 names of the checks that report a failure (exit 1), `()` for a clean
 run (exit 0), or "exit 4" where a broken arithmetic invariant stops the
 sweep first. A fault that no check catches is pinned as `()`, so a
-check that starts to catch it shows up here. Three are `()`: the
+check that starts to catch it shows up here, and must show that it ran:
+`_wrap` counts the calls of what it patches, and a `()` fault needs at
+least one, or a patch the run never reads would pass. Three are `()`: the
 ladder's consecutive gcd taken from its m^k rung is the same number
 (gcd(S(m), S(m+1)) = gcd(S(m), m^k)), so only the routes' independence
 is lost; `numerator-scan` only observes, so a wrong primality flag in
@@ -39,10 +41,18 @@ def _fresh_table(monkeypatch) -> None:
     bmod.bernoulli(12)
 
 
-def _wrap(monkeypatch, module, name, fault) -> None:
-    """Replace module.name by fault(real, *args)."""
+def _wrap(monkeypatch, module, name, fault) -> list:
+    """Replace module.name by fault(real, *args) and return the list that
+    each call appends its arguments to."""
     real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: fault(real, *args))
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return fault(real, *args)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
 
 
 def closed_form_plus_one(mp):
@@ -94,16 +104,16 @@ def consecutive_gcd_doubled_at_7(mp):
 
 
 def consecutive_gcd_from_mk_rung(mp):
-    def from_rung(k, ms):
+    def from_rung(_real, k, ms):
         lo = max(2, ms.start)
         powers = ps._powers(k, ms.stop)
         sums = [s for _, s in ps.running_sums(k, ms.stop)]
         return [gcd(sums[m - 1], powers[m]) for m in range(lo, ms.stop)]
-    mp.setattr(sweeps, "_consecutive_gcds", from_rung)
+    return _wrap(mp, sweeps, "_consecutive_gcds", from_rung)
 
 
 def is_prime_91(mp):
-    _wrap(mp, _primes, "is_prime", lambda real, n: n == 91 or real(n))
+    return _wrap(mp, _primes, "is_prime", lambda real, n: n == 91 or real(n))
 
 
 def numerator_plus_denominator_at_10(mp):
@@ -141,7 +151,7 @@ def running_sums_plus_one(mp):
 
 
 def survey_calls_every_numerator_prime(mp):
-    _wrap(mp, sweeps, "numerator_survey", lambda real, ks, bound: [
+    return _wrap(mp, sweeps, "numerator_survey", lambda real, ks, bound: [
         {**record, "prime": True} for record in real(ks, bound)])
 
 
@@ -193,8 +203,10 @@ def test_quick_fails_no_check_without_a_fault(capsys):
                          ids=[fault.__name__ for fault, _ in FAULTS])
 def test_each_fault_fails_exactly_its_checks(fault, fails, monkeypatch,
                                              capsys, fresh_faulhaber):
-    fault(monkeypatch)
+    calls = fault(monkeypatch)
     assert _failing_checks(capsys) == fails
+    if fails == ():
+        assert calls, "the fault never ran"
 
 
 def test_every_check_but_numerator_scan_catches_a_fault():

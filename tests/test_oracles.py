@@ -1,0 +1,60 @@
+"""Oracles from other codebases: Bernoulli numbers against mpmath, and
+primality and factoring against sympy, on random inputs. Neither library
+shares code with this package, so agreement is independent evidence.
+Both are test dependencies (`pip install .[test]`)."""
+
+from fractions import Fraction
+from functools import reduce
+from operator import mul
+
+import mpmath
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from moser_ladder._primes import factorize, is_prime
+from moser_ladder.bernoulli import bernoulli
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(half=st.integers(0, 500))
+@example(half=500)
+def test_bernoulli_matches_mpmath(half):
+    k = 2 * half
+    assert bernoulli(k) == Fraction(*mpmath.bernfrac(k)), k
+
+
+# n < 2^256 of every bit length alike; plain `st.integers` draws small n
+_BELOW_2_256 = st.integers(1, 256).flatmap(
+    lambda bits: st.integers(2**(bits - 1), 2**bits - 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=_BELOW_2_256)
+# 0, a Carmichael number, and strong pseudoprimes to the first 4, 11, 12
+# and 13 prime bases
+@example(n=0)
+@example(n=561)
+@example(n=3215031751)
+@example(n=3825123056546413051)
+@example(n=318665857834031151167461)
+@example(n=3317044064679887385961981)
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == sympy.isprime(n), n
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=_BELOW_2_256.map(sympy.nextprime))
+def test_is_prime_accepts_sympy_primes(n):
+    assert is_prime(n), n
+
+
+# factors past the trial-division limit (10^5), so Pollard rho splits them
+_RHO_PRIMES = st.integers(10**5, 2**31 - 2).map(sympy.nextprime)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(primes=st.lists(_RHO_PRIMES, min_size=2, max_size=3))
+def test_factorize_matches_sympy(primes):
+    n = reduce(mul, primes)
+    assert factorize(n) == sympy.factorint(n), primes

@@ -420,7 +420,7 @@ def test_trivial_gcd_row_matches_fraction_row(k, m_min, span, offset):
         text for ok, text in want if not ok]
 
 
-# ---- the sweep column: each shared list vs the route it stands for
+# ---- the lists a slice shares: each vs the route it stands for
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -431,25 +431,25 @@ def test_column_lists_match_their_direct_routes(k, m_min, span, shared):
     assert powersum._powers(k, m_max) == [j**k for j in range(m_max + 1)]
     ms = range(m_min, m_max + 1)
     ladder_ms = range(max(2, m_min), m_max + 1)
-    # in a slice's column and tables the second read returns what the
-    # first built; outside a slice each read builds afresh
-    with mock.patch.object(sweeps, "_column", {} if shared else None), \
-            mock.patch.object(sweeps, "_sweep", {} if shared else None), \
-            mock.patch.object(powersum, "_TABLES", {} if shared else None):
+    # in a slice the second read, with the arguments the rows pass,
+    # returns what the first built; outside a slice each read builds afresh
+    with mock.patch.object(powersum, "_SLICE", {} if shared else None):
+        reads = []
         for _ in range(2):
-            assert powersum._powers(k, m_max) == [
-                j**k for j in range(m_max + 1)]
-            assert sweeps._factor_lists(m_max) == [
-                list(factorize(j).items()) if j else []
-                for j in range(m_max + 1)]
-            assert sweeps._running_sums(k, m_max) == [
-                s for _, s in running_sums(k, m_max)]
-            assert sweeps._running_sums(k, m_max)[m_min - 1:] == [
-                power_sum_naive(k, m) for m in ms]
-            assert sweeps._closed_forms(k, ms) == [
-                power_sum(k, m) for m in range(m_min, m_max + 2)]
-            assert sweeps._consecutive_gcds(k, ladder_ms) == [
-                gcd(power_sum(k, m), power_sum(k, m + 1)) for m in ladder_ms]
+            got = [powersum._powers(k, m_max), sweeps._factor_lists(m_max),
+                   sweeps._running_sums(k, m_max), sweeps._closed_forms(k, ms),
+                   sweeps._consecutive_gcds(k, ms)]
+            powers, factors, sums, closed, gcds = got
+            assert powers == [j**k for j in range(m_max + 1)]
+            assert factors == [list(factorize(j).items()) if j else []
+                               for j in range(m_max + 1)]
+            assert sums == [s for _, s in running_sums(k, m_max)]
+            assert sums[m_min - 1:] == [power_sum_naive(k, m) for m in ms]
+            assert closed == [power_sum(k, m) for m in range(m_min, m_max + 2)]
+            assert gcds == [gcd(power_sum(k, m), power_sum(k, m + 1))
+                            for m in ladder_ms]
+            reads.append(got)
+        assert [a is b for a, b in zip(*reads)] == [shared] * 5
 
 
 # ---- power sums: even-coefficient Horner vs the naive sum and the
@@ -563,8 +563,8 @@ def test_ladder_and_equivalences_far_past_the_grids(k, m, base, c):
     assert (gcdlab.gcd_ratio(k, m) == 1) == (gcd(d * n_abs, m) == 1), (k, m)
 
 
-# ---- the tables a sweep builds once: m^k tables grown from an earlier k,
-# ---- closed-form columns, batched survey gcds sized by the survey's top
+# ---- the tables a sweep builds once: the latest m^k table, closed-form
+# ---- columns, batched survey gcds sized by the survey's top
 
 
 _BOUNDS = st.sampled_from((0, 1, 2, 7, 60, 300))
@@ -575,19 +575,39 @@ _BOUNDS = st.sampled_from((0, 1, 2, 7, 60, 300))
                       max_size=12))
 @example(calls=[(k, 300) for k in range(1, 13)])
 @example(calls=[(k, 60) for k in (2, 4, 8, 9, 3, 5, 40, 41)])
+@example(calls=[(3, 60), (3, 7), (3, 60)])
 def test_powers_after_any_sequence_of_calls(calls):
-    # inside a scope a table grows from the latest one at its bound when
-    # that k' < k, is built afresh when k' > k, and is handed back for the
-    # same k; outside a scope nothing is kept
-    with mock.patch.object(powersum, "_TABLES", {}):
+    # in a slice each call returns the direct route's table, an immediate
+    # repeat returns the kept object, and only the latest table is kept;
+    # outside a slice nothing is kept
+    with mock.patch.object(powersum, "_SLICE", {}):
         for k, bound in calls:
             got = powersum._powers(k, bound)
             assert got == [j**k for j in range(bound + 1)], (k, bound)
             assert powersum._powers(k, bound) is got
-            assert powersum._TABLES[bound] == (k, got)
+            [(args, kept)] = powersum._SLICE.values()
+            assert args == (k, bound) and kept is got
     for k, bound in calls:
-        assert powersum._powers(k, bound) == [j**k for j in range(bound + 1)]
-    assert powersum._TABLES is None
+        got = powersum._powers(k, bound)
+        assert got == [j**k for j in range(bound + 1)]
+        assert powersum._powers(k, bound) is not got
+    assert powersum._SLICE is None
+
+
+def test_a_kept_result_goes_before_the_next_build():
+    # a builder called with other arguments lets its old result go before
+    # it builds, so a slice never holds two of one builder's lists
+    held = []
+
+    def build(n):
+        held.append(build in powersum._SLICE)
+        return [n]
+
+    latest = powersum._latest(build)
+    with mock.patch.object(powersum, "_SLICE", {}):
+        assert [latest(1), latest(1), latest(2), latest(1)] == [
+            [1], [1], [2], [1]]
+    assert held == [False, False, False]
 
 
 @FAST

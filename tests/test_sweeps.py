@@ -282,28 +282,29 @@ def test_a_row_with_tables_over_m_weighs_its_m_max():
 def test_column_is_gone_after_a_slice(monkeypatch):
     spec = GridSpec(k_min=2, k_max=6, m_max=30, checks=_M_CELL_CHECKS)
     tasks = [(c, k, spec) for c in spec.checks for k in _rows_for(c, spec)]
-    assert sweeps._column is None
+    assert powersum._SLICE is None
     rows = sweeps._run_slice(tasks)
-    assert sweeps._column is None
+    assert powersum._SLICE is None
     assert [(r.check, r.k) for r in rows] == [(c, k) for c, k, _ in tasks]
-    # also when a row raises
+    # also when a row raises; until then the slice keeps what the rows
+    # before it built
     seen = []
 
     def broken(k, spec):
-        seen.append(sweeps._column)
+        seen.append(powersum._SLICE)
         raise RuntimeError("row failed")
 
     monkeypatch.setitem(sweeps._ROW_RUNNERS, "trivial-gcd-iff", broken)
     with pytest.raises(RuntimeError, match="row failed"):
         sweeps._run_slice(tasks)
-    assert isinstance(seen[0], dict)
-    assert sweeps._column is None
+    assert isinstance(seen[0], dict) and seen[0]
+    assert powersum._SLICE is None
 
 
 def test_nothing_sized_by_m_max_survives_a_sweep():
-    # the column, the factor lists, the m^k tables and the survey live
-    # only while a slice runs: a second `extended` sweep, once the first
-    # has filled the caches that persist (Bernoulli table, sieve,
+    # the lists a slice shares (sums, gcds, factor lists, m^k tables, the
+    # survey) live only while it runs: a second `extended` sweep, once the
+    # first has filled the caches that persist (Bernoulli table, sieve,
     # primorial, the Faulhaber coefficients of its last k), leaves no
     # memory behind; nor does a survey to k = 250 after one to k = 10 at
     # the same bound, where a memo of survey gcds would grow from 5
@@ -314,8 +315,7 @@ def test_nothing_sized_by_m_max_survives_a_sweep():
     sweeps.bernoulli(250)
     verify_all("extended")
     run_sweep(survey._replace(k_max=10))
-    assert (sweeps._column, sweeps._sweep, powersum._TABLES) == (
-        None, None, None)
+    assert powersum._SLICE is None
     gc.collect()
     tracemalloc.start()
     try:
@@ -332,8 +332,7 @@ def test_nothing_sized_by_m_max_survives_a_sweep():
     # survey gcds in a list some 3,300
     assert left < 4096
     assert survey_left < 1024
-    assert (sweeps._column, sweeps._sweep, powersum._TABLES) == (
-        None, None, None)
+    assert powersum._SLICE is None
 
 
 def test_the_faulhaber_memo_keeps_one_k():
@@ -451,6 +450,26 @@ def test_uneven_slices_merge_in_order(monkeypatch):
     assert log == [("workers", 2), ("map", 2), ("workers", 3), ("map", 3)]
     assert canonical(reports[2]) == canonical(reports[1])
     assert canonical(reports[3]) == canonical(reports[1])
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_grids_sharing_k_but_not_m_range_sweep_as_if_alone(monkeypatch,
+                                                           perturbed):
+    # a slice keeps each shared list by its arguments: the rows of one k
+    # of two grids with other m ranges alternate in a slice and rebuild
+    # each other's lists, and each grid's checks still report what the
+    # grid swept alone reports; perturbed sums give failing cells
+    if perturbed:
+        perturb_sums(monkeypatch)
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
+    specs = [GridSpec(k_max=8, m_max=40),
+             GridSpec(k_max=8, m_min=5, m_max=60)]
+    alone = [run_sweep(spec)["checks"] for spec in specs]
+    assert any(c["counterexamples"] for c in alone[1]) == perturbed
+    for jobs in (1, 2):
+        both = run_grids(specs, None, jobs)["checks"]
+        assert both[0::2] == alone[0], jobs
+        assert both[1::2] == alone[1], jobs
 
 
 # The sweep's own pool forks. A `concurrent.futures` executor assigned to
