@@ -37,6 +37,7 @@ from .bernoulli import (  # noqa: E402
     CacheError,
     SquareFreeStatus,
     bernoulli,
+    bernoulli_pair,
     denominator,
     divides_rational,
     numerator,
@@ -76,6 +77,7 @@ __all__ = [
     "CacheError",
     "SquareFreeStatus",
     "bernoulli",
+    "bernoulli_pair",
     "denominator",
     "divides_rational",
     "numerator",

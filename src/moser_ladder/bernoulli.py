@@ -5,9 +5,13 @@ Even-index values come from the Genocchi numbers G_2n, read off
 Seidel's triangle (Dumont & Viennot, Ann. Discrete Math. 6 (1980)): each
 pair of rows is two prefix sums, O(n^2) additions in all and no
 multiplications, and B_2n = (-1)^(n-1) |G_2n| / (2 (4^n - 1)). Values
-are memoized across calls; nothing else is. Convention: B_1 = -1/2.
-Denominators are cross-checkable against the von Staudt-Clausen product,
-which is exposed separately so the two routes stay independent.
+are memoized across calls as integer pairs (N_k, D_k); nothing else is.
+`bernoulli_pair`, `numerator` and `denominator` read the pair, and
+`bernoulli` builds a `Fraction` from it on each call, importing
+`fractions` only then, so a query that prints N_k and D_k never loads
+it. Convention: B_1 = -1/2. Denominators are cross-checkable against the
+von Staudt-Clausen product, which is exposed separately so the two
+routes stay independent.
 
 Entries seeded from the cache file are checked against von Staudt-Clausen
 by `seed_even_values`, and against the Genocchi numbers when the memo
@@ -19,15 +23,18 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _primes
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __all__ = [
     "bernoulli",
+    "bernoulli_pair",
     "CacheError",
     "vsc_denominator",
     "numerator",
@@ -43,12 +50,10 @@ __all__ = [
     "seed_even_values",
 ]
 
-_B1 = Fraction(-1, 2)
-
-# _EVEN[i] = B_{2i}; grown on demand, never shrunk. `sweeps.run_grids`
-# fills it to the grids' largest k before it forks, and the workers
-# inherit it.
-_EVEN: list[Fraction] = [Fraction(1)]
+# _EVEN[i] = (N_2i, D_2i), B_2i in lowest terms with D_2i > 0; grown on
+# demand, never shrunk. `sweeps.run_grids` fills it to the grids' largest
+# k before it forks, and the workers inherit it.
+_EVEN: list[tuple[int, int]] = [(1, 1)]
 
 # Row 2n - 1 of Seidel's triangle, n = len(_SEIDEL): its n entries end in
 # |G_2n|. _EVEN agrees with the Genocchi numbers up to B_2n; entries past
@@ -68,8 +73,9 @@ def _extend_even(half: int) -> None:
     Seidel's triangle is advanced two rows at a time: the suffix sums of
     row 2n - 1 give row 2n reversed, and its prefix sums, with the last
     one repeated, give row 2n + 1. So growing the table in steps costs the
-    same O(half^2) additions as one build. A seeded entry that disagrees
-    raises CacheError.
+    same O(half^2) additions as one build. Each new pair is reduced by one
+    gcd of |G_2n| with 2 (4^n - 1). A seeded entry that disagrees raises
+    CacheError.
     """
     global _SEIDEL
     if half < len(_EVEN):
@@ -82,7 +88,9 @@ def _extend_even(half: int) -> None:
         else:
             row = [1]  # row 1; the step above needs a row to sum
         n = len(row)
-        value = Fraction((-1) ** (n - 1) * row[-1], 2 * (4**n - 1))
+        d = 2 * (4**n - 1)
+        g = gcd(row[-1], d)
+        value = ((-1) ** (n - 1) * (row[-1] // g), d // g)
         if n < len(_EVEN):
             if _EVEN[n] != value:
                 raise CacheError(
@@ -94,19 +102,30 @@ def _extend_even(half: int) -> None:
         _SEIDEL = row
 
 
-def bernoulli(k: int) -> Fraction:
-    """B_k as an exact Fraction in lowest terms.
+def bernoulli_pair(k: int) -> tuple[int, int]:
+    """(N_k, D_k), B_k in lowest terms with D_k > 0, for every k >= 0:
+    the memo's pair at even k, (-1, 2) at k = 1 and (0, 1) at odd k >= 3.
+    The cheap read of B_k: it builds no Fraction.
 
     Raises ValueError for k < 0.
     """
     if k < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {k}")
-    if k == 1:
-        return _B1
     if k % 2:
-        return Fraction(0)
+        return (-1, 2) if k == 1 else (0, 1)
     _extend_even(k // 2)
     return _EVEN[k // 2]
+
+
+def bernoulli(k: int) -> Fraction:
+    """B_k as an exact Fraction in lowest terms, built from
+    `bernoulli_pair(k)` on each call.
+
+    Raises ValueError for k < 0.
+    """
+    from fractions import Fraction  # here: the pairs alone never load it
+
+    return Fraction(*bernoulli_pair(k))
 
 
 def _require_even(k: int, what: str) -> None:
@@ -147,13 +166,13 @@ def vsc_denominator(k: int) -> int:
 def numerator(k: int) -> int:
     """Signed numerator N_k of B_k, even k >= 2 only."""
     _require_even(k, "numerator")
-    return bernoulli(k).numerator
+    return bernoulli_pair(k)[0]
 
 
 def denominator(k: int) -> int:
     """Denominator D_k > 0 of B_k, even k >= 2 only."""
     _require_even(k, "denominator")
-    return bernoulli(k).denominator
+    return bernoulli_pair(k)[1]
 
 
 class SquareFreeStatus(NamedTuple):
@@ -289,8 +308,8 @@ def size_estimate(k: int) -> float:
 def exact_log_abs(k: int) -> float:
     """log |B_k| evaluated from the exact value (reference for size_estimate)."""
     _require_even(k, "exact_log_abs")
-    b = bernoulli(k)
-    return math.log(abs(b.numerator)) - math.log(b.denominator)
+    n, d = bernoulli_pair(k)
+    return math.log(abs(n)) - math.log(d)
 
 
 # Comparing a transcendental bound in floats: the observed slack is at least
@@ -326,6 +345,8 @@ def divides_rational(m: int, r: int, b: Fraction | int) -> bool:
         raise ValueError(f"divides_rational needs m >= 1, got {m}")
     if r < 1:
         raise ValueError(f"divides_rational needs r >= 1, got {r}")
+    from fractions import Fraction  # here: the pairs alone never load it
+
     b = Fraction(b)
     return _divides_nd(m, r, b.numerator)
 
@@ -345,7 +366,9 @@ def seed_even_values(pairs: Iterable[tuple[int, tuple[int, int]]]) -> int:
     memo holds B_0, B_2, ... by position. Entries beyond the first gap, at
     odd k or at k = 0 are ignored. Each accepted entry must satisfy von
     Staudt-Clausen: D_k is the product of the primes p with (p-1) | k, and
-    N_k + sum D_k/p = 0 mod D_k.
+    N_k + sum D_k/p = 0 mod D_k. Those tests leave N_k prime to D_k (each
+    p | D_k has N_k = -D_k/p, a unit, mod p), so the pair is in lowest
+    terms, and equal pairs are equal values.
     A violation, or disagreement with a value already in the memo, raises
     CacheError rather than poisoning the memo. An edit to N_k by a multiple
     of D_k passes both tests; it is caught when the memo is next extended
@@ -372,7 +395,7 @@ def seed_even_values(pairs: Iterable[tuple[int, tuple[int, int]]]) -> int:
                 f"von Staudt-Clausen modulo {d}"
             )
         half = k // 2
-        value = Fraction(n, d)
+        value = (n, d)
         if half < len(_EVEN):
             if _EVEN[half] != value:
                 raise CacheError(

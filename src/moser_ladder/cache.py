@@ -17,8 +17,9 @@ edit that re-signs the file: a change of N_k by a multiple of D_k also
 passes von Staudt-Clausen and loads (README, "Cache format"). Bad data
 raises `bernoulli.CacheError`, the package's one error for it.
 
-This module holds the format and two bridges to the Bernoulli memo;
-`cli.main` alone decides when a file is read and written.
+This module holds the format and two bridges to the Bernoulli memo,
+which holds the same (N_k, D_k) integer pairs, so neither bridge builds a
+`Fraction`; `cli.main` alone decides when a file is read and written.
 
 Concurrency contract: one writer or many readers. Writes go through a
 temp file plus atomic rename, so readers never observe a torn file.
@@ -31,7 +32,7 @@ import sys
 from math import gcd
 from pathlib import Path
 
-from .bernoulli import CacheError, bernoulli, seed_even_values
+from .bernoulli import CacheError, bernoulli_pair, seed_even_values
 
 __all__ = [
     "CACHE_HEADER",
@@ -144,6 +145,5 @@ def snapshot_bernoulli(k_max: int) -> CacheStore:
     needed)."""
     store = CacheStore()
     for k in range(2, k_max + 1, 2):
-        b = bernoulli(k)  # a Fraction, so in lowest terms
-        store.entries[k] = (b.numerator, b.denominator)
+        store.entries[k] = bernoulli_pair(k)  # in lowest terms
     return store

@@ -14,6 +14,8 @@ its answer (for verify, the report) writes the cache at most once, with
 exactly the even entries 2..k of the k the command returns, so a failed
 write is a stderr warning. A cache whose checked prefix already reaches
 that k is not written. Bad cache data raises one class, `CacheError`.
+`bern` prints the memo's (N_k, D_k) pair as `str(Fraction)` would, N/D
+or N when D = 1, so a `bern` query never loads `fractions`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import os
 import sys
 from pathlib import Path
 
-from .bernoulli import TRIAL_BOUND, CacheError, bernoulli, numerator_survey
+from .bernoulli import (TRIAL_BOUND, CacheError, bernoulli_pair,
+                        numerator_survey)
 from . import cache as cachemod
 from . import gcdlab
 from . import powersum as ps
@@ -81,12 +84,12 @@ def _cache_path(args) -> str | None:
 
 
 def cmd_bern(args) -> tuple[int, int]:
-    b = bernoulli(args.k)
-    _emit(args, [b],
-          {"k": args.k, "numerator": str(b.numerator),
-           "denominator": str(b.denominator), "value": str(b)},
-          ["k", "numerator", "denominator"],
-          [[args.k, b.numerator, b.denominator]])
+    n, d = bernoulli_pair(args.k)
+    value = f"{n}/{d}" if d != 1 else str(n)  # as str(Fraction(n, d))
+    _emit(args, [value],
+          {"k": args.k, "numerator": str(n), "denominator": str(d),
+           "value": value},
+          ["k", "numerator", "denominator"], [[args.k, n, d]])
     return 0, 0 if args.k % 2 else args.k  # odd k reads no table entry
 
 
@@ -362,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a bug, never a bad input or a failed check
         if isinstance(exc, ArithmeticError) and seeded:
             try:  # recompute the seeded entries: was the cache at fault?
-                bernoulli(seeded + 2)
+                bernoulli_pair(seeded + 2)
             except CacheError as poisoned:
                 print(f"error: {poisoned}", file=sys.stderr)
                 return 3

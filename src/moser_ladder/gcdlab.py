@@ -52,7 +52,7 @@ from .bernoulli import (
     TRIAL_BOUND,
     SquareFreeStatus,
     _require_even,
-    bernoulli,
+    bernoulli_pair,
     denominator,
     numerator,
     square_free_status,
@@ -177,9 +177,9 @@ def _ladder_rungs(
 
 
 def _ladder_from_sums(k: int, m: int, s: int, s_next: int) -> GcdLadder:
-    b = bernoulli(k)
+    n, d = bernoulli_pair(k)
     return GcdLadder(k, m, *_ladder_rungs(k, m, s, gcd(s, s_next), m**k,
-                                          abs(b.numerator), b.denominator))
+                                          abs(n), d))
 
 
 def gcd_ladder(k: int, m: int) -> GcdLadder:
@@ -256,8 +256,7 @@ def congruence_check(k: int, m: int, r: int) -> CongruenceVerdict:
         raise ValueError(f"congruence_check needs m >= 1, got {m}")
     if r not in (1, 2, 3):
         raise ValueError(f"congruence_check supports r in 1..3, got {r}")
-    b = bernoulli(k)
-    n, d = b.numerator, b.denominator
+    n, d = bernoulli_pair(k)
     num = _diff_numerator(m, power_sum(k, m), n, d)
     _, _, applicable, holds = _congruence_cells(k, m, num, (), n, d)[r - 1]
     return CongruenceVerdict(k, m, r, applicable, holds)
@@ -285,8 +284,7 @@ def prime_local_congruences(k: int, m: int) -> list[PrimeLocalVerdict]:
     _require_even(k, "prime_local_congruences")
     if m < 2:
         raise ValueError(f"prime_local_congruences needs m >= 2, got {m}")
-    b = bernoulli(k)
-    n, d = b.numerator, b.denominator
+    n, d = bernoulli_pair(k)
     num = _diff_numerator(m, power_sum(k, m), n, d)
     factors = _primes.factorize(m).items()
     cells = iter(_congruence_cells(k, m, num, factors, n, d)[3:])
@@ -409,7 +407,7 @@ def min_max_scan(k: int, m_max: int,
     min_witness, min_value, max_witness, max_value = _extreme_witnesses(k)
     product = min_value * max_value
     return MinMaxResult(k, status, min_value, min_witness, max_value,
-                        max_witness, product, product == abs(bernoulli(k)),
+                        max_witness, product, product == Fraction(n_abs, d),
                         Fraction(lo_a, prefix_min_at), prefix_min_at,
                         Fraction(hi_a, prefix_max_at), prefix_max_at,
                         closed_agrees)
@@ -449,15 +447,15 @@ def cross_gcd_check(k: int, s: int) -> CrossGcdVerdict:
         raise ValueError(f"s must be one of {CROSS_GCD_OFFSETS}, got {s}")
     if k - s < 2:
         raise ValueError(f"needs k - s >= 2, got k={k}, s={s}")
-    c = gcd(abs(numerator(k)), denominator(k - s))
+    n_abs = abs(numerator(k))
+    c = gcd(n_abs, denominator(k - s))
     divides_k = k % c == 0
     if c == 1:
         return CrossGcdVerdict(k, s, c, divides_k, True, ())
     facs = _primes.factorize(c)
     c_square_free = all(e == 1 for e in facs.values())
     d_s = denominator(s)
-    b_over_k = bernoulli(k) / k
-    checks = tuple(
-        (p, d_s % p != 0, b_over_k.numerator % p != 0) for p in facs
-    )
+    # |numerator of B_k / k| in lowest terms: N is prime to D
+    n_over_k = n_abs // gcd(n_abs, k)
+    checks = tuple((p, d_s % p != 0, n_over_k % p != 0) for p in facs)
     return CrossGcdVerdict(k, s, c, divides_k, c_square_free, checks)

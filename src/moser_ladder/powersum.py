@@ -38,7 +38,7 @@ from itertools import accumulate, count
 from math import comb, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .bernoulli import bernoulli
+from .bernoulli import bernoulli_pair
 
 __all__ = [
     "power_sum",
@@ -64,12 +64,10 @@ __all__ = [
 @lru_cache(maxsize=1)
 def _faulhaber_coeffs(k: int) -> tuple[int, tuple[int, int, int],
                                        tuple[int, ...]]:
-    bs = [bernoulli(j) for j in range(k + 1)]
-    scale_l = lcm(*(b.denominator for b in bs))
-    coeffs = [
-        comb(k + 1, j) * (bs[j].numerator * (scale_l // bs[j].denominator))
-        for j in range(k + 1)
-    ]
+    bs = [bernoulli_pair(j) for j in range(k + 1)]
+    scale_l = lcm(*(d for _, d in bs))
+    coeffs = [comb(k + 1, j) * (n * (scale_l // d))
+              for j, (n, d) in enumerate(bs)]
     if any(coeffs[3::2]):
         raise ArithmeticError(f"odd-index Bernoulli number nonzero below k={k}")
     even = coeffs[0::2] + [0] * (k % 2)

@@ -80,6 +80,7 @@ from .bernoulli import (
     _divides_nd,
     _smallest_square_prime,
     bernoulli,
+    bernoulli_pair,
     denominator,
     exact_log_abs,
     numerator,
@@ -260,8 +261,8 @@ _LADDER_CLOSED_FORMS = ("closed-form-m", "closed-form-m2", "closed-form-m3")
 
 def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
     row = _Row("gcd-ladder", k)
-    b = bernoulli(k)
-    n_abs, d = abs(b.numerator), b.denominator
+    n, d = bernoulli_pair(k)
+    n_abs = abs(n)
     ms = range(max(2, spec.m_min), spec.m_max + 1)
     powers = ps._powers(k, spec.m_max)
     gcds = _consecutive_gcds(k, range(spec.m_min, spec.m_max + 1))
@@ -289,8 +290,7 @@ def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
 
 def _row_congruences(k: int, spec: GridSpec) -> _Row:
     row = _Row("congruences", k)
-    b = bernoulli(k)
-    n, d = b.numerator, b.denominator
+    n, d = bernoulli_pair(k)
     factors = _factor_lists(spec.m_max)
     running = _running_sums(k, spec.m_max)[spec.m_min - 1:]
     for m, s in zip(range(spec.m_min, spec.m_max + 1), running):
@@ -309,7 +309,7 @@ def _row_congruences(k: int, spec: GridSpec) -> _Row:
 
 def _row_div_equiv(k: int, spec: GridSpec) -> _Row:
     row = _Row("divisibility-equivalence", k)
-    n = bernoulli(k).numerator
+    n = bernoulli_pair(k)[0]
     ms = range(max(2, spec.m_min), spec.m_max + 1)
     for m, s in zip(ms, _running_sums(k, spec.m_max)[ms.start - 1:]):
         for r in (1, 2):
@@ -373,7 +373,7 @@ def _row_min_max(k: int, spec: GridSpec) -> _Row:
                  f"{result.prefix_max} at {result.prefix_max_at}",
                  f"<= {want_max}", cell="prefix-below-max")
         row.cell(result.product_matches_abs_b, result.product,
-                 abs(bernoulli(k)), cell="min-times-max")
+                 Fraction(n_abs, d), cell="min-times-max")
     else:
         # no square-free certificate: the scan reports, never asserts
         row.inapplicable += 3

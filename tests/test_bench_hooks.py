@@ -14,7 +14,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -148,7 +147,7 @@ def test_cache_and_bernoulli_layers_are_live(tmp_path, monkeypatch, capsys):
                                 "cache_store")),
                       ("warm", ("cache_load", "warm_bernoulli",
                                 "seed_even_values"))):
-        monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
+        monkeypatch.setattr(bmod, "_EVEN", [(1, 1)])
         monkeypatch.setattr(bmod, "_SEIDEL", [])
         called.clear()
         assert cli.main(["bern", "20", "--cache", cache]) == 0

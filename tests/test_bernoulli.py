@@ -2,17 +2,19 @@
 
 import importlib
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
-from math import comb
+from math import comb, gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moser_ladder.bernoulli import (
     SQUARE_FREE_ESCALATION,
     SquareFreeStatus,
     bernoulli,
+    bernoulli_pair,
     denominator,
     divides_rational,
     exact_log_abs,
@@ -27,6 +29,7 @@ from moser_ladder.bernoulli import (
 
 # the package rebinds the name `bernoulli` to the function
 bmod = importlib.import_module("moser_ladder.bernoulli")
+cachemod = importlib.import_module("moser_ladder.cache")
 
 # (N_k, D_k) in lowest terms for even k, frozen from an independent
 # evaluation of the defining recurrence over all indices (no even-only
@@ -78,7 +81,7 @@ def _even_recurrence(k_max: int) -> list[Fraction]:
 @pytest.fixture
 def fresh_memo(monkeypatch):
     """An empty memo for one test; the module's own is restored after it."""
-    monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
+    monkeypatch.setattr(bmod, "_EVEN", [(1, 1)])
     monkeypatch.setattr(bmod, "_SEIDEL", [])
 
 
@@ -99,15 +102,21 @@ def _tangent_oracle(k_max: int) -> list[Fraction]:
         for n in range(1, half + 1)]
 
 
+def _pairs(values: list[Fraction]) -> list[tuple[int, int]]:
+    return [(b.numerator, b.denominator) for b in values]
+
+
 def test_genocchi_engine_matches_even_recurrence(fresh_memo):
     # ascending queries grow the table two rows at a time
-    assert [bernoulli(k) for k in range(0, 501, 2)] == _even_recurrence(500)
+    want = _even_recurrence(500)
+    assert [bernoulli(k) for k in range(0, 501, 2)] == want
+    assert bmod._EVEN == _pairs(want)
 
 
 def test_genocchi_engine_matches_tangent_numbers(fresh_memo):
     # every even k <= 1000, the benchmark's whole K range
     bernoulli(1000)
-    assert bmod._EVEN == _tangent_oracle(1000)
+    assert bmod._EVEN == _pairs(_tangent_oracle(1000))
 
 
 def test_kept_row_ends_in_the_genocchi_numbers(fresh_memo):
@@ -128,7 +137,7 @@ def test_growth_in_steps_matches_one_build(steps):
     tops = [2 * half for half in accumulate(steps)]
     tables = []
     for queries in (tops, tops[-1:]):
-        with mock.patch.object(bmod, "_EVEN", [Fraction(1)]), \
+        with mock.patch.object(bmod, "_EVEN", [(1, 1)]), \
                 mock.patch.object(bmod, "_SEIDEL", []):
             for k in queries:
                 bernoulli(k)
@@ -149,7 +158,51 @@ def test_extension_checks_seeded_entries(fresh_memo):
                        match="^memo entry for k=12 disagrees "):
         bernoulli(14)
     assert len(bmod._EVEN) == 7
-    assert bmod._EVEN[6] == Fraction(2039, 2730)
+    assert bmod._EVEN[6] == (2039, 2730)
+
+
+@cache
+def _fresh_build() -> list[tuple[int, int]]:
+    """The memo a fresh table builds to k = 1000."""
+    with mock.patch.object(bmod, "_EVEN", [(1, 1)]), \
+            mock.patch.object(bmod, "_SEIDEL", []):
+        bernoulli(1000)
+        return bmod._EVEN
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(halves=st.integers(1, 499).flatmap(
+    lambda half: st.tuples(st.just(half), st.integers(half + 1, 500))))
+@example(halves=(499, 500))
+def test_memo_pairs_are_lowest_terms_and_extend_a_seed(halves):
+    # the pair is B_k in lowest terms with D > 0, and a memo seeded from a
+    # cache to k, then grown past it, holds the pairs a fresh build holds
+    half, top = halves
+    k = 2 * half
+    for j in (k, 2 * top):
+        n, d = numerator(j), denominator(j)
+        assert bernoulli(j) == Fraction(n, d)
+        assert gcd(n, d) == 1 and d > 0
+    built = _fresh_build()
+    entries = {2 * i: built[i] for i in range(1, half + 1)}
+    with mock.patch.object(bmod, "_EVEN", [(1, 1)]), \
+            mock.patch.object(bmod, "_SEIDEL", []):
+        assert cachemod.warm_bernoulli(cachemod.CacheStore(entries)) == k
+        assert bmod._SEIDEL == []
+        bernoulli(2 * top)
+        assert bmod._EVEN == built[:top + 1]
+
+
+def test_pair_at_every_index():
+    assert bernoulli_pair(0) == (1, 1)
+    assert bernoulli_pair(1) == (-1, 2)
+    for k in range(61):
+        b = bernoulli(k)
+        assert bernoulli_pair(k) == (b.numerator, b.denominator), k
+    for k in range(3, 61, 2):
+        assert bernoulli_pair(k) == (0, 1)
+    with pytest.raises(ValueError, match="^Bernoulli index must be >= 0, "):
+        bernoulli_pair(-1)
 
 
 def test_matches_defining_recurrence_every_index():

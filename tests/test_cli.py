@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -141,7 +140,7 @@ def test_scan_builds_one_survey_tree_on_a_fresh_table(monkeypatch, capsys):
     assert cli.main(argv) == 0
     warm = capsys.readouterr().out
     blocks = _count_survey_blocks(monkeypatch)
-    monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
+    monkeypatch.setattr(bmod, "_EVEN", [(1, 1)])
     monkeypatch.setattr(bmod, "_SEIDEL", [])
     assert cli.main(argv) == 0
     assert blocks == [121]
@@ -534,7 +533,7 @@ def test_unexpected_exception_exits_4(monkeypatch, capsys, exc, text):
     assert capsys.readouterr() == ("", f"internal error: {text}\n")
 
 
-_REAL_BERNOULLI = cli.ps.bernoulli
+_REAL_PAIR = cli.ps.bernoulli_pair
 _TEST_PID = os.getpid()
 
 
@@ -544,13 +543,14 @@ _TEST_PID = os.getpid()
     ("gcdlab", "gcd", lambda a, b: math.gcd(a, b) + (b == 5**10),
      ["ladder", "10", "5"], "does not divide"),
     # B_3 = 1 breaks the Faulhaber coefficients' odd-index check
-    ("ps", "bernoulli", lambda j: _REAL_BERNOULLI(j) + (j == 3),
+    ("ps", "bernoulli_pair", lambda j: (1, 1) if j == 3 else _REAL_PAIR(j),
      ["powersum", "5", "7"], "odd-index Bernoulli"),
     # the same fault in a forked worker only: the parent runs its own
     # slice cleanly, and the child's error must reach the exit code
     pytest.param(
-        "ps", "bernoulli",
-        lambda j: _REAL_BERNOULLI(j) + (j == 3 and os.getpid() != _TEST_PID),
+        "ps", "bernoulli_pair",
+        lambda j: ((1, 1) if j == 3 and os.getpid() != _TEST_PID
+                   else _REAL_PAIR(j)),
         ["verify", "quick", "--jobs", "2"], "odd-index Bernoulli",
         marks=pytest.mark.skipif(not hasattr(os, "fork"),
                                  reason="workers are forked")),
@@ -715,7 +715,7 @@ def test_bad_cache_behind_a_tripped_invariant_exits_3(
     cache = tmp_path / "bern.cache"
     cachemod.cache_store(cachemod.snapshot_bernoulli(20), cache)
     _rewrite_entry(cache, "10\t5\t66\n", "10\t71\t66\n")
-    monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
+    monkeypatch.setattr(bmod, "_EVEN", [(1, 1)])
     monkeypatch.setattr(bmod, "_SEIDEL", [])
     monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
     argv = ["verify", "quick", "--cache", str(cache), "--jobs", jobs]
@@ -823,6 +823,9 @@ _LAZY_MODULES = {"moser_ladder.powersum", "moser_ladder.gcdlab",
 # for a cache file
 _PRIMES, _CACHE = "moser_ladder._primes", "moser_ladder.cache"
 _ON_DEMAND = _LAZY_MODULES | {_PRIMES, _CACHE}
+# what `fractions` loads: the Bernoulli memo holds integer pairs, so
+# neither the import nor a `bern` query needs it
+_FRACTIONS = {"fractions", "decimal", "numbers"}
 
 
 def _modules_added_by(statement: str) -> tuple[list[str], set[str]]:
@@ -852,6 +855,7 @@ def test_cold_import_skips_heavy_modules():
     assert _ON_DEMAND <= set(added)
     assert ran == {"moser_ladder", "moser_ladder.bernoulli", "moser_ladder.cli"}
     assert "json" not in added
+    assert not _FRACTIONS & set(added)
 
 
 def test_warm_query_loads_only_hashlib(tmp_path):
@@ -872,6 +876,10 @@ def test_warm_query_loads_only_hashlib(tmp_path):
     # a bern query compiles none of the lazy modules and writes no JSON
     assert not _LAZY_MODULES & (seedless_ran | warm_ran)
     assert "json" not in set(seedless) | set(warm)
+    # nor loads `fractions`, with a fresh cache, a warm one or none
+    fresh, _ = _modules_added_by(
+        query.format(f", '--cache', {str(tmp_path / 'fresh.cache')!r}"))
+    assert not _FRACTIONS & (set(seedless) | set(warm) | set(fresh))
 
 
 @pytest.mark.parametrize("command, runs", [
@@ -899,6 +907,8 @@ def test_a_command_runs_only_the_modules_it_calls(command, runs, tmp_path):
         f"assert main({argv!r}) == 0")
     assert ran & _ON_DEMAND == runs
     assert ("json" in added) == command.startswith("verify")
+    if command.startswith("bern"):
+        assert not _FRACTIONS & set(added)
 
 
 def test_a_usage_error_runs_no_cache_module():

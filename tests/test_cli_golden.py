@@ -22,6 +22,10 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 COMMANDS = (
     "bern 12",
+    # B_0, B_1 and an odd k: the integer, negative and zero forms
+    "bern 0",
+    "bern 1",
+    "bern 3",
     "powersum 10 5",
     "powersum 10 5 --naive",
     "gk 2 6",

@@ -20,7 +20,6 @@ prime.
 
 import importlib
 import json
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -36,7 +35,7 @@ def _fresh_table(monkeypatch) -> None:
     reads), for a fault to change; monkeypatch puts back the old one, and
     the test's `fresh_faulhaber` fixture empties the Faulhaber memo before
     and after."""
-    monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
+    monkeypatch.setattr(bmod, "_EVEN", [(1, 1)])
     monkeypatch.setattr(bmod, "_SEIDEL", [])
     bmod.bernoulli(12)
 
@@ -118,7 +117,8 @@ def is_prime_91(mp):
 
 def numerator_plus_denominator_at_10(mp):
     _fresh_table(mp)
-    bmod._EVEN[5] += 1  # N_10 + D_10 over D_10
+    n, d = bmod._EVEN[5]
+    bmod._EVEN[5] = (n + d, d)  # N_10 + D_10 over D_10
 
 
 def denominator_off(mp):

@@ -8,7 +8,6 @@ import os
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 import pytest
 
@@ -98,7 +97,7 @@ def test_max_bernoulli_index_covers_every_read(monkeypatch, fresh_faulhaber):
     assert [max_bernoulli_index(specs) for specs in grids] == [
         12, 40, 14, 2, 14]
     for specs in grids:
-        monkeypatch.setattr(bmod, "_EVEN", [Fraction(1)])
+        monkeypatch.setattr(bmod, "_EVEN", [(1, 1)])
         monkeypatch.setattr(bmod, "_SEIDEL", [])
         powersum._faulhaber_coeffs.cache_clear()
         bmod.bernoulli(max_bernoulli_index(specs))
