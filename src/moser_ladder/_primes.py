@@ -1,5 +1,5 @@
-"""Prime arithmetic helpers: sieve, primorials and gcds with them,
-primality, factorization.
+"""Prime arithmetic helpers: sieve, primorials and gcds with them (other
+modules take every such gcd from `primorial_gcds`), primality, factorization.
 
 Everything here is deterministic for the input sizes this package meets.
 Miller-Rabin to the first 13 prime bases is a proven primality test below
@@ -16,7 +16,6 @@ from math import gcd, isqrt
 
 __all__ = [
     "primes_up_to",
-    "primorial",
     "primorial_gcds",
     "is_prime",
     "factorize",

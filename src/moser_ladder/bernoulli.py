@@ -9,14 +9,14 @@ are memoized across calls as integer pairs (N_k, D_k); nothing else is.
 `bernoulli_pair`, `numerator` and `denominator` read the pair, and
 `bernoulli` builds a `Fraction` from it on each call, importing
 `fractions` only then, so a query that prints N_k and D_k never loads
-it. Convention: B_1 = -1/2. Denominators are cross-checkable against the
-von Staudt-Clausen product, which is exposed separately so the two
-routes stay independent.
-
-Entries seeded from the cache file are checked against von Staudt-Clausen
-by `seed_even_values`, and against the Genocchi numbers when the memo
-grows past them; bad cache data raises CacheError, defined here because
-this module always loads.
+it. Convention: B_1 = -1/2. No index past MAX_K is read. The von
+Staudt-Clausen primes come from one sieve table, `_vsc_prime_table`,
+which never reads the Genocchi numbers: `vsc_denominator` cross-checks
+D_k with it, and `seed_even_values` checks entries seeded from the
+cache file, which are checked against the Genocchi numbers too when the
+memo grows past them. Bad cache data raises CacheError, defined here
+because this module always loads. The square-factor searches read the
+primes p with p^2 | n from `_square_part`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _primes
@@ -59,6 +59,13 @@ _EVEN: list[tuple[int, int]] = [(1, 1)]
 # |G_2n|. _EVEN agrees with the Genocchi numbers up to B_2n; entries past
 # it were seeded, not computed.
 _SEIDEL: list[int] = []
+
+# The largest Bernoulli index the package reads: B_k past it raises
+# ValueError before the table grows. Row k - 1 of Seidel's triangle holds
+# k/2 integers of up to |G_k| bits (about 10^5 at k = 10^4), so a build
+# costs about k^3 bit operations: to 10^4 it took 94 s of CPU and peaked
+# at 242 MB RSS (2 cores, Python 3.11.7).
+MAX_K = 10**4
 
 
 class CacheError(ValueError):
@@ -102,15 +109,20 @@ def _extend_even(half: int) -> None:
         _SEIDEL = row
 
 
+def _check_index(k: int) -> None:
+    if not 0 <= k <= MAX_K:
+        side = ">= 0" if k < 0 else f"<= {MAX_K}"
+        raise ValueError(f"Bernoulli index must be {side}, got {k}")
+
+
 def bernoulli_pair(k: int) -> tuple[int, int]:
     """(N_k, D_k), B_k in lowest terms with D_k > 0, for every k >= 0:
     the memo's pair at even k, (-1, 2) at k = 1 and (0, 1) at odd k >= 3.
     The cheap read of B_k: it builds no Fraction.
 
-    Raises ValueError for k < 0.
+    Raises ValueError for k < 0 or k > MAX_K.
     """
-    if k < 0:
-        raise ValueError(f"Bernoulli index must be >= 0, got {k}")
+    _check_index(k)
     if k % 2:
         return (-1, 2) if k == 1 else (0, 1)
     _extend_even(k // 2)
@@ -121,7 +133,7 @@ def bernoulli(k: int) -> Fraction:
     """B_k as an exact Fraction in lowest terms, built from
     `bernoulli_pair(k)` on each call.
 
-    Raises ValueError for k < 0.
+    Raises ValueError for k < 0 or k > MAX_K.
     """
     from fractions import Fraction  # here: the pairs alone never load it
 
@@ -133,19 +145,10 @@ def _require_even(k: int, what: str) -> None:
         raise ValueError(f"{what} needs even k >= 2, got {k}")
 
 
-def _vsc_primes(k: int) -> list[int]:
-    """Primes p with (p-1) | k, from the divisor pairs (d, k/d), d <= sqrt k."""
-    divisors = set()
-    for d in range(1, isqrt(k) + 1):
-        if k % d == 0:
-            divisors.update((d, k // d))
-    return [d + 1 for d in divisors if _primes.is_prime(d + 1)]
-
-
 def _vsc_prime_table(top: int) -> list[list[int]]:
     """t[k/2] = the primes p with (p-1) | k, ascending, for every even
     k <= top: one pass over the primes p <= top + 1, each marking the
-    even multiples of p - 1, instead of `_vsc_primes`' divisors of each k."""
+    even multiples of p - 1. The one von Staudt-Clausen route."""
     table: list[list[int]] = [[] for _ in range(top // 2 + 1)]
     for p in _primes.primes_up_to(top + 1):
         step = max(p - 1, 2)  # p = 2: (p-1) | k for every even k
@@ -155,12 +158,13 @@ def _vsc_prime_table(top: int) -> list[list[int]]:
 
 
 def vsc_denominator(k: int) -> int:
-    """von Staudt-Clausen denominator: product of primes p with (p-1) | k.
+    """von Staudt-Clausen denominator: product of row k/2 of
+    `_vsc_prime_table(k)`, the primes p with (p-1) | k.
 
     Independent of the Genocchi numbers; used to cross-check denominator(k).
     """
     _require_even(k, "vsc_denominator")
-    return math.prod(_vsc_primes(k))
+    return math.prod(_vsc_prime_table(k)[k // 2])
 
 
 def numerator(k: int) -> int:
@@ -206,18 +210,20 @@ def _check_trial_bound(trial_bound: int) -> None:
         raise ValueError(f"trial_bound must be {side}, got {trial_bound}")
 
 
+def _square_part(n: int, bound: int, g: int | None = None) -> int:
+    """Product of the primes p <= bound with p^2 | n, for n >= 1: g =
+    gcd(n, primorial(bound)) (a caller that holds it passes it) is the
+    square-free product of those with p | n, so it is gcd(n / g, g)."""
+    if g is None:
+        [g] = _primes.primorial_gcds([n], bound)
+    return gcd(n // g, g)
+
+
 def _smallest_square_prime(n: int, bound: int,
                            g: int | None = None) -> int | None:
-    """Smallest prime p <= bound with p^2 | n, for n >= 1.
-
-    One gcd with the primorial finds g, the product of the primes <= bound
-    that divide n (a caller that already holds g passes it); since g is
-    square-free, gcd(n / g, g) is the product of those with p^2 | n. Only
-    its smallest prime is then looked for.
-    """
-    if g is None:
-        g = gcd(n, _primes.primorial(bound))
-    sq = gcd(n // g, g)
+    """Smallest prime p <= bound with p^2 | n, for n >= 1: the smallest
+    prime of `_square_part`, looked for only when it is not 1."""
+    sq = _square_part(n, bound, g)
     if sq == 1:
         return None
     return next(p for p in _primes.primes_up_to(bound) if sq % p == 0)
@@ -255,14 +261,16 @@ def numerator_survey(ks: range, trial_bound: int) -> list[dict]:
     search at trial_bound finds the smallest such p; the bound reported is
     the first one >= p, the pair that searching bound by bound would give.
 
-    The bound is checked first, even for an empty ks. One `primorial_gcds`
-    call over the survey's own |N_k| > 1 gives each g = gcd(|N_k|,
+    The bound is checked first, even for an empty ks, then the largest k
+    against MAX_K, before the table grows. One `primorial_gcds` call over
+    the survey's own |N_k| > 1 gives each g = gcd(|N_k|,
     primorial(bound)), and `_smallest_square_prime` the square factor;
     nothing outlives the call. Primality reads the same g: if
     1 < g < |N_k|, g is a proper factor and |N_k| is composite, so the
     primality test (deterministic at desk scale, see _primes) runs only
     when g is 1 or |N_k|."""
     _check_trial_bound(trial_bound)
+    _check_index(max(ks, default=0))
     bounds = tuple(b for b in SQUARE_FREE_ESCALATION
                    if b < trial_bound) + (trial_bound,)
     ns = [abs(numerator(k)) for k in ks]
@@ -363,9 +371,9 @@ def seed_even_values(pairs: Iterable[tuple[int, tuple[int, int]]]) -> int:
     """Warm the memo from (k, (N_k, D_k)) pairs.
 
     Pairs must supply a gap-free even prefix 2, 4, 6, ... to be usable; the
-    memo holds B_0, B_2, ... by position. Entries beyond the first gap, at
-    odd k or at k = 0 are ignored. Each accepted entry must satisfy von
-    Staudt-Clausen: D_k is the product of the primes p with (p-1) | k, and
+    memo holds B_0, B_2, ... by position. Entries beyond the first gap or
+    MAX_K, at odd k or at k = 0 are ignored. Each accepted entry must satisfy
+    von Staudt-Clausen: D_k is the product of the primes p with (p-1) | k, and
     N_k + sum D_k/p = 0 mod D_k. Those tests leave N_k prime to D_k (each
     p | D_k has N_k = -D_k/p, a unit, mod p), so the pair is in lowest
     terms, and equal pairs are equal values.
@@ -378,7 +386,7 @@ def seed_even_values(pairs: Iterable[tuple[int, tuple[int, int]]]) -> int:
     """
     table = {k: nd for k, nd in pairs}
     top = 0
-    while top + 2 in table:
+    while top + 2 in table and top + 2 <= MAX_K:
         top += 2
     vsc = _vsc_prime_table(top)
     for k in range(2, top + 1, 2):

@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bernoulli import (TRIAL_BOUND, CacheError, bernoulli_pair,
+from .bernoulli import (MAX_K, TRIAL_BOUND, CacheError, bernoulli_pair,
                         numerator_survey)
 from . import cache as cachemod
 from . import gcdlab
@@ -363,7 +363,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, never a bad input or a failed check
-        if isinstance(exc, ArithmeticError) and seeded:
+        # a memo seeded to MAX_K cannot grow past its entries to check them
+        if isinstance(exc, ArithmeticError) and 0 < seeded < MAX_K:
             try:  # recompute the seeded entries: was the cache at fault?
                 bernoulli_pair(seeded + 2)
             except CacheError as poisoned:

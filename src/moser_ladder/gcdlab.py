@@ -52,6 +52,7 @@ from .bernoulli import (
     TRIAL_BOUND,
     SquareFreeStatus,
     _require_even,
+    _square_part,
     bernoulli_pair,
     denominator,
     numerator,
@@ -385,8 +386,7 @@ def min_max_scan(k: int, m_max: int,
     n_abs = abs(numerator(k))
     d = denominator(k)
     status = square_free_status(k, trial_bound)
-    g = gcd(n_abs, _primes.primorial(m_max))  # square-free
-    sq = gcd(n_abs // g, g)  # product of the primes p <= m_max with p^2 | N
+    sq = _square_part(n_abs, m_max)  # the primes p <= m_max with p^2 | N
 
     # brute-force prefix by definition, cross-checked against the closed
     # form at every m coprime to sq (exact: the primes of m are <= m_max).

@@ -38,7 +38,7 @@ from itertools import accumulate, count
 from math import comb, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .bernoulli import bernoulli_pair
+from .bernoulli import _check_index, bernoulli_pair
 
 __all__ = [
     "power_sum",
@@ -64,6 +64,7 @@ __all__ = [
 @lru_cache(maxsize=1)
 def _faulhaber_coeffs(k: int) -> tuple[int, tuple[int, int, int],
                                        tuple[int, ...]]:
+    _check_index(k)  # before B_0..B_k grow the table
     bs = [bernoulli_pair(j) for j in range(k + 1)]
     scale_l = lcm(*(d for _, d in bs))
     coeffs = [comb(k + 1, j) * (n * (scale_l // d))

@@ -76,6 +76,7 @@ from . import __version__
 from ._primes import factorize
 from .bernoulli import (
     TRIAL_BOUND,
+    _check_index,
     _check_trial_bound,
     _divides_nd,
     _smallest_square_prime,
@@ -557,6 +558,8 @@ class GridSpec(NamedTuple):
             raise ValueError(
                 f"unknown checks: {', '.join(map(repr, unknown))}")
         _check_trial_bound(self.trial_bound)
+        if any(_CHECKS[c].reads_b for c in self.checks):
+            _check_index(self.k_max)
         if any(_CHECKS[c].tables_m for c in self.checks):
             ps._check_m_max(self.m_max)
 

@@ -4,12 +4,13 @@ import importlib
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from moser_ladder._primes import is_prime
 from moser_ladder.bernoulli import (
     SQUARE_FREE_ESCALATION,
     SquareFreeStatus,
@@ -234,6 +235,24 @@ def test_negative_index_rejected():
         bernoulli(-2)
 
 
+def test_index_past_max_k_rejected_before_the_table_grows():
+    top = len(bmod._EVEN)
+    for k in (bmod.MAX_K + 1, bmod.MAX_K + 2):
+        with pytest.raises(ValueError, match=f"^Bernoulli index must be "
+                                             f"<= 10000, got {k}$"):
+            bernoulli_pair(k)
+    with pytest.raises(ValueError):
+        numerator_survey(range(2, bmod.MAX_K + 3, 2), 100)
+    assert len(bmod._EVEN) == top
+
+
+def test_seed_stops_at_max_k(fresh_memo, monkeypatch):
+    # entries past MAX_K are ignored like entries past a gap
+    monkeypatch.setattr(bmod, "MAX_K", 10)
+    assert seed_even_values(EVEN_TABLE.items()) == 10
+    assert bmod._EVEN == [(1, 1)] + [EVEN_TABLE[k] for k in range(2, 11, 2)]
+
+
 def test_vsc_denominator_examples():
     assert vsc_denominator(2) == 6
     assert vsc_denominator(8) == 30
@@ -246,12 +265,18 @@ def test_vsc_matches_actual_denominator():
 
 
 def test_vsc_routes_agree():
-    # the cache loader's one-pass sieve and the per-k divisor route find
-    # the same primes, the sieve's in ascending order
-    table = bmod._vsc_prime_table(2000)
-    assert len(table) == 1001 and table[0] == []
-    for k in range(2, 2001, 2):
-        assert table[k // 2] == sorted(bmod._vsc_primes(k)), k
+    # the one-pass sieve that vsc_denominator and the cache loader read
+    # and the oracle, the per-k divisor route over the pairs (d, k/d),
+    # d <= sqrt k, find the same primes, the sieve's in ascending order,
+    # at every even k the package accepts
+    top = bmod.MAX_K
+    table = bmod._vsc_prime_table(top)
+    assert len(table) == top // 2 + 1 and table[0] == []
+    for k in range(2, top + 1, 2):
+        divisors = {d for d in range(1, isqrt(k) + 1) if k % d == 0}
+        divisors |= {k // d for d in divisors}
+        assert table[k // 2] == sorted(d + 1 for d in divisors
+                                       if is_prime(d + 1)), k
 
 
 def test_sign_pattern():

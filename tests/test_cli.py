@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -116,14 +117,16 @@ def test_scan_numerators_plain():
 
 
 def _count_survey_blocks(monkeypatch) -> list[int]:
-    """Record how many numbers each `primorial_gcds` call takes from here
-    on."""
+    """Record how many numbers each `primorial_gcds` call of
+    `numerator_survey` takes from here on; the square-factor searches of
+    single numbers call it too, with one number each."""
     primes = importlib.import_module("moser_ladder._primes")
     real = primes.primorial_gcds
     blocks = []
 
     def counted(ns, bound):
-        blocks.append(len(ns))
+        if sys._getframe(1).f_code.co_name == "numerator_survey":
+            blocks.append(len(ns))
         return real(ns, bound)
 
     monkeypatch.setattr(primes, "primorial_gcds", counted)
@@ -333,6 +336,45 @@ def test_m_bound_runs_no_row(monkeypatch, capsys):
                                        "1 <= m_max <= 100000, got "
                                        "1000000000\n"), check
     assert cli.main(["verify", "--grid", "1-400:1000000000000", "--checks",
+                     "ratio-search,em-scan", "--seedless"]) == 0
+    assert capsys.readouterr().out.endswith("result: OK\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bern", "10002"],
+    ["bern", "10001"],
+    ["powersum", "10002", "5"],
+    ["gk", "10002", "5"],
+    ["ladder", "10002", "5"],
+    ["scan", "numerators", "--kmax", "10002"],
+    ["verify", "--grid", "10002:10"],
+    # its rows read B_k at even k <= 10^4 only; the grid is refused whole
+    ["verify", "--grid", "10001:10", "--checks", "bernoulli-structure",
+     "--jobs", "2"],
+], ids=" ".join)
+def test_index_past_max_k_is_a_usage_error(argv, monkeypatch, capsys):
+    # B_k past bernoulli.MAX_K = 10^4 is refused before the table grows:
+    # exit 2, one error line, nothing on stdout, well within a second
+    bmod = importlib.import_module("moser_ladder.bernoulli")
+
+    def no_growth(half):
+        raise AssertionError("the Bernoulli table grew")
+
+    monkeypatch.setattr(bmod, "_extend_even", no_growth)
+    t0 = time.perf_counter()
+    assert cli.main([*argv, "--seedless"]) == 2
+    assert time.perf_counter() - t0 < 1
+    k = next(a for a in argv if a.startswith("1000")).partition(":")[0]
+    assert capsys.readouterr() == (
+        "", f"error: Bernoulli index must be <= 10000, got {k}\n")
+
+
+def test_past_max_k_what_reads_no_bernoulli_number_runs(capsys):
+    # the naive power sum and the searches read no B_k, so MAX_K does not
+    # bound them
+    assert cli.main(["powersum", "10002", "3", "--naive", "--seedless"]) == 0
+    assert capsys.readouterr().out == f"{1 + 2**10002}\n"
+    assert cli.main(["verify", "--grid", "10002-10002:10", "--checks",
                      "ratio-search,em-scan", "--seedless"]) == 0
     assert capsys.readouterr().out.endswith("result: OK\n")
 
@@ -740,6 +782,24 @@ def test_tripped_invariant_with_a_sound_cache_exits_4(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: faulhaber cancellation failed\n"
+
+
+def test_tripped_invariant_with_a_cache_to_max_k_exits_4(
+        tmp_path, monkeypatch, capsys):
+    # a memo seeded to MAX_K (20 here) has no index past it to recompute
+    # the seeded entries with, so the fault is reported as the program's
+    def broken(k, spec):
+        raise ArithmeticError("faulhaber cancellation failed")
+
+    bmod = importlib.import_module("moser_ladder.bernoulli")
+    cache = tmp_path / "bern.cache"
+    cachemod.cache_store(cachemod.snapshot_bernoulli(20), cache)
+    monkeypatch.setattr(bmod, "MAX_K", 20)
+    monkeypatch.setattr(cli, "MAX_K", 20)
+    monkeypatch.setitem(sweeps._ROW_RUNNERS, "telescoping", broken)
+    assert cli.main(["verify", "quick", "--cache", str(cache)]) == 4
+    assert capsys.readouterr() == (
+        "", "internal error: faulhaber cancellation failed\n")
 
 
 def test_query_loads_the_cache_once(tmp_path, monkeypatch, capsys):

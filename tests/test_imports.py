@@ -1,6 +1,7 @@
 """Every name a package module imports is used there or re-exported,
 every name a module exports exists, every parameter a function takes is
 read in its body, every export of `_primes` is read by another module,
+no module but `_primes` calls `primorial`,
 no module checks an invariant with `assert`, the CLI
 picks the output format in one place, the CLI reads no private name of
 the package, and the package's lazy modules give the same names as
@@ -152,6 +153,19 @@ def test_every_primes_export_is_read_by_another_module():
                 read.add(node.attr)
     tree = ast.parse((PACKAGE / "_primes.py").read_text())
     assert sorted(_exported(tree) - read) == []
+
+
+def test_only_primes_calls_primorial():
+    # `primorial_gcds` is the one way to a gcd with a primorial: a module
+    # that calls `primorial` itself restates it
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "_primes"
+             for node in ast.walk(ast.parse(path.read_text(),
+                                            filename=str(path)))
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "primorial"
+                  or getattr(node.func, "attr", None) == "primorial")]
+    assert calls == []
 
 
 def _uses_by_function(tree: ast.Module, is_use) -> dict[str, int]:

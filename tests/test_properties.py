@@ -187,13 +187,14 @@ def _fraction_prefix(k: int, m_max: int, g, rung):
     """The prefix loop as it was, on Fractions, with gcd function g for the
     closed form and its gate and a = gcd(S, S_next) = gcd(S, m^k) taken as
     rung(S, m, k) at every m, as the scan takes it. The closed form is
-    compared wherever g(m, sq) = 1, sq = g(N/h, h) with h = g(N, P) and P
-    the primorial of m_max: under the real gcd, the product of the primes
-    p <= m_max with p^2 | N. m = 2 is evaluated even at m_max = 1, where
+    compared wherever g(m, sq) = 1, sq = gcd(N/h, h) with h = gcd(N, P)
+    and P the primorial of m_max, the product of the primes p <= m_max
+    with p^2 | N, taken with the real gcd as `bernoulli._square_part`
+    takes it for the scan. m = 2 is evaluated even at m_max = 1, where
     the scan reports its seed g(2) = 1/2 and compares nothing."""
     n_abs, d = abs(numerator(k)), denominator(k)
-    h = g(n_abs, primorial(m_max))
-    sq = g(n_abs // h, h)
+    h = gcd(n_abs, primorial(m_max))
+    sq = gcd(n_abs // h, h)
     lo = hi = None
     lo_at = hi_at = 0
     agrees = True
@@ -217,8 +218,8 @@ def _fraction_prefix(k: int, m_max: int, g, rung):
 def test_min_max_prefix_matches_fraction_scan(k, m_max, skew):
     # skew > 1 doubles the values that fall in one residue class, in both
     # scans alike, so new extremes and closed-form disagreements appear on
-    # purpose: every gcd of the closed form and of its gate keyed on its
-    # arguments, and the prefix gcd a = gcd(S, S_next) = gcd(S, m^k) keyed
+    # purpose: every gcd of the closed form and of its gate g(m, sq) keyed
+    # on its arguments, and the prefix gcd a = gcd(S, S_next) = gcd(S, m^k) keyed
     # on (a, m). The scan seeds its extremes with g(2) = 1/2 (S_k(2) = 1),
     # so a is skewed from m = 3.
     def skewed(a, m):

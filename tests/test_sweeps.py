@@ -5,6 +5,7 @@ import importlib
 import math
 import multiprocessing
 import os
+import sys
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -232,8 +233,9 @@ def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
         points.extend((k, m) for m in ms)
         return real_sums(k, ms)
 
-    def counted_gcds(ns, bound):
-        surveys.append(len(ns))
+    def counted_gcds(ns, bound):  # the survey's calls, not one-number ones
+        if sys._getframe(1).f_code.co_name == "numerator_survey":
+            surveys.append(len(ns))
         return real_gcds(ns, bound)
 
     monkeypatch.setattr(powersum, "power_sums", counted_sums)
