@@ -44,7 +44,6 @@ from .bernoulli import (  # noqa: E402
     numerator_bound_check,
     size_estimate,
     square_free_status,
-    vsc_denominator,
 )
 
 # the module that defines each lazy name of the package
@@ -84,6 +83,5 @@ __all__ = [
     "numerator_bound_check",
     "size_estimate",
     "square_free_status",
-    "vsc_denominator",
 ]
 __all__ += list(_OWNER)

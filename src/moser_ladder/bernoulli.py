@@ -11,12 +11,13 @@ are memoized across calls as integer pairs (N_k, D_k); nothing else is.
 `fractions` only then, so a query that prints N_k and D_k never loads
 it. Convention: B_1 = -1/2. No index past MAX_K is read. The von
 Staudt-Clausen primes come from one sieve table, `_vsc_prime_table`,
-which never reads the Genocchi numbers: `vsc_denominator` cross-checks
-D_k with it, and `seed_even_values` checks entries seeded from the
-cache file, which are checked against the Genocchi numbers too when the
-memo grows past them. Bad cache data raises CacheError, defined here
-because this module always loads. The square-factor searches read the
-primes p with p^2 | n from `_square_part`.
+which never reads the Genocchi numbers: the `bernoulli-structure` sweep
+row cross-checks D_k with it, and `seed_even_values` checks entries
+seeded from the cache file with it and with Adams' theorem, and they are
+checked against the Genocchi numbers too when the memo grows past them.
+Bad cache data raises CacheError, defined here because this module
+always loads. The square-factor searches read the primes p with
+p^2 | n from `_square_part`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "bernoulli",
     "bernoulli_pair",
     "CacheError",
-    "vsc_denominator",
     "numerator",
     "denominator",
     "SquareFreeStatus",
@@ -67,11 +67,18 @@ _SEIDEL: list[int] = []
 # at 242 MB RSS (2 cores, Python 3.11.7).
 MAX_K = 10**4
 
+# The largest k the numerator survey reads: past the trial bound it runs
+# Miller-Rabin on |N_k| itself, one base of which took 0.57 s at k = 1000
+# and 7.0 s at k = 2000. Surveying every even k <= 1500 at the default
+# trial bound took 25 s in a fresh process, to 2000 it took 67 s, past the
+# 60 s allowed (2 cores, Python 3.11.7; 18 and 21 MB peak RSS).
+MAX_SURVEY_K = 1500
+
 
 class CacheError(ValueError):
     """Bad cache data: a file that cannot be loaded, or an entry that
-    fails von Staudt-Clausen or disagrees with the Genocchi numbers; the
-    message names the fault."""
+    fails von Staudt-Clausen or Adams' theorem or disagrees with the
+    Genocchi numbers; the message names the fault."""
 
 
 def _extend_even(half: int) -> None:
@@ -115,6 +122,12 @@ def _check_index(k: int) -> None:
         raise ValueError(f"Bernoulli index must be {side}, got {k}")
 
 
+def _check_survey_index(k: int) -> None:
+    if k > MAX_SURVEY_K:
+        raise ValueError(
+            f"numerator survey index must be <= {MAX_SURVEY_K}, got {k}")
+
+
 def bernoulli_pair(k: int) -> tuple[int, int]:
     """(N_k, D_k), B_k in lowest terms with D_k > 0, for every k >= 0:
     the memo's pair at even k, (-1, 2) at k = 1 and (0, 1) at odd k >= 3.
@@ -148,7 +161,9 @@ def _require_even(k: int, what: str) -> None:
 def _vsc_prime_table(top: int) -> list[list[int]]:
     """t[k/2] = the primes p with (p-1) | k, ascending, for every even
     k <= top: one pass over the primes p <= top + 1, each marking the
-    even multiples of p - 1. The one von Staudt-Clausen route."""
+    even multiples of p - 1. The one von Staudt-Clausen route, whose row
+    product is D_k: `seed_even_values` reads it, and so does the
+    `bernoulli-structure` sweep row, one table per sweep slice."""
     table: list[list[int]] = [[] for _ in range(top // 2 + 1)]
     for p in _primes.primes_up_to(top + 1):
         step = max(p - 1, 2)  # p = 2: (p-1) | k for every even k
@@ -157,14 +172,21 @@ def _vsc_prime_table(top: int) -> list[list[int]]:
     return table
 
 
-def vsc_denominator(k: int) -> int:
-    """von Staudt-Clausen denominator: product of row k/2 of
-    `_vsc_prime_table(k)`, the primes p with (p-1) | k.
-
-    Independent of the Genocchi numbers; used to cross-check denominator(k).
-    """
-    _require_even(k, "vsc_denominator")
-    return math.prod(_vsc_prime_table(k)[k // 2])
+def _adams_prime_powers(top: int) -> list[list[tuple[int, int]]]:
+    """t[k/2] = the pairs (p, p^e), p ascending, of the odd primes p with
+    p^e exactly dividing k and (p-1) not dividing k, for every even
+    k <= top: one pass over the odd primes p <= top/2, each reading the
+    even multiples of p. Adams' theorem (J. C. Adams, 1878) says p^e | N_k
+    for each pair."""
+    table: list[list[tuple[int, int]]] = [[] for _ in range(top // 2 + 1)]
+    for p in _primes.primes_up_to(top // 2)[1:]:
+        for k in range(2 * p, top + 1, 2 * p):
+            if k % (p - 1):
+                q = p
+                while k % (q * p) == 0:
+                    q *= p
+                table[k // 2].append((p, q))
+    return table
 
 
 def numerator(k: int) -> int:
@@ -262,15 +284,16 @@ def numerator_survey(ks: range, trial_bound: int) -> list[dict]:
     the first one >= p, the pair that searching bound by bound would give.
 
     The bound is checked first, even for an empty ks, then the largest k
-    against MAX_K, before the table grows. One `primorial_gcds` call over
-    the survey's own |N_k| > 1 gives each g = gcd(|N_k|,
-    primorial(bound)), and `_smallest_square_prime` the square factor;
-    nothing outlives the call. Primality reads the same g: if
+    against MAX_K and MAX_SURVEY_K, before the table grows. One
+    `primorial_gcds` call over the survey's own |N_k| > 1 gives each
+    g = gcd(|N_k|, primorial(bound)), and `_smallest_square_prime` the
+    square factor; nothing outlives the call. Primality reads the same g: if
     1 < g < |N_k|, g is a proper factor and |N_k| is composite, so the
     primality test (deterministic at desk scale, see _primes) runs only
     when g is 1 or |N_k|."""
     _check_trial_bound(trial_bound)
     _check_index(max(ks, default=0))
+    _check_survey_index(max(ks, default=0))
     bounds = tuple(b for b in SQUARE_FREE_ESCALATION
                    if b < trial_bound) + (trial_bound,)
     ns = [abs(numerator(k)) for k in ks]
@@ -376,19 +399,22 @@ def seed_even_values(pairs: Iterable[tuple[int, tuple[int, int]]]) -> int:
     von Staudt-Clausen: D_k is the product of the primes p with (p-1) | k, and
     N_k + sum D_k/p = 0 mod D_k. Those tests leave N_k prime to D_k (each
     p | D_k has N_k = -D_k/p, a unit, mod p), so the pair is in lowest
-    terms, and equal pairs are equal values.
+    terms, and equal pairs are equal values. It must satisfy Adams'
+    theorem too: p^e | N_k for each pair of `_adams_prime_powers`.
     A violation, or disagreement with a value already in the memo, raises
     CacheError rather than poisoning the memo. An edit to N_k by a multiple
-    of D_k passes both tests; it is caught when the memo is next extended
-    past k. Entries are checked in ascending k, so the first violation
-    reported is the lowest. Returns the largest k actually seeded (0 if
-    none).
+    of D_k passes the von Staudt-Clausen tests. Adams' theorem catches it
+    at every k where it names a prime, since no such p divides D_k; at the
+    other k it is caught when the memo is next extended past k. Entries are
+    checked in ascending k, so the first violation reported is the lowest.
+    Returns the largest k actually seeded (0 if none).
     """
     table = {k: nd for k, nd in pairs}
     top = 0
     while top + 2 in table and top + 2 <= MAX_K:
         top += 2
     vsc = _vsc_prime_table(top)
+    adams = _adams_prime_powers(top)
     for k in range(2, top + 1, 2):
         n, d = table[k]
         primes = vsc[k // 2]
@@ -402,6 +428,12 @@ def seed_even_values(pairs: Iterable[tuple[int, tuple[int, int]]]) -> int:
                 f"cache entry for k={k} has numerator {n}, which fails "
                 f"von Staudt-Clausen modulo {d}"
             )
+        for p, q in adams[k // 2]:
+            if n % q:
+                raise CacheError(
+                    f"cache entry for k={k} has numerator {n}, which fails "
+                    f"Adams' theorem at p={p}: {q} divides k but not N_k"
+                )
         half = k // 2
         value = (n, d)
         if half < len(_EVEN):

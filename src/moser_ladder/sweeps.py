@@ -33,8 +33,10 @@ Bernoulli numbers); `faulhaber-naive` compares it with the running sums
 The rows share lists: the running sums, the closed forms of the grid's m
 range (one `power_sums` column), the consecutive gcds gcd(S_k(m),
 S_k(m+1)), the m^k table (`powersum._powers`), the factor lists of every
-m (one `factorize` call per m, read by `congruences` at every k) and the
-records of one numerator survey of the grid's k. One rule keeps them
+m (one `factorize` call per m, read by `congruences` at every k), the
+records of one numerator survey of the grid's k, and one von
+Staudt-Clausen table to its k_max (`bernoulli._vsc_prime_table`, whose
+row k/2 `bernoulli-structure` multiplies into D_k). One rule keeps them
 (`powersum._latest`): while a slice runs, each builder keeps its latest
 result until it is called with other arguments. A slice runs its rows in
 k order and every profile's grids at one k share one m range, so each
@@ -66,7 +68,7 @@ import os
 import time
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, prod
 from typing import Callable, NamedTuple
 
 # absolute imports run these lazy modules now: forked workers inherit them
@@ -77,9 +79,11 @@ from ._primes import factorize
 from .bernoulli import (
     TRIAL_BOUND,
     _check_index,
+    _check_survey_index,
     _check_trial_bound,
     _divides_nd,
     _smallest_square_prime,
+    _vsc_prime_table,
     bernoulli,
     bernoulli_pair,
     denominator,
@@ -88,7 +92,6 @@ from .bernoulli import (
     numerator_bound_check,
     numerator_survey,
     size_estimate,
-    vsc_denominator,
 )
 
 __all__ = [
@@ -141,7 +144,8 @@ class _Row:
 def _row_bernoulli_structure(k: int, spec: GridSpec) -> _Row:
     row = _Row("bernoulli-structure", k)
     d = denominator(k)
-    v = vsc_denominator(k)
+    # one table of the grid's k per slice, read per call like the survey
+    v = prod(ps._latest(_vsc_prime_table)(spec.k_max)[k // 2])
     row.cell(d == v, d, v, cell="denominator-vsc")
     n = numerator(k)
     row.cell((-1) ** (k // 2 + 1) * n > 0, n, "sign (-1)^(k/2+1)",
@@ -560,6 +564,8 @@ class GridSpec(NamedTuple):
         _check_trial_bound(self.trial_bound)
         if any(_CHECKS[c].reads_b for c in self.checks):
             _check_index(self.k_max)
+        if "numerator-scan" in self.checks:
+            _check_survey_index(self.k_max)
         if any(_CHECKS[c].tables_m for c in self.checks):
             ps._check_m_max(self.m_max)
 

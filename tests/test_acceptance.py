@@ -11,12 +11,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import moser_ladder
 from moser_ladder._primes import factorize
 from moser_ladder.bernoulli import (
+    _vsc_prime_table,
     bernoulli,
     denominator,
     divides_rational,
@@ -26,7 +27,6 @@ from moser_ladder.bernoulli import (
     numerator_survey,
     size_estimate,
     square_free_status,
-    vsc_denominator,
 )
 from moser_ladder.gcdlab import (
     CROSS_GCD_OFFSETS,
@@ -53,8 +53,9 @@ def _report(n: int, text: str) -> None:
 
 def test_criterion_01_bernoulli_structure():
     t0 = time.perf_counter()
+    vsc = _vsc_prime_table(100)
     for k in range(2, 101, 2):
-        assert denominator(k) == vsc_denominator(k), k
+        assert denominator(k) == prod(vsc[k // 2]), k
         assert (-1) ** (k // 2 + 1) * numerator(k) > 0, k
         assert (2 * (2**k - 1)) % denominator(k) == 0, k
     elapsed = time.perf_counter() - t0

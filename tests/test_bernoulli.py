@@ -4,13 +4,13 @@ import importlib
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from moser_ladder._primes import is_prime
+from moser_ladder._primes import factorize, is_prime
 from moser_ladder.bernoulli import (
     SQUARE_FREE_ESCALATION,
     SquareFreeStatus,
@@ -25,7 +25,6 @@ from moser_ladder.bernoulli import (
     seed_even_values,
     size_estimate,
     square_free_status,
-    vsc_denominator,
 )
 
 # the package rebinds the name `bernoulli` to the function
@@ -254,18 +253,21 @@ def test_seed_stops_at_max_k(fresh_memo, monkeypatch):
 
 
 def test_vsc_denominator_examples():
-    assert vsc_denominator(2) == 6
-    assert vsc_denominator(8) == 30
-    assert vsc_denominator(12) == 2730
+    # D_k is the product of row k/2 of the von Staudt-Clausen table
+    table = bmod._vsc_prime_table(12)
+    assert prod(table[1]) == 6
+    assert prod(table[4]) == 30
+    assert prod(table[6]) == 2730
 
 
 def test_vsc_matches_actual_denominator():
+    table = bmod._vsc_prime_table(500)
     for k in range(2, 501, 2):
-        assert denominator(k) == vsc_denominator(k)
+        assert denominator(k) == prod(table[k // 2])
 
 
 def test_vsc_routes_agree():
-    # the one-pass sieve that vsc_denominator and the cache loader read
+    # the one-pass sieve that the structure row and the cache loader read
     # and the oracle, the per-k divisor route over the pairs (d, k/d),
     # d <= sqrt k, find the same primes, the sieve's in ascending order,
     # at every even k the package accepts
@@ -410,6 +412,46 @@ def test_seed_rejects_numerator_failing_vsc(fresh_memo):
     pairs[-1] = (12, (-697, 2730))
     with pytest.raises(ValueError, match="k=12 .*von Staudt-Clausen"):
         seed_even_values(pairs)
+
+
+def test_seed_rejects_numerator_failing_adams(fresh_memo):
+    # N_10 + D_10 = 71 passes von Staudt-Clausen; 5 exactly divides 10 and
+    # 4 does not, so Adams' theorem says 5 | N_10
+    pairs = [(k, EVEN_TABLE[k]) for k in range(2, 13, 2)]
+    pairs[4] = (10, (5 + 66, 66))
+    with pytest.raises(bmod.CacheError,
+                       match="^cache entry for k=10 .* Adams' theorem at p=5"):
+        seed_even_values(pairs)
+    assert bmod._EVEN == [(1, 1)] + [EVEN_TABLE[k] for k in range(2, 9, 2)]
+
+
+def test_adams_theorem_on_the_table():
+    # the loader's sieve pass names the prime powers that factorize(k)
+    # gives, p^e exactly dividing k with p odd and (p-1) not dividing k,
+    # and each divides N_k of a fresh Genocchi build: 496 statements at
+    # 413 of the 500 even k <= 1000
+    table = bmod._adams_prime_powers(1000)
+    built = _fresh_build()
+    assert len(table) == 501 and table[0] == []
+    for k in range(2, 1001, 2):
+        want = [(p, p**e) for p, e in sorted(factorize(k).items())
+                if p > 2 and k % (p - 1)]
+        assert table[k // 2] == want, k
+        assert all(built[k // 2][0] % q == 0 for _, q in want), k
+    assert sum(map(bool, table)) == 413
+    assert sum(map(len, table)) == 496
+
+
+def test_survey_past_max_survey_k_raises_before_the_table_grows(
+        monkeypatch):
+    top = bmod.MAX_SURVEY_K + 2
+
+    def no_growth(half):
+        raise AssertionError("the Bernoulli table grew")
+
+    monkeypatch.setattr(bmod, "_extend_even", no_growth)
+    with pytest.raises(ValueError, match=f"must be <= 1500, got {top}$"):
+        numerator_survey(range(2, top + 1, 2), 100)
 
 
 def test_seed_stops_at_gap():

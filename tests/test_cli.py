@@ -369,6 +369,30 @@ def test_index_past_max_k_is_a_usage_error(argv, monkeypatch, capsys):
         "", f"error: Bernoulli index must be <= 10000, got {k}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "numerators", "--kmax", "1502"],
+    ["verify", "--grid", "2-1502:1", "--checks", "numerator-scan"],
+    ["verify", "--grid", "1502:10", "--jobs", "2"],
+], ids=" ".join)
+def test_survey_past_max_survey_k_is_a_usage_error(argv, monkeypatch,
+                                                   capsys):
+    # the numerator survey runs Miller-Rabin on |N_k| itself, so it stops
+    # at bernoulli.MAX_SURVEY_K = 1500, well below MAX_K: exit 2, one error
+    # line, nothing on stdout, before the table grows
+    bmod = importlib.import_module("moser_ladder.bernoulli")
+    assert bmod.MAX_SURVEY_K + 2 == 1502
+
+    def no_growth(half):
+        raise AssertionError("the Bernoulli table grew")
+
+    monkeypatch.setattr(bmod, "_extend_even", no_growth)
+    t0 = time.perf_counter()
+    assert cli.main([*argv, "--seedless"]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr() == (
+        "", "error: numerator survey index must be <= 1500, got 1502\n")
+
+
 def test_past_max_k_what_reads_no_bernoulli_number_runs(capsys):
     # the naive power sum and the searches read no B_k, so MAX_K does not
     # bound them
@@ -736,27 +760,43 @@ def test_poisoned_cache_exits_3(tmp_path):
     assert out.returncode == 3
     assert out.stdout == ""
     assert "k=12" in out.stderr
-    # N_10 + D_10 passes von Staudt-Clausen on load; growing the memo past
-    # k = 10 recomputes it from the Genocchi numbers and finds the edit
+    # N_8 + D_8 passes von Staudt-Clausen on load, and Adams' theorem
+    # names no prime at k = 8; growing the memo past k = 8 recomputes it
+    # from the Genocchi numbers and finds the edit
     cache = tmp_path / "grow.cache"
     assert run_cli("bern", "20", "--cache", str(cache)).returncode == 0
-    _rewrite_entry(cache, "10\t5\t66\n", "10\t71\t66\n")
+    _rewrite_entry(cache, "8\t-1\t30\n", "8\t29\t30\n")
     out = run_cli("bern", "30", "--cache", str(cache))
     assert out.returncode == 3
     assert out.stdout == ""
-    assert "k=10" in out.stderr
+    assert "k=8" in out.stderr
+
+
+def test_edit_that_adams_theorem_catches_exits_3_on_load(tmp_path):
+    # N_10 + D_10 = 71 passes von Staudt-Clausen, but 10 = 2 * 5 with
+    # 4 not dividing 10, so 5 | N_10 (Adams): the load rejects it even for
+    # a command that stays inside the table
+    cache = tmp_path / "bern.cache"
+    assert run_cli("bern", "20", "--cache", str(cache)).returncode == 0
+    _rewrite_entry(cache, "10\t5\t66\n", "10\t71\t66\n")
+    out = run_cli("bern", "10", "--cache", str(cache))
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == (
+        "error: cache entry for k=10 has numerator 71, which fails Adams' "
+        "theorem at p=5: 5 divides k but not N_k\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_bad_cache_behind_a_tripped_invariant_exits_3(
         tmp_path, monkeypatch, capsys, fresh_faulhaber, jobs):
-    # N_10 + D_10 loads, and verify quick never grows the k <= 20 table,
+    # N_8 + D_8 loads, and verify quick never grows the k <= 20 table,
     # so the edit first shows as a failed Faulhaber cancellation; the
     # seeded entries are then recomputed, and the cache is blamed
     bmod = importlib.import_module("moser_ladder.bernoulli")
     cache = tmp_path / "bern.cache"
     cachemod.cache_store(cachemod.snapshot_bernoulli(20), cache)
-    _rewrite_entry(cache, "10\t5\t66\n", "10\t71\t66\n")
+    _rewrite_entry(cache, "8\t-1\t30\n", "8\t29\t30\n")
     monkeypatch.setattr(bmod, "_EVEN", [(1, 1)])
     monkeypatch.setattr(bmod, "_SEIDEL", [])
     monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
@@ -764,7 +804,7 @@ def test_bad_cache_behind_a_tripped_invariant_exits_3(
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: memo entry for k=10 disagrees ")
+    assert err.startswith("error: memo entry for k=8 disagrees ")
     assert len(err.splitlines()) == 1
 
 

@@ -122,7 +122,8 @@ def numerator_plus_denominator_at_10(mp):
 
 
 def denominator_off(mp):
-    _wrap(mp, sweeps, "vsc_denominator", lambda real, k: real(k) * 5)
+    _wrap(mp, sweeps, "_vsc_prime_table",
+          lambda real, top: [row + [5] for row in real(top)])
 
 
 def divides_reads_m_to_r_plus_1(mp):

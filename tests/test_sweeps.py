@@ -585,6 +585,13 @@ def test_grid_validation():
         run_sweep(GridSpec(k_max=5, m_max=5, checks=("no-such-check",)))
 
 
+def test_survey_bound_binds_only_grids_that_run_the_survey():
+    with pytest.raises(ValueError, match="survey index must be <= 1500"):
+        GridSpec(k_max=1502, m_max=1, checks=("numerator-scan",)).validate()
+    GridSpec(k_max=1502, m_max=1,
+             checks=("bernoulli-structure", "size-bounds")).validate()
+
+
 def test_min_max_rows_widen_window():
     # both witnesses are evaluated even when the grid's m_max is far below
     # them
@@ -705,3 +712,24 @@ def test_extended_survey_tests_primality_only_without_a_proper_factor(
     report = run_sweep(grid)
     assert report["checks"][0]["rows"] == 125
     assert len(calls) == 22
+
+
+def test_structure_rows_read_one_vsc_table(monkeypatch):
+    # the bernoulli-structure rows of a slice take D_k's von Staudt-Clausen
+    # product from one table to the grid's k_max, not one table per row
+    bmod = importlib.import_module("moser_ladder.bernoulli")
+    tops = []
+    table = bmod._vsc_prime_table
+
+    def counted(top):
+        tops.append(top)
+        return table(top)
+
+    monkeypatch.setattr(bmod, "_vsc_prime_table", counted)
+    monkeypatch.setattr(sweeps, "_vsc_prime_table", counted, raising=False)
+    report = run_sweep(GridSpec(k_min=2, k_max=400, m_max=1,
+                                checks=("bernoulli-structure",)), jobs=1)
+    assert report["checks"][0]["rows"] == 200
+    assert report["totals"]["fail"] == 0
+    assert tops == [400]
+    assert powersum._SLICE is None
