@@ -12,10 +12,11 @@ Records are `k<TAB>N_k<TAB>D_k` in decimal, strictly ascending k, LF line
 endings. The final line is the SHA-256 of the payload (all record lines,
 each including its LF). A zero-byte file is a valid empty cache. Anything
 else malformed is rejected loudly, and the checksum catches accidental
-damage such as a torn or truncated file. It does not stop a deliberate
-edit that re-signs the file: a change of N_k by a multiple of D_k also
-passes von Staudt-Clausen and loads (README, "Cache format"). Bad data
-raises `bernoulli.CacheError`, the package's one error for it.
+damage such as a torn or truncated file. It does not stop every
+deliberate edit that re-signs the file: N_k changed by a multiple of D_k
+passes von Staudt-Clausen, and loads where Adams' theorem names no prime
+for N_k (N_8 + D_8 loads, N_10 + D_10 does not; README, "Cache format").
+Bad data raises `bernoulli.CacheError`, the package's one error for it.
 
 This module holds the format and two bridges to the Bernoulli memo,
 which holds the same (N_k, D_k) integer pairs, so neither bridge builds a
@@ -134,8 +135,8 @@ def warm_bernoulli(store: CacheStore) -> int:
     `seed_even_values` reads only the gap-free even prefix from k = 2 (the
     memo holds B_0, B_2, ... by position) and re-checks each entry of it
     against von Staudt-Clausen, on the denominator and on the numerator
-    modulo the denominator; failure raises CacheError. Returns the largest
-    k seeded.
+    modulo the denominator, and against Adams' theorem on the numerator;
+    failure raises CacheError. Returns the largest k seeded.
     """
     return seed_even_values(store.entries.items())
 

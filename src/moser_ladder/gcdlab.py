@@ -47,7 +47,7 @@ from itertools import count, islice
 from math import gcd
 from typing import Iterable, NamedTuple
 
-from . import _primes
+from . import _primes, powersum
 from .bernoulli import (
     TRIAL_BOUND,
     SquareFreeStatus,
@@ -85,7 +85,7 @@ def gcd_ratio(k: int, m: int) -> Fraction:
     _require_even(k, "gcd_ratio")
     if m < 2:
         raise ValueError(f"gcd_ratio needs m >= 2, got {m}")
-    return Fraction(gcd(power_sum(k, m), power_sum(k, m + 1)), m)
+    return Fraction(gcd(*powersum.power_sums(k, (m, m + 1))), m)
 
 
 def _strip_common_primes(n: int, basis: int) -> int:
@@ -184,11 +184,11 @@ def _ladder_from_sums(k: int, m: int, s: int, s_next: int) -> GcdLadder:
 
 
 def gcd_ladder(k: int, m: int) -> GcdLadder:
-    """Full ladder record at one (k, m); sums from the closed form."""
+    """Full ladder record at one (k, m); sums from one closed-form call."""
     _require_even(k, "gcd_ladder")
     if m < 2:
         raise ValueError(f"gcd_ladder needs m >= 2, got {m}")
-    return _ladder_from_sums(k, m, power_sum(k, m), power_sum(k, m + 1))
+    return _ladder_from_sums(k, m, *powersum.power_sums(k, (m, m + 1)))
 
 
 class CongruenceVerdict(NamedTuple):

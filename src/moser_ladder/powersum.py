@@ -13,10 +13,14 @@ loop, with the coefficients read once; `power_sum` is its one-point case.
 
 `running_sums` is the other route: m^k added one m at a time, with no
 Bernoulli numbers. It reads `_powers`, which lists m^k for every m up to
-a bound. While a sweep slice runs (`_SLICE` is a dict), each builder
-marked `_latest` (`_powers`, and the lists the sweep rows share) keeps
-its latest result until it is called with other arguments; outside a
-slice every call builds afresh and keeps nothing.
+a bound. One memo rule, `_latest`, keeps what a sweep slice shares: while
+a slice runs (`_SLICE` is a dict), each shared builder keeps its latest
+result for each value of its arguments other than k. A builder of one k
+(`_faulhaber_coeffs`, `_powers`, the sweep's running sums, closed forms
+and consecutive gcds) drops the old k's result before it builds the
+next; one of no k (the sweep's factor lists, von Staudt-Clausen table
+and survey) keeps each result until the slice ends. Outside a slice
+every call builds afresh, so nothing a slice shares outlives it.
 
 The searches filter one walk, `_walk`, which yields (m, S_k(m), m^k)
 from m = 2 up to and including the crossover; `crossover` returns its
@@ -33,7 +37,6 @@ hold past m.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, count
 from math import comb, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -53,15 +56,34 @@ __all__ = [
     "crossover",
 ]
 
+# (builder, arguments other than k) -> (k, result), k None for a builder
+# of no k, while `sweeps._run_slice` runs a slice; None otherwise.
+_SLICE: dict | None = None
+
+
+def _latest(build: Callable, per_k: bool = True) -> Callable:
+    """Decorator: the memo rule of the module docstring, for a builder
+    whose first argument is k, or of no k with per_k false."""
+    def latest(*args):
+        if _SLICE is None:
+            return build(*args)
+        k, rest = (args[0], args[1:]) if per_k else (None, args)
+        if (build, rest) not in _SLICE or _SLICE[build, rest][0] != k:
+            _SLICE.pop((build, rest), None)  # drop the old k's result first
+            _SLICE[build, rest] = k, build(*args)
+        return _SLICE[build, rest][1]
+    return latest
+
+
 # (scale, (c_0, c_1, c_2), tail): S_k(m) = (sum_j c_j m^(k+1-j)) / scale
 # with c_j = C(k+1, j) * L * B_j and scale = L * (k+1), L the lcm of the
 # B_j denominators. All integers, so Horner needs no rational arithmetic.
 # c_j = 0 for odd j >= 3, so the sum is a polynomial in x = m^2 over the
 # even j, times m when k is even, once c_1 m^k rides with c_2 m^(k-1) as
 # (c_1 m + c_2) m^(k-1). tail is c_4, c_6, ... up to c_k, with a 0 for
-# j = k + 1 when k is odd (c_2 = 0 at k = 1 for the same reason). One k is
-# kept: callers read k by k, and one build costs ~90 evaluations at k = 1000.
-@lru_cache(maxsize=1)
+# j = k + 1 when k is odd (c_2 = 0 at k = 1 for the same reason). Kept by
+# `_latest`: one build costs ~90 evaluations at k = 1000.
+@_latest
 def _faulhaber_coeffs(k: int) -> tuple[int, tuple[int, int, int],
                                        tuple[int, ...]]:
     _check_index(k)  # before B_0..B_k grow the table
@@ -128,25 +150,6 @@ def power_sum_naive(k: int, m: int) -> int:
     return sum(j**k for j in range(1, m))
 
 
-# builder -> (args, build(*args)), the latest result of each `_latest`
-# builder, while a sweep slice runs (`sweeps._run_slice` sets a dict and
-# puts back None when the slice ends); None otherwise.
-_SLICE: dict | None = None
-
-
-def _latest(build: Callable[..., list]) -> Callable[..., list]:
-    """Decorator: inside a slice, build(*args) is kept until `build` is
-    called with other arguments; outside one, each call builds afresh."""
-    def latest(*args) -> list:
-        if _SLICE is None:
-            return build(*args)
-        if build not in _SLICE or _SLICE[build][0] != args:
-            _SLICE.pop(build, None)  # the old result goes before the build
-            _SLICE[build] = args, build(*args)
-        return _SLICE[build][1]
-    return latest
-
-
 @_latest
 def _powers(k: int, m_max: int) -> list[int]:
     """[m**k for m in range(m_max + 1)]."""
@@ -202,6 +205,7 @@ def search_ratio(k_max: int, m_max: int) -> list[RatioHit]:
     in (k, m) order."""
     if k_max < 1 or m_max < 3:
         raise ValueError("search_ratio needs k_max >= 1, m_max >= 3")
+    _check_index(k_max)  # crossover-bracket's bound: each walk takes m^k
     return [hit for k in range(1, k_max + 1) for hit in ratio_hits(k, 3, m_max)]
 
 
@@ -226,6 +230,7 @@ def em_scan(k_max: int, m_max: int) -> list[tuple[int, int]]:
     """
     if k_max < 1 or m_max < 2:
         raise ValueError("em_scan needs k_max >= 1, m_max >= 2")
+    _check_index(k_max)
     return [(k, m) for k in range(1, k_max + 1) for m in em_solutions(k, 2, m_max)]
 
 

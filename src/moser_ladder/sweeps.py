@@ -36,13 +36,11 @@ S_k(m+1)), the m^k table (`powersum._powers`), the factor lists of every
 m (one `factorize` call per m, read by `congruences` at every k), the
 records of one numerator survey of the grid's k, and one von
 Staudt-Clausen table to its k_max (`bernoulli._vsc_prime_table`, whose
-row k/2 `bernoulli-structure` multiplies into D_k). One rule keeps them
-(`powersum._latest`): while a slice runs, each builder keeps its latest
-result until it is called with other arguments. A slice runs its rows in
-k order and every profile's grids at one k share one m range, so each
-list is built once per k, or once per slice where it does not depend on
-k; a row called on its own builds what it reads and keeps nothing, and
-nothing outlives a slice. A consecutive gcd takes S_k(m) from the
+row k/2 `bernoulli-structure` multiplies into D_k). One rule keeps them,
+`powersum._latest` (its module docstring states it), so each list is
+built once per slice for each k and each grid's other arguments; a row
+called on its own builds what it reads and keeps nothing, and nothing
+outlives a slice. A consecutive gcd takes S_k(m) from the
 running sums and S_k(m+1) from the closed-form column, so the ladder's
 consecutive-gcd cell, and `trivial-gcd-iff`, which reads the same gcds,
 compare the two routes.
@@ -145,7 +143,7 @@ def _row_bernoulli_structure(k: int, spec: GridSpec) -> _Row:
     row = _Row("bernoulli-structure", k)
     d = denominator(k)
     # one table of the grid's k per slice, read per call like the survey
-    v = prod(ps._latest(_vsc_prime_table)(spec.k_max)[k // 2])
+    v = prod(ps._latest(_vsc_prime_table, per_k=False)(spec.k_max)[k // 2])
     row.cell(d == v, d, v, cell="denominator-vsc")
     n = numerator(k)
     row.cell((-1) ** (k // 2 + 1) * n > 0, n, "sign (-1)^(k/2+1)",
@@ -187,7 +185,6 @@ def _consecutive_gcds(k: int, ms: range) -> list[int]:
     return list(map(gcd, _running_sums(k, ms.stop - 1)[lo - 1:], closed))
 
 
-@ps._latest
 def _factor_lists(m_max: int) -> list[list[tuple[int, int]]]:
     """(prime, multiplicity) pairs of each m at index m, 0 <= m <= m_max."""
     return [[]] + [list(factorize(m).items()) for m in range(1, m_max + 1)]
@@ -296,7 +293,7 @@ def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
 def _row_congruences(k: int, spec: GridSpec) -> _Row:
     row = _Row("congruences", k)
     n, d = bernoulli_pair(k)
-    factors = _factor_lists(spec.m_max)
+    factors = ps._latest(_factor_lists, per_k=False)(spec.m_max)
     running = _running_sums(k, spec.m_max)[spec.m_min - 1:]
     for m, s in zip(range(spec.m_min, spec.m_max + 1), running):
         num = gcdlab._diff_numerator(m, s, n, d)
@@ -444,7 +441,7 @@ def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
     row.passes += 2  # primality decided, square scan completed
     ks = _rows_for("numerator-scan", spec)  # one survey of them per slice
     # `numerator_survey` is read per call, so one patched in is the one run
-    survey = ps._latest(numerator_survey)(ks, spec.trial_bound)
+    survey = ps._latest(numerator_survey, per_k=False)(ks, spec.trial_bound)
     row.hits.append(survey[ks.index(k)])
     return row
 
@@ -562,8 +559,7 @@ class GridSpec(NamedTuple):
             raise ValueError(
                 f"unknown checks: {', '.join(map(repr, unknown))}")
         _check_trial_bound(self.trial_bound)
-        if any(_CHECKS[c].reads_b for c in self.checks):
-            _check_index(self.k_max)
+        _check_index(self.k_max)  # B_k, or the searches' walks of m^k
         if "numerator-scan" in self.checks:
             _check_survey_index(self.k_max)
         if any(_CHECKS[c].tables_m for c in self.checks):

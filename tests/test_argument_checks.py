@@ -1,5 +1,7 @@
 """Each library entry point rejects an argument outside its domain with a
-ValueError that names the function and the bad value."""
+ValueError that names the bad value, and the function where the bound is
+its own; a bound the package shares, such as `bernoulli.MAX_K`, has one
+message."""
 
 import re
 from fractions import Fraction
@@ -21,6 +23,7 @@ from moser_ladder.powersum import (
     running_sums,
     search_ratio,
 )
+from moser_ladder.sweeps import GridSpec
 
 B = Fraction(1, 6)
 
@@ -40,6 +43,14 @@ CASES = [
     (crossover, (0,), "crossover needs k >= 1, got 0"),
     (search_ratio, (0, 5), "search_ratio needs k_max >= 1, m_max >= 3"),
     (em_scan, (3, 1), "em_scan needs k_max >= 1, m_max >= 2"),
+    # each walk of the searches takes m^k afresh to the crossover, so their
+    # k is bounded like the Bernoulli index, and checked before any walk
+    (search_ratio, (10_001, 3),
+     "Bernoulli index must be <= 10000, got 10001"),
+    (em_scan, (10_002, 2), "Bernoulli index must be <= 10000, got 10002"),
+    (GridSpec(k_max=10_001, m_max=3, checks=(
+        "ratio-search", "em-scan", "s1-s3-identity")).validate, (),
+     "Bernoulli index must be <= 10000, got 10001"),
     (min_max_scan, (10, 0),
      "a table over m needs 1 <= m_max <= 100000, got 0"),
     (min_max_scan, (10, 100_001),

@@ -351,16 +351,24 @@ def test_m_bound_runs_no_row(monkeypatch, capsys):
     # its rows read B_k at even k <= 10^4 only; the grid is refused whole
     ["verify", "--grid", "10001:10", "--checks", "bernoulli-structure",
      "--jobs", "2"],
+    # the searches read no B_k, but each of their walks takes m^k afresh
+    # to the crossover, so crossover-bracket's bound binds them too
+    ["search", "ratio", "--kmax", "10001", "--mmax", "3"],
+    ["search", "em", "--kmax", "10002", "--mmax", "3"],
+    ["verify", "--grid", "10002:10", "--checks", "ratio-search,em-scan"],
+    ["verify", "--grid", "10001:3", "--checks", "s1-s3-identity"],
 ], ids=" ".join)
 def test_index_past_max_k_is_a_usage_error(argv, monkeypatch, capsys):
-    # B_k past bernoulli.MAX_K = 10^4 is refused before the table grows:
-    # exit 2, one error line, nothing on stdout, well within a second
+    # B_k past bernoulli.MAX_K = 10^4 is refused before the table grows,
+    # and a search's k before the first walk: exit 2, one error line,
+    # nothing on stdout, well within a second
     bmod = importlib.import_module("moser_ladder.bernoulli")
 
-    def no_growth(half):
-        raise AssertionError("the Bernoulli table grew")
+    def no_growth(*args):
+        raise AssertionError("the Bernoulli table grew or a walk ran")
 
     monkeypatch.setattr(bmod, "_extend_even", no_growth)
+    monkeypatch.setattr(cli.ps, "_walk", no_growth)
     t0 = time.perf_counter()
     assert cli.main([*argv, "--seedless"]) == 2
     assert time.perf_counter() - t0 < 1
@@ -394,13 +402,37 @@ def test_survey_past_max_survey_k_is_a_usage_error(argv, monkeypatch,
 
 
 def test_past_max_k_what_reads_no_bernoulli_number_runs(capsys):
-    # the naive power sum and the searches read no B_k, so MAX_K does not
-    # bound them
+    # the naive power sum reads no B_k, so MAX_K does not bound it; the
+    # searches read none either, and run to MAX_K, the bound of the walks
+    # of m^k (see test_index_past_max_k_is_a_usage_error)
     assert cli.main(["powersum", "10002", "3", "--naive", "--seedless"]) == 0
     assert capsys.readouterr().out == f"{1 + 2**10002}\n"
-    assert cli.main(["verify", "--grid", "10002-10002:10", "--checks",
+    assert cli.main(["verify", "--grid", "10000-10000:10", "--checks",
                      "ratio-search,em-scan", "--seedless"]) == 0
     assert capsys.readouterr().out.endswith("result: OK\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gk", "1000", "5"],
+    ["ladder", "1000", "5"],
+    ["powersum", "1000", "50"],
+], ids=" ".join)
+def test_a_query_builds_the_faulhaber_coefficients_once(argv, monkeypatch,
+                                                        capsys):
+    # nothing keeps the coefficients of k outside a sweep slice, so g(m)
+    # and the ladder take S_k(m) and S_k(m+1) from one `power_sums` call;
+    # a second build would cost some 20 ms at k = 1000
+    real = cli.ps._faulhaber_coeffs
+    built = []
+
+    def counted(k):
+        built.append(k)
+        return real(k)
+
+    monkeypatch.setattr(cli.ps, "_faulhaber_coeffs", counted)
+    assert cli.main([*argv, "--seedless"]) == 0
+    assert capsys.readouterr().err == ""
+    assert built == [1000]
 
 
 def test_io_error_corrupt_cache(tmp_path):
@@ -621,8 +653,8 @@ _TEST_PID = os.getpid()
         marks=pytest.mark.skipif(not hasattr(os, "fork"),
                                  reason="workers are forked")),
 ], ids=["ladder-nesting", "faulhaber-odd-index", "faulhaber-odd-index-worker"])
-def test_tripped_invariant_exits_4(monkeypatch, capsys, fresh_faulhaber,
-                                   module, name, fake, argv, text):
+def test_tripped_invariant_exits_4(monkeypatch, capsys, module, name, fake,
+                                   argv, text):
     # an invariant check that trips is an internal fault, not a usage
     # error or an escaped traceback (exit 1, "checks failed")
     monkeypatch.setattr(getattr(cli, module), name, fake)
@@ -789,7 +821,7 @@ def test_edit_that_adams_theorem_catches_exits_3_on_load(tmp_path):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_bad_cache_behind_a_tripped_invariant_exits_3(
-        tmp_path, monkeypatch, capsys, fresh_faulhaber, jobs):
+        tmp_path, monkeypatch, capsys, jobs):
     # N_8 + D_8 loads, and verify quick never grows the k <= 20 table,
     # so the edit first shows as a failed Faulhaber cancellation; the
     # seeded entries are then recomputed, and the cache is blamed

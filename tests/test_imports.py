@@ -1,7 +1,7 @@
 """Every name a package module imports is used there or re-exported,
 every name a module exports exists, every parameter a function takes is
 read in its body, every export of `_primes` is read by another module,
-no module but `_primes` calls `primorial`,
+no module but `_primes` calls `primorial` or memoizes with `functools`,
 no module checks an invariant with `assert`, the CLI
 picks the output format in one place, the CLI reads no private name of
 the package, and the package's lazy modules give the same names as
@@ -166,6 +166,24 @@ def test_only_primes_calls_primorial():
              and (getattr(node.func, "id", None) == "primorial"
                   or getattr(node.func, "attr", None) == "primorial")]
     assert calls == []
+
+
+def test_only_primes_memoizes_with_functools():
+    # the package keeps what a sweep slice shares by one rule,
+    # `powersum._latest`, and nothing of it outlives the slice; only
+    # `_primes` memoizes with `functools`, for its primorials, which
+    # outlive sweeps by design as its sieve does, so a second memo rule
+    # cannot come back unnoticed
+    memo = {"cache", "lru_cache"}
+    uses = [f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py")) if path.stem != "_primes"
+            for node in ast.walk(ast.parse(path.read_text(),
+                                           filename=str(path)))
+            if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                and memo & {alias.name for alias in node.names})
+            or (isinstance(node, ast.Attribute) and node.attr in memo
+                and getattr(node.value, "id", None) == "functools")]
+    assert uses == []
 
 
 def _uses_by_function(tree: ast.Module, is_use) -> dict[str, int]:

@@ -32,9 +32,7 @@ ps = importlib.import_module("moser_ladder.powersum")
 
 def _fresh_table(monkeypatch) -> None:
     """A fresh Bernoulli memo, the table built to k = 12 (all that `quick`
-    reads), for a fault to change; monkeypatch puts back the old one, and
-    the test's `fresh_faulhaber` fixture empties the Faulhaber memo before
-    and after."""
+    reads), for a fault to change; monkeypatch puts back the old one."""
     monkeypatch.setattr(bmod, "_EVEN", [(1, 1)])
     monkeypatch.setattr(bmod, "_SEIDEL", [])
     bmod.bernoulli(12)
@@ -203,7 +201,7 @@ def test_quick_fails_no_check_without_a_fault(capsys):
 @pytest.mark.parametrize("fault, fails", FAULTS,
                          ids=[fault.__name__ for fault, _ in FAULTS])
 def test_each_fault_fails_exactly_its_checks(fault, fails, monkeypatch,
-                                             capsys, fresh_faulhaber):
+                                             capsys):
     calls = fault(monkeypatch)
     assert _failing_checks(capsys) == fails
     if fails == ():

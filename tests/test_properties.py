@@ -432,12 +432,14 @@ def test_column_lists_match_their_direct_routes(k, m_min, span, shared):
     assert powersum._powers(k, m_max) == [j**k for j in range(m_max + 1)]
     ms = range(m_min, m_max + 1)
     ladder_ms = range(max(2, m_min), m_max + 1)
-    # in a slice the second read, with the arguments the rows pass,
-    # returns what the first built; outside a slice each read builds afresh
+    # in a slice the second read, with the arguments the rows pass and
+    # through the memo as the rows read it, returns what the first built;
+    # outside a slice each read builds afresh
+    factor_lists = powersum._latest(sweeps._factor_lists, per_k=False)
     with mock.patch.object(powersum, "_SLICE", {} if shared else None):
         reads = []
         for _ in range(2):
-            got = [powersum._powers(k, m_max), sweeps._factor_lists(m_max),
+            got = [powersum._powers(k, m_max), factor_lists(m_max),
                    sweeps._running_sums(k, m_max), sweeps._closed_forms(k, ms),
                    sweeps._consecutive_gcds(k, ms)]
             powers, factors, sums, closed, gcds = got
@@ -579,15 +581,20 @@ _BOUNDS = st.sampled_from((0, 1, 2, 7, 60, 300))
 @example(calls=[(3, 60), (3, 7), (3, 60)])
 def test_powers_after_any_sequence_of_calls(calls):
     # in a slice each call returns the direct route's table, an immediate
-    # repeat returns the kept object, and only the latest table is kept;
-    # outside a slice nothing is kept
+    # repeat returns the kept object, and only the latest table of each
+    # bound is kept; outside a slice nothing is kept
     with mock.patch.object(powersum, "_SLICE", {}):
+        latest: dict = {}
         for k, bound in calls:
             got = powersum._powers(k, bound)
             assert got == [j**k for j in range(bound + 1)], (k, bound)
             assert powersum._powers(k, bound) is got
-            [(args, kept)] = powersum._SLICE.values()
-            assert args == (k, bound) and kept is got
+            latest[bound] = k
+            assert len({build for build, _ in powersum._SLICE}) == 1
+            kept = {rest: held for (_, rest), held in powersum._SLICE.items()}
+            assert {rest: held_k for rest, (held_k, _) in kept.items()} == {
+                (b,): b_k for b, b_k in latest.items()}
+            assert kept[bound,][1] is got
     for k, bound in calls:
         got = powersum._powers(k, bound)
         assert got == [j**k for j in range(bound + 1)]
@@ -596,12 +603,13 @@ def test_powers_after_any_sequence_of_calls(calls):
 
 
 def test_a_kept_result_goes_before_the_next_build():
-    # a builder called with other arguments lets its old result go before
-    # it builds, so a slice never holds two of one builder's lists
+    # a builder of one k called with another k lets its old result go
+    # before it builds, so a slice never holds two of one builder's lists
+    # for the same other arguments
     held = []
 
     def build(n):
-        held.append(build in powersum._SLICE)
+        held.append(any(key[0] is build for key in powersum._SLICE))
         return [n]
 
     latest = powersum._latest(build)
@@ -609,6 +617,25 @@ def test_a_kept_result_goes_before_the_next_build():
         assert [latest(1), latest(1), latest(2), latest(1)] == [
             [1], [1], [2], [1]]
     assert held == [False, False, False]
+
+
+def test_a_builder_of_no_k_keeps_each_result_until_the_slice_ends():
+    # a grid's factor lists, von Staudt-Clausen table and survey are built
+    # once per slice, however the rows of two grids interleave
+    built = []
+
+    def build(top, bound):
+        built.append((top, bound))
+        return [top, bound]
+
+    latest = powersum._latest(build, per_k=False)
+    with mock.patch.object(powersum, "_SLICE", {}):
+        got = [latest(60, 7), latest(50, 7), latest(60, 7), latest(60, 8),
+               latest(50, 7)]
+        assert got[0] is got[2] and got[1] is got[4]
+        assert len(powersum._SLICE) == 3
+    assert built == [(60, 7), (50, 7), (60, 8)]
+    assert latest(60, 7) is not latest(60, 7)
 
 
 @FAST

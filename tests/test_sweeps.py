@@ -8,6 +8,7 @@ import os
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -84,7 +85,7 @@ def test_rows_per_check_are_pinned(spec, want):
     assert {check: list(_rows_for(check, spec)) for check in CHECK_ORDER} == want
 
 
-def test_max_bernoulli_index_covers_every_read(monkeypatch, fresh_faulhaber):
+def test_max_bernoulli_index_covers_every_read(monkeypatch):
     # pool workers are seeded, and verify writes the cache, up to
     # max_bernoulli_index: a row that read B_k past it would grow the memo
     bmod = importlib.import_module("moser_ladder.bernoulli")
@@ -100,7 +101,6 @@ def test_max_bernoulli_index_covers_every_read(monkeypatch, fresh_faulhaber):
     for specs in grids:
         monkeypatch.setattr(bmod, "_EVEN", [(1, 1)])
         monkeypatch.setattr(bmod, "_SEIDEL", [])
-        powersum._faulhaber_coeffs.cache_clear()
         bmod.bernoulli(max_bernoulli_index(specs))
         filled = len(bmod._EVEN)
         assert run_grids(specs, None, 1)["totals"]["fail"] == 0
@@ -258,6 +258,93 @@ def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
     assert all(len(slice_of) == 1 for slice_of in where.values())
 
 
+_SURVEY = GridSpec(k_min=2, k_max=60, m_max=1, checks=("numerator-scan",))
+_STRUCTURE = GridSpec(k_min=2, k_max=400, m_max=1,
+                      checks=("bernoulli-structure",))
+# grids whose rows interleave by k in a slice, each set with the shared
+# builds one slice of it makes at --jobs 1
+_OVERLAPS = {
+    "surveys-60-50": ([_SURVEY, _SURVEY._replace(k_max=50)], {"survey": 2}),
+    "surveys-60-50-40": ([_SURVEY, _SURVEY._replace(k_max=50),
+                          _SURVEY._replace(k_max=40)], {"survey": 3}),
+    "surveys-two-bounds": ([_SURVEY, _SURVEY._replace(k_max=50,
+                                                      trial_bound=1000)],
+                           {"survey": 2}),
+    "structure-400-300": ([_STRUCTURE, _STRUCTURE._replace(k_max=300)],
+                          {"vsc": 2}),
+    # the grids of test_grids_sharing_k_but_not_m_range_sweep_as_if_alone
+    "m-ranges": ([GridSpec(k_max=8, m_max=40),
+                  GridSpec(k_max=8, m_min=5, m_max=60)],
+                 {"survey": 1, "vsc": 1, "column": 16, "factor lists": 2}),
+}
+
+
+def _shared_builds(tasks: list[tuple[str, int, GridSpec]]) -> Counter:
+    """One build of the survey, the von Staudt-Clausen table, the
+    closed-form column and the factor lists for each value of the
+    arguments that the rows of `tasks` pass them."""
+    need = set()
+    for check, k, spec in tasks:
+        if check == "numerator-scan":
+            need.add(("survey", (_rows_for(check, spec), spec.trial_bound)))
+        elif check == "bernoulli-structure":
+            need.add(("vsc", (spec.k_max,)))
+        elif check == "congruences":
+            need.add(("factor lists", (spec.m_max,)))
+        elif check in ("faulhaber-naive", "telescoping", "gcd-ladder",
+                       "trivial-gcd-iff"):
+            need.add(("column", (k, range(spec.m_min, spec.m_max + 2))))
+    return Counter(need)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("specs, totals", list(_OVERLAPS.values()),
+                         ids=list(_OVERLAPS))
+def test_overlapping_grids_build_each_shared_list_once_per_slice(
+        monkeypatch, specs, totals, jobs):
+    # a slice runs the rows of all its grids in k order, so rows of grids
+    # with other k_max, trial bounds or m ranges alternate; each shared
+    # builder keeps a result for each value of its arguments other than k,
+    # so it builds each once per slice (where one result per builder was
+    # kept, the surveys to 60 and 50 ran 51 surveys, the structure grids
+    # built 301 tables, and the two m ranges 48 closed-form columns, 16 of
+    # them distinct, and factor lists with 400 factorize calls for 100 m).
+    # Each slice of a --jobs 2 split is run here, not only the parent's.
+    built = []
+
+    def counted(name, real):
+        def run(*args):
+            built.append((name, args))
+            return real(*args)
+        return run
+
+    real_sums = powersum.power_sums
+
+    def sums(k, ms):
+        if isinstance(ms, range):  # only `_closed_forms` passes a range
+            built.append(("column", (k, ms)))
+        return real_sums(k, ms)
+
+    monkeypatch.setattr(sweeps, "numerator_survey",
+                        counted("survey", sweeps.numerator_survey))
+    monkeypatch.setattr(sweeps, "_vsc_prime_table",
+                        counted("vsc", sweeps._vsc_prime_table))
+    monkeypatch.setattr(sweeps, "_factor_lists",
+                        counted("factor lists", sweeps._factor_lists))
+    monkeypatch.setattr(powersum, "power_sums", sums)
+    tasks = _tasks(specs)
+    slices = sweeps._slices(tasks, sweeps._units(tasks), jobs)
+    assert len(slices) == jobs
+    for at in slices:
+        built.clear()
+        rows = sweeps._run_slice([tasks[i] for i in at])
+        assert all(row.fails == 0 for row in rows)
+        assert Counter(built) == _shared_builds([tasks[i] for i in at])
+        if jobs == 1:
+            assert Counter(name for name, _ in built) == totals
+    assert powersum._SLICE is None
+
+
 def test_heaviest_slice_comes_first():
     # the parent runs slice 0 itself, so it takes the largest share
     for profile in ("quick", "standard", "extended"):
@@ -304,12 +391,11 @@ def test_column_is_gone_after_a_slice(monkeypatch):
 
 def test_nothing_sized_by_m_max_survives_a_sweep():
     # the lists a slice shares (sums, gcds, factor lists, m^k tables, the
-    # survey) live only while it runs: a second `extended` sweep, once the
-    # first has filled the caches that persist (Bernoulli table, sieve,
-    # primorial, the Faulhaber coefficients of its last k), leaves no
-    # memory behind; nor does a survey to k = 250 after one to k = 10 at
-    # the same bound, where a memo of survey gcds would grow from 5
-    # entries to 125
+    # Faulhaber coefficients, the survey) live only while it runs: a second
+    # `extended` sweep, once the first has filled the caches that persist
+    # (Bernoulli table, sieve, primorial), leaves no memory behind; nor
+    # does a survey to k = 250 after one to k = 10 at the same bound,
+    # where a memo of survey gcds would grow from 5 entries to 125
     survey = GridSpec(k_min=2, k_max=250, m_max=1, trial_bound=77_777,
                       checks=("numerator-scan",))
     primorial(survey.trial_bound)
@@ -337,9 +423,10 @@ def test_nothing_sized_by_m_max_survives_a_sweep():
 
 
 def test_the_faulhaber_memo_keeps_one_k():
-    # rows run k by k and no caller reads an old k again, so a sweep to
-    # k = 200 after one to k = 20 leaves the coefficients of k = 200
-    # alone; a memo of every k would keep some 0.87 MB
+    # rows run k by k and no caller reads an old k again, so a slice keeps
+    # one k's coefficients, and they go when it ends: a sweep to k = 200
+    # after one to k = 20 leaves nothing, where the coefficients of
+    # k = 200 hold some 13 kB and a memo of every k would keep 0.87 MB
     spec = GridSpec(k_max=20, m_max=10, checks=("faulhaber-naive",))
     sweeps.bernoulli(200)
     run_sweep(spec)
@@ -353,6 +440,8 @@ def test_the_faulhaber_memo_keeps_one_k():
     finally:
         tracemalloc.stop()
     assert left < 64 * 1024
+    assert left < 1024
+    assert powersum._SLICE is None
 
 
 def test_consecutive_gcds_are_taken_from_the_two_sums(monkeypatch):
