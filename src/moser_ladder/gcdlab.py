@@ -27,8 +27,7 @@ reported values. Its a = gcd(S, S_k(m+1)) = gcd(S, m^k) is the first
 stable rung gcd(S, m^j), from `_gcd_with_power` at every m, on moduli of
 a few words; the ladder does not read it, so its rungs stay
 independent. The prefix reads S_k(m) from `powersum.running_sums`, the
-incremental route, for 2 <= m <= m_max, the grid's m range, like every
-other table over m. `_extreme_witnesses` picks the extremes'
+list the sweep's rows share. `_extreme_witnesses` picks the extremes'
 two witnesses and evaluates g at both, for min/max and special-values.
 
 The prefix's closed form holds pointwise: at even k, g(m) = gcd(N, m) /
@@ -43,7 +42,7 @@ while S_2(m) = m(m - 1)(2m - 1)/6 has v_p = e. So v_p(S) = t <= ke.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from math import gcd
 from typing import Iterable, NamedTuple
 
@@ -58,7 +57,7 @@ from .bernoulli import (
     numerator,
     square_free_status,
 )
-from .powersum import _check_m_max, power_sum, running_sums
+from .powersum import power_sum, running_sums
 
 __all__ = [
     "gcd_ratio",
@@ -332,7 +331,8 @@ def _extreme_witnesses(k: int) -> tuple[int, Fraction, int, Fraction]:
     when |N| = 1 (g = 1 there too); both values by definition, any size."""
     d, n_abs = denominator(k), abs(numerator(k))
     m = n_abs if n_abs >= 2 else next(j for j in count(2) if gcd(d, j) == 1)
-    return d, gcd_ratio(k, d), m, gcd_ratio(k, m)
+    s_d, s_d1, s_m, s_m1 = powersum.power_sums(k, (d, d + 1, m, m + 1))
+    return d, Fraction(gcd(s_d, s_d1), d), m, Fraction(gcd(s_m, s_m1), m)
 
 
 class MinMaxResult(NamedTuple):
@@ -382,7 +382,7 @@ def min_max_scan(k: int, m_max: int,
     (`powersum.MAX_M`).
     """
     _require_even(k, "min_max_scan")
-    _check_m_max(m_max)
+    running = running_sums(k, m_max)
     n_abs = abs(numerator(k))
     d = denominator(k)
     status = square_free_status(k, trial_bound)
@@ -395,8 +395,8 @@ def min_max_scan(k: int, m_max: int,
     lo_a = hi_a = 1  # g(2) = gcd(S_k(2), S_k(3)) / 2 = 1/2
     prefix_min_at = prefix_max_at = 2
     closed_agrees = True
-    for m, s in islice(running_sums(k, m_max), 1, None):
-        a = _gcd_with_power(s, m, k)  # gcd(S, S + m^k) = gcd(S, m^k)
+    for m in range(2, m_max + 1):
+        a = _gcd_with_power(running[m], m, k)  # gcd(S, S + m^k) = gcd(S, m^k)
         if a * prefix_min_at < lo_a * m:
             lo_a, prefix_min_at = a, m
         if a * prefix_max_at > hi_a * m:

@@ -13,14 +13,16 @@ loop, with the coefficients read once; `power_sum` is its one-point case.
 
 `running_sums` is the other route: m^k added one m at a time, with no
 Bernoulli numbers. It reads `_powers`, which lists m^k for every m up to
-a bound. One memo rule, `_latest`, keeps what a sweep slice shares: while
-a slice runs (`_SLICE` is a dict), each shared builder keeps its latest
-result for each value of its arguments other than k. A builder of one k
-(`_faulhaber_coeffs`, `_powers`, the sweep's running sums, closed forms
-and consecutive gcds) drops the old k's result before it builds the
-next; one of no k (the sweep's factor lists, von Staudt-Clausen table
-and survey) keeps each result until the slice ends. Outside a slice
-every call builds afresh, so nothing a slice shares outlives it.
+a bound. The index rule: every table over m, here and in the sweep, is
+one list with its value at m at index m, padded below its first m. One
+memo rule, `_latest`, keeps what a sweep slice shares: while a slice
+runs (`_SLICE` is a dict), each shared builder keeps its latest result
+for each value of its arguments other than k. A builder of one k
+(`_faulhaber_coeffs`, `_powers`, `running_sums`, the sweep's closed
+forms and consecutive gcds) drops the old k's result before it builds
+the next; one of no k (the sweep's factor lists, von Staudt-Clausen
+table and survey) keeps each result until the slice ends. Outside a
+slice every call builds afresh, so nothing a slice shares outlives it.
 
 The searches filter one walk, `_walk`, which yields (m, S_k(m), m^k)
 from m = 2 up to and including the crossover; `crossover` returns its
@@ -72,6 +74,7 @@ def _latest(build: Callable, per_k: bool = True) -> Callable:
             _SLICE.pop((build, rest), None)  # drop the old k's result first
             _SLICE[build, rest] = k, build(*args)
         return _SLICE[build, rest][1]
+    latest.__name__, latest.__doc__ = build.__name__, build.__doc__
     return latest
 
 
@@ -156,14 +159,14 @@ def _powers(k: int, m_max: int) -> list[int]:
     return [m**k for m in range(m_max + 1)]
 
 
-def running_sums(k: int, m_max: int) -> Iterator[tuple[int, int]]:
-    """Yield (m, S_k(m)) for m = 1..m_max by incremental summation over
+@_latest
+def running_sums(k: int, m_max: int) -> list[int]:
+    """S_k(m) at index m, 0 <= m <= m_max, by incremental summation over
     the `_powers` table of k at bound m_max: the route to S_k(m) of the
-    sweep column and the min/max prefix."""
+    sweep rows and the min/max prefix."""
     _check_km(k, 1)
     _check_m_max(m_max)
-    return zip(range(1, m_max + 1),
-               accumulate(_powers(k, m_max)[1:m_max], initial=0))
+    return list(accumulate(_powers(k, m_max)[:m_max], initial=0))
 
 
 class RatioHit(NamedTuple):

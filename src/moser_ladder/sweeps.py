@@ -30,20 +30,18 @@ on which: `telescoping` reads only the closed form (`power_sums`, from
 Bernoulli numbers); `faulhaber-naive` compares it with the running sums
 (`running_sums`, m^k added one m at a time), which `s1-s3-identity`,
 `congruences`, `gcd-ladder` and `divisibility-equivalence` also read.
-The rows share lists: the running sums, the closed forms of the grid's m
-range (one `power_sums` column), the consecutive gcds gcd(S_k(m),
-S_k(m+1)), the m^k table (`powersum._powers`), the factor lists of every
-m (one `factorize` call per m, read by `congruences` at every k), the
-records of one numerator survey of the grid's k, and one von
-Staudt-Clausen table to its k_max (`bernoulli._vsc_prime_table`, whose
-row k/2 `bernoulli-structure` multiplies into D_k). One rule keeps them,
-`powersum._latest` (its module docstring states it), so each list is
-built once per slice for each k and each grid's other arguments; a row
-called on its own builds what it reads and keeps nothing, and nothing
-outlives a slice. A consecutive gcd takes S_k(m) from the
-running sums and S_k(m+1) from the closed-form column, so the ladder's
-consecutive-gcd cell, and `trivial-gcd-iff`, which reads the same gcds,
-compare the two routes.
+The rows share lists over m, each held as the `powersum` module
+docstring states: the running sums, the closed forms of the grid's m
+range, the consecutive gcds gcd(S_k(m), S_k(m+1)), the m^k table and the
+factor lists of every m. They also share the records of one numerator
+survey of the grid's k and one von Staudt-Clausen table to its k_max
+(`bernoulli._vsc_prime_table`, whose row k/2 `bernoulli-structure`
+multiplies into D_k). `powersum._latest` keeps them, so each is built
+once per slice for each k and each grid's other arguments; a row called
+on its own builds what it reads and keeps nothing. A consecutive gcd
+takes S_k(m) from the running sums and S_k(m+1) from the closed forms,
+so the ladder's consecutive-gcd cell and `trivial-gcd-iff`, which reads
+the same gcds, compare the two routes.
 These rows run integer kernels with N_k and D_k read once per row: the
 gcd ladder (`gcdlab._ladder_rungs`, given m^k from the table), the
 congruence cells and the integer core of `divides_rational`. A passing
@@ -163,26 +161,20 @@ def _row_bernoulli_structure(k: int, spec: GridSpec) -> _Row:
 
 
 @ps._latest
-def _running_sums(k: int, m_max: int) -> list[int]:
-    """S_k(m) from `running_sums` at index m - 1, 1 <= m <= m_max."""
-    return [s for _, s in ps.running_sums(k, m_max)]
-
-
-@ps._latest
-def _closed_forms(k: int, ms: range) -> list[int]:
+def _closed_forms(k: int, ms: range) -> list[int | None]:
     """S_k(m) from `power_sums` for m in ms and one m past it."""
-    return ps.power_sums(k, range(ms.start, ms.stop + 1))
+    return [None] * ms.start + ps.power_sums(k, range(ms.start, ms.stop + 1))
 
 
 @ps._latest
-def _consecutive_gcds(k: int, ms: range) -> list[int]:
+def _consecutive_gcds(k: int, ms: range) -> list[int | None]:
     """gcd(S_k(m), S_k(m+1)) for m in ms from m = 2: S_k(m) from the
     running sums, S_k(m+1) read from the closed forms of the same m range
     (the column `faulhaber-naive` builds), so the gcd ties the two
     routes."""
     lo = max(2, ms.start)
-    closed = _closed_forms(k, ms)[lo + 1 - ms.start:]
-    return list(map(gcd, _running_sums(k, ms.stop - 1)[lo - 1:], closed))
+    closed, running = _closed_forms(k, ms), ps.running_sums(k, ms.stop - 1)
+    return [None] * lo + list(map(gcd, running[lo:], closed[lo + 1:]))
 
 
 def _factor_lists(m_max: int) -> list[list[tuple[int, int]]]:
@@ -193,12 +185,12 @@ def _factor_lists(m_max: int) -> list[list[tuple[int, int]]]:
 def _row_faulhaber(k: int, spec: GridSpec) -> _Row:
     row = _Row("faulhaber-naive", k)
     ms = range(spec.m_min, spec.m_max + 1)
-    running = _running_sums(k, spec.m_max)[spec.m_min - 1:]
-    for m, closed, s in zip(ms, _closed_forms(k, ms), running):
-        if closed == s:
+    closed, running = _closed_forms(k, ms), ps.running_sums(k, spec.m_max)
+    for m in ms:
+        if closed[m] == running[m]:
             row.passes += 1
         else:
-            row.cell(False, closed, s, m=m)
+            row.cell(False, closed[m], running[m], m=m)
     return row
 
 
@@ -207,20 +199,19 @@ def _row_telescoping(k: int, spec: GridSpec) -> _Row:
     ms = range(spec.m_min, spec.m_max + 1)
     closed = _closed_forms(k, ms)
     powers = ps._powers(k, spec.m_max)
-    for m, prev, nxt in zip(ms, closed, islice(closed, 1, None)):
-        if nxt - prev == powers[m]:
+    for m in ms:
+        if closed[m + 1] - closed[m] == powers[m]:
             row.passes += 1
         else:
-            row.cell(False, nxt - prev, powers[m], m=m)
+            row.cell(False, closed[m + 1] - closed[m], powers[m], m=m)
     return row
 
 
 def _row_s1s3(_k: int, spec: GridSpec) -> _Row:
     row = _Row("s1-s3-identity", None)
-    for (m, s1), (_, s3) in zip(ps.running_sums(1, spec.m_max),
-                                ps.running_sums(3, spec.m_max)):
-        if m >= spec.m_min:
-            row.cell(s3 == s1 * s1, s3, s1 * s1, m=m)
+    s1, s3 = ps.running_sums(1, spec.m_max), ps.running_sums(3, spec.m_max)
+    for m in range(spec.m_min, spec.m_max + 1):
+        row.cell(s3[m] == s1[m] ** 2, s3[m], s1[m] ** 2, m=m)
     return row
 
 
@@ -265,14 +256,13 @@ def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
     row = _Row("gcd-ladder", k)
     n, d = bernoulli_pair(k)
     n_abs = abs(n)
-    ms = range(max(2, spec.m_min), spec.m_max + 1)
     powers = ps._powers(k, spec.m_max)
     gcds = _consecutive_gcds(k, range(spec.m_min, spec.m_max + 1))
-    running = _running_sums(k, spec.m_max)[ms.start - 1:]
-    for m, s, a in zip(ms, running, gcds):
+    running = ps.running_sums(k, spec.m_max)
+    for m in range(max(2, spec.m_min), spec.m_max + 1):
         (g1, g2, g3, g4, gk, p1, p2, p3, e, residual_ok,
-         consecutive) = gcdlab._ladder_rungs(k, m, s, a, powers[m], n_abs,
-                                             d)
+         consecutive) = gcdlab._ladder_rungs(k, m, running[m], gcds[m],
+                                             powers[m], n_abs, d)
         monotone = gcdlab._rungs_nest(k, g1, g2, g3, g4, gk)
         if (g1 == p1 and g2 == p2 and g3 == p3 and consecutive and monotone
                 and residual_ok):
@@ -294,9 +284,9 @@ def _row_congruences(k: int, spec: GridSpec) -> _Row:
     row = _Row("congruences", k)
     n, d = bernoulli_pair(k)
     factors = ps._latest(_factor_lists, per_k=False)(spec.m_max)
-    running = _running_sums(k, spec.m_max)[spec.m_min - 1:]
-    for m, s in zip(range(spec.m_min, spec.m_max + 1), running):
-        num = gcdlab._diff_numerator(m, s, n, d)
+    running = ps.running_sums(k, spec.m_max)
+    for m in range(spec.m_min, spec.m_max + 1):
+        num = gcdlab._diff_numerator(m, running[m], n, d)
         for label, p, applicable, holds in gcdlab._congruence_cells(
                 k, m, num, factors[m], n, d):
             if not applicable:
@@ -312,10 +302,10 @@ def _row_congruences(k: int, spec: GridSpec) -> _Row:
 def _row_div_equiv(k: int, spec: GridSpec) -> _Row:
     row = _Row("divisibility-equivalence", k)
     n = bernoulli_pair(k)[0]
-    ms = range(max(2, spec.m_min), spec.m_max + 1)
-    for m, s in zip(ms, _running_sums(k, spec.m_max)[ms.start - 1:]):
+    running = ps.running_sums(k, spec.m_max)
+    for m in range(max(2, spec.m_min), spec.m_max + 1):
         for r in (1, 2):
-            lhs = s % m ** (r + 1) == 0
+            lhs = running[m] % m ** (r + 1) == 0
             rhs = _divides_nd(m, r, n)
             if lhs == rhs:
                 row.passes += 1
@@ -328,15 +318,14 @@ def _row_div_equiv(k: int, spec: GridSpec) -> _Row:
 def _row_trivial_gcd(k: int, spec: GridSpec) -> _Row:
     row = _Row("trivial-gcd-iff", k)
     dn = denominator(k) * abs(numerator(k))
-    ms = range(max(2, spec.m_min), spec.m_max + 1)
     gcds = _consecutive_gcds(k, range(spec.m_min, spec.m_max + 1))
     # a = gcd(S(m), S(m+1)) and g = a / m, so g = 1 iff a = m
-    for m, a in zip(ms, gcds):
+    for m in range(max(2, spec.m_min), spec.m_max + 1):
         c = gcd(dn, m)
-        if (a == m) == (c == 1):
+        if (gcds[m] == m) == (c == 1):
             row.passes += 1
         else:
-            row.cell(False, f"g = {Fraction(a, m)}, gcd(D N, m) = {c}",
+            row.cell(False, f"g = {Fraction(gcds[m], m)}, gcd(D N, m) = {c}",
                      "g = 1 iff gcd(D N, m) = 1", m=m)
     return row
 

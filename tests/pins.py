@@ -52,10 +52,12 @@ def perturb_sums(monkeypatch) -> None:
     real_closed = powersum.power_sums
 
     def running(k, m_max):
-        for m, s in real_running(k, m_max):
+        sums = list(real_running(k, m_max))  # a slice may share the real one
+        for m in range(1, m_max + 1):
             if m >= 2:
-                s += _RUNNING_SHIFTS.get(k, 0)
-            yield m, s + _RUNNING_OFFSETS.get((k, m), 0)
+                sums[m] += _RUNNING_SHIFTS.get(k, 0)
+            sums[m] += _RUNNING_OFFSETS.get((k, m), 0)
+        return sums
 
     def closed(k, ms):
         ms = list(ms)

@@ -2,10 +2,11 @@
 extremes, cross-index gcds."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
+from moser_ladder import powersum
 from moser_ladder.bernoulli import (
     bernoulli,
     denominator,
@@ -191,6 +192,25 @@ def test_min_max_beyond_prefix():
     assert _extreme_witnesses(12) == (2730, Fraction(1, 2730), 691, 691)
     assert res.prefix_min_at <= 100 and res.prefix_max_at <= 100
     assert res.prefix_closed_form_agrees
+
+
+def test_witnesses_build_the_faulhaber_coefficients_once(monkeypatch):
+    # both witnesses' sums come from one closed-form call and the prefix
+    # reads the running sums, so outside a slice each call builds the
+    # coefficients once (one lcm of the B_j denominators per build)
+    bernoulli(200)
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(powersum, "lcm", counted)
+    min_max_scan(200, 10)
+    assert len(builds) == 1
+    builds.clear()
+    _extreme_witnesses(48)
+    assert len(builds) == 1
 
 
 def test_cross_gcd_offsets():

@@ -95,17 +95,21 @@ def em_solutions_invents_4_5(mp):
 
 
 def consecutive_gcd_doubled_at_7(mp):
-    _wrap(mp, sweeps, "_consecutive_gcds", lambda real, k, ms: [
-        a * (1 + (m == 7)) for m, a in zip(range(max(2, ms.start), ms.stop),
-                                           real(k, ms))])
+    def doubled(real, k, ms):
+        gcds = list(real(k, ms))  # a copy: the slice shares the real list
+        if 7 in ms:
+            gcds[7] *= 2
+        return gcds
+    _wrap(mp, sweeps, "_consecutive_gcds", doubled)
 
 
 def consecutive_gcd_from_mk_rung(mp):
     def from_rung(_real, k, ms):
         lo = max(2, ms.start)
-        powers = ps._powers(k, ms.stop)
-        sums = [s for _, s in ps.running_sums(k, ms.stop)]
-        return [gcd(sums[m - 1], powers[m]) for m in range(lo, ms.stop)]
+        powers = ps._powers(k, ms.stop - 1)
+        sums = ps.running_sums(k, ms.stop - 1)
+        return [None] * lo + [gcd(sums[m], powers[m])
+                              for m in range(lo, ms.stop)]
     return _wrap(mp, sweeps, "_consecutive_gcds", from_rung)
 
 
@@ -128,8 +132,11 @@ def divides_reads_m_to_r_plus_1(mp):
     mp.setattr(sweeps, "_divides_nd", lambda m, r, n: n % m**(r + 1) == 0)
 
 
-def gcd_ratio_doubled(mp):
-    _wrap(mp, gcdlab, "gcd_ratio", lambda real, k, m: 2 * real(k, m))
+def witness_values_doubled(mp):
+    def doubled(real, k):
+        d, at_d, m, at_m = real(k)
+        return d, 2 * at_d, m, 2 * at_m
+    _wrap(mp, gcdlab, "_extreme_witnesses", doubled)
 
 
 def cross_gcd_claims_c_divides_no_k(mp):
@@ -145,7 +152,10 @@ def congruence_cells_flip(mp):
 
 def running_sums_plus_one(mp):
     def bumped(real, k, m_max):
-        return ((m, s + (k == 3 and m == 20)) for m, s in real(k, m_max))
+        sums = list(real(k, m_max))  # a copy: the slice shares the real list
+        if k == 3 and m_max >= 20:
+            sums[20] += 1
+        return sums
     _wrap(mp, ps, "running_sums", bumped)
 
 
@@ -185,7 +195,7 @@ FAULTS = [
     (denominator_off, ("bernoulli-structure",)),
     (divides_reads_m_to_r_plus_1, ("divisibility-equivalence",)),
     (consecutive_gcd_doubled_at_7, ("gcd-ladder", "trivial-gcd-iff")),
-    (gcd_ratio_doubled, ("special-values", "min-max")),
+    (witness_values_doubled, ("special-values", "min-max")),
     (cross_gcd_claims_c_divides_no_k, ("cross-gcd",)),
     (congruence_cells_flip, ("congruences",)),
     (running_sums_plus_one, ("faulhaber-naive", "s1-s3-identity")),

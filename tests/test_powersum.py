@@ -58,10 +58,10 @@ def test_telescoping():
 
 
 def test_running_sums_match_closed_form():
-    got = list(running_sums(7, 30))
-    assert got[0] == (1, 0)
-    for m, s in got:
-        assert s == power_sum(7, m)
+    got = running_sums(7, 30)
+    assert len(got) == 31 and got[1] == 0
+    for m in range(1, 31):
+        assert got[m] == power_sum(7, m)
 
 
 def test_rejects_bad_arguments():

@@ -411,7 +411,7 @@ def test_trivial_gcd_row_matches_fraction_row(k, m_min, span, offset):
     real = powersum.running_sums
 
     def shifted(k, m_max):
-        return ((m, s + offset) for m, s in real(k, m_max))
+        return [s + offset for s in real(k, m_max)]
 
     with mock.patch.object(powersum, "running_sums", shifted):
         row = sweeps._row_trivial_gcd(k, spec)
@@ -440,19 +440,41 @@ def test_column_lists_match_their_direct_routes(k, m_min, span, shared):
         reads = []
         for _ in range(2):
             got = [powersum._powers(k, m_max), factor_lists(m_max),
-                   sweeps._running_sums(k, m_max), sweeps._closed_forms(k, ms),
+                   running_sums(k, m_max), sweeps._closed_forms(k, ms),
                    sweeps._consecutive_gcds(k, ms)]
             powers, factors, sums, closed, gcds = got
             assert powers == [j**k for j in range(m_max + 1)]
             assert factors == [list(factorize(j).items()) if j else []
                                for j in range(m_max + 1)]
-            assert sums == [s for _, s in running_sums(k, m_max)]
-            assert sums[m_min - 1:] == [power_sum_naive(k, m) for m in ms]
-            assert closed == [power_sum(k, m) for m in range(m_min, m_max + 2)]
-            assert gcds == [gcd(power_sum(k, m), power_sum(k, m + 1))
-                            for m in ladder_ms]
+            # each list holds its value at m at index m
+            assert sums[0] == 0
+            assert [b - a for a, b in zip(sums, sums[1:])] == powers[:m_max]
+            assert sums[m_min:] == [power_sum_naive(k, m) for m in ms]
+            assert len(closed) == m_max + 2
+            assert closed[m_min:] == [power_sum(k, m)
+                                      for m in range(m_min, m_max + 2)]
+            assert len(gcds) == m_max + 1
+            assert gcds[ladder_ms.start:] == [
+                gcd(power_sum(k, m), power_sum(k, m + 1)) for m in ladder_ms]
             reads.append(got)
         assert [a is b for a, b in zip(*reads)] == [shared] * 5
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(1, 60), m_max=st.integers(1, 400), data=st.data())
+def test_tables_over_m_hold_the_value_at_m_at_index_m(k, m_max, data):
+    # the index rule of the `powersum` docstring, for the running sums and
+    # the sweep's closed forms and consecutive gcds alike
+    m_min = data.draw(st.integers(1, m_max))
+    m = data.draw(st.integers(m_min, m_max))
+    ms = range(m_min, m_max + 1)
+    assert running_sums(k, m_max)[m] == power_sum(k, m)
+    closed = sweeps._closed_forms(k, ms)
+    assert closed[m] == power_sum(k, m)
+    assert closed[m_max + 1] == power_sum(k, m_max + 1)
+    if m >= max(2, m_min):
+        assert sweeps._consecutive_gcds(k, ms)[m] == gcd(
+            power_sum(k, m), power_sum(k, m + 1))
 
 
 # ---- power sums: even-coefficient Horner vs the naive sum and the
