@@ -57,7 +57,6 @@ from .bernoulli import (
     numerator,
     square_free_status,
 )
-from .powersum import power_sum, running_sums
 
 __all__ = [
     "gcd_ratio",
@@ -85,15 +84,6 @@ def gcd_ratio(k: int, m: int) -> Fraction:
     if m < 2:
         raise ValueError(f"gcd_ratio needs m >= 2, got {m}")
     return Fraction(gcd(*powersum.power_sums(k, (m, m + 1))), m)
-
-
-def _strip_common_primes(n: int, basis: int) -> int:
-    """Divide out of n every prime it shares with basis (any multiplicity)."""
-    g = gcd(n, basis)
-    while g > 1:
-        n //= g
-        g = gcd(n, basis)
-    return n
 
 
 class GcdLadder(NamedTuple):
@@ -157,7 +147,8 @@ def _ladder_rungs(
     Each observed rung is its own direct gcd; none is derived from
     another, and `consecutive` must be the gcd of the two sums, taken
     directly. The closed forms for the m, m^2 and m^3 rungs are
-    q = m / gcd(D, m), q gcd(N, m) and q gcd(N, m^2).
+    q = m / gcd(D, m), q gcd(N, m) and q gcd(N, m^2). Every prime of e
+    divides N iff e | N^j, with j = e.bit_length() >= each exponent of e.
     """
     m2 = m * m
     m3 = m2 * m
@@ -173,7 +164,7 @@ def _ladder_rungs(
     p1 = m // gcd(d, m)
     return (gcd(s, m), gcd(s, m2), g3, gcd(s, m2 * m2), gk,
             p1, p1 * gcd(n_abs, m), p1 * gcd(n_abs, m2),
-            e, _strip_common_primes(e, n_abs) == 1, consecutive == gk)
+            e, pow(n_abs, e.bit_length(), e) == 0, consecutive == gk)
 
 
 def _ladder_from_sums(k: int, m: int, s: int, s_next: int) -> GcdLadder:
@@ -257,7 +248,7 @@ def congruence_check(k: int, m: int, r: int) -> CongruenceVerdict:
     if r not in (1, 2, 3):
         raise ValueError(f"congruence_check supports r in 1..3, got {r}")
     n, d = bernoulli_pair(k)
-    num = _diff_numerator(m, power_sum(k, m), n, d)
+    num = _diff_numerator(m, powersum.power_sum(k, m), n, d)
     _, _, applicable, holds = _congruence_cells(k, m, num, (), n, d)[r - 1]
     return CongruenceVerdict(k, m, r, applicable, holds)
 
@@ -285,7 +276,7 @@ def prime_local_congruences(k: int, m: int) -> list[PrimeLocalVerdict]:
     if m < 2:
         raise ValueError(f"prime_local_congruences needs m >= 2, got {m}")
     n, d = bernoulli_pair(k)
-    num = _diff_numerator(m, power_sum(k, m), n, d)
+    num = _diff_numerator(m, powersum.power_sum(k, m), n, d)
     factors = _primes.factorize(m).items()
     cells = iter(_congruence_cells(k, m, num, factors, n, d)[3:])
     out = []
@@ -382,7 +373,7 @@ def min_max_scan(k: int, m_max: int,
     (`powersum.MAX_M`).
     """
     _require_even(k, "min_max_scan")
-    running = running_sums(k, m_max)
+    running = powersum.running_sums(k, m_max)
     n_abs = abs(numerator(k))
     d = denominator(k)
     status = square_free_status(k, trial_bound)

@@ -7,16 +7,17 @@ table `_CHECKS`; the check order, the rows of a grid, grid validation
 and `max_bernoulli_index` are read from it. The work is a list of rows,
 one per check and k. One worker runs the whole list in-process. With
 w > 1 workers the rows are grouped into units, the rows of one k, with
-all numerator-scan rows (which share one survey) as one unit of
-their own; the units are dealt heaviest first, by a static weight per
-row, each to the least-loaded of w slices, and each worker runs one
-slice, so no shared list or survey is built by two workers. A
-slice runs its rows k by k. The parent fills the Bernoulli table, then
-forks w - 1 children, which inherit it; it runs the heaviest slice
-itself while each child runs one other and sends its rows back as one
-pickle on a pipe of its own. Where `os.fork` does not exist the sweep
-runs serially. Rows go back to their list positions, so the report (the
-dict that `verify --format json` prints, built once from the rows) is
+all numerator-scan rows (which share one survey) as one unit of their
+own; the units are dealt heaviest first, by a static weight per row,
+each to the least-loaded of w slices, and each worker runs one slice, so
+one worker builds each per-k list and the survey; a slice that reads the
+von Staudt-Clausen table or the factor lists builds its own. A slice
+runs its rows k by k. The parent fills the Bernoulli table, then forks
+w - 1 children, which inherit it; it runs the heaviest slice itself
+while each child runs one other and sends its rows back as one pickle on
+a pipe of its own. Where `os.fork` does not exist the sweep runs
+serially. Rows go back to their list positions, so the report (the dict
+that `verify --format json` prints, built once from the rows) is
 byte-identical at any job count. The job count is an argument of
 `run_grids` and of `run_sweep`/`verify_all`, not part of a grid. Sweeps
 do no file I/O: the CLI reads the Bernoulli cache before a sweep and
@@ -28,20 +29,22 @@ the CLI's `scan` only formats) rather than restating them. The m-cell
 rows reach S_k(m) by two routes, and their counterexample text depends
 on which: `telescoping` reads only the closed form (`power_sums`, from
 Bernoulli numbers); `faulhaber-naive` compares it with the running sums
-(`running_sums`, m^k added one m at a time), which `s1-s3-identity`,
-`congruences`, `gcd-ladder` and `divisibility-equivalence` also read.
-The rows share lists over m, each held as the `powersum` module
-docstring states: the running sums, the closed forms of the grid's m
-range, the consecutive gcds gcd(S_k(m), S_k(m+1)), the m^k table and the
-factor lists of every m. They also share the records of one numerator
-survey of the grid's k and one von Staudt-Clausen table to its k_max
-(`bernoulli._vsc_prime_table`, whose row k/2 `bernoulli-structure`
-multiplies into D_k). `powersum._latest` keeps them, so each is built
-once per slice for each k and each grid's other arguments; a row called
-on its own builds what it reads and keeps nothing. A consecutive gcd
-takes S_k(m) from the running sums and S_k(m+1) from the closed forms,
-so the ladder's consecutive-gcd cell and `trivial-gcd-iff`, which reads
-the same gcds, compare the two routes.
+(`running_sums`, m^k added one m at a time), which `congruences`,
+`gcd-ladder` and `divisibility-equivalence` also read, and which
+`s1-s3-identity` compares with S_3(m) = (m(m - 1)/2)^2 at its one k, 3:
+every row reads only the lists of its own k. The rows share lists over
+m, each held as the `powersum` module docstring states: the running
+sums, the closed forms of the grid's m range, the consecutive gcds
+gcd(S_k(m), S_k(m+1)), the m^k table and the factor lists of every m.
+They also share the records of one numerator survey of the grid's k and
+one von Staudt-Clausen table to its k_max (`bernoulli._vsc_prime_table`,
+whose row k/2 `bernoulli-structure` multiplies into D_k).
+`powersum._latest` keeps them, so each is built once per slice for each
+k and each grid's other arguments; a row called on its own builds what
+it reads and keeps nothing. A consecutive gcd takes S_k(m) from the
+running sums and S_k(m+1) from the closed forms, so the ladder's
+consecutive-gcd cell and `trivial-gcd-iff`, which reads the same gcds,
+compare the two routes.
 These rows run integer kernels with N_k and D_k read once per row: the
 gcd ladder (`gcdlab._ladder_rungs`, given m^k from the table), the
 congruence cells and the integer core of `divides_rational`. A passing
@@ -103,10 +106,9 @@ __all__ = [
 ]
 
 class _Row:
-    """Counts, counterexamples and hits of one check at one k (None for
-    the k-independent s1-s3 row)."""
+    """Counts, counterexamples and hits of one check at one k."""
 
-    def __init__(self, check: str, k: int | None):
+    def __init__(self, check: str, k: int):
         self.check = check
         self.k = k
         self.passes = 0
@@ -124,17 +126,14 @@ class _Row:
             self.passes += 1
         else:
             self.fails += 1
-            at = {"check": self.check}
-            if self.k is not None:
-                at["k"] = self.k
             self.counterexamples.append(
-                {**at, **where, "observed": str(observed),
-                 "predicted": str(predicted)}
+                {"check": self.check, "k": self.k, **where,
+                 "observed": str(observed), "predicted": str(predicted)}
             )
 
 
-# ---- row runners, one per check; each covers a single k (or, for
-# ---- k-independent checks, the single row key 0)
+# ---- row runners, one per check; each covers a single k and reads
+# ---- only that k's lists
 
 
 def _row_bernoulli_structure(k: int, spec: GridSpec) -> _Row:
@@ -207,11 +206,12 @@ def _row_telescoping(k: int, spec: GridSpec) -> _Row:
     return row
 
 
-def _row_s1s3(_k: int, spec: GridSpec) -> _Row:
-    row = _Row("s1-s3-identity", None)
-    s1, s3 = ps.running_sums(1, spec.m_max), ps.running_sums(3, spec.m_max)
+def _row_s1s3(k: int, spec: GridSpec) -> _Row:
+    row = _Row("s1-s3-identity", k)  # k = 3 (`_rows_for`)
+    s3 = ps.running_sums(k, spec.m_max)
     for m in range(spec.m_min, spec.m_max + 1):
-        row.cell(s3[m] == s1[m] ** 2, s3[m], s1[m] ** 2, m=m)
+        s1 = m * (m - 1) // 2
+        row.cell(s3[m] == s1 * s1, s3[m], s1 * s1, m=m)
     return row
 
 
@@ -437,7 +437,7 @@ def _row_numerator_scan(k: int, spec: GridSpec) -> _Row:
 
 class _Check(NamedTuple):
     """What a sweep knows of one check. k_min is the smallest k with a
-    row (None: one k-independent row, key 0); reads_b means the rows read
+    row (None: one row, at k = 3 on any grid); reads_b means the rows read
     B_k up to the grid's k_max, so the table is built that far first;
     tables_m means the rows build tables over m up to the grid's m_max;
     one_unit means every row of the check runs on one worker (they share
@@ -559,7 +559,7 @@ def _rows_for(check: str, spec: GridSpec) -> range:
     """The k of each row of `check` on `spec`."""
     entry = _CHECKS[check]
     if entry.k_min is None:
-        return range(1)
+        return range(3, 4)
     lo = max(spec.k_min, entry.k_min)
     if entry.even_k:
         return range(lo + lo % 2, spec.k_max + 1, 2)

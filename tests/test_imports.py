@@ -279,8 +279,10 @@ if not (sweeps is registered is moser_ladder.sweeps
 @pytest.mark.parametrize("name, runs", [
     ("cache_load", {"cache"}),
     ("power_sum", {"powersum"}),
-    ("gcd_ratio", {"powersum", "gcdlab"}),
+    # gcdlab reads powersum's names through the module, at each call
+    ("gcd_ratio", {"gcdlab"}),
     ("verify_all", {"powersum", "gcdlab", "sweeps", "_primes"}),
+    ("gcd_ratio(2, 2)", {"powersum", "gcdlab"}),
 ])
 def test_a_package_name_runs_only_its_module_and_its_imports(name, runs):
     code = f"""

@@ -15,7 +15,9 @@ ladder's consecutive gcd taken from its m^k rung is the same number
 (gcd(S(m), S(m+1)) = gcd(S(m), m^k)), so only the routes' independence
 is lost; `numerator-scan` only observes, so a wrong primality flag in
 its survey fails nothing; and no row of `quick` asks whether 91 is
-prime.
+prime. Min-max is blind to running sums one step ahead for the same
+reason as the first: its prefix reads gcd(S(m+1), m^k) = gcd(S(m), m^k),
+so the checks that compare the running sums with another route catch it.
 """
 
 import importlib
@@ -159,6 +161,11 @@ def running_sums_plus_one(mp):
     _wrap(mp, ps, "running_sums", bumped)
 
 
+def running_sums_one_step_ahead(mp):
+    _wrap(mp, ps, "running_sums",
+          lambda real, k, m_max: list(real(k, m_max + 1))[1:])
+
+
 def survey_calls_every_numerator_prime(mp):
     return _wrap(mp, sweeps, "numerator_survey", lambda real, ks, bound: [
         {**record, "prime": True} for record in real(ks, bound)])
@@ -199,6 +206,8 @@ FAULTS = [
     (cross_gcd_claims_c_divides_no_k, ("cross-gcd",)),
     (congruence_cells_flip, ("congruences",)),
     (running_sums_plus_one, ("faulhaber-naive", "s1-s3-identity")),
+    (running_sums_one_step_ahead, ("faulhaber-naive", "s1-s3-identity",
+                                   "gcd-ladder", "trivial-gcd-iff")),
     (survey_calls_every_numerator_prime, ()),
     (numerator_bound_fails_at_12, ("size-bounds",)),
 ]

@@ -287,15 +287,19 @@ def _ladder_as_it_was(k: int, m: int, s: int, s_next: int) -> tuple:
     g1, g2, g3 = gcd(s, m), gcd(s, m * m), gcd(s, m**3)
     g4, gk = gcd(s, m**4), gcd(s, m**k)
     e = gk // g3 if k >= 4 else 1
-    residual = e
-    g = gcd(residual, n_abs)
-    while g > 1:
-        residual //= g
-        g = gcd(residual, n_abs)
     q = m // gcd(d, m)
     return (g1, g2, g3, g4, gk, q, q * gcd(n_abs, m), q * gcd(n_abs, m * m),
-            e, residual == 1, gcd(s, s_next) == gk,
+            e, _strip_as_it_was(e, n_abs) == 1, gcd(s, s_next) == gk,
             _nests_as_it_was(k, g1, g2, g3, g4, gk))
+
+
+def _strip_as_it_was(e: int, n_abs: int) -> int:
+    """e with every prime it shares with n_abs divided out."""
+    g = gcd(e, n_abs)
+    while g > 1:
+        e //= g
+        g = gcd(e, n_abs)
+    return e
 
 
 @FAST
@@ -318,6 +322,34 @@ def test_ladder_kernel_matches_direct_gcds(k, m, c, j, c_next):
             ladder.predicted_m2, ladder.predicted_m3, ladder.residual,
             ladder.residual_primes_divide_numerator,
             ladder.consecutive_matches, ladder.monotone) == want
+
+
+@st.composite
+def _residual_and_numerator(draw):
+    """(e, n): n up to 10^40, or a product of some of e's own primes, each
+    to a power of at most 3, times a cofactor, so that every prime of e
+    divides n about as often as not."""
+    e = draw(st.integers(1, 10**6))
+    own = draw(st.lists(st.sampled_from(sorted(factorize(e))), unique=True)
+               if e > 1 else st.just([]))
+    made = prod(p ** draw(st.integers(1, 3)) for p in own) * draw(
+        st.integers(1, 10**20))
+    return e, draw(st.one_of(st.integers(1, 10**40), st.just(made)))
+
+
+@FAST
+@given(en=_residual_and_numerator())
+@example(en=(1, 1))  # e = 1: no prime to test
+@example(en=(2**19, 2))  # the largest prime exponent of any e <= 10^6
+@example(en=(2**19 * 3, 2))  # a prime of e that n lacks
+def test_residual_primes_in_one_step_match_the_strip_loop(en):
+    # every prime of e divides n iff e | n^j for some j at least e's
+    # largest prime exponent, and e.bit_length() is such a j; with m = e,
+    # S = e^4 and k = 4 the ladder's residual gcd(S, m^k) / gcd(S, m^3)
+    # is e itself, so the kernel decides the cell at this e
+    e, n = en
+    rungs = gcdlab._ladder_rungs(4, e, e**4, 1, e**4, n, 1)
+    assert rungs[8:10] == (e, _strip_as_it_was(e, n) == 1)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -45,7 +45,7 @@ _ALL_3_TO_11 = list(range(3, 12))
         "bernoulli-structure": _EVEN_TO_12,
         "faulhaber-naive": _ALL_TO_13,
         "telescoping": _ALL_TO_13,
-        "s1-s3-identity": [0],
+        "s1-s3-identity": [3],
         "ratio-search": _ALL_TO_13,
         "em-scan": _ALL_TO_13,
         "gcd-ladder": _EVEN_TO_12,
@@ -63,7 +63,7 @@ _ALL_3_TO_11 = list(range(3, 12))
         "bernoulli-structure": _EVEN_4_TO_10,
         "faulhaber-naive": _ALL_3_TO_11,
         "telescoping": _ALL_3_TO_11,
-        "s1-s3-identity": [0],
+        "s1-s3-identity": [3],
         "ratio-search": _ALL_3_TO_11,
         "em-scan": _ALL_3_TO_11,
         "gcd-ladder": _EVEN_4_TO_10,
@@ -80,7 +80,8 @@ _ALL_3_TO_11 = list(range(3, 12))
 ])
 def test_rows_per_check_are_pinned(spec, want):
     # the k of every row, per check: odd k_min and k_max, and each
-    # check's own smallest k (2, 4 for cross-gcd, 10 for size-bounds)
+    # check's own smallest k (2, 4 for cross-gcd, 10 for size-bounds);
+    # s1-s3 has one row on any grid, at k = 3, whose running sums it reads
     assert list(want) == list(CHECK_ORDER)
     assert {check: list(_rows_for(check, spec)) for check in CHECK_ORDER} == want
 
@@ -164,7 +165,7 @@ def _assert_pinned_failures(d: dict) -> None:
     failing = {c["name"] for c in d["checks"] if c["fail"]}
     assert failing == {"faulhaber-naive", "telescoping", "gcd-ladder",
                        "congruences", "divisibility-equivalence",
-                       "trivial-gcd-iff"}
+                       "trivial-gcd-iff", "min-max"}
     # the ladder's consecutive-gcd cell reads S(m+1) from the closed form,
     # so a running-sum S off its value makes it fail
     ladder = next(c for c in d["checks"] if c["name"] == "gcd-ladder")
@@ -190,10 +191,10 @@ def test_counterexample_text_is_pinned_in_parallel(monkeypatch):
 def test_extended_builds_each_closed_form_once(monkeypatch):
     # faulhaber-naive, telescoping, gcd-ladder and trivial-gcd-iff share
     # one column of closed forms per k: 48 k times m = 1..301 (14,448),
-    # plus 160 for the witnesses: 80 `gcd_ratio` calls of special-values
-    # and min-max, two sums each, and 40 for the crossover certificates
-    # (c - 1 and c at 20 k). Every closed form is a point of `power_sums`;
-    # `power_sum` is its one-point case.
+    # plus 160 for the witnesses: 40 `_extreme_witnesses` calls of
+    # special-values and min-max, four points each, and 40 for the
+    # crossover certificates (c - 1 and c at 20 k). Every closed form is a
+    # point of `power_sums`; `power_sum` is its one-point case.
     real = powersum.power_sums
     calls = []
 
@@ -342,6 +343,59 @@ def test_overlapping_grids_build_each_shared_list_once_per_slice(
         assert Counter(built) == _shared_builds([tasks[i] for i in at])
         if jobs == 1:
             assert Counter(name for name, _ in built) == totals
+    assert powersum._SLICE is None
+
+
+_PER_K_BUILDERS = ("_faulhaber_coeffs", "_powers", "running_sums",
+                   "_closed_forms", "_consecutive_gcds")
+
+
+class _RecordedSlice(dict):
+    """A slice's store that appends (builder, k, other arguments) to
+    `built` at each insertion, that is, at each build of a shared list."""
+
+    def __init__(self, built: list):
+        super().__init__()
+        self.built = built
+
+    def __setitem__(self, key, value):
+        (build, rest), k = key, value[0]
+        self.built.append((build.__name__, k, rest))
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("profile", ["quick", "standard", "extended"])
+def test_each_per_k_list_is_built_once_per_slice(monkeypatch, profile, jobs):
+    # every row reads only the lists of its own k, and a slice runs its
+    # rows k by k, so each per-k builder is built once per k and other
+    # arguments in every slice: `extended` builds m^k and the running sums
+    # once for each of its 48 k. Each slice of a --jobs 2 split is run.
+    built: list = []
+
+    def recorded(runner):
+        def run(k, spec):
+            if type(powersum._SLICE) is dict:  # the slice's fresh store
+                powersum._SLICE = _RecordedSlice(built)
+            return runner(k, spec)
+        return run
+
+    for check, runner in list(sweeps._ROW_RUNNERS.items()):
+        monkeypatch.setitem(sweeps._ROW_RUNNERS, check, recorded(runner))
+    tasks = _tasks(PROFILES[profile])
+    slices = ([list(range(len(tasks)))] if jobs == 1
+              else sweeps._slices(tasks, sweeps._units(tasks), jobs))
+    builds: Counter = Counter()
+    for at in slices:
+        built.clear()
+        rows = sweeps._run_slice([tasks[i] for i in at])
+        assert all(row.fails == 0 for row in rows)
+        per_k = Counter(b for b in built if b[0] in _PER_K_BUILDERS)
+        assert set(per_k.values()) <= {1}, per_k.most_common(3)
+        builds.update(name for name, _, _ in per_k)
+    assert set(builds) == set(_PER_K_BUILDERS)
+    if profile == "extended":
+        assert builds["_powers"] == builds["running_sums"] == 48
     assert powersum._SLICE is None
 
 
