@@ -15,10 +15,11 @@ consecutive rung gcd(S, S_k(m+1)) comes in as an argument, taken by the
 caller directly from the two sums (the sweep takes S_k(m+1) from the
 closed form and S from the running sums, so the cell ties two routes, and
 shares the gcd with the trivial-gcd row); the closed forms are gcds of m
-with N and D. `_ladder_from_sums`, `gcd_ladder` and the sweep row read
-it. A congruence cell carries S - B_k m as the integer X = D S - N m
-over D, reduced once per (k, m); its p-adic divisibility tests and its
-gates are integer tests on that numerator and on N and D. One kernel,
+with N and D. It alone decides the verdict, `monotone` and `ok`, which
+`_ladder_from_sums` and `gcd_ladder` store and the sweep row reads. A
+congruence cell carries S - B_k m as the integer X = D S - N m over D,
+reduced once per (k, m); its p-adic divisibility tests and its gates
+are integer tests on that numerator and on N and D. One kernel,
 `_congruence_cells`, decides every congruence cell of one m and returns
 them as a list: `congruence_check`, `prime_local_congruences` and the
 sweep row all read it. The min/max prefix keeps g(m) = a/m unreduced and
@@ -90,7 +91,9 @@ class GcdLadder(NamedTuple):
     """Observed gcd(S, m^r) for r in 1, 2, 3, 4, k next to the closed-form
     predictions that exist (r <= 3). The m^4 and m^k columns have no closed
     form; the m^k column instead carries the residual-factor constraint
-    e = gcd(S, m^k) / gcd(S, m^3), every prime of which must divide N."""
+    e = gcd(S, m^k) / gcd(S, m^3), every prime of which must divide N.
+    `monotone` (each rung divides the next) and `ok` (every cell holds)
+    are stored, as `_ladder_rungs` decides them for the `gcd-ladder` row."""
 
     k: int
     m: int
@@ -105,29 +108,8 @@ class GcdLadder(NamedTuple):
     residual: int
     residual_primes_divide_numerator: bool
     consecutive_matches: bool
-
-    @property
-    def matches(self) -> tuple[bool, bool, bool]:
-        return (
-            self.observed_m1 == self.predicted_m1,
-            self.observed_m2 == self.predicted_m2,
-            self.observed_m3 == self.predicted_m3,
-        )
-
-    @property
-    def monotone(self) -> bool:
-        return _rungs_nest(self.k, self.observed_m1, self.observed_m2,
-                           self.observed_m3, self.observed_m4,
-                           self.observed_mk)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            all(self.matches)
-            and self.monotone
-            and self.residual_primes_divide_numerator
-            and self.consecutive_matches
-        )
+    monotone: bool
+    ok: bool
 
 
 def _rungs_nest(k: int, g1: int, g2: int, g3: int, g4: int, gk: int) -> bool:
@@ -140,7 +122,8 @@ def _rungs_nest(k: int, g1: int, g2: int, g3: int, g4: int, gk: int) -> bool:
 
 def _ladder_rungs(
     k: int, m: int, s: int, consecutive: int, mk: int, n_abs: int, d: int
-) -> tuple[int, int, int, int, int, int, int, int, int, bool, bool]:
+) -> tuple[int, int, int, int, int, int, int, int, int, bool, bool, bool,
+           bool]:
     """The GcdLadder fields after k and m, in field order, for S = s,
     gcd(S, S_k(m+1)) = consecutive and m^k = mk, given |N| and D of B_k.
 
@@ -149,10 +132,11 @@ def _ladder_rungs(
     directly. The closed forms for the m, m^2 and m^3 rungs are
     q = m / gcd(D, m), q gcd(N, m) and q gcd(N, m^2). Every prime of e
     divides N iff e | N^j, with j = e.bit_length() >= each exponent of e.
+    The last field, `ok`, is the cell's verdict: the three closed forms,
+    the consecutive gcd, the nesting and the residual primes all hold.
     """
     m2 = m * m
-    m3 = m2 * m
-    g3 = gcd(s, m3)
+    g1, g2, g3, g4 = gcd(s, m), gcd(s, m2), gcd(s, m2 * m), gcd(s, m2 * m2)
     gk = gcd(s, mk)
     if k >= 4:
         e, rem = divmod(gk, g3)
@@ -162,9 +146,13 @@ def _ladder_rungs(
     else:
         e = 1  # k = 2: m^k divides m^3, nothing extends past that rung
     p1 = m // gcd(d, m)
-    return (gcd(s, m), gcd(s, m2), g3, gcd(s, m2 * m2), gk,
-            p1, p1 * gcd(n_abs, m), p1 * gcd(n_abs, m2),
-            e, pow(n_abs, e.bit_length(), e) == 0, consecutive == gk)
+    p2, p3 = p1 * gcd(n_abs, m), p1 * gcd(n_abs, m2)
+    residual_ok = pow(n_abs, e.bit_length(), e) == 0
+    consecutive_ok = consecutive == gk
+    monotone = _rungs_nest(k, g1, g2, g3, g4, gk)
+    return (g1, g2, g3, g4, gk, p1, p2, p3, e, residual_ok, consecutive_ok,
+            monotone, g1 == p1 and g2 == p2 and g3 == p3 and consecutive_ok
+            and monotone and residual_ok)
 
 
 def _ladder_from_sums(k: int, m: int, s: int, s_next: int) -> GcdLadder:

@@ -260,12 +260,10 @@ def _row_gcd_ladder(k: int, spec: GridSpec) -> _Row:
     gcds = _consecutive_gcds(k, range(spec.m_min, spec.m_max + 1))
     running = ps.running_sums(k, spec.m_max)
     for m in range(max(2, spec.m_min), spec.m_max + 1):
-        (g1, g2, g3, g4, gk, p1, p2, p3, e, residual_ok,
-         consecutive) = gcdlab._ladder_rungs(k, m, running[m], gcds[m],
-                                             powers[m], n_abs, d)
-        monotone = gcdlab._rungs_nest(k, g1, g2, g3, g4, gk)
-        if (g1 == p1 and g2 == p2 and g3 == p3 and consecutive and monotone
-                and residual_ok):
+        (g1, g2, g3, g4, gk, p1, p2, p3, e, residual_ok, consecutive,
+         monotone, ok) = gcdlab._ladder_rungs(k, m, running[m], gcds[m],
+                                              powers[m], n_abs, d)
+        if ok:
             row.passes += 6
         else:
             for name, obs, pred in zip(_LADDER_CLOSED_FORMS, (g1, g2, g3),

@@ -2,6 +2,7 @@
 every name a module exports exists, every parameter a function takes is
 read in its body, every export of `_primes` is read by another module,
 no module but `_primes` calls `primorial` or memoizes with `functools`,
+no function but `gcdlab._ladder_rungs` calls `_rungs_nest`,
 no module checks an invariant with `assert`, the CLI
 picks the output format in one place, the CLI reads no private name of
 the package, and the package's lazy modules give the same names as
@@ -166,6 +167,25 @@ def test_only_primes_calls_primorial():
              and (getattr(node.func, "id", None) == "primorial"
                   or getattr(node.func, "attr", None) == "primorial")]
     assert calls == []
+
+
+def test_only_the_ladder_kernel_calls_rungs_nest():
+    # `_ladder_rungs` decides the ladder's verdict once, `monotone` and
+    # `ok` with it; a record property or a sweep row that calls
+    # `_rungs_nest` itself decides it a second time
+    def calls(node):
+        return isinstance(node, ast.Call) and "_rungs_nest" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [f"{stem}.{func.name}" for stem, tree in trees.items()
+               for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               and any(calls(node) for node in ast.walk(func))]
+    assert callers == ["gcdlab._ladder_rungs"]
+    assert sum(calls(node) for tree in trees.values()
+               for node in ast.walk(tree)) == 1
 
 
 def test_only_primes_memoizes_with_functools():

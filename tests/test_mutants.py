@@ -115,6 +115,11 @@ def consecutive_gcd_from_mk_rung(mp):
     return _wrap(mp, sweeps, "_consecutive_gcds", from_rung)
 
 
+def ladder_nesting_denied_at_10(mp):
+    _wrap(mp, gcdlab, "_rungs_nest",
+          lambda real, k, *rungs: k != 10 and real(k, *rungs))
+
+
 def is_prime_91(mp):
     return _wrap(mp, _primes, "is_prime", lambda real, n: n == 91 or real(n))
 
@@ -197,6 +202,7 @@ FAULTS = [
     (ratio_hits_returns_nothing, ("ratio-search",)),
     (em_solutions_invents_4_5, ("em-scan",)),
     (consecutive_gcd_from_mk_rung, ()),
+    (ladder_nesting_denied_at_10, ("gcd-ladder",)),
     (is_prime_91, ()),
     (numerator_plus_denominator_at_10, "exit 4"),
     (denominator_off, ("bernoulli-structure",)),

@@ -280,17 +280,24 @@ def _nests_as_it_was(k, g1, g2, g3, g4, gk) -> bool:
 
 
 def _ladder_as_it_was(k: int, m: int, s: int, s_next: int) -> tuple:
-    """The ladder fields and monotone flag as they were computed before
-    the kernel: closed forms through numerator()/denominator() per call,
-    the chain tested rung by rung."""
+    """The ladder fields with the monotone and ok flags as they were
+    computed before the kernel: closed forms through numerator() and
+    denominator() per call, the chain tested rung by rung, and ok as the
+    record's property took it, from the three closed-form matches, the
+    nesting, the residual primes and the consecutive gcd."""
     n_abs, d = abs(numerator(k)), denominator(k)
     g1, g2, g3 = gcd(s, m), gcd(s, m * m), gcd(s, m**3)
     g4, gk = gcd(s, m**4), gcd(s, m**k)
     e = gk // g3 if k >= 4 else 1
     q = m // gcd(d, m)
-    return (g1, g2, g3, g4, gk, q, q * gcd(n_abs, m), q * gcd(n_abs, m * m),
-            e, _strip_as_it_was(e, n_abs) == 1, gcd(s, s_next) == gk,
-            _nests_as_it_was(k, g1, g2, g3, g4, gk))
+    p1, p2, p3 = q, q * gcd(n_abs, m), q * gcd(n_abs, m * m)
+    residual_ok = _strip_as_it_was(e, n_abs) == 1
+    consecutive = gcd(s, s_next) == gk
+    monotone = _nests_as_it_was(k, g1, g2, g3, g4, gk)
+    matches = (g1 == p1, g2 == p2, g3 == p3)
+    ok = all(matches) and monotone and residual_ok and consecutive
+    return (g1, g2, g3, g4, gk, p1, p2, p3, e, residual_ok, consecutive,
+            monotone, ok)
 
 
 def _strip_as_it_was(e: int, n_abs: int) -> int:
@@ -315,13 +322,13 @@ def test_ladder_kernel_matches_direct_gcds(k, m, c, j, c_next):
     rungs = gcdlab._ladder_rungs(k, m, s, gcd(s, s_next), m**k,
                                  abs(b.numerator), b.denominator)
     want = _ladder_as_it_was(k, m, s, s_next)
-    assert rungs + (gcdlab._rungs_nest(k, *rungs[:5]),) == want
+    assert rungs == want
     assert (ladder.k, ladder.m) == (k, m)
     assert (ladder.observed_m1, ladder.observed_m2, ladder.observed_m3,
             ladder.observed_m4, ladder.observed_mk, ladder.predicted_m1,
             ladder.predicted_m2, ladder.predicted_m3, ladder.residual,
             ladder.residual_primes_divide_numerator,
-            ladder.consecutive_matches, ladder.monotone) == want
+            ladder.consecutive_matches, ladder.monotone, ladder.ok) == want
 
 
 @st.composite

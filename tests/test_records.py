@@ -40,7 +40,10 @@ def test_record_is_read_only_and_equal_by_value(name):
 def test_records_keep_defaults_and_properties():
     spec = sweeps.GridSpec(k_max=12, m_max=100)
     assert (spec.k_min, spec.m_min, spec.checks) == (1, 1, sweeps.CHECK_ORDER)
-    assert gcdlab.gcd_ladder(10, 5).matches == (True, True, True)
+    lad = gcdlab.gcd_ladder(10, 5)
+    assert (lad.observed_m1, lad.observed_m2, lad.observed_m3) == (
+        lad.predicted_m1, lad.predicted_m2, lad.predicted_m3)
+    assert lad.ok
     status = square_free_status(12, 100)
     assert (status.kind, status.bound, status.prime) == (
         "no-square-factor-below", 100, None)
