@@ -10,7 +10,9 @@ The hot loops run on integers only, with N and D read once per k by the
 callers that loop over m. One kernel, `_ladder_rungs`, computes a gcd
 ladder cell: every observed rung is its own gcd (of S with m, m^2, m^3,
 m^4 and m^k, with m^k passed in from the caller's table), never derived
-from another rung, so the ladder's nesting stays a real check; the
+from another rung, so the ladder's nesting stays a real check, which
+`monotone` reports and nothing raises; the residual is gk / gcd(gk, g3)
+for gk = gcd(S, m^k) and g3 = gcd(S, m^3) (gk / g3 where they nest); the
 consecutive rung gcd(S, S_k(m+1)) comes in as an argument, taken by the
 caller directly from the two sums (the sweep takes S_k(m+1) from the
 closed form and S from the running sums, so the cell ties two routes, and
@@ -91,9 +93,11 @@ class GcdLadder(NamedTuple):
     """Observed gcd(S, m^r) for r in 1, 2, 3, 4, k next to the closed-form
     predictions that exist (r <= 3). The m^4 and m^k columns have no closed
     form; the m^k column instead carries the residual-factor constraint
-    e = gcd(S, m^k) / gcd(S, m^3), every prime of which must divide N.
-    `monotone` (each rung divides the next) and `ok` (every cell holds)
-    are stored, as `_ladder_rungs` decides them for the `gcd-ladder` row."""
+    e = gk / gcd(gk, g3), with gk = gcd(S, m^k) and g3 = gcd(S, m^3),
+    every prime of which must divide N. `monotone` (each rung divides the
+    next) and `ok` (every cell holds) are stored, as `_ladder_rungs`
+    decides them for the `gcd-ladder` row: a broken nesting is reported
+    by `monotone`, never raised."""
 
     k: int
     m: int
@@ -130,21 +134,17 @@ def _ladder_rungs(
     Each observed rung is its own direct gcd; none is derived from
     another, and `consecutive` must be the gcd of the two sums, taken
     directly. The closed forms for the m, m^2 and m^3 rungs are
-    q = m / gcd(D, m), q gcd(N, m) and q gcd(N, m^2). Every prime of e
-    divides N iff e | N^j, with j = e.bit_length() >= each exponent of e.
-    The last field, `ok`, is the cell's verdict: the three closed forms,
-    the consecutive gcd, the nesting and the residual primes all hold.
+    q = m / gcd(D, m), q gcd(N, m) and q gcd(N, m^2). The residual e =
+    gk / gcd(gk, g3) is gk / g3 where the rungs nest and 1 at k = 2;
+    every prime of e divides N iff e | N^j, j = e.bit_length(). The last
+    field, `ok`, is the cell's verdict: the three closed forms, the
+    consecutive gcd, the nesting (reported by `monotone`, never raised)
+    and the residual primes all hold.
     """
     m2 = m * m
     g1, g2, g3, g4 = gcd(s, m), gcd(s, m2), gcd(s, m2 * m), gcd(s, m2 * m2)
     gk = gcd(s, mk)
-    if k >= 4:
-        e, rem = divmod(gk, g3)
-        if rem:  # m^3 | m^k, so the gcds nest
-            raise ArithmeticError(f"gcd(S, m^3) does not divide gcd(S, m^k) "
-                                  f"at k={k}, m={m}")
-    else:
-        e = 1  # k = 2: m^k divides m^3, nothing extends past that rung
+    e = gk // gcd(gk, g3)
     p1 = m // gcd(d, m)
     p2, p3 = p1 * gcd(n_abs, m), p1 * gcd(n_abs, m2)
     residual_ok = pow(n_abs, e.bit_length(), e) == 0

@@ -5,23 +5,24 @@ cell as pass, fail, or inapplicable, and collecting counterexamples and
 findings (hits). Every fact about a check is one entry of the ordered
 table `_CHECKS`; the check order, the rows of a grid, grid validation
 and `max_bernoulli_index` are read from it. The work is a list of rows,
-one per check and k. One worker runs the whole list in-process. With
-w > 1 workers the rows are grouped into units, the rows of one k, with
-all numerator-scan rows (which share one survey) as one unit of their
-own; the units are dealt heaviest first, by a static weight per row,
-each to the least-loaded of w slices, and each worker runs one slice, so
-one worker builds each per-k list and the survey; a slice that reads the
-von Staudt-Clausen table or the factor lists builds its own. A slice
-runs its rows k by k. The parent fills the Bernoulli table, then forks
-w - 1 children, which inherit it; it runs the heaviest slice itself
-while each child runs one other and sends its rows back as one pickle on
-a pipe of its own. Where `os.fork` does not exist the sweep runs
-serially. Rows go back to their list positions, so the report (the dict
-that `verify --format json` prints, built once from the rows) is
-byte-identical at any job count. The job count is an argument of
-`run_grids` and of `run_sweep`/`verify_all`, not part of a grid. Sweeps
-do no file I/O: the CLI reads the Bernoulli cache before a sweep and
-writes it afterwards, up to `max_bernoulli_index` of the grids.
+one per check and k. `_slices` alone sets the worker count: at most the
+job count and the CPUs, and one where `os.fork` does not exist. It
+groups the rows into units, the rows of one k, with all numerator-scan
+rows (which share one survey) as one unit of their own, deals the units
+heaviest first, by a static weight per row, each to the least-loaded
+slice, and keeps the w slices that got a unit, so one worker builds each
+per-k list and the survey; a slice that reads the von Staudt-Clausen
+table or the factor lists builds its own. A slice runs its rows k by k;
+one slice runs in-process. Otherwise the parent fills the Bernoulli
+table, then forks w - 1 children, which inherit it; it runs the heaviest
+slice itself while each child runs one other and sends its rows back as
+one pickle on a pipe of its own. Rows go back to their list positions,
+so the report (the dict that `verify --format json` prints, built once
+from the rows) is byte-identical at any job count. The job count is an
+argument of `run_grids` and of `run_sweep`/`verify_all`, not part of a
+grid. Sweeps do no file I/O: the CLI reads the Bernoulli cache before a
+sweep and writes it afterwards, up to `max_bernoulli_index` of the
+grids.
 
 Rows call the library's scans (`powersum` searches and running sums,
 `gcdlab` ladders and congruences, the `bernoulli` numerator survey that
@@ -673,25 +674,6 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_size(jobs: int, n_units: int) -> int:
-    """Worker processes for a sweep: never more than the CPUs or the
-    units, and one where the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    return min(jobs, _available_cpus(), n_units)
-
-
-def _units(tasks: list[tuple[str, int, GridSpec]]) -> list[list[int]]:
-    """Task positions grouped into the units a worker runs whole: the
-    rows of one k, and all rows of a `one_unit` check; in order of first
-    appearance."""
-    units: dict[object, list[int]] = {}
-    for i, (check, k, _spec) in enumerate(tasks):
-        units.setdefault(check if _CHECKS[check].one_unit else k,
-                         []).append(i)
-    return list(units.values())
-
-
 def _weight(check: _Check, k: int, spec: GridSpec) -> int:
     """Static cost estimate of one row, for dealing rows to workers. A
     survey row stands for its share of the sieve, primorial and block gcds
@@ -707,24 +689,31 @@ def _weight(check: _Check, k: int, spec: GridSpec) -> int:
     return 100
 
 
-def _slices(tasks: list[tuple[str, int, GridSpec]], units: list[list[int]],
-            workers: int) -> list[list[int]]:
-    """Deal the units to `workers` slices of task positions, heaviest
-    unit first, each to the slice with the least weight so far (the
-    first such on ties), and return the slices heaviest first: a pure
-    function of the task list."""
+def _slices(tasks: list[tuple[str, int, GridSpec]],
+            jobs: int) -> list[list[int]]:
+    """Deal the task positions by units a worker runs whole (the rows of
+    one k, and all rows of a `one_unit` check), heaviest unit first, each
+    to the least-loaded of w slices (the first on ties), w = min(jobs,
+    CPUs) or 1 where the platform cannot fork; return the slices that got
+    a unit, heaviest first: a pure function of the tasks and w."""
+    units: dict[object, list[int]] = {}
+    for i, (check, k, _spec) in enumerate(tasks):
+        units.setdefault(check if _CHECKS[check].one_unit else k,
+                         []).append(i)
+
     def weight(unit: list[int]) -> int:
         return sum(_weight(_CHECKS[check], k, spec)
                    for check, k, spec in map(tasks.__getitem__, unit))
 
+    workers = min(jobs, _available_cpus()) if hasattr(os, "fork") else 1
     loads = [0] * workers
     slices: list[list[int]] = [[] for _ in range(workers)]
-    for unit in sorted(units, key=weight, reverse=True):
+    for unit in sorted(units.values(), key=weight, reverse=True):
         i = loads.index(min(loads))
         loads[i] += weight(unit)
         slices[i] += unit
     order = sorted(range(workers), key=loads.__getitem__, reverse=True)
-    return [slices[i] for i in order]
+    return [slices[i] for i in order if slices[i]]
 
 
 def run_grids(specs: list[GridSpec], profile: str | None,
@@ -756,11 +745,9 @@ def run_grids(specs: list[GridSpec], profile: str | None,
             })
             tasks.extend((check, k, spec) for k in ks)
 
-    units = _units(tasks) if jobs > 1 else [list(range(len(tasks)))]
-    workers = _pool_size(jobs, len(units))
-    if workers > 1:
-        slices = _slices(tasks, units, workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    slices = _slices(tasks, jobs)
+    if len(slices) > 1:
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
             results = [None] * len(tasks)
             for at, rows in zip(slices, pool.map(
                     _run_slice, [[tasks[i] for i in at] for at in slices])):

@@ -635,11 +635,28 @@ _REAL_PAIR = cli.ps.bernoulli_pair
 _TEST_PID = os.getpid()
 
 
-@pytest.mark.parametrize("module, name, fake, argv, text", [
+def test_broken_ladder_nesting_fails_its_cell(monkeypatch, capsys):
     # gcd(S, m^k) one too large at k = 10, m = 5, so gcd(S, m^3) no
-    # longer divides it and the ladder's nesting check trips
-    ("gcdlab", "gcd", lambda a, b: math.gcd(a, b) + (b == 5**10),
-     ["ladder", "10", "5"], "does not divide"),
+    # longer divides it: the ladder-monotone cell reports the rungs, and
+    # `ladder` prints the flags, instead of an internal fault
+    monkeypatch.setattr(cli.gcdlab, "gcd",
+                        lambda a, b: math.gcd(a, b) + (b == 5**10))
+    assert cli.main(["verify", "--grid", "10-10:5", "--checks", "gcd-ladder",
+                     "--seedless", "--format", "json"]) == 1
+    [ladder] = json.loads(capsys.readouterr().out)["checks"]
+    assert {ce["cell"] for ce in ladder["counterexamples"]} == {
+        "ladder-monotone", "consecutive-gcd", "residual-primes"}
+    [nesting] = [ce for ce in ladder["counterexamples"]
+                 if ce["cell"] == "ladder-monotone"]
+    assert (nesting["k"], nesting["m"]) == (10, 5)
+    assert nesting["observed"] == "(5, 25, 25, 25, 26)"
+    assert cli.main(["ladder", "10", "5", "--seedless"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "monotone false\nok false\n" in out
+
+
+@pytest.mark.parametrize("module, name, fake, argv, text", [
     # B_3 = 1 breaks the Faulhaber coefficients' odd-index check
     ("ps", "bernoulli_pair", lambda j: (1, 1) if j == 3 else _REAL_PAIR(j),
      ["powersum", "5", "7"], "odd-index Bernoulli"),
@@ -652,7 +669,7 @@ _TEST_PID = os.getpid()
         ["verify", "quick", "--jobs", "2"], "odd-index Bernoulli",
         marks=pytest.mark.skipif(not hasattr(os, "fork"),
                                  reason="workers are forked")),
-], ids=["ladder-nesting", "faulhaber-odd-index", "faulhaber-odd-index-worker"])
+], ids=["faulhaber-odd-index", "faulhaber-odd-index-worker"])
 def test_tripped_invariant_exits_4(monkeypatch, capsys, module, name, fake,
                                    argv, text):
     # an invariant check that trips is an internal fault, not a usage

@@ -196,7 +196,9 @@ FAULTS = [
     (closed_form_plus_one, ("faulhaber-naive", "telescoping", "gcd-ladder")),
     (gcd_with_power_returns_rung_1, ("min-max",)),
     (size_estimate_off, ("size-bounds",)),
-    (power_table_entry_plus_one, "exit 4"),
+    (power_table_entry_plus_one, ("faulhaber-naive", "telescoping",
+                                  "gcd-ladder", "congruences",
+                                  "trivial-gcd-iff", "min-max")),
     (crossover_one_early, ("crossover-bracket",)),
     (crossover_one_late, ("crossover-bracket",)),
     (ratio_hits_returns_nothing, ("ratio-search",)),

@@ -359,6 +359,24 @@ def test_residual_primes_in_one_step_match_the_strip_loop(en):
     assert rungs[8:10] == (e, _strip_as_it_was(e, n) == 1)
 
 
+@FAST
+@given(k=_even(60), m=st.integers(2, 400), c=st.integers(-3, 3),
+       mk=st.one_of(st.none(), st.integers(1, 10**40)))
+@example(k=10, m=5, c=0, mk=1)  # gcd(S, m^3) = 25 does not divide 1
+def test_ladder_kernel_reports_broken_nesting_without_raising(k, m, c, mk):
+    # any m^k argument, as from a wrong table entry, may break the
+    # nesting: the kernel reports it in `monotone`, never raises, and its
+    # residual is gk / gcd(gk, g3)
+    s = power_sum(k, m) + c * m
+    mk = m**k if mk is None else mk
+    rungs = gcdlab._ladder_rungs(k, m, s, 1, mk, abs(numerator(k)),
+                                 denominator(k))
+    g3, gk = gcd(s, m**3), gcd(s, mk)
+    assert rungs[8] == gk // gcd(gk, g3)
+    assert rungs[11] == _nests_as_it_was(
+        k, gcd(s, m), gcd(s, m * m), g3, gcd(s, m**4), gk)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(k=_even(60), g=st.tuples(*[st.integers(1, 50)] * 5))
 def test_ladder_nesting_is_tested_rung_by_rung(k, g):
@@ -514,6 +532,35 @@ def test_tables_over_m_hold_the_value_at_m_at_index_m(k, m_max, data):
     if m >= max(2, m_min):
         assert sweeps._consecutive_gcds(k, ms)[m] == gcd(
             power_sum(k, m), power_sum(k, m + 1))
+
+
+# ---- the deal: whole units to the fewest non-empty slices, heaviest first
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(profile=st.sampled_from(sorted(sweeps.PROFILES)), data=st.data(),
+       jobs=st.integers(1, 4))
+def test_slices_partition_the_rows_by_unit(profile, data, jobs):
+    grids = sweeps.PROFILES[profile]
+    specs = data.draw(st.lists(st.sampled_from(grids), min_size=1,
+                               max_size=len(grids), unique=True))
+    tasks = [(c, k, spec) for c in sweeps.CHECK_ORDER for spec in specs
+             if c in spec.checks for k in sweeps._rows_for(c, spec)]
+    with mock.patch.object(sweeps, "_available_cpus", lambda: 4):
+        slices = sweeps._slices(tasks, jobs)
+    assert sorted(i for at in slices for i in at) == list(range(len(tasks)))
+    where: dict = {}
+    for n, at in enumerate(slices):
+        for i in at:
+            check, k, _ = tasks[i]
+            unit = "survey" if sweeps._CHECKS[check].one_unit else k
+            where.setdefault(unit, set()).add(n)
+    assert all(len(slice_of) == 1 for slice_of in where.values())
+    assert all(slices) and len(slices) == min(jobs, len(where))
+    loads = [sum(sweeps._weight(sweeps._CHECKS[c], k, spec)
+                 for c, k, spec in map(tasks.__getitem__, at))
+             for at in slices]
+    assert loads == sorted(loads, reverse=True)
 
 
 # ---- power sums: even-coefficient Horner vs the naive sum and the

@@ -19,8 +19,8 @@ from moser_ladder.sweeps import (
     CHECK_ORDER,
     PROFILES,
     GridSpec,
-    _pool_size,
     _rows_for,
+    _slices,
     max_bernoulli_index,
     run_grids,
     run_sweep,
@@ -219,6 +219,12 @@ def _tasks(specs: list[GridSpec]) -> list[tuple[str, int, GridSpec]]:
             if c in spec.checks for k in _rows_for(c, spec)]
 
 
+def _unit_count(tasks: list[tuple[str, int, GridSpec]]) -> int:
+    """The units a worker runs whole: one per k, one per survey check."""
+    return len({c if sweeps._CHECKS[c].one_unit else k
+                for c, k, _ in tasks})
+
+
 def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
     # a worker runs whole units, all rows of one k or all survey rows, so
     # at 2 workers the closed forms are still 14,648 points (see
@@ -241,10 +247,11 @@ def test_parallel_extended_builds_each_column_and_tree_once(monkeypatch):
 
     monkeypatch.setattr(powersum, "power_sums", counted_sums)
     monkeypatch.setattr(primes, "primorial_gcds", counted_gcds)
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
     specs = PROFILES["extended"]
     sweeps.bernoulli(max(1000, max_bernoulli_index(specs)))
     tasks = _tasks(specs)
-    slices = sweeps._slices(tasks, sweeps._units(tasks), 2)
+    slices = _slices(tasks, 2)
     for at in slices:
         sweeps._run_slice([tasks[i] for i in at])
     assert len(points) == 14_648
@@ -333,9 +340,11 @@ def test_overlapping_grids_build_each_shared_list_once_per_slice(
     monkeypatch.setattr(sweeps, "_factor_lists",
                         counted("factor lists", sweeps._factor_lists))
     monkeypatch.setattr(powersum, "power_sums", sums)
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
     tasks = _tasks(specs)
-    slices = sweeps._slices(tasks, sweeps._units(tasks), jobs)
-    assert len(slices) == jobs
+    slices = _slices(tasks, jobs)
+    assert all(slices)
+    assert len(slices) == min(jobs, _unit_count(tasks))
     for at in slices:
         built.clear()
         rows = sweeps._run_slice([tasks[i] for i in at])
@@ -382,9 +391,10 @@ def test_each_per_k_list_is_built_once_per_slice(monkeypatch, profile, jobs):
 
     for check, runner in list(sweeps._ROW_RUNNERS.items()):
         monkeypatch.setitem(sweeps._ROW_RUNNERS, check, recorded(runner))
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 2)
     tasks = _tasks(PROFILES[profile])
     slices = ([list(range(len(tasks)))] if jobs == 1
-              else sweeps._slices(tasks, sweeps._units(tasks), jobs))
+              else _slices(tasks, jobs))
     builds: Counter = Counter()
     for at in slices:
         built.clear()
@@ -399,12 +409,13 @@ def test_each_per_k_list_is_built_once_per_slice(monkeypatch, profile, jobs):
     assert powersum._SLICE is None
 
 
-def test_heaviest_slice_comes_first():
+def test_heaviest_slice_comes_first(monkeypatch):
     # the parent runs slice 0 itself, so it takes the largest share
+    monkeypatch.setattr(sweeps, "_available_cpus", lambda: 3)
     for profile in ("quick", "standard", "extended"):
         tasks = _tasks(PROFILES[profile])
         for workers in (2, 3):
-            slices = sweeps._slices(tasks, sweeps._units(tasks), workers)
+            slices = _slices(tasks, workers)
             loads = [sum(sweeps._weight(sweeps._CHECKS[c], k, spec)
                          for c, k, spec in map(tasks.__getitem__, at))
                      for at in slices]
@@ -675,20 +686,26 @@ def test_failed_sweep_leaves_no_process(monkeypatch, fault, error):
             os.waitpid(pid, os.WNOHANG)
 
 
+def _units_of(n: int) -> list[tuple[str, int, GridSpec]]:
+    """A task list of n units, one row at each k in 1..n."""
+    spec = GridSpec(k_max=n, m_max=10, checks=("telescoping",))
+    return [("telescoping", k, spec) for k in range(1, n + 1)]
+
+
 def test_pool_size_is_bounded(monkeypatch):
     # called directly: a huge --jobs must never reach a real pool;
     # with neither an affinity set nor a CPU count, the sweep is serial
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _pool_size(8, 100) == 1
+    assert len(_slices(_units_of(100), 8)) == 1
     cpus = 4
     monkeypatch.setattr(sweeps, "_available_cpus", lambda: cpus)
-    assert _pool_size(10**6, 10**6) == cpus
-    assert _pool_size(10**6, 3) == min(3, cpus)
-    assert _pool_size(1, 10**6) == 1
+    assert len(_slices(_units_of(100), 10**6)) == cpus
+    assert len(_slices(_units_of(3), 10**6)) == min(3, cpus)
+    assert len(_slices(_units_of(100), 1)) == 1
     # without os.fork there is no pool at all
     monkeypatch.delattr(os, "fork")
-    assert _pool_size(10**6, 10**6) == 1
+    assert len(_slices(_units_of(100), 10**6)) == 1
 
 
 def test_accounting_totals_match_check_sums():
